@@ -26,17 +26,11 @@ import (
 	"time"
 
 	"satwatch/internal/bench"
+	"satwatch/internal/obs"
 	"satwatch/internal/prof"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satbench:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satbench", run) }
 
 func run() (int, error) {
 	matrixName := flag.String("matrix", "full", "scenario matrix: full (24 scenarios) or reduced (the 16-scenario CI set)")
@@ -76,14 +70,11 @@ func run() (int, error) {
 		return 0, nil
 	}
 
-	var capture *prof.Capture
-	if *profileDir != "" {
-		capture, err = prof.StartCapture(*profileDir)
-		if err != nil {
-			return 0, err
-		}
-		defer capture.Stop()
+	capture, err := prof.StartCapture(*profileDir)
+	if err != nil {
+		return 0, err
 	}
+	defer capture.Stop()
 
 	fmt.Fprintf(os.Stderr, "running %d scenarios (%s matrix, seed %d)\n", len(scenarios), *matrixName, *seed)
 	report, err := bench.RunMatrix(scenarios, func(format string, args ...any) {

@@ -30,15 +30,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"satwatch/internal/faults"
@@ -48,17 +45,9 @@ import (
 	"satwatch/internal/pcapgen"
 	"satwatch/internal/prof"
 	"satwatch/internal/trace"
-	"satwatch/internal/tstat"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satgen:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satgen", run) }
 
 func run() (int, error) {
 	out := flag.String("out", "trace", "output directory")
@@ -85,15 +74,11 @@ func run() (int, error) {
 	memSampler := obs.StartMemSampler(0)
 	start := time.Now()
 
-	var capture *prof.Capture
-	if *profileDir != "" {
-		c, err := prof.StartCapture(*profileDir)
-		if err != nil {
-			return 0, err
-		}
-		capture = c
-		defer capture.Stop()
+	capture, err := prof.StartCapture(*profileDir)
+	if err != nil {
+		return 0, err
 	}
+	defer capture.Stop()
 
 	sched, err := faults.Load(*faultsArg, *days, *seed)
 	if err != nil {
@@ -102,15 +87,9 @@ func run() (int, error) {
 
 	// First SIGINT/SIGTERM cancels the run gracefully (workers stop at the
 	// next customer boundary, logs and manifest are flushed); a second one
-	// restores the default handler, so it kills the process. SIGTERM is
-	// what container runtimes send on stop, so containerized runs drain
-	// instead of dying with lost output.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// kills the process.
+	ctx, stop := obs.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return 0, err
@@ -128,24 +107,13 @@ func run() (int, error) {
 		return 0, err
 	}
 
-	if *debugAddr != "" {
-		bound, stopDebug, err := obs.StartDebugServer(*debugAddr, obs.Default, func() any {
-			p := netsim.CurrentProgress()
-			p.ElapsedSeconds = time.Since(start).Seconds()
-			return p
-		})
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s\n", bound)
-		defer func() {
-			if *debugLinger > 0 {
-				fmt.Fprintf(os.Stderr, "debug server lingering %s\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}
-			stopDebug()
-		}()
+	stopDebug, err := obs.ServeDebug(*debugAddr, *debugLinger, func() any {
+		return netsim.CurrentProgress(time.Since(start))
+	})
+	if err != nil {
+		return 0, err
 	}
+	defer stopDebug()
 
 	if *progress {
 		stopProgress := obs.StartProgress(os.Stderr, 2*time.Second, netsim.ProgressLine)
@@ -153,20 +121,9 @@ func run() (int, error) {
 	}
 
 	var tracer *trace.Tracer
-	var traceTmp *os.File
 	if *traceOut != "" {
-		// The tracer streams as it goes, so it writes to a temp file that
-		// is renamed into place only once Close has flushed it.
-		dir, base := filepath.Split(*traceOut)
-		if dir == "" {
-			dir = "."
-		}
-		traceTmp, err = os.CreateTemp(dir, "."+base+".tmp*")
-		if err != nil {
-			return 0, err
-		}
-		defer os.Remove(traceTmp.Name())
-		tracer = trace.New(traceTmp, *traceSample)
+		// No writer: the tracer sorts at the end, into CloseFile.
+		tracer = trace.New(nil, *traceSample)
 	}
 
 	cfg := netsim.Config{Customers: *customers, Days: *days, Seed: *seed,
@@ -180,34 +137,12 @@ func run() (int, error) {
 	manifest := netsim.ManifestFor("satgen", cfg, sim)
 
 	writeStart := time.Now()
-	flowsPath := filepath.Join(*out, "flows.tsv")
-	if err := obs.WriteFileAtomic(flowsPath, func(w io.Writer) error {
-		return tstat.WriteFlows(w, sim.Flows)
-	}); err != nil {
+	outputs, err := netsim.WriteLogs(*out, sim)
+	if err != nil {
 		return 0, err
 	}
-	dnsPath := filepath.Join(*out, "dns.tsv")
-	if err := obs.WriteFileAtomic(dnsPath, func(w io.Writer) error {
-		return tstat.WriteDNS(w, sim.DNS)
-	}); err != nil {
-		return 0, err
-	}
-	metaPath := filepath.Join(*out, "meta.tsv")
-	if err := obs.WriteFileAtomic(metaPath, func(w io.Writer) error {
-		return netsim.WriteMeta(w, sim.Meta)
-	}); err != nil {
-		return 0, err
-	}
-	prefixPath := filepath.Join(*out, "prefixes.tsv")
-	if err := obs.WriteFileAtomic(prefixPath, func(w io.Writer) error {
-		return netsim.WritePrefixes(w, sim.CountryPrefixes)
-	}); err != nil {
-		return 0, err
-	}
-
 	fmt.Printf("wrote %s (%d flows), %s (%d DNS transactions), %s, %s\n",
-		flowsPath, len(sim.Flows), dnsPath, len(sim.DNS), metaPath, prefixPath)
-	outputs := []string{flowsPath, dnsPath, metaPath, prefixPath}
+		outputs[0], len(sim.Flows), outputs[1], len(sim.DNS), outputs[2], outputs[3])
 
 	if *pcapFlows > 0 {
 		pcapPath := filepath.Join(*out, "sample.pcap")
@@ -226,19 +161,7 @@ func run() (int, error) {
 
 	if tracer != nil {
 		traced := tracer.Len()
-		if err := tracer.Close(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := traceTmp.Sync(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := traceTmp.Close(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := os.Chmod(traceTmp.Name(), 0o644); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := os.Rename(traceTmp.Name(), *traceOut); err != nil {
+		if err := tracer.CloseFile(*traceOut); err != nil {
 			return 0, fmt.Errorf("trace: %w", err)
 		}
 		fmt.Printf("wrote %s (%d traced flows, 1 in %d)\n", *traceOut, traced, tracer.SampleN())
@@ -246,9 +169,7 @@ func run() (int, error) {
 	}
 
 	if *metricsOut != "" {
-		if err := obs.WriteFileAtomic(*metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(*metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		outputs = append(outputs, *metricsOut)

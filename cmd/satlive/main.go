@@ -45,9 +45,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"satwatch/internal/faults"
@@ -55,14 +53,7 @@ import (
 	"satwatch/internal/obs"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satlive:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satlive", run) }
 
 func run() (int, error) {
 	customers := flag.Int("customers", 400, "population size")
@@ -127,11 +118,10 @@ func run() (int, error) {
 	}
 
 	// First SIGINT/SIGTERM drains gracefully; a second one kills the
-	// process (NotifyContext restores default handling after stop).
-	// Installed before the (slow) pipeline build so a signal during
-	// startup still exits through the drain path instead of the default
-	// handler.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// process. Installed before the (slow) pipeline build so a signal
+	// during startup still exits through the drain path instead of the
+	// default handler.
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	p, err := live.New(cfg)
@@ -148,7 +138,6 @@ func run() (int, error) {
 		fmt.Fprintf(os.Stderr, "satlive: control plane on http://%s\n", bound)
 	}
 
-	interrupted := false
 	if *duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *duration)
@@ -156,9 +145,9 @@ func run() (int, error) {
 	}
 
 	runErr := p.Run(ctx)
-	// NotifyContext cancels with Canceled on a signal; the -duration
-	// timeout surfaces as DeadlineExceeded — only the former is "partial".
-	interrupted = ctx.Err() == context.Canceled
+	// A signal cancels with Canceled; the -duration timeout surfaces as
+	// DeadlineExceeded — only the former is "partial".
+	interrupted := ctx.Err() == context.Canceled
 	stop()
 
 	status := "ok"
@@ -206,9 +195,7 @@ func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status 
 		outputs = append(outputs, windows)
 	}
 	if metricsOut != "" {
-		if err := obs.WriteFileAtomic(metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(metricsOut); err != nil {
 			return err
 		}
 		outputs = append(outputs, metricsOut)
@@ -252,9 +239,7 @@ func runSoak(cfg live.Config, dur time.Duration, outDir, metricsOut string) (int
 		}
 	}
 	if metricsOut != "" {
-		if err := obs.WriteFileAtomic(metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(metricsOut); err != nil {
 			return 0, err
 		}
 	}

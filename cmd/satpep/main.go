@@ -32,8 +32,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"satwatch/internal/faults"
@@ -51,14 +49,7 @@ var (
 		"Full download time of the PEP-proxied fetch.", "seconds")
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satpep:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satpep", run) }
 
 func run() (int, error) {
 	size := flag.Int("size", 2<<20, "payload bytes to download")
@@ -92,7 +83,7 @@ func run() (int, error) {
 	// First SIGINT/SIGTERM stops launching flows and drains gracefully
 	// (the load report and metrics dump still get written); a second one
 	// kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	if *load {
@@ -135,28 +126,19 @@ func run() (int, error) {
 	gw := pep.NewGateway(gwSide, cfg, nil, nil)
 	go gw.Serve()
 
-	if *debugAddr != "" {
-		// Progress for the /progress endpoint is the gateway's live relay
-		// counters; they are atomics, safe to read mid-transfer.
-		bound, stopDebug, err := obs.StartDebugServer(*debugAddr, obs.Default, func() any {
-			return struct {
-				Connections    int64   `json:"connections"`
-				BytesDown      int64   `json:"bytes_down"`
-				ElapsedSeconds float64 `json:"elapsed_seconds"`
-			}{gw.Stats.Connections.Load(), gw.Stats.BytesDown.Load(), time.Since(start).Seconds()}
-		})
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s\n", bound)
-		defer func() {
-			if *debugLinger > 0 {
-				fmt.Fprintf(os.Stderr, "debug server lingering %s\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}
-			stopDebug()
-		}()
+	// Progress for the /progress endpoint is the gateway's live relay
+	// counters; they are atomics, safe to read mid-transfer.
+	stopDebug, err := obs.ServeDebug(*debugAddr, *debugLinger, func() any {
+		return struct {
+			Connections    int64   `json:"connections"`
+			BytesDown      int64   `json:"bytes_down"`
+			ElapsedSeconds float64 `json:"elapsed_seconds"`
+		}{gw.Stats.Connections.Load(), gw.Stats.BytesDown.Load(), time.Since(start).Seconds()}
+	})
+	if err != nil {
+		return 0, err
 	}
+	defer stopDebug()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -194,9 +176,7 @@ func run() (int, error) {
 	gw.Close()
 
 	if *metricsOut != "" {
-		if err := obs.WriteFileAtomic(*metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(*metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		fmt.Printf("metrics written to %s\n", *metricsOut)
@@ -259,9 +239,7 @@ func runLoad(ctx context.Context, o loadOptions) (int, error) {
 	fmt.Println(rep)
 
 	if o.metricsOut != "" {
-		if err := obs.WriteFileAtomic(o.metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(o.metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		fmt.Printf("metrics written to %s\n", o.metricsOut)

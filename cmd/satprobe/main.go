@@ -17,15 +17,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"satwatch/internal/obs"
@@ -33,14 +30,7 @@ import (
 	"satwatch/internal/tstat"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satprobe:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satprobe", run) }
 
 func run() (int, error) {
 	in := flag.String("in", "", "pcap capture to replay (required)")
@@ -63,26 +53,17 @@ func run() (int, error) {
 	// Replay progress for the /progress endpoint; the counters are
 	// atomics because the debug server reads them mid-loop.
 	var packets, badPackets atomic.Int64
-	if *debugAddr != "" {
-		bound, stopDebug, err := obs.StartDebugServer(*debugAddr, obs.Default, func() any {
-			return struct {
-				Packets        int64   `json:"packets"`
-				BadPackets     int64   `json:"bad_packets"`
-				ElapsedSeconds float64 `json:"elapsed_seconds"`
-			}{packets.Load(), badPackets.Load(), time.Since(start).Seconds()}
-		})
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s\n", bound)
-		defer func() {
-			if *debugLinger > 0 {
-				fmt.Fprintf(os.Stderr, "debug server lingering %s\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}
-			stopDebug()
-		}()
+	stopDebug, err := obs.ServeDebug(*debugAddr, *debugLinger, func() any {
+		return struct {
+			Packets        int64   `json:"packets"`
+			BadPackets     int64   `json:"bad_packets"`
+			ElapsedSeconds float64 `json:"elapsed_seconds"`
+		}{packets.Load(), badPackets.Load(), time.Since(start).Seconds()}
+	})
+	if err != nil {
+		return 0, err
 	}
+	defer stopDebug()
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -99,7 +80,7 @@ func run() (int, error) {
 
 	// First SIGINT/SIGTERM stops the replay at a packet boundary and
 	// salvages the logs tracked so far; a second one kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	tr := tstat.NewTracker(tstat.Config{})
@@ -108,7 +89,6 @@ func run() (int, error) {
 	for !interrupted {
 		select {
 		case <-ctx.Done():
-			stop()
 			interrupted = true
 			continue
 		default:
@@ -166,9 +146,7 @@ func run() (int, error) {
 		fmt.Printf("DNS log written to %s\n", *dnsOut)
 	}
 	if *metricsOut != "" {
-		if err := obs.WriteFileAtomic(*metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(*metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		fmt.Printf("metrics written to %s\n", *metricsOut)

@@ -30,15 +30,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"satwatch"
@@ -51,17 +47,9 @@ import (
 	"satwatch/internal/obs"
 	"satwatch/internal/prof"
 	"satwatch/internal/trace"
-	"satwatch/internal/tstat"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "satreport:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("satreport", run) }
 
 func run() (int, error) {
 	customers := flag.Int("customers", 400, "population size")
@@ -96,15 +84,11 @@ func run() (int, error) {
 	memSampler := obs.StartMemSampler(0)
 	start := time.Now()
 
-	var capture *prof.Capture
-	if *profileDir != "" {
-		c, err := prof.StartCapture(*profileDir)
-		if err != nil {
-			return 0, err
-		}
-		capture = c
-		defer capture.Stop()
+	capture, err := prof.StartCapture(*profileDir)
+	if err != nil {
+		return 0, err
 	}
+	defer capture.Stop()
 
 	sched, err := faults.Load(*faultsArg, *days, *seed)
 	if err != nil {
@@ -112,32 +96,16 @@ func run() (int, error) {
 	}
 
 	// First SIGINT/SIGTERM cancels the run gracefully; the second kills.
-	// SIGTERM is included so containerized runs drain instead of dying.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
-	if *debugAddr != "" {
-		bound, stopDebug, err := obs.StartDebugServer(*debugAddr, obs.Default, func() any {
-			p := netsim.CurrentProgress()
-			p.ElapsedSeconds = time.Since(start).Seconds()
-			return p
-		})
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s\n", bound)
-		defer func() {
-			if *debugLinger > 0 {
-				fmt.Fprintf(os.Stderr, "debug server lingering %s\n", *debugLinger)
-				time.Sleep(*debugLinger)
-			}
-			stopDebug()
-		}()
+	stopDebug, err := obs.ServeDebug(*debugAddr, *debugLinger, func() any {
+		return netsim.CurrentProgress(time.Since(start))
+	})
+	if err != nil {
+		return 0, err
 	}
+	defer stopDebug()
 
 	if *progress {
 		stopProgress := obs.StartProgress(os.Stderr, 2*time.Second, netsim.ProgressLine)
@@ -145,21 +113,12 @@ func run() (int, error) {
 	}
 
 	var tracer *trace.Tracer
-	var traceTmp *os.File
 	if *traceOut != "" {
 		if *fromDir != "" {
 			return 0, fmt.Errorf("-trace requires a simulated run, not -from")
 		}
-		dir, base := filepath.Split(*traceOut)
-		if dir == "" {
-			dir = "."
-		}
-		traceTmp, err = os.CreateTemp(dir, "."+base+".tmp*")
-		if err != nil {
-			return 0, err
-		}
-		defer os.Remove(traceTmp.Name())
-		tracer = trace.New(traceTmp, *traceSample)
+		// No writer: the tracer sorts at the end, into CloseFile.
+		tracer = trace.New(nil, *traceSample)
 	}
 
 	p := satwatch.New(
@@ -197,19 +156,14 @@ func run() (int, error) {
 		if err := os.MkdirAll(*logsDir, 0o755); err != nil {
 			return 0, err
 		}
-		if err := writeLogs(*logsDir, res); err != nil {
+		if outputs, err = netsim.WriteLogs(*logsDir, res.Output); err != nil {
 			return 0, err
 		}
 		fmt.Printf("logs written to %s\n", *logsDir)
-		for _, name := range []string{"flows.tsv", "dns.tsv", "meta.tsv", "prefixes.tsv"} {
-			outputs = append(outputs, filepath.Join(*logsDir, name))
-		}
 	}
 
 	if *metricsOut != "" {
-		if err := obs.WriteFileAtomic(*metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(*metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		outputs = append(outputs, *metricsOut)
@@ -217,19 +171,7 @@ func run() (int, error) {
 
 	if tracer != nil {
 		traced := tracer.Len()
-		if err := tracer.Close(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := traceTmp.Sync(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := traceTmp.Close(); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := os.Chmod(traceTmp.Name(), 0o644); err != nil {
-			return 0, fmt.Errorf("trace: %w", err)
-		}
-		if err := os.Rename(traceTmp.Name(), *traceOut); err != nil {
+		if err := tracer.CloseFile(*traceOut); err != nil {
 			return 0, fmt.Errorf("trace: %w", err)
 		}
 		fmt.Printf("wrote %s (%d traced flows, 1 in %d)\n", *traceOut, traced, tracer.SampleN())
@@ -302,9 +244,7 @@ func runLiveHistory(path string, strict bool, metricsOut string) (int, error) {
 	netsim.CountSkippedRows(st.Skipped)
 	fmt.Print(live.RenderHistory(ws))
 	if metricsOut != "" {
-		if err := obs.WriteFileAtomic(metricsOut, func(w io.Writer) error {
-			return obs.Default.WriteJSON(w)
-		}); err != nil {
+		if err := obs.DumpMetrics(metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 	}
@@ -316,89 +256,12 @@ func runLiveHistory(path string, strict bool, metricsOut string) (int, error) {
 }
 
 // replay rebuilds the analysis from logs previously written by satgen or
-// satreport -logs: the paper's offline pipeline (probe writes at the
-// ground station, the cluster analyzes later). Figure 8b needs the
-// simulator's live beam-load statistics and is empty in replay mode.
-// Unless strict, corrupt lines are skipped and counted — the salvage
-// path for logs out of an interrupted run.
+// satreport -logs. Figure 8b needs the simulator's live beam-load
+// statistics and is empty in replay mode.
 func replay(p *satwatch.Pipeline, dir string, days int, strict bool) (*satwatch.Results, int, error) {
-	out := &netsim.Output{}
-	skipped := 0
-	ff, err := os.Open(filepath.Join(dir, "flows.tsv"))
+	out, skipped, err := netsim.ReadLogs(dir, strict)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer ff.Close()
-	if strict {
-		out.Flows, err = tstat.ReadFlows(ff)
-	} else {
-		var st tstat.ReadStats
-		out.Flows, st, err = tstat.ReadFlowsTolerant(ff)
-		skipped += st.Skipped
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	df, err := os.Open(filepath.Join(dir, "dns.tsv"))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer df.Close()
-	if strict {
-		out.DNS, err = tstat.ReadDNS(df)
-	} else {
-		var st tstat.ReadStats
-		out.DNS, st, err = tstat.ReadDNSTolerant(df)
-		skipped += st.Skipped
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	mf, err := os.Open(filepath.Join(dir, "meta.tsv"))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer mf.Close()
-	if strict {
-		out.Meta, err = netsim.ReadMeta(mf)
-	} else {
-		var st tstat.ReadStats
-		out.Meta, st, err = netsim.ReadMetaTolerant(mf)
-		skipped += st.Skipped
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	pf, err := os.Open(filepath.Join(dir, "prefixes.tsv"))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer pf.Close()
-	if out.CountryPrefixes, err = netsim.ReadPrefixes(pf); err != nil {
-		return nil, 0, err
-	}
-	netsim.CountSkippedRows(skipped)
-	ds := analytics.NewDataset(out, days)
-	return p.Analyze(out, ds), skipped, nil
-}
-
-func writeLogs(dir string, res *satwatch.Results) error {
-	if err := obs.WriteFileAtomic(filepath.Join(dir, "flows.tsv"), func(w io.Writer) error {
-		return tstat.WriteFlows(w, res.Output.Flows)
-	}); err != nil {
-		return err
-	}
-	if err := obs.WriteFileAtomic(filepath.Join(dir, "dns.tsv"), func(w io.Writer) error {
-		return tstat.WriteDNS(w, res.Output.DNS)
-	}); err != nil {
-		return err
-	}
-	if err := obs.WriteFileAtomic(filepath.Join(dir, "meta.tsv"), func(w io.Writer) error {
-		return netsim.WriteMeta(w, res.Output.Meta)
-	}); err != nil {
-		return err
-	}
-	return obs.WriteFileAtomic(filepath.Join(dir, "prefixes.tsv"), func(w io.Writer) error {
-		return netsim.WritePrefixes(w, res.Output.CountryPrefixes)
-	})
+	return p.Analyze(out, analytics.NewDataset(out, days)), skipped, nil
 }

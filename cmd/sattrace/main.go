@@ -26,30 +26,19 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 
 	"satwatch/internal/netsim"
 	"satwatch/internal/obs"
 	"satwatch/internal/trace"
 )
 
-func main() {
-	code, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sattrace:", err)
-		os.Exit(1)
-	}
-	os.Exit(code)
-}
+func main() { obs.Main("sattrace", run) }
 
 func run() (int, error) {
 	in := flag.String("in", "", "trace JSONL file written by satgen/satreport -trace")
@@ -70,7 +59,7 @@ func run() (int, error) {
 	// First SIGINT/SIGTERM is absorbed so the metrics dump and any
 	// in-flight atomic write complete (rendering is skipped); a second
 	// one restores the default handler and kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := obs.SignalContext()
 	defer stop()
 
 	if *spans {
@@ -185,9 +174,7 @@ func finish(code int, metricsPath string) (int, error) {
 	if metricsPath == "" {
 		return code, nil
 	}
-	if err := obs.WriteFileAtomic(metricsPath, func(w io.Writer) error {
-		return obs.Default.WriteJSON(w)
-	}); err != nil {
+	if err := obs.DumpMetrics(metricsPath); err != nil {
 		return 0, fmt.Errorf("metrics dump: %w", err)
 	}
 	fmt.Printf("metrics written to %s\n", metricsPath)

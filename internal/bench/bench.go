@@ -27,7 +27,6 @@ import (
 	"satwatch/internal/netsim"
 	"satwatch/internal/obs"
 	"satwatch/internal/pep"
-	"satwatch/internal/tstat"
 	"satwatch/internal/tunnel"
 )
 
@@ -311,14 +310,9 @@ func RunScenario(sc Scenario) (Result, error) {
 	m.AddTiming("analyze", analyze)
 
 	outputs := map[string]string{}
-	for name, write := range map[string]func(io.Writer) error{
-		"flows.tsv":    func(w io.Writer) error { return tstat.WriteFlows(w, out.Flows) },
-		"dns.tsv":      func(w io.Writer) error { return tstat.WriteDNS(w, out.DNS) },
-		"meta.tsv":     func(w io.Writer) error { return netsim.WriteMeta(w, out.Meta) },
-		"prefixes.tsv": func(w io.Writer) error { return netsim.WritePrefixes(w, out.CountryPrefixes) },
-	} {
+	for _, name := range netsim.LogNames {
 		h := sha256.New()
-		if err := write(h); err != nil {
+		if err := out.WriteLog(name, h); err != nil {
 			return Result{}, fmt.Errorf("scenario %s: digest %s: %w", sc.Name, name, err)
 		}
 		outputs[name] = "sha256:" + hex.EncodeToString(h.Sum(nil))

@@ -161,7 +161,7 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 			if preset == "clear" {
 				p.Sim().SetFaults(nil)
 			} else {
-				sched, err := faults.Preset(preset, 1, p.Sim().Seed())
+				sched, err := faults.Preset(preset, 1, p.cfg.Seed)
 				if err != nil {
 					http.Error(w, err.Error(), http.StatusBadRequest)
 					return

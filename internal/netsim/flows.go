@@ -10,7 +10,6 @@ import (
 	"satwatch/internal/dnssim"
 	"satwatch/internal/faults"
 	"satwatch/internal/geo"
-	"satwatch/internal/mac"
 	"satwatch/internal/packet"
 	"satwatch/internal/pepmodel"
 	"satwatch/internal/phy"
@@ -21,36 +20,17 @@ import (
 	"satwatch/internal/workload"
 )
 
-// observer is where the synthesizer delivers segment events: a single
-// tracker, or the sharded tracker when pass B runs in parallel.
-type observer interface {
-	Observe(tuple packet.FiveTuple, ev tstat.SegmentEvent)
-}
-
-// flowTracer is the optional observer extension that completes trace
-// handles with the probe's own measurements (implemented by
-// tstat.Tracker).
-type flowTracer interface {
-	TraceFlow(tuple packet.FiveTuple, fl *trace.Flow)
-}
-
-// synthesizer turns flow intents into vantage-point segment events.
+// synthesizer turns flow intents into vantage-point segment events over
+// the orbit's models and the deployment's beam loads.
 type synthesizer struct {
+	*models
 	cfg Config
-	// con is the orbit backend; sched the effective fault schedule
-	// (Config.Faults plus constellation-contributed handover events).
-	con     geo.Constellation
+	// sched is the effective fault schedule (Config.Faults plus
+	// constellation-contributed handover events).
 	sched   *faults.Schedule
-	tracker observer
-	mac     *mac.Model
+	tracker *tstat.Tracker
 	loads   []*beamLoad // indexed by beam ID
-
-	// channels and propRTT are precomputed per country for a static
-	// constellation and left empty for a moving one, where both are
-	// evaluated per flow at the flow's start time.
-	channels map[geo.CountryCode]phy.Channel
-	propRTT  map[geo.CountryCode]time.Duration
-	ports    map[int]*portAlloc
+	ports   map[int]*portAlloc
 
 	chCache  map[string][]byte // ClientHello bytes per SNI
 	shBytes  []byte            // ServerHello + Certificate + HelloDone
@@ -92,16 +72,6 @@ func (s *synthesizer) init() error {
 	}
 	s.ports = map[int]*portAlloc{}
 	s.chCache = map[string][]byte{}
-	if s.con == nil {
-		s.con = geo.GEO{Sat: geo.DefaultSatellite}
-	}
-	s.propRTT = map[geo.CountryCode]time.Duration{}
-	if s.con.Static() {
-		for code := range s.channels {
-			c, _ := geo.ByCode(code)
-			s.propRTT[code] = s.con.SegmentRTT(c, 0)
-		}
-	}
 	sh, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0xc02f}).Encode()
 	if err != nil {
 		return fmt.Errorf("encode ServerHello: %w", err)
@@ -470,18 +440,14 @@ func (s *synthesizer) flow(fi *workload.FlowIntent, r *dist.Rand, fl *trace.Flow
 	if fl != nil {
 		// Hand the trace to the probe: the tracker appends its own
 		// handshake-RTT measurement and finishes the tree when the flow
-		// record is emitted. Sinks without trace support finish here.
+		// record is emitted.
 		tupleProto := packet.ProtoUDP
 		switch fi.Proto {
 		case cdn.AppHTTPS, cdn.AppHTTP, cdn.AppTCPOther:
 			tupleProto = packet.ProtoTCP
 		}
 		tuple := packet.FiveTuple{Proto: tupleProto, Src: client, Dst: server}
-		if ft, ok := s.tracker.(flowTracer); ok {
-			ft.TraceFlow(tuple, fl)
-		} else {
-			defer fl.Finish()
-		}
+		s.tracker.TraceFlow(tuple, fl)
 	}
 
 	// DNS resolution precedes ~30% of catalog flows (the rest hit the

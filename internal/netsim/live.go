@@ -3,181 +3,92 @@ package netsim
 // Live-mode access to the batch synthesizer: internal/live runs an
 // always-on daemon that feeds flow intents through the same model stack
 // (geo/phy/mac/pepmodel/shaper/cdn/dnssim) one intent at a time instead
-// of in two whole-window passes. LiveSim owns the shared, read-only model
-// state (population, dimensioned beam loads, MAC grid, anonymizer) plus
-// two atomically swappable knobs the control plane drives at runtime: the
-// fault schedule and the scenario (constellation + matching MAC model).
+// of in two whole-window passes. LiveSim owns the shared, read-only
+// deployment (population, dimensioned beam loads, anonymizer) plus two
+// atomically swappable knobs the control plane drives at runtime: the
+// fault schedule and the models (constellation + matching MAC model).
 // LiveWorker is the per-goroutine synthesis handle; intents must be
 // sharded to workers by customer ID so each customer's port allocator and
 // tracker stay single-goroutine.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"time"
 
-	"satwatch/internal/cryptopan"
 	"satwatch/internal/dist"
 	"satwatch/internal/faults"
 	"satwatch/internal/geo"
 	"satwatch/internal/mac"
-	"satwatch/internal/phy"
 	"satwatch/internal/trace"
 	"satwatch/internal/tstat"
 	"satwatch/internal/workload"
 )
 
-// liveScenario is the immutable bundle a scenario swap replaces as one
-// unit: orbit backend, MAC model matched to it, per-country channels and
-// the periodic one-day beam-load profile. Workers detect a swap by the
-// generation counter and rebuild their synthesizer.
-type liveScenario struct {
-	name     string
-	gen      uint64
-	con      geo.Constellation
-	mac      *mac.Model
-	channels map[geo.CountryCode]phy.Channel
-	loads    []*beamLoad
-}
-
 // LiveSim is the shared state of a live run. All methods are
 // goroutine-safe; per-flow synthesis happens on LiveWorkers.
 type LiveSim struct {
-	cfg       Config
-	root      *dist.Rand
-	customers []*workload.Customer
-	anon      *cryptopan.Anonymizer
+	cfg Config
+	dep *deployment
 
-	scen    atomic.Pointer[liveScenario]
-	sched   atomic.Pointer[faults.Schedule]
-	scenGen atomic.Uint64
+	// mod is swapped as one unit; workers detect a swap by the pointer
+	// moving and rebuild their synthesizer.
+	mod   atomic.Pointer[models]
+	sched atomic.Pointer[faults.Schedule]
 }
 
-// NewLiveSim builds the live simulator: population from the seed, a
-// one-day dimensioning pass (the periodic load profile every later day
-// reuses), and the initial scenario. cfg.Days is ignored — a live run has
-// no window.
+// NewLiveSim builds the live simulator: the deployment dimensioned over
+// one day (the periodic load profile every later day reuses — exactly
+// what a batch run of day 0 dimensions) and the start-up constellation's
+// models. cfg.Days is ignored — a live run has no window — and the intent
+// cache is off: the generator stage produces intents as the clock reaches
+// them.
 func NewLiveSim(cfg Config) (*LiveSim, error) {
-	cfg.Days = 1 // dimension one day; the profile wraps forever
+	cfg.Days = 1
+	cfg.IntentCacheBytes = -1
 	cfg = cfg.withDefaults()
-	root := dist.NewRand(cfg.Seed)
-	customers, err := workload.BuildPopulation(cfg.Customers, root.Fork("population"))
+	dep, err := newDeployment(cfg)
 	if err != nil {
 		return nil, err
 	}
-	anonKey := make([]byte, cryptopan.KeySize)
-	kr := root.Fork("anon-key")
-	for i := range anonKey {
-		anonKey[i] = byte(kr.Uint64())
+	for _, sh := range dep.dimension(context.Background(), cfg, dep.workers(cfg.Parallelism), true) {
+		if len(sh.errs) > 0 {
+			return nil, errors.New(sh.errs[0])
+		}
 	}
-	anon, err := cryptopan.New(anonKey)
-	if err != nil {
-		return nil, err
-	}
-	lv := &LiveSim{cfg: cfg, root: root, customers: customers, anon: anon}
+	lv := &LiveSim{cfg: cfg, dep: dep}
 	lv.sched.Store(cfg.Faults)
-	scen, err := lv.buildScenario(cfg.Constellation)
-	if err != nil {
+	if err := lv.install(cfg.Constellation, cfg.MAC); err != nil {
 		return nil, err
 	}
-	lv.scen.Store(scen)
 	return lv, nil
 }
 
-// buildScenario dimensions the beams for one day of offered load and
-// assembles the orbit-matched model bundle. The generation pass uses the
-// same per-(customer, day) forked streams as batch pass A, so the profile
-// is what a batch run of day 0 would dimension.
-func (lv *LiveSim) buildScenario(constellation string) (*liveScenario, error) {
-	con, err := geo.ConstellationByName(constellation, lv.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	params := mac.DefaultParams()
-	if constellation == "leo" {
-		params = mac.LEOParams()
-	}
-	macModel := mac.NewModel(params.WithDefaults())
-	macModel.Prebuild(0)
-
-	const hours = 24
-	beams := geo.Beams()
-	maxBeamID := 0
-	for _, b := range beams {
-		if b.ID > maxBeamID {
-			maxBeamID = b.ID
-		}
-	}
-	bytesHour := make([][]int64, maxBeamID+1)
-	setupsHour := make([][]int64, maxBeamID+1)
-	for _, b := range beams {
-		bytesHour[b.ID] = make([]int64, hours)
-		setupsHour[b.ID] = make([]int64, hours)
-	}
-	for _, c := range lv.customers {
-		r := lv.root.ForkN("day", uint64(c.ID)*1024)
-		intents := workload.GenerateDay(c, 0, r)
-		bb, sb := bytesHour[c.Beam], setupsHour[c.Beam]
-		for i := range intents {
-			fi := &intents[i]
-			if h := hourOf(fi.Start); h >= 0 && h < hours {
-				bb[h] += fi.Down + fi.Up
-				sb[h]++
-			}
-		}
-	}
-	loads := make([]*beamLoad, maxBeamID+1)
-	for _, b := range beams {
-		bl := &beamLoad{beam: b, bytesHour: make([]float64, hours), setupsHour: make([]float64, hours), wrap: true}
-		var peakBytes, peakSetups int64
-		for h := 0; h < hours; h++ {
-			bl.bytesHour[h] = float64(bytesHour[b.ID][h])
-			bl.setupsHour[h] = float64(setupsHour[b.ID][h])
-			if bytesHour[b.ID][h] > peakBytes {
-				peakBytes = bytesHour[b.ID][h]
-			}
-			if setupsHour[b.ID][h] > peakSetups {
-				peakSetups = setupsHour[b.ID][h]
-			}
-		}
-		offered := float64(peakBytes) / 3600
-		if offered <= 0 {
-			offered = 1
-		}
-		bl.capacity = offered / b.TargetPeakUtil
-		bl.pepPeak = float64(peakSetups) / 3600
-		if bl.pepPeak <= 0 {
-			bl.pepPeak = 1.0 / 3600
-		}
-		loads[b.ID] = bl
-	}
-	channels := map[geo.CountryCode]phy.Channel{}
-	if con.Static() {
-		for _, country := range geo.Countries() {
-			channels[country.Code] = phy.ChannelAt(country, con, 0)
-		}
-	}
-	return &liveScenario{
-		name: constellation, gen: lv.scenGen.Add(1),
-		con: con, mac: macModel, channels: channels, loads: loads,
-	}, nil
-}
-
-// SwapScenario hot-swaps the constellation (and its matched MAC model) on
-// a running daemon. In-flight workers pick the new scenario up at their
-// next intent.
-func (lv *LiveSim) SwapScenario(constellation string) error {
-	scen, err := lv.buildScenario(constellation)
+// install builds, pre-builds and publishes the models for a constellation.
+func (lv *LiveSim) install(constellation string, macOverride mac.Params) error {
+	m, err := newModels(constellation, lv.cfg.Seed, macOverride)
 	if err != nil {
 		return err
 	}
-	lv.scen.Store(scen)
+	m.mac.Prebuild(0)
+	lv.mod.Store(m)
 	return nil
 }
 
+// SwapScenario hot-swaps the constellation on a running daemon; its MAC
+// model takes the orbit-matched defaults (Config.MAC described the
+// start-up constellation). Beam loads are a function of (population,
+// seed), not of the orbit, so they are untouched. In-flight workers pick
+// the new models up at their next intent.
+func (lv *LiveSim) SwapScenario(constellation string) error {
+	return lv.install(constellation, mac.Params{})
+}
+
 // ScenarioName returns the active constellation name.
-func (lv *LiveSim) ScenarioName() string { return lv.scen.Load().name }
+func (lv *LiveSim) ScenarioName() string { return lv.mod.Load().con.Name() }
 
 // SetFaults atomically replaces the fault schedule consulted by every
 // worker from its next intent on. nil restores clear skies.
@@ -190,43 +101,28 @@ func (lv *LiveSim) SetFaults(s *faults.Schedule) {
 func (lv *LiveSim) Faults() *faults.Schedule { return lv.sched.Load() }
 
 // Customers returns the generated population, indexed by customer ID.
-func (lv *LiveSim) Customers() []*workload.Customer { return lv.customers }
+func (lv *LiveSim) Customers() []*workload.Customer { return lv.dep.customers }
 
 // CountryPrefixes maps anonymized /N prefixes to countries — the same
 // prefix-preserving join a batch run records in Output.CountryPrefixes,
-// so live analytics can attribute anonymized records geographically.
+// so live analytics can attribute anonymized records geographically. The
+// error is always nil (the join is validated when the simulator is built).
 func (lv *LiveSim) CountryPrefixes() (map[netip.Prefix]geo.CountryCode, error) {
-	out := map[netip.Prefix]geo.CountryCode{}
-	for _, p := range workload.Profiles() {
-		subnet, ok := workload.SubnetFor(p.Country.Code)
-		if !ok {
-			return nil, fmt.Errorf("netsim: no subnet for %s", p.Country.Code)
-		}
-		anonBase := lv.anon.MustAnonymize(subnet.Addr())
-		anonPrefix, err := anonBase.Prefix(subnet.Bits())
-		if err != nil {
-			return nil, err
-		}
-		out[anonPrefix] = p.Country.Code
-	}
-	return out, nil
+	return lv.dep.prefixes, nil
 }
 
 // Root returns the run's root random stream; fork, never consume.
-func (lv *LiveSim) Root() *dist.Rand { return lv.root }
-
-// Seed returns the run seed.
-func (lv *LiveSim) Seed() uint64 { return lv.cfg.Seed }
+func (lv *LiveSim) Root() *dist.Rand { return lv.dep.root }
 
 // LiveWorker synthesizes intents on one goroutine: it owns a private
 // tracker (streaming records out through the OnFlow/OnDNS callbacks) and
-// a synthesizer rebuilt whenever the scenario generation moves. Not
+// a synthesizer rebuilt whenever the models are swapped. Not
 // goroutine-safe — one goroutine per worker, intents sharded by customer.
 type LiveWorker struct {
 	lv      *LiveSim
 	tracker *tstat.Tracker
 	syn     *synthesizer
-	gen     uint64
+	mod     *models // what syn was built over
 }
 
 // NewWorker builds a live synthesis worker. onFlow/onDNS receive records
@@ -235,7 +131,7 @@ func (lv *LiveSim) NewWorker(onFlow func(tstat.FlowRecord), onDNS func(tstat.DNS
 	w := &LiveWorker{
 		lv: lv,
 		tracker: tstat.NewTracker(tstat.Config{
-			Anonymizer: lv.anon, OnFlow: onFlow, OnDNS: onDNS,
+			Anonymizer: lv.dep.anon, OnFlow: onFlow, OnDNS: onDNS,
 		}),
 	}
 	w.refresh()
@@ -245,17 +141,9 @@ func (lv *LiveSim) NewWorker(onFlow func(tstat.FlowRecord), onDNS func(tstat.DNS
 // refresh rebuilds the synthesizer after a scenario swap and re-reads the
 // fault schedule pointer (cheap; done per intent).
 func (w *LiveWorker) refresh() {
-	scen := w.lv.scen.Load()
-	if w.syn == nil || w.gen != scen.gen {
-		w.syn = &synthesizer{
-			cfg:      w.lv.cfg,
-			con:      scen.con,
-			tracker:  w.tracker,
-			mac:      scen.mac,
-			loads:    scen.loads,
-			channels: scen.channels,
-		}
-		w.gen = scen.gen
+	if m := w.lv.mod.Load(); m != w.mod {
+		w.syn = newSynthesizer(w.lv.cfg, w.lv.dep, m, nil, w.tracker)
+		w.mod = m
 	}
 	w.syn.sched = w.lv.sched.Load()
 }
@@ -269,7 +157,7 @@ func (w *LiveWorker) refresh() {
 // which finishes it at record emission.
 func (w *LiveWorker) Process(fi *workload.FlowIntent, seq uint64, fl *trace.Flow) error {
 	w.refresh()
-	r := w.lv.root.ForkN("live-synth", seq)
+	r := w.lv.dep.root.ForkN("live-synth", seq)
 	if err := w.syn.flow(fi, r, fl); err != nil {
 		return fmt.Errorf("netsim: live intent %d: %w", seq, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"satwatch/internal/mac"
 	"satwatch/internal/tstat"
 	"satwatch/internal/workload"
 )
@@ -63,38 +64,10 @@ func TestLiveGolden(t *testing.T) {
 	}
 }
 
-// beamStats summarizes a load table the way RunContext fills Output.Beams.
-func beamStats(loads []*beamLoad, hours int) []BeamStat {
-	var out []BeamStat
-	for _, bl := range loads {
-		if bl == nil {
-			continue
-		}
-		var sum, peak, pepPeakRho float64
-		for h := 0; h < hours; h++ {
-			u := bl.util(h)
-			sum += u
-			if u > peak {
-				peak = u
-			}
-			if rho := bl.pepRho(h, bl.beam.PEPFactor); rho > pepPeakRho {
-				pepPeakRho = rho
-			}
-		}
-		out = append(out, BeamStat{
-			Beam: bl.beam.ID, Country: bl.beam.Country,
-			PeakUtil: peak, MeanUtil: sum / float64(hours),
-			PEPPeakRho: pepPeakRho, CapacityBps: bl.capacity * 8,
-			OfferedPeakBps: bl.capacity * bl.beam.TargetPeakUtil * 8,
-		})
-	}
-	return out
-}
-
 // TestLiveLoadsMatchBatchDayZero: the one-day profile the live simulator
 // dimensions is what a one-day batch run dimensions, at any worker count.
 func TestLiveLoadsMatchBatchDayZero(t *testing.T) {
-	cfg := Config{Customers: 60, Seed: 21}
+	cfg := Config{Customers: 24, Seed: 21}
 	lv, err := NewLiveSim(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +89,8 @@ func TestLiveLoadsMatchBatchDayZero(t *testing.T) {
 }
 
 // TestSwapScenarioKeepsLoads: beam loads are a function of (population,
-// seed), not of the orbit, so a constellation swap must not move them.
+// seed), not of the orbit, so a constellation swap swaps the models only —
+// the worker keeps synthesizing over the very same load table.
 func TestSwapScenarioKeepsLoads(t *testing.T) {
 	lv, err := NewLiveSim(Config{Customers: 30, Seed: 11})
 	if err != nil {
@@ -134,7 +108,25 @@ func TestSwapScenarioKeepsLoads(t *testing.T) {
 	if w.syn.con.Static() {
 		t.Error("worker still synthesizes over the static constellation after the swap")
 	}
-	if !reflect.DeepEqual(before, w.syn.loads) {
-		t.Error("beam loads changed across a constellation swap")
+	if &before[0] != &w.syn.loads[0] {
+		t.Error("constellation swap rebuilt the beam loads")
+	}
+	if got, want := w.syn.mac.Params(), mac.LEOParams(); got != want {
+		t.Errorf("swap target MAC params = %+v, want the orbit-matched defaults %+v", got, want)
+	}
+}
+
+// TestLiveSimHonoursMACOverride regresses the drift the separate live
+// setup had: it re-derived MAC params from the constellation name and
+// dropped Config.MAC, which batch honours.
+func TestLiveSimHonoursMACOverride(t *testing.T) {
+	lv, err := NewLiveSim(Config{Customers: 10, Seed: 3, MAC: mac.Params{Seed: 77}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mac.DefaultParams()
+	want.Seed = 77
+	if got := lv.NewWorker(nil, nil).syn.mac.Params(); got != want {
+		t.Errorf("live MAC params = %+v, want %+v", got, want)
 	}
 }

@@ -40,8 +40,6 @@ func ManifestFor(tool string, cfg Config, out *Output) *obs.Manifest {
 // obs registry. It backs both the -progress stderr line and the debug
 // server's /progress JSON endpoint.
 type Progress struct {
-	// ElapsedSeconds is filled by the caller (the registry has no start
-	// time); zero when unknown.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	Phase          string  `json:"phase"`
 	CustomersDone  int64   `json:"customers_done"`
@@ -55,13 +53,14 @@ type Progress struct {
 }
 
 // CurrentProgress snapshots the in-flight run state from the Default
-// registry.
-func CurrentProgress() Progress {
+// registry; elapsed is the caller's clock (the registry has no start time).
+func CurrentProgress(elapsed time.Duration) Progress {
 	get := func(name string) obs.Snapshot {
 		s, _ := obs.Default.Get(name)
 		return s
 	}
 	p := Progress{
+		ElapsedSeconds: elapsed.Seconds(),
 		Phase:          "pass A",
 		CustomersDone:  int64(get("netsim_customers_done_total").Value),
 		CustomersTotal: int64(get("netsim_customers_total").Value),
@@ -84,7 +83,7 @@ func CurrentProgress() Progress {
 // -progress: phase, customer progress with ETA, flow throughput, and the
 // load gauges (beam utilization so far, peak PEP rho).
 func ProgressLine(elapsed time.Duration) string {
-	p := CurrentProgress()
+	p := CurrentProgress(elapsed)
 	line := fmt.Sprintf("[%s %s] customers %d/%d · flows %d (%s) · %s",
 		elapsed.Round(time.Second), p.Phase, p.CustomersDone, p.CustomersTotal,
 		p.Flows, obs.FormatRate(p.Flows, elapsed), obs.ETA(p.CustomersDone, p.CustomersTotal, elapsed))

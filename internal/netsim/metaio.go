@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
+	"satwatch/internal/obs"
 	"satwatch/internal/tstat"
 	"satwatch/internal/workload"
 )
@@ -24,6 +27,79 @@ import (
 
 const metaHeader = "client\tcountry\tbeam\ttype\tplan_mbps\tmultiplex\tresolver"
 const prefixHeader = "prefix\tcountry"
+
+// LogNames are the files a run's logs are saved as and re-analyzed from.
+var LogNames = []string{"flows.tsv", "dns.tsv", "meta.tsv", "prefixes.tsv"}
+
+// WriteLog serializes one of the run's logs, named as in LogNames.
+func (o *Output) WriteLog(name string, w io.Writer) error {
+	switch name {
+	case "flows.tsv":
+		return tstat.WriteFlows(w, o.Flows)
+	case "dns.tsv":
+		return tstat.WriteDNS(w, o.DNS)
+	case "meta.tsv":
+		return WriteMeta(w, o.Meta)
+	case "prefixes.tsv":
+		return WritePrefixes(w, o.CountryPrefixes)
+	}
+	return fmt.Errorf("netsim: no log named %q", name)
+}
+
+// WriteLogs saves every log into dir, each atomically, and returns their
+// paths in LogNames order.
+func WriteLogs(dir string, o *Output) ([]string, error) {
+	var paths []string
+	for _, name := range LogNames {
+		path := filepath.Join(dir, name)
+		if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return o.WriteLog(name, w) }); err != nil {
+			return nil, err
+		}
+		paths = append(paths, path)
+	}
+	return paths, nil
+}
+
+// ReadLogs loads the logs WriteLogs saved in dir — the paper's offline
+// pipeline, where the probe writes at the ground station and the cluster
+// analyzes later. Unless strict, corrupt lines are skipped, counted into
+// netsim_rows_skipped_total and returned as skipped: the salvage path for
+// logs out of an interrupted run.
+func ReadLogs(dir string, strict bool) (o *Output, skipped int, err error) {
+	o = &Output{}
+	if o.Flows, err = readLog(dir, "flows.tsv", strict, &skipped, tstat.ReadFlows, tstat.ReadFlowsTolerant); err != nil {
+		return nil, 0, err
+	}
+	if o.DNS, err = readLog(dir, "dns.tsv", strict, &skipped, tstat.ReadDNS, tstat.ReadDNSTolerant); err != nil {
+		return nil, 0, err
+	}
+	if o.Meta, err = readLog(dir, "meta.tsv", strict, &skipped, ReadMeta, ReadMetaTolerant); err != nil {
+		return nil, 0, err
+	}
+	// The prefix table has no tolerant reader: a dozen operator-written
+	// lines every other join depends on.
+	if o.CountryPrefixes, err = readLog(dir, "prefixes.tsv", true, &skipped, ReadPrefixes, nil); err != nil {
+		return nil, 0, err
+	}
+	CountSkippedRows(skipped)
+	return o, skipped, nil
+}
+
+func readLog[T any](dir, name string, strict bool, skipped *int,
+	read func(io.Reader) (T, error), tolerant func(io.Reader) (T, tstat.ReadStats, error)) (T, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	if strict {
+		return read(f)
+	}
+	v, st, err := tolerant(f)
+	*skipped += st.Skipped
+	return v, err
+}
 
 // WriteMeta writes the customer metadata table as TSV.
 func WriteMeta(w io.Writer, meta map[netip.Addr]CustomerMeta) error {

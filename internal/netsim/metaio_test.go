@@ -3,6 +3,8 @@ package netsim
 import (
 	"bytes"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,27 +103,44 @@ func TestPrefixRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFullOutputRoundTrip saves a run the way the CLIs do and loads it
+// back the way satreport -from does, then damages one line to check the
+// strict/tolerant split.
 func TestFullOutputRoundTrip(t *testing.T) {
 	out := smallRun(t)
-	var mb, pb bytes.Buffer
-	if err := WriteMeta(&mb, out.Meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePrefixes(&pb, out.CountryPrefixes); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := ReadMeta(&mb)
+	dir := t.TempDir()
+	paths, err := WriteLogs(dir, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixes, err := ReadPrefixes(&pb)
-	if err != nil {
-		t.Fatal(err)
+	if len(paths) != len(LogNames) || filepath.Base(paths[0]) != "flows.tsv" {
+		t.Fatalf("WriteLogs returned %v, want the LogNames in order", paths)
 	}
-	if !reflect.DeepEqual(out.Meta, meta) {
+	back, skipped, err := ReadLogs(dir, true)
+	if err != nil || skipped != 0 {
+		t.Fatalf("ReadLogs: skipped %d, err %v", skipped, err)
+	}
+	if len(back.Flows) != len(out.Flows) || len(back.DNS) != len(out.DNS) {
+		t.Fatalf("read back %d flows, %d DNS; wrote %d, %d", len(back.Flows), len(back.DNS), len(out.Flows), len(out.DNS))
+	}
+	if !reflect.DeepEqual(out.Meta, back.Meta) {
 		t.Fatal("simulation metadata did not survive disk round trip")
 	}
-	if !reflect.DeepEqual(out.CountryPrefixes, prefixes) {
+	if !reflect.DeepEqual(out.CountryPrefixes, back.CountryPrefixes) {
 		t.Fatal("prefixes did not survive disk round trip")
+	}
+
+	f, err := os.OpenFile(paths[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("a torn line\n")
+	f.Close()
+	if _, _, err := ReadLogs(dir, true); err == nil {
+		t.Error("strict ReadLogs accepted a corrupt flow line")
+	}
+	back, skipped, err = ReadLogs(dir, false)
+	if err != nil || skipped != 1 || len(back.Flows) != len(out.Flows) {
+		t.Errorf("tolerant ReadLogs: %d flows, skipped %d, err %v; want %d, 1, nil", len(back.Flows), skipped, err, len(out.Flows))
 	}
 }

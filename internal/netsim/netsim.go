@@ -27,13 +27,11 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"satwatch/internal/cryptopan"
 	"satwatch/internal/dist"
 	"satwatch/internal/dnssim"
 	"satwatch/internal/faults"
@@ -41,7 +39,6 @@ import (
 	"satwatch/internal/mac"
 	"satwatch/internal/obs"
 	"satwatch/internal/pepmodel"
-	"satwatch/internal/phy"
 	"satwatch/internal/prof"
 	"satwatch/internal/trace"
 	"satwatch/internal/tstat"
@@ -222,12 +219,7 @@ func (c Config) withDefaults() Config {
 	if c.Constellation == "" {
 		c.Constellation = "geo"
 	}
-	if c.Constellation == "leo" && c.MAC == (mac.Params{}) {
-		// An untouched MAC follows the orbit: the control loop bounces
-		// off a 550 km shell, not a geostationary one.
-		c.MAC = mac.LEOParams()
-	}
-	c.MAC = c.MAC.WithDefaults()
+	c.MAC = matchedMAC(c.Constellation, c.MAC)
 	if c.PEP.SetupTime == 0 {
 		c.PEP = pepmodel.Default()
 	}
@@ -394,37 +386,33 @@ func (b *beamLoad) pepRho(hour int, factor float64) float64 {
 	return pepmodel.Rho(b.setupsHour[hour]/3600, b.pepPeak, factor)
 }
 
-// passAShard is one worker's private pass-A state: integer load
-// accumulators per (beam, hour) — integer sums reduce exactly in any
-// order, which is what keeps the dimensioning bit-identical at any worker
-// count — plus the intents it generated, cached for pass B when the byte
-// budget allows.
-type passAShard struct {
-	bytes  [][]int64 // [beam ID][hour] offered bytes
-	setups [][]int64 // [beam ID][hour] connection setups
-	// cache holds this worker's generated intents per local
-	// (customer, day) slot; nil slots were spilled by the budget and are
-	// regenerated deterministically in pass B.
-	cache      [][]workload.FlowIntent
-	cacheBytes int64
-	hits       int
-	spills     int
-	// errs collects recovered pass-A panics; failed marks the local
-	// slots they poisoned so pass B never regenerates them (which would
-	// just re-trigger the panic).
-	errs   []string
-	failed map[int]bool
-}
-
-// generateDaySafe is GenerateDay with a panic fence: one bad customer-day
-// becomes an error carrying its coordinates instead of a dead worker.
-func generateDaySafe(c *workload.Customer, day int, r *dist.Rand) (intents []workload.FlowIntent, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("netsim: generate customer %d day %d: panic: %v", c.ID, day, p)
+// beamStats summarizes a load table for Output.Beams. loads is indexed by
+// beam ID, so the result is ordered by beam ID.
+func beamStats(loads []*beamLoad, hours int) []BeamStat {
+	var out []BeamStat
+	for _, bl := range loads {
+		if bl == nil {
+			continue
 		}
-	}()
-	return workload.GenerateDay(c, day, r), nil
+		var sum, peak, pepPeakRho float64
+		for h := 0; h < hours; h++ {
+			u := bl.util(h)
+			sum += u
+			if u > peak {
+				peak = u
+			}
+			if rho := bl.pepRho(h, bl.beam.PEPFactor); rho > pepPeakRho {
+				pepPeakRho = rho
+			}
+		}
+		out = append(out, BeamStat{
+			Beam: bl.beam.ID, Country: bl.beam.Country,
+			PeakUtil: peak, MeanUtil: sum / float64(hours),
+			PEPPeakRho: pepPeakRho, CapacityBps: bl.capacity * 8,
+			OfferedPeakBps: bl.capacity * bl.beam.TargetPeakUtil * 8,
+		})
+	}
+	return out
 }
 
 // workerOut is one pass-B worker's private output.
@@ -494,7 +482,7 @@ func Run(cfg Config) (*Output, error) {
 // — fails the run outright.
 func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	con, err := geo.ConstellationByName(cfg.Constellation, cfg.Seed)
+	mod, err := newModels(cfg.Constellation, cfg.Seed, cfg.MAC)
 	if err != nil {
 		return nil, err
 	}
@@ -503,163 +491,39 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// whatever schedule the caller injected. The merged schedule is what
 	// the synthesizers consult and what the manifest records.
 	sched := cfg.Faults
-	if !con.Static() {
+	if !mod.con.Static() {
 		sched = faults.WithLEOHandovers(sched, cfg.Days, cfg.Seed)
 	}
 	faults.RecordActive(sched)
-	root := dist.NewRand(cfg.Seed)
 	startA := time.Now()
 	mCustomersTotal.Set(float64(cfg.Customers))
 
-	customers, err := workload.BuildPopulation(cfg.Customers, root.Fork("population"))
+	dep, err := newDeployment(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(customers) {
-		workers = len(customers)
-	}
+	customers, root := dep.customers, dep.root
+	workers := dep.workers(cfg.Parallelism)
 	mWorkers.Set(float64(workers))
 
 	// --- Pass A: offered load per beam-hour, sharded by worker ----------
-	// Customers stripe across workers (ci ≡ w mod workers) — the same
-	// partition pass B uses, so each worker's intent cache feeds its own
-	// pass-B loop. Each (customer, day) has its own forked random stream,
-	// so generation order across workers cannot perturb the workload.
-	hours := cfg.Days * 24
-	beams := geo.Beams()
-	maxBeamID := 0
-	for _, b := range beams {
-		if b.ID > maxBeamID {
-			maxBeamID = b.ID
-		}
-	}
-
-	budget := cfg.IntentCacheBytes
-	if budget == 0 {
-		budget = defaultIntentCacheBytes
-	}
-	var cacheFree atomic.Int64
-	cacheFree.Store(budget)
-
-	shards := make([]passAShard, workers)
-	var wg sync.WaitGroup
-	// loads is indexed by beam ID, filled by the reduce below.
-	loads := make([]*beamLoad, maxBeamID+1)
 	// The whole of pass A — worker fan-out plus the beam reduce — runs as
 	// one labeled stage: every CPU sample it takes carries stage=<pass A>
 	// (plus worker=N inside the fan-out), and the stage's allocation delta
 	// feeds the manifest allocs block and the alloc metrics.
+	var shards []passAShard
 	allocA := prof.Stage(ctx, prof.StagePassA, func(sctx context.Context) {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				prof.Worker(sctx, w, func(wctx context.Context) {
-					sh := &shards[w]
-					sh.bytes = make([][]int64, maxBeamID+1)
-					sh.setups = make([][]int64, maxBeamID+1)
-					for _, b := range beams {
-						sh.bytes[b.ID] = make([]int64, hours)
-						sh.setups[b.ID] = make([]int64, hours)
-					}
-					nLocal := (len(customers) - w + workers - 1) / workers
-					sh.cache = make([][]workload.FlowIntent, nLocal*cfg.Days)
-					local := 0
-					for ci := w; ci < len(customers); ci += workers {
-						if wctx.Err() != nil {
-							return
-						}
-						c := customers[ci]
-						for day := 0; day < cfg.Days; day++ {
-							r := root.ForkN("day", uint64(c.ID)*1024+uint64(day))
-							intents, gerr := generateDaySafe(c, day, r)
-							if gerr != nil {
-								mWorkerRecoveries.Inc()
-								sh.errs = append(sh.errs, gerr.Error())
-								if sh.failed == nil {
-									sh.failed = map[int]bool{}
-								}
-								sh.failed[local*cfg.Days+day] = true
-								continue
-							}
-							bb, sb := sh.bytes[c.Beam], sh.setups[c.Beam]
-							var size int64
-							for i := range intents {
-								fi := &intents[i]
-								if h := hourOf(fi.Start); h >= 0 && h < hours {
-									bb[h] += fi.Down + fi.Up
-									sb[h]++
-								}
-								size += int64(fi.MemBytes())
-							}
-							// Admit into the intent cache while the budget
-							// lasts; spilled slots are regenerated in pass B.
-							if cacheFree.Add(-size) >= 0 {
-								sh.cache[local*cfg.Days+day] = intents
-								sh.cacheBytes += size
-							} else {
-								cacheFree.Add(size)
-								sh.spills++
-							}
-						}
-						local++
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-		if ctx.Err() != nil {
-			return
-		}
-
-		var cachedBytes int64
-		for w := range shards {
-			cachedBytes += shards[w].cacheBytes
-		}
-		mIntentCacheBytes.Set(float64(cachedBytes))
-
-		// Reduce the integer shards by beam ID and dimension each beam so its
-		// busiest hour hits the operator's target utilization, and the PEP so
-		// its busiest hour hits 1/PEPFactor.
-		for _, b := range beams {
-			bl := &beamLoad{beam: b, bytesHour: make([]float64, hours), setupsHour: make([]float64, hours)}
-			var peakBytes, peakSetups int64
-			for h := 0; h < hours; h++ {
-				var byteSum, setupSum int64
-				for w := range shards {
-					byteSum += shards[w].bytes[b.ID][h]
-					setupSum += shards[w].setups[b.ID][h]
-				}
-				bl.bytesHour[h] = float64(byteSum)
-				bl.setupsHour[h] = float64(setupSum)
-				if byteSum > peakBytes {
-					peakBytes = byteSum
-				}
-				if setupSum > peakSetups {
-					peakSetups = setupSum
-				}
-			}
-			offered := float64(peakBytes) / 3600
-			if offered <= 0 {
-				offered = 1
-			}
-			bl.capacity = offered / b.TargetPeakUtil
-			bl.pepPeak = float64(peakSetups) / 3600
-			if bl.pepPeak <= 0 {
-				bl.pepPeak = 1.0 / 3600
-			}
-			loads[b.ID] = bl
-		}
+		shards = dep.dimension(sctx, cfg, workers, false)
 	})
 	if err := ctx.Err(); err != nil {
 		// No flow exists yet; there is nothing to salvage.
 		return nil, fmt.Errorf("netsim: interrupted during workload generation: %w", err)
 	}
+	var cachedBytes int64
+	for w := range shards {
+		cachedBytes += shards[w].cacheBytes
+	}
+	mIntentCacheBytes.Set(float64(cachedBytes))
 	mPassAAllocBytes.Add(int64(allocA.Bytes))
 	mPassAAllocs.Add(int64(allocA.Objects))
 
@@ -676,9 +540,8 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// first rainy flow used to build its FER cell under a global lock).
 	// Cells live in a process-wide cache, so repeated runs skip this.
 	startPre := time.Now()
-	macModel := mac.NewModel(cfg.MAC)
 	allocPre := prof.Stage(ctx, prof.StageMACPrebuild, func(context.Context) {
-		macModel.Prebuild(workers)
+		mod.mac.Prebuild(workers)
 	})
 	prebuild := time.Since(startPre)
 	mMACPrebuild.SetDuration(prebuild)
@@ -687,24 +550,6 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 
 	// --- Pass B: synthesize the vantage-point stream ------------------
 	startB := time.Now()
-	anonKey := make([]byte, cryptopan.KeySize)
-	kr := root.Fork("anon-key")
-	for i := range anonKey {
-		anonKey[i] = byte(kr.Uint64())
-	}
-	anon, err := cryptopan.New(anonKey)
-	if err != nil {
-		return nil, err
-	}
-	// For a static constellation the per-country channel is fixed and
-	// precomputed; a moving one is evaluated per flow in samplePath.
-	channels := map[geo.CountryCode]phy.Channel{}
-	if con.Static() {
-		for _, country := range geo.Countries() {
-			channels[country.Code] = phy.ChannelAt(country, con, 0)
-		}
-	}
-
 	// Each worker owns a private tracker and synthesizes only its own
 	// customers (the pass-A stride partition), so every tracker sees a
 	// fully deterministic single-producer event order; flows never span
@@ -716,6 +561,7 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// worker at its next customer boundary — either way the remaining
 	// customers' logs are flushed, sorted, and merged as usual.
 	var interrupted atomic.Bool
+	var wg sync.WaitGroup
 	outs := make([]workerOut, workers)
 	allocB := prof.Stage(ctx, prof.StagePassB, func(sctx context.Context) {
 		for w := 0; w < workers; w++ {
@@ -723,16 +569,8 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 			go func(w int) {
 				defer wg.Done()
 				prof.Worker(sctx, w, func(wctx context.Context) {
-					tracker := tstat.NewTracker(tstat.Config{Anonymizer: anon})
-					syn := &synthesizer{
-						cfg:      cfg,
-						con:      con,
-						sched:    sched,
-						tracker:  tracker,
-						mac:      macModel,
-						loads:    loads,
-						channels: channels,
-					}
+					tracker := tstat.NewTracker(tstat.Config{Anonymizer: dep.anon})
+					syn := newSynthesizer(cfg, dep, mod, sched, tracker)
 					sh := &shards[w]
 					local := 0
 					for ci := w; ci < len(customers); ci += workers {
@@ -821,53 +659,17 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 		Flows:           flows,
 		DNS:             dns,
 		Meta:            make(map[netip.Addr]CustomerMeta, len(customers)),
-		CountryPrefixes: map[netip.Prefix]geo.CountryCode{},
+		CountryPrefixes: dep.prefixes,
 		Epoch:           time.Date(2022, time.February, 7, 0, 0, 0, 0, time.UTC),
+		Beams:           beamStats(dep.loads, cfg.Days*24),
 		Faults:          sched,
 		Stats:           stats,
 	}
 	for _, c := range customers {
-		out.Meta[anon.MustAnonymize(c.Addr)] = CustomerMeta{
+		out.Meta[dep.anon.MustAnonymize(c.Addr)] = CustomerMeta{
 			Country: c.Country.Code, Beam: c.Beam, Type: c.Type,
 			PlanMbs: c.Plan.DownMbps, Multiplex: c.Multiplex, Resolver: c.Resolver.ID,
 		}
-	}
-	for _, p := range workload.Profiles() {
-		subnet, ok := workload.SubnetFor(p.Country.Code)
-		if !ok {
-			return nil, fmt.Errorf("netsim: no subnet for %s", p.Country.Code)
-		}
-		anonBase := anon.MustAnonymize(subnet.Addr())
-		anonPrefix, err := anonBase.Prefix(subnet.Bits())
-		if err != nil {
-			return nil, err
-		}
-		out.CountryPrefixes[anonPrefix] = p.Country.Code
-	}
-	// loads is indexed by beam ID, so iterating it in order yields Beams
-	// sorted by ID — a deterministic order, unlike the map iteration this
-	// replaced.
-	for _, bl := range loads {
-		if bl == nil {
-			continue
-		}
-		var sum, peak, pepPeakRho float64
-		for h := 0; h < hours; h++ {
-			u := bl.util(h)
-			sum += u
-			if u > peak {
-				peak = u
-			}
-			if rho := bl.pepRho(h, bl.beam.PEPFactor); rho > pepPeakRho {
-				pepPeakRho = rho
-			}
-		}
-		out.Beams = append(out.Beams, BeamStat{
-			Beam: bl.beam.ID, Country: bl.beam.Country,
-			PeakUtil: peak, MeanUtil: sum / float64(hours),
-			PEPPeakRho: pepPeakRho, CapacityBps: bl.capacity * 8,
-			OfferedPeakBps: bl.capacity * bl.beam.TargetPeakUtil * 8,
-		})
 	}
 	return out, nil
 }

@@ -52,8 +52,12 @@ type Capture struct {
 
 // StartCapture creates dir (if needed), starts the CPU profile and
 // enables block profiling. Call Stop to write the artifacts. Fails if a
-// CPU profile is already running in this process.
+// CPU profile is already running in this process. An empty dir (-profile
+// not given) captures nothing and returns a nil Capture.
 func StartCapture(dir string) (*Capture, error) {
+	if dir == "" {
+		return nil, nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("prof: capture dir: %w", err)
 	}
@@ -74,7 +78,11 @@ func StartCapture(dir string) (*Capture, error) {
 // profiles into the capture directory, each atomically (temp + rename),
 // returning the manifest `profiles` block with their sha256 digests.
 // Safe to call more than once; later calls return the first outcome.
+// A nil Capture has nothing to stop.
 func (c *Capture) Stop() (obs.ProfilesInfo, error) {
+	if c == nil {
+		return obs.ProfilesInfo{}, nil
+	}
 	c.once.Do(func() { c.info, c.err = c.stop() })
 	return c.info, c.err
 }

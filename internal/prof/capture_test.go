@@ -119,6 +119,18 @@ func TestCaptureStopIdempotent(t *testing.T) {
 	}
 }
 
+// TestNoCaptureWithoutDir: -profile not given is a nil capture whose Stop
+// the CLIs can defer unconditionally.
+func TestNoCaptureWithoutDir(t *testing.T) {
+	c, err := StartCapture("")
+	if c != nil || err != nil {
+		t.Fatalf("StartCapture(\"\") = %v, %v; want nil, nil", c, err)
+	}
+	if info, err := c.Stop(); err != nil || info.Dir != "" {
+		t.Fatalf("nil Stop = %+v, %v", info, err)
+	}
+}
+
 func TestCaptureLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()

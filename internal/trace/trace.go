@@ -31,6 +31,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"satwatch/internal/obs"
 )
 
 // Span names, one per instrumented latency component. SpanNames lists
@@ -260,8 +262,9 @@ type Tracer struct {
 	done []*Flow
 }
 
-// New builds a tracer writing JSONL to w, sampling 1 in sampleN flows
-// (sampleN <= 1 traces every flow).
+// New builds a tracer writing JSONL to w (nil for one finished with
+// CloseFile), sampling 1 in sampleN flows (sampleN <= 1 traces every
+// flow).
 func New(w io.Writer, sampleN int) *Tracer {
 	if sampleN < 1 {
 		sampleN = 1
@@ -330,6 +333,16 @@ func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
+	return t.writeTo(t.w)
+}
+
+// CloseFile is Close into the file at path instead of the tracer's
+// writer, written atomically like every other run output.
+func (t *Tracer) CloseFile(path string) error {
+	return obs.WriteFileAtomic(path, t.writeTo)
+}
+
+func (t *Tracer) writeTo(w io.Writer) error {
 	t.mu.Lock()
 	flows := t.done
 	t.done = nil
@@ -344,7 +357,7 @@ func (t *Tracer) Close() error {
 		}
 		return a.Index < b.Index
 	})
-	bw := bufio.NewWriter(t.w)
+	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, f := range flows {
 		if err := enc.Encode(f); err != nil {

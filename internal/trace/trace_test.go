@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +98,36 @@ func TestCloseWritesSortedDeterministicJSONL(t *testing.T) {
 		if flows[i].ID() != want {
 			t.Fatalf("flow %d = %s, want %s (output must sort by identity)", i, flows[i].ID(), want)
 		}
+	}
+}
+
+// TestCloseFileMatchesClose: the CLIs' file path writes what a writer
+// tracer writes.
+func TestCloseFileMatchesClose(t *testing.T) {
+	var buf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	for _, tr := range []*Tracer{New(&buf, 1), New(nil, 1)} {
+		for i := 0; i < 3; i++ {
+			fl := tr.Start(1, 0, i)
+			fl.SetTotal(520 * time.Millisecond)
+			fl.Finish()
+		}
+		var err error
+		if tr.w != nil {
+			err = tr.Close()
+		} else {
+			err = tr.CloseFile(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 || !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("CloseFile wrote %q, Close wrote %q", got, buf.Bytes())
 	}
 }
 
