@@ -1,10 +1,12 @@
 package satwatch
 
-// The benchmark harness: one benchmark per paper table/figure (DESIGN.md
-// §3) plus the ablation benches (A1-A4). Each benchmark regenerates its
-// experiment from a shared reference run and reports the experiment's
-// headline numbers via b.ReportMetric, so `go test -bench .` prints the
-// rows/series the paper reports next to the timing.
+// In-process `go test -bench` benchmarks for measuring while you work: one
+// per paper table/figure (DESIGN.md §3), the ablations (A1-A4) and the
+// pipeline end to end. Each regenerates its experiment from a shared
+// reference run and reports the experiment's headline numbers via
+// b.ReportMetric, so `go test -bench .` prints the rows/series the paper
+// reports next to the timing. They gate nothing: a speed or allocation
+// claim is made with the repository benchmark (benchmark/README.md).
 //
 // Run with: go test -bench=. -benchmem
 
@@ -14,7 +16,6 @@ import (
 	"testing"
 
 	"satwatch/internal/analytics"
-	"satwatch/internal/bench"
 	"satwatch/internal/dnssim"
 	"satwatch/internal/netsim"
 	"satwatch/internal/report"
@@ -413,28 +414,3 @@ func BenchmarkDatasetEnrichment(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkScenario runs matrix scenarios from the performance
-// observatory (internal/bench) through the standard Go benchmark harness,
-// so `go test -bench=Scenario` reports the same per-scenario numbers
-// satbench snapshots into BENCH_*.json.
-func benchmarkScenario(b *testing.B, name string) {
-	b.Helper()
-	sc, ok := bench.ByName(name, 42)
-	if !ok {
-		b.Fatalf("unknown scenario %q", name)
-	}
-	var res bench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.RunScenario(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.FlowsPerSecond, "flows/s")
-	b.ReportMetric(float64(res.Mem.PeakHeapBytes)/(1<<20), "peak_heap_MB")
-}
-
-func BenchmarkScenarioSmallClearP1(b *testing.B)   { benchmarkScenario(b, "small-clear-p1") }
-func BenchmarkScenarioMediumStressP1(b *testing.B) { benchmarkScenario(b, "medium-stress-p1") }

@@ -125,3 +125,46 @@ func TestObservabilityDocCoversSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameOnlyExistingTools keeps the tool list honest in both
+// directions: every cmd/<tool> the top-level docs name is a directory
+// under cmd/, and every directory under cmd/ has its row in README's
+// "What is in here" tree.
+func TestDocsNameOnlyExistingTools(t *testing.T) {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tools := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			tools[e.Name()] = true
+		}
+	}
+	re := regexp.MustCompile(`cmd/([a-z0-9]+)`)
+	var readme string
+	for _, name := range []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"} {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "README.md" {
+			readme = string(doc)
+		}
+		for _, m := range re.FindAllStringSubmatch(string(doc), -1) {
+			if !tools[m[1]] {
+				t.Errorf("%s names cmd/%s, which does not exist", name, m[1])
+			}
+		}
+	}
+	_, tree, ok := strings.Cut(readme, "## What is in here")
+	if !ok {
+		t.Fatal(`README.md has no "What is in here" section`)
+	}
+	tree, _, _ = strings.Cut(tree, "\n## ")
+	for tool := range tools {
+		if !strings.Contains(tree, "\n  "+tool+"/ ") {
+			t.Errorf("cmd/%s has no row in README's \"What is in here\"", tool)
+		}
+	}
+}
