@@ -3,6 +3,7 @@ package analytics
 import (
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
+	"satwatch/internal/netsim"
 	"satwatch/internal/services"
 )
 
@@ -11,7 +12,7 @@ import (
 func (ds *Dataset) ResolverUsage() map[geo.CountryCode]map[dnssim.ResolverID]int {
 	out := map[geo.CountryCode]map[dnssim.ResolverID]int{}
 	for _, d := range ds.DNS {
-		country, ok := ds.CountryOf(d.Client)
+		country, ok := netsim.CountryOf(ds.Prefixes, d.Client)
 		if !ok {
 			continue
 		}

@@ -51,7 +51,7 @@ func (ds *Dataset) enrich(rec tstat.FlowRecord) Flow {
 		f.HasMeta = true
 		f.Country = meta.Country
 	} else {
-		f.Country, _ = ds.CountryOf(rec.Client)
+		f.Country, _ = netsim.CountryOf(ds.Prefixes, rec.Client)
 	}
 	if rec.Domain != "" {
 		if svc, ok := services.Classify(rec.Domain); ok {
@@ -61,18 +61,6 @@ func (ds *Dataset) enrich(rec tstat.FlowRecord) Flow {
 	}
 	f.Region, _ = cdn.RegionOf(rec.Server)
 	return f
-}
-
-// CountryOf resolves an anonymized customer address to its country via the
-// prefix-preserving anonymization (§2.3: Crypto-PAn "preserves the subnet
-// structure", §3.1: mapping provided by the operator).
-func (ds *Dataset) CountryOf(addr netip.Addr) (geo.CountryCode, bool) {
-	for p, code := range ds.Prefixes {
-		if p.Contains(addr) {
-			return code, true
-		}
-	}
-	return "", false
 }
 
 // LocalHour returns the customer-local hour of a timestamp.

@@ -112,6 +112,3 @@ func (s *Sample) Box() Boxplot {
 		N:   s.Len(),
 	}
 }
-
-// Values returns the sorted observations (read-only view).
-func (s *Sample) Values() []float64 { return s.sorted }

@@ -59,9 +59,6 @@ func (w *Weighted[T]) Sample(r *Rand) T {
 // Len returns the number of alternatives.
 func (w *Weighted[T]) Len() int { return len(w.items) }
 
-// Items returns the alternatives in declaration order.
-func (w *Weighted[T]) Items() []T { return w.items }
-
 // Weight returns the normalized probability of item i.
 func (w *Weighted[T]) Weight(i int) float64 {
 	prev := 0.0

@@ -61,9 +61,6 @@ func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
 // ExpFloat64 returns a rate-1 exponential sample.
 func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
-// Perm returns a deterministic random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 

@@ -3,8 +3,7 @@
 // (§1: "we have created a data-driven model for our ERRANT network
 // emulator tool"). A profile captures, per country and time window, the
 // delay/jitter/loss/rate behaviour a SatCom customer experiences, and can
-// be exported as Linux tc/netem commands or instantiated as an in-process
-// emulated link (package linkemu) for Go tests.
+// be exported as Linux tc/netem commands.
 package errant
 
 import (
@@ -14,7 +13,6 @@ import (
 
 	"satwatch/internal/analytics"
 	"satwatch/internal/geo"
-	"satwatch/internal/linkemu"
 )
 
 // Window names the time-of-day regime a profile describes.
@@ -59,16 +57,6 @@ func (p Profile) NetemCommands(iface string) []string {
 			iface, delayMs, jitMs, p.Loss*100),
 		fmt.Sprintf("tc qdisc add dev %s parent 1: handle 2: tbf rate %.0fkbit burst 32kbit latency 400ms",
 			iface, rateKbit),
-	}
-}
-
-// Link instantiates the profile as an in-process emulated link direction.
-func (p Profile) Link() linkemu.Link {
-	return linkemu.Link{
-		Delay:   p.OneWayDelay,
-		Jitter:  p.Jitter,
-		Loss:    p.Loss,
-		RateBps: p.RateDown / 8,
 	}
 }
 

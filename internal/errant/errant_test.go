@@ -97,18 +97,6 @@ func TestNetemExport(t *testing.T) {
 	}
 }
 
-func TestLinkInstantiation(t *testing.T) {
-	p := Profile{OneWayDelay: 270 * time.Millisecond, Jitter: 30 * time.Millisecond,
-		Loss: 0.01, RateDown: 10e6}
-	l := p.Link()
-	if l.Delay != p.OneWayDelay || l.Jitter != p.Jitter || l.Loss != p.Loss {
-		t.Fatal("link fields not mapped")
-	}
-	if l.RateBps != p.RateDown/8 {
-		t.Fatalf("rate %v bytes/s, want %v", l.RateBps, p.RateDown/8)
-	}
-}
-
 func TestRender(t *testing.T) {
 	ds := testDataset(t)
 	out := Render(BuildProfiles(ds), "eth1")

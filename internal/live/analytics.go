@@ -9,6 +9,7 @@ import (
 
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
+	"satwatch/internal/netsim"
 	"satwatch/internal/tstat"
 )
 
@@ -93,15 +94,6 @@ func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Pref
 
 func (a *Analytics) isDegraded() bool { return a.degraded != nil && a.degraded.Load() }
 
-func (a *Analytics) countryOf(addr netip.Addr) (geo.CountryCode, bool) {
-	for p, code := range a.prefixes {
-		if p.Contains(addr) {
-			return code, true
-		}
-	}
-	return "", false
-}
-
 // aggAt returns the open aggregate for the window containing t, or nil
 // when that window's finalization boundary has already passed the
 // watermark. Folding a too-late record in would reopen the window and
@@ -139,7 +131,7 @@ func (a *Analytics) AddFlow(rec tstat.FlowRecord) {
 	agg.bytesUp += rec.BytesUp
 	agg.bytesDown += rec.BytesDown
 	if agg.byCountry != nil {
-		if code, ok := a.countryOf(rec.Client); ok {
+		if code, ok := netsim.CountryOf(a.prefixes, rec.Client); ok {
 			agg.byCountry[string(code)] += rec.BytesUp + rec.BytesDown
 		}
 	}
@@ -149,7 +141,6 @@ func (a *Analytics) AddFlow(rec tstat.FlowRecord) {
 		if rec.SatRTT > agg.rttMax {
 			agg.rttMax = rec.SatRTT
 		}
-		mWindowRTT.ObserveDuration(rec.SatRTT)
 	}
 	a.advance(rec.Start)
 }
@@ -220,7 +211,6 @@ func (a *Analytics) finalize(k int64, agg *windowAgg) {
 	if len(a.recent) > a.keep {
 		a.recent = a.recent[len(a.recent)-a.keep:]
 	}
-	mWindows.Inc()
 	if a.onFinal != nil {
 		a.onFinal(s)
 	}

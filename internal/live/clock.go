@@ -20,9 +20,6 @@ func NewClock(speedup float64, base time.Duration) *Clock {
 	return &Clock{speedup: speedup, anchor: time.Now(), base: base}
 }
 
-// Speedup returns the simulated-seconds-per-wall-second factor.
-func (c *Clock) Speedup() float64 { return c.speedup }
-
 // Now returns the current simulated time.
 func (c *Clock) Now() time.Duration {
 	wall := time.Since(c.anchor)

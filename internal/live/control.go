@@ -29,8 +29,7 @@ import (
 // Read-only endpoints reject non-GET methods, set Cache-Control:
 // no-store (the payloads are live state) and count encode failures in
 // live_control_encode_errors_total. Mutations take query parameters
-// (?multiplier=, ?preset=, ?constellation=) so they are curl-able; every
-// accepted mutation counts in live_control_requests_total. See
+// (?multiplier=, ?preset=, ?constellation=) so they are curl-able. See
 // OBSERVABILITY.md for the endpoint table.
 func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -146,7 +145,6 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			mControlRequests.Inc()
 		}
 		encode(w, false, map[string]float64{"multiplier": p.Rate()})
 	})
@@ -171,7 +169,6 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 				// bites now, not days in the past.
 				p.Sim().SetFaults(shiftSchedule(sched, p.Clock().Now()))
 			}
-			mControlRequests.Inc()
 		}
 		sched := p.Sim().Faults()
 		if sched == nil {
@@ -192,8 +189,6 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			mScenarioSwaps.Inc()
-			mControlRequests.Inc()
 		}
 		encode(w, false, map[string]string{"constellation": p.Sim().ScenarioName()})
 	})

@@ -6,20 +6,12 @@ import "satwatch/internal/obs"
 // support, so every queue edge gets its own flat metric family; worker
 // shard queues share one family (depths are deltas, so they aggregate).
 var (
-	mSimSeconds = obs.NewGauge("live_sim_seconds",
-		"Simulated time reached by the live pipeline's clock.", "seconds")
-	mSpeedup = obs.NewGauge("live_speedup",
-		"Simulated seconds advanced per wall second.", "")
-	mRate = obs.NewGauge("live_rate_multiplier",
-		"Workload rate multiplier applied at intent admission (set via /control/rate).", "")
 	mIntents = obs.NewCounter("live_intents_total",
 		"Flow intents admitted into the pipeline (after rate multiplication).", "")
 	mSynthErrors = obs.NewCounter("live_synth_errors_total",
 		"Intents whose synthesis failed; the worker drops them and continues.", "")
 	mFlowRecords = obs.NewCounter("live_flow_records_total",
 		"Flow records emitted by worker trackers into the analytics stage.", "")
-	mDNSRecords = obs.NewCounter("live_dns_records_total",
-		"DNS records emitted by worker trackers into the analytics stage.", "")
 	mActiveFlows = obs.NewGauge("live_active_flows",
 		"In-flight flows across all worker trackers.", "")
 	mDegraded = obs.NewGauge("live_degraded",
@@ -28,46 +20,29 @@ var (
 		"Stage goroutines relaunched by the supervisor after a panic or watchdog cancel.", "")
 	mWatchdogStalls = obs.NewCounter("live_watchdog_stalls_total",
 		"Heartbeat stalls detected by the per-stage watchdog.", "")
-	mWindows = obs.NewCounter("live_windows_total",
-		"Analytics windows finalized (watermark passed window end plus grace).", "")
 	mLateRecords = obs.NewCounter("live_analytics_late_records_total",
 		"Records dropped because they arrived after their window's end-plus-grace boundary had already finalized.", "")
-	mWindowRTT = obs.NewHistogram("live_window_rtt_seconds",
-		"Satellite-segment RTT of flows entering the rolling analytics windows.", "seconds",
-		obs.LatencyBuckets())
-	mScenarioSwaps = obs.NewCounter("live_scenario_swaps_total",
-		"Constellation hot-swaps applied via /control/scenario.", "")
-	mControlRequests = obs.NewCounter("live_control_requests_total",
-		"Mutating control-plane requests accepted (/control/rate, /control/faults, /control/scenario).", "")
-	mTracedFlows = obs.NewCounter("live_traced_flows_total",
-		"Sampled flow span trees published to the recent-trace ring (and disk log when -trace is set).", "")
 	mTraceWriteErrors = obs.NewCounter("live_trace_write_errors_total",
 		"Failed writes to the rotating live trace log (the flow stays in the ring; the pipeline continues).", "")
-	mTraceRotations = obs.NewCounter("live_trace_rotations_total",
-		"Size-cap rotations of the live trace log.", "")
-	mHistoryAppends = obs.NewCounter("live_history_appended_total",
-		"Finalized windows appended to the history log.", "")
 	mHistoryWriteErrors = obs.NewCounter("live_history_write_errors_total",
 		"Failed history-log appends (the window stays in the in-memory ring; the pipeline continues).", "")
 	mHistoryReloaded = obs.NewGauge("live_history_reloaded_windows",
 		"Windows replayed from the history log at startup (-history restart).", "")
-	mMetricsSamples = obs.NewCounter("live_metrics_samples_total",
-		"Registry snapshots taken into the /metrics/history time series.", "")
 	mControlEncodeErrors = obs.NewCounter("live_control_encode_errors_total",
 		"JSON encode failures on control-plane read endpoints (client likely disconnected mid-response).", "")
 
 	// Queue edges. intents: generator → dispatcher (Block). synth:
 	// dispatcher → worker shards (Shed). records: workers → analytics
-	// (Shed).
+	// (Shed). The intents edge never sheds and what it accepts is
+	// live_intents_total, so its Shed and Pushed counters are unregistered
+	// placeholders for the two fields a Queue writes unconditionally.
 	qmIntents = QueueMetrics{
 		Depth: obs.NewGauge("live_q_intents_depth",
 			"Items buffered on the generator → dispatcher queue.", ""),
 		HighWater: obs.NewGauge("live_q_intents_highwater",
 			"Peak depth observed on the generator → dispatcher queue.", ""),
-		Shed: obs.NewCounter("live_q_intents_shed_total",
-			"Items shed at the generator → dispatcher queue (0 by construction: this edge blocks).", ""),
-		Pushed: obs.NewCounter("live_q_intents_pushed_total",
-			"Items accepted onto the generator → dispatcher queue.", ""),
+		Shed:   new(obs.Counter),
+		Pushed: new(obs.Counter),
 	}
 	qmSynth = QueueMetrics{
 		Depth: obs.NewGauge("live_q_synth_depth",

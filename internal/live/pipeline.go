@@ -201,7 +201,7 @@ func New(cfg Config) (*Pipeline, error) {
 		source:      workload.NewSource(sim.Customers(), sim.Root()),
 		activeFlows: make([]atomic.Int64, cfg.Workers),
 	}
-	p.setRate(cfg.Rate)
+	p.rateBits.Store(math.Float64bits(cfg.Rate))
 	p.intentQ = NewQueue[intentItem](cfg.IntentDepth, Block, qmIntents, &p.degraded)
 	p.workerQs = make([]*Queue[intentItem], cfg.Workers)
 	for i := range p.workerQs {
@@ -241,21 +241,17 @@ func New(cfg Config) (*Pipeline, error) {
 			if err := p.history.Append(s); err != nil {
 				mHistoryWriteErrors.Inc()
 				p.cfg.Logf("live: %v", err)
-			} else {
-				mHistoryAppends.Inc()
 			}
 		})
 	}
 	p.clock = NewClock(cfg.Speedup, p.resumeFrom)
 	p.metricsHist = obs.NewHistory(nil, cfg.MetricsKeep)
-	mSimSeconds.Set(p.resumeFrom.Seconds())
 
 	p.sup = &supervisor{
 		timeout: cfg.StallTimeout,
 		degrade: p.degrade,
 		logf:    cfg.Logf,
 	}
-	mSpeedup.Set(cfg.Speedup)
 	return p, nil
 }
 
@@ -272,9 +268,6 @@ func (p *Pipeline) Tracing() *Tracing { return p.tracing }
 // MetricsHistory exposes the registry time-series sampler.
 func (p *Pipeline) MetricsHistory() *obs.History { return p.metricsHist }
 
-// History exposes the window-history log (nil without -history).
-func (p *Pipeline) History() *HistoryLog { return p.history }
-
 // ResumeFrom reports the simulated instant a history replay resumed the
 // clock at (zero on a fresh start).
 func (p *Pipeline) ResumeFrom() time.Duration { return p.resumeFrom }
@@ -290,13 +283,8 @@ func (p *Pipeline) SetRate(m float64) error {
 	if math.IsNaN(m) || m < 0 || m > 100 {
 		return fmt.Errorf("live: rate multiplier %v out of range [0, 100]", m)
 	}
-	p.setRate(m)
-	return nil
-}
-
-func (p *Pipeline) setRate(m float64) {
 	p.rateBits.Store(math.Float64bits(m))
-	mRate.Set(m)
+	return nil
 }
 
 // Degraded reports whether the daemon is in degraded mode and why.
@@ -325,7 +313,14 @@ func (p *Pipeline) degrade(reason string) {
 func (p *Pipeline) Ready() bool { return p.ready.Load() && !p.draining.Load() }
 
 // Stalled returns the names of currently stalled stages (for /healthz).
-func (p *Pipeline) Stalled() []string { return p.sup.stalled() }
+// Before Run has launched the stages there is nothing to stall, and the
+// stage list is still being built: ready is what publishes it.
+func (p *Pipeline) Stalled() []string {
+	if !p.ready.Load() {
+		return nil
+	}
+	return p.sup.stalled()
+}
 
 // Progress is the /progress and manifest snapshot.
 type Progress struct {
@@ -353,8 +348,9 @@ type Progress struct {
 // Progress snapshots the run state.
 func (p *Pipeline) Progress() Progress {
 	var pr Progress
-	pr.SimSeconds = p.clock.Now().Seconds()
-	pr.Day = p.source.Day() // generator-owned, but an int read is tear-free in practice
+	now := p.clock.Now()
+	pr.SimSeconds = now.Seconds()
+	pr.Day = int(now / (24 * time.Hour))
 	pr.Scenario = p.sim.ScenarioName()
 	pr.Rate = p.Rate()
 	pr.Intents = p.intents.Load()
@@ -483,7 +479,6 @@ func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, bea
 		}
 		if now := p.clock.Now(); now >= next {
 			p.metricsHist.Sample(now.Seconds())
-			mMetricsSamples.Inc()
 			next = now + p.cfg.MetricsEvery
 		}
 	}
@@ -528,8 +523,6 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 				beat()
 			}
 		}
-		mSimSeconds.Set(p.clock.Now().Seconds())
-
 		// Rate multiplier: floor copies plus a Bernoulli trial on the
 		// fraction. Replicas get distinct sequence numbers, hence
 		// distinct random streams downstream.
@@ -626,7 +619,6 @@ func (p *Pipeline) synth(ctx context.Context, shard int, beat func()) error {
 			r := rec
 			if p.recordQ.Push(ctx, recordItem{dns: &r}, beat) {
 				p.dnsRecs.Add(1)
-				mDNSRecords.Inc()
 			}
 		},
 	)

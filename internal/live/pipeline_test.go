@@ -34,9 +34,26 @@ func TestPipelineRunsAndDrainsGracefully(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
+	// Snapshot Progress from a second goroutine while the stages run, as
+	// the /progress handler does: under -race this is the read that must
+	// not touch generator-owned state, and the day it reports must be the
+	// day of the sim time it reports.
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for ctx.Err() == nil {
+			pr := p.Progress()
+			if want := int(pr.SimSeconds / 86400); pr.Day != want {
+				t.Errorf("Progress: day %d at sim second %.0f, want day %d", pr.Day, pr.SimSeconds, want)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	if err := p.Run(ctx); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	<-polled
 
 	pr := p.Progress()
 	if pr.Intents == 0 {

@@ -64,12 +64,6 @@ func NewQueue[T any](capacity int, policy Policy, m QueueMetrics, degraded *atom
 // Len returns the buffered item count.
 func (q *Queue[T]) Len() int { return len(q.ch) }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return cap(q.ch) }
-
-// Policy returns the declared overflow policy.
-func (q *Queue[T]) Policy() Policy { return q.policy }
-
 // limit is the effective admission threshold: full capacity normally,
 // half in degraded mode (Shed queues only).
 func (q *Queue[T]) limit() int {

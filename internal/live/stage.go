@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"satwatch/internal/obs"
 )
 
 // stageFn is one stage's body. It must heartbeat via the provided beat
@@ -35,10 +32,6 @@ type stage struct {
 	// onExit runs once, after the stage's final clean exit (used to
 	// close downstream queues when a stage group finishes).
 	onExit func()
-
-	// age publishes the heartbeat age so stall proximity is observable
-	// before the watchdog fires: live_stage_heartbeat_age_seconds_<name>.
-	age *obs.Gauge
 }
 
 func (st *stage) beat() { st.hb.Store(time.Now().UnixNano()) }
@@ -66,9 +59,6 @@ type supervisor struct {
 
 func (sup *supervisor) add(name string, fn stageFn, onExit func()) *stage {
 	st := &stage{name: name, fn: fn, onExit: onExit}
-	st.age = obs.NewGauge("live_stage_heartbeat_age_seconds_"+strings.ReplaceAll(name, "-", "_"),
-		"Seconds since the "+name+" stage last heartbeat; compared against the watchdog stall timeout.",
-		"seconds")
 	sup.stages = append(sup.stages, st)
 	return st
 }
@@ -159,11 +149,6 @@ func (sup *supervisor) watchdog(ctx context.Context) {
 		case <-tick.C:
 		}
 		for _, st := range sup.stages {
-			if st.done.Load() {
-				st.age.Set(0)
-			} else {
-				st.age.Set(time.Since(time.Unix(0, st.hb.Load())).Seconds())
-			}
 			if !st.stale(sup.timeout) {
 				continue
 			}

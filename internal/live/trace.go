@@ -88,15 +88,10 @@ func (t *Tracing) Publish(f *trace.Flow) {
 		return
 	}
 	t.ring.Add(f)
-	mTracedFlows.Inc()
 	if t.w == nil {
 		return
 	}
-	rotated, err := t.w.Write(f)
-	if rotated {
-		mTraceRotations.Inc()
-	}
-	if err != nil {
+	if _, err := t.w.Write(f); err != nil {
 		mTraceWriteErrors.Inc()
 	}
 }

@@ -67,6 +67,20 @@ func newDeployment(cfg Config) (*deployment, error) {
 	return &deployment{root: root, customers: customers, anon: anon, prefixes: prefixes}, nil
 }
 
+// CountryOf resolves an anonymized customer address to its country through
+// a deployment's prefix join (§2.3: Crypto-PAn "preserves the subnet
+// structure"; §3.1: the mapping the operator provides). prefixes is
+// Output.CountryPrefixes or LiveSim.CountryPrefixes: one entry per country,
+// scanned linearly.
+func CountryOf(prefixes map[netip.Prefix]geo.CountryCode, addr netip.Addr) (geo.CountryCode, bool) {
+	for p, code := range prefixes {
+		if p.Contains(addr) {
+			return code, true
+		}
+	}
+	return "", false
+}
+
 // workers resolves Config.Parallelism against GOMAXPROCS and the
 // population size.
 func (d *deployment) workers(parallelism int) int {
@@ -90,10 +104,9 @@ type passAShard struct {
 	// cache holds this worker's generated intents per local
 	// (customer, day) slot; nil slots were spilled by the budget and are
 	// regenerated deterministically in pass B.
-	cache      [][]workload.FlowIntent
-	cacheBytes int64
-	hits       int
-	spills     int
+	cache  [][]workload.FlowIntent
+	hits   int
+	spills int
 	// errs collects recovered pass-A panics; failed marks the local
 	// slots they poisoned so pass B never regenerates them (which would
 	// just re-trigger the panic).
@@ -190,7 +203,6 @@ func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wra
 						// lasts; spilled slots are regenerated in pass B.
 						if cacheFree.Add(-size) >= 0 {
 							sh.cache[local*cfg.Days+day] = intents
-							sh.cacheBytes += size
 						} else {
 							cacheFree.Add(size)
 							sh.spills++

@@ -70,8 +70,6 @@ var (
 		"Customer-days whose pass-A intents were reused in pass B without regeneration.", "")
 	mIntentCacheSpills = obs.NewCounter("netsim_intent_cache_spills_total",
 		"Customer-days dropped from the intent cache by the byte budget (regenerated in pass B).", "")
-	mIntentCacheBytes = obs.NewGauge("netsim_intent_cache_bytes",
-		"Peak bytes admitted to the pass-A intent cache in the last run.", "bytes")
 	mFlowsDegraded = obs.NewCounter("netsim_flows_degraded_total",
 		"Flows shaped or killed by at least one scheduled fault event (internal/faults).", "")
 	mRowsSkipped = obs.NewCounter("netsim_rows_skipped_total",
@@ -80,26 +78,13 @@ var (
 		"Worker panics recovered into per-customer errors instead of crashing the run.", "")
 	mCustomersSalvaged = obs.NewCounter("netsim_customers_salvaged_total",
 		"Customers whose logs were salvaged from a degraded or interrupted run.", "")
-	// Per-stage allocation accounting (runtime allocation-counter deltas
-	// at the stage boundaries; see internal/prof).
-	mPassAAllocBytes = obs.NewCounter("netsim_pass_a_alloc_bytes_total",
-		"Heap bytes allocated during pass A (workload generation and beam dimensioning).", "bytes")
-	mPassAAllocs = obs.NewCounter("netsim_pass_a_allocs_total",
-		"Heap objects allocated during pass A.", "")
-	mMACPrebuildAllocBytes = obs.NewCounter("netsim_mac_prebuild_alloc_bytes_total",
-		"Heap bytes allocated while pre-building the MAC access-delay grid.", "bytes")
-	mMACPrebuildAllocs = obs.NewCounter("netsim_mac_prebuild_allocs_total",
-		"Heap objects allocated while pre-building the MAC access-delay grid.", "")
+	// Pass-B allocation accounting (runtime allocation-counter delta over
+	// the stage; see internal/prof). The other stages' deltas are in the
+	// manifest allocs block only.
 	mPassBAllocBytes = obs.NewCounter("netsim_pass_b_alloc_bytes_total",
 		"Heap bytes allocated during pass B (flow synthesis, tracking and per-worker sorts).", "bytes")
 	mPassBAllocs = obs.NewCounter("netsim_pass_b_allocs_total",
 		"Heap objects allocated during pass B.", "")
-	mMergeAllocBytes = obs.NewCounter("netsim_merge_alloc_bytes_total",
-		"Heap bytes allocated during the k-way merge of per-worker sorted logs.", "bytes")
-	mMergeAllocs = obs.NewCounter("netsim_merge_allocs_total",
-		"Heap objects allocated during the k-way merge.", "")
-	mAllocBytesPerFlow = obs.NewGauge("netsim_alloc_bytes_per_flow",
-		"Heap bytes allocated per synthesized flow across all simulator stages of the last run.", "bytes")
 )
 
 // CountSkippedRows feeds netsim_rows_skipped_total from the tolerant
@@ -510,7 +495,7 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// The whole of pass A — worker fan-out plus the beam reduce — runs as
 	// one labeled stage: every CPU sample it takes carries stage=<pass A>
 	// (plus worker=N inside the fan-out), and the stage's allocation delta
-	// feeds the manifest allocs block and the alloc metrics.
+	// feeds the manifest allocs block.
 	var shards []passAShard
 	allocA := prof.Stage(ctx, prof.StagePassA, func(sctx context.Context) {
 		shards = dep.dimension(sctx, cfg, workers, false)
@@ -519,13 +504,6 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 		// No flow exists yet; there is nothing to salvage.
 		return nil, fmt.Errorf("netsim: interrupted during workload generation: %w", err)
 	}
-	var cachedBytes int64
-	for w := range shards {
-		cachedBytes += shards[w].cacheBytes
-	}
-	mIntentCacheBytes.Set(float64(cachedBytes))
-	mPassAAllocBytes.Add(int64(allocA.Bytes))
-	mPassAAllocs.Add(int64(allocA.Objects))
 
 	passA := time.Since(startA)
 	mPassA.SetDuration(passA)
@@ -545,8 +523,6 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	})
 	prebuild := time.Since(startPre)
 	mMACPrebuild.SetDuration(prebuild)
-	mMACPrebuildAllocBytes.Add(int64(allocPre.Bytes))
-	mMACPrebuildAllocs.Add(int64(allocPre.Objects))
 
 	// --- Pass B: synthesize the vantage-point stream ------------------
 	startB := time.Now()
@@ -643,16 +619,11 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	})
 	stats.Merge = time.Since(startMerge)
 	mMerge.SetDuration(stats.Merge)
-	mMergeAllocBytes.Add(int64(allocMerge.Bytes))
-	mMergeAllocs.Add(int64(allocMerge.Objects))
 	stats.StageAllocs = map[string]obs.AllocInfo{
 		"pass_a":       allocA,
 		"mac_prebuild": allocPre,
 		"pass_b":       allocB,
 		"merge":        allocMerge,
-	}
-	if perFlow := stats.AllocBytesPerFlow(); perFlow > 0 {
-		mAllocBytesPerFlow.Set(perFlow)
 	}
 
 	out := &Output{

@@ -58,32 +58,6 @@ func (f FiveTuple) Canonical() (FiveTuple, bool) {
 	return f, false
 }
 
-// FastHash is a direction-symmetric 64-bit hash (FNV-1a over the canonical
-// byte order), suitable for sharding flows across workers — following
-// gopacket's symmetric Flow.FastHash contract.
-func (f FiveTuple) FastHash() uint64 {
-	c, _ := f.Canonical()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix(c.Proto)
-	for _, e := range []Endpoint{c.Src, c.Dst} {
-		b := e.Addr.As16()
-		for _, x := range b {
-			mix(x)
-		}
-		mix(byte(e.Port >> 8))
-		mix(byte(e.Port))
-	}
-	return h
-}
-
 // TupleOf extracts the five-tuple from a decoded packet, or ok=false when
 // the packet has no TCP/UDP transport layer.
 func TupleOf(p *Packet) (FiveTuple, bool) {

@@ -8,8 +8,6 @@ import "satwatch/internal/obs"
 var (
 	mRelays = obs.NewCounter("pep_relays_total",
 		"Proxied connections that entered the relay (CPE and gateway side combined).", "")
-	mRelaysActive = obs.NewGauge("pep_relays_active",
-		"Relays currently pumping bytes between a TCP connection and a tunnel stream.", "")
 	mRelayErrors = obs.NewCounter("pep_relay_errors_total",
 		"Relays that ended on a stream error (reset, timeout, tunnel failure) instead of clean EOFs.", "")
 	mDialErrors = obs.NewCounter("pep_dial_errors_total",

@@ -212,8 +212,6 @@ func (g *Gateway) handle(stream *tunnel.Stream, dst string) {
 // bytes stream→conn) once both directions finish.
 func relay(conn net.Conn, stream *tunnel.Stream) (toStream, toConn int64) {
 	mRelays.Inc()
-	mRelaysActive.Add(1)
-	defer mRelaysActive.Add(-1)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

@@ -90,17 +90,3 @@ func Worker(ctx context.Context, n int, fn func(ctx context.Context)) {
 func Do(ctx context.Context, label string, fn func()) {
 	pprof.Do(ctx, pprof.Labels("stage", label), func(context.Context) { fn() })
 }
-
-// MeasureAlloc runs fn bracketed by allocation-counter reads and returns
-// the delta — Stage without the labels, for callers that only want the
-// accounting.
-func MeasureAlloc(fn func()) obs.AllocInfo {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return obs.AllocInfo{
-		Bytes:   after.TotalAlloc - before.TotalAlloc,
-		Objects: after.Mallocs - before.Mallocs,
-	}
-}

@@ -78,15 +78,6 @@ func TestStageReportsAllocations(t *testing.T) {
 	}
 }
 
-func TestMeasureAlloc(t *testing.T) {
-	var sink []byte
-	info := MeasureAlloc(func() { sink = make([]byte, 1<<20) })
-	_ = sink
-	if info.Bytes < 1<<20 {
-		t.Fatalf("alloc bytes = %d, want >= %d", info.Bytes, 1<<20)
-	}
-}
-
 func TestStageLabelsListMatchesConstants(t *testing.T) {
 	want := []string{StagePassA, StageMACPrebuild, StagePassB, StageMerge, StageTstat, StageReport}
 	got := StageLabels()

@@ -1,11 +1,6 @@
 package shaper
 
-import (
-	"fmt"
-	"time"
-
-	"satwatch/internal/services"
-)
+import "satwatch/internal/services"
 
 // Class is a QoS traffic class. The operator prioritizes interactive
 // traffic and shapes video streaming using L3/L4 and domain-name-specific
@@ -53,74 +48,3 @@ func ClassifyFlow(domain string, serverPort uint16) Class {
 	}
 	return ClassBulk
 }
-
-// QoS is a per-subscriber scheduler approximating the operator's strict
-// priority + shaping: interactive traffic is served from its own
-// full-rate bucket (it jumps any bulk/video queue, so it never pays their
-// accumulated debt), bulk and video share the link bucket, and video
-// additionally pays a tighter per-class shaper.
-type QoS struct {
-	inter *TokenBucket
-	link  *TokenBucket
-	video *TokenBucket
-	// bulkHorizon tracks the virtual departure horizon of bulk traffic
-	// so later bulk queues FIFO behind it.
-	bulkHorizon time.Duration
-}
-
-// NewQoS builds a scheduler for a plan: the link bucket enforces the plan
-// rate for bulk+video, the video bucket caps streaming at videoShare of it.
-func NewQoS(plan Plan, videoShare float64) (*QoS, error) {
-	if videoShare <= 0 || videoShare > 1 {
-		return nil, fmt.Errorf("shaper: video share %v outside (0,1]", videoShare)
-	}
-	rate := plan.DownMbps * 1e6 / 8
-	inter, err := NewTokenBucket(rate, rate/4)
-	if err != nil {
-		return nil, err
-	}
-	link, err := NewTokenBucket(rate, rate)
-	if err != nil {
-		return nil, err
-	}
-	video, err := NewTokenBucket(rate*videoShare, rate*videoShare/2)
-	if err != nil {
-		return nil, err
-	}
-	return &QoS{inter: inter, link: link, video: video}, nil
-}
-
-// Depart returns how long a burst of n bytes of the given class waits
-// before leaving the shaper at instant now (a monotonic offset).
-func (q *QoS) Depart(class Class, n int, now time.Duration) time.Duration {
-	switch class {
-	case ClassInteractive:
-		// Strict priority: only interactive traffic's own serialization
-		// matters; bulk/video backlog is pre-empted.
-		return q.inter.Take(n, now)
-	case ClassVideo:
-		wait := q.link.Take(n, now)
-		if vw := q.video.Take(n, now); vw > wait {
-			wait = vw
-		}
-		q.noteBulk(now, wait)
-		return wait
-	default:
-		wait := q.link.Take(n, now)
-		// Bulk also queues behind earlier bulk that has not departed.
-		if q.bulkHorizon > now+wait {
-			wait = q.bulkHorizon - now
-		}
-		q.noteBulk(now, wait)
-		return wait
-	}
-}
-
-func (q *QoS) noteBulk(now, wait time.Duration) {
-	if h := now + wait; h > q.bulkHorizon {
-		q.bulkHorizon = h
-	}
-}
-
-// VideoRate returns the video class's shaped rate in bytes/sec.
-func (q *QoS) VideoRate() float64 { return q.video.RateBytesPerSec() }

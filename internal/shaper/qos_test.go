@@ -1,9 +1,6 @@
 package shaper
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestClassifyFlow(t *testing.T) {
 	cases := []struct {
@@ -25,59 +22,6 @@ func TestClassifyFlow(t *testing.T) {
 		if got := ClassifyFlow(c.domain, c.port); got != c.want {
 			t.Errorf("ClassifyFlow(%q,%d)=%v, want %v", c.domain, c.port, got, c.want)
 		}
-	}
-}
-
-func TestQoSValidation(t *testing.T) {
-	if _, err := NewQoS(Plan30, 0); err == nil {
-		t.Fatal("zero video share accepted")
-	}
-	if _, err := NewQoS(Plan30, 1.5); err == nil {
-		t.Fatal("video share >1 accepted")
-	}
-}
-
-func TestVideoShapedBelowLinkRate(t *testing.T) {
-	q, err := NewQoS(Plan30, 0.4) // 30 Mb/s link, video capped at 12 Mb/s
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Push 30 Mb of video at t=0: at the 12 Mb/s video rate the last
-	// bytes wait ≈2.0-2.5s (minus the burst allowance).
-	var lastWait time.Duration
-	for i := 0; i < 30; i++ {
-		lastWait = q.Depart(ClassVideo, 1_000_000/8*1, 0) // 125 KB chunks
-	}
-	total := 30 * 125_000
-	videoRate := q.VideoRate()
-	expect := time.Duration(float64(total)/videoRate*float64(time.Second)) - time.Second
-	if lastWait < expect/2 {
-		t.Fatalf("video wait %v, want roughly %v (shaping missing)", lastWait, expect)
-	}
-}
-
-func TestInteractiveBypassesBulkBacklog(t *testing.T) {
-	q, err := NewQoS(Plan10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Saturate with bulk.
-	for i := 0; i < 40; i++ {
-		q.Depart(ClassBulk, 250_000, 0)
-	}
-	bulkWait := q.Depart(ClassBulk, 1500, 0)
-	interWait := q.Depart(ClassInteractive, 1500, 0)
-	if interWait >= bulkWait {
-		t.Fatalf("interactive wait %v not below bulk backlog %v", interWait, bulkWait)
-	}
-}
-
-func TestBulkFIFOBacklog(t *testing.T) {
-	q, _ := NewQoS(Plan10, 0.5)
-	w1 := q.Depart(ClassBulk, 2_000_000, 0)
-	w2 := q.Depart(ClassBulk, 2_000_000, 0)
-	if w2 <= w1 {
-		t.Fatalf("later bulk burst departs earlier: %v then %v", w1, w2)
 	}
 }
 

@@ -3,34 +3,19 @@
 // 5 Mb/s uplink; 10/20/30/50/100 Mb/s downlink) and to shape video flows.
 //
 // Two pieces live here. The commercial side is the Plan lineup and the
-// TokenBucket that meters each subscriber's traffic against it: the bucket
+// TokenBucket that meters a subscriber's traffic against it: the bucket
 // answers "when may these bytes leave" rather than dropping, which is how
-// the operator treats non-interactive traffic (drops are tracked only as
-// an observability signal, see shaper_token_drops_total). The policy side
-// (qos.go) classifies flows into the operator's traffic classes —
-// interactive, bulk, shaped video — from L3/L4 fields and domain-specific
-// rules, deciding which flows the bucket shapes at all.
+// the operator treats non-interactive traffic. The policy side (qos.go)
+// classifies flows into the operator's traffic classes — interactive,
+// bulk, shaped video — from L3/L4 fields and domain-specific rules. The
+// simulator applies the plan caps analytically (internal/netsim); the
+// bucket itself is exercised only by the benchmark's micro layer.
 package shaper
 
 import (
 	"fmt"
 	"sync"
 	"time"
-
-	"satwatch/internal/obs"
-	"satwatch/internal/trace"
-)
-
-// Exported metrics (see OBSERVABILITY.md).
-var (
-	mBytes = obs.NewCounter("shaper_bytes_total",
-		"Bytes metered through shaper token buckets.", "bytes")
-	mThrottled = obs.NewCounter("shaper_throttle_events_total",
-		"Take calls that found an empty bucket and had to wait.", "")
-	mWait = obs.NewTimer("shaper_throttle_wait_seconds",
-		"Shaping delay imposed on throttled Take calls.")
-	mDrops = obs.NewCounter("shaper_token_drops_total",
-		"Take calls arriving with the bucket a full burst in debt — the packets a queue-bounded shaper would drop.", "")
 )
 
 // Plan is a commercial subscription tier.
@@ -90,25 +75,8 @@ func ForPlan(p Plan) *TokenBucket {
 // offset) and returns how long the bytes must wait before leaving. The
 // bucket may go negative internally — that debt is what produces the wait.
 func (tb *TokenBucket) Take(n int, now time.Duration) time.Duration {
-	return tb.TakeTraced(n, now, nil)
-}
-
-// TakeTraced is Take recording a shaper.throttle span on fl whenever the
-// call is actually throttled (nil fl records nothing).
-func (tb *TokenBucket) TakeTraced(n int, now time.Duration, fl *trace.Flow) time.Duration {
-	wait := tb.take(n, now)
-	if fl != nil && wait > 0 {
-		fl.Span(trace.SpanShaperThrottle, trace.SegGround, wait, trace.Attrs{
-			"bytes": n, "rate_bps": tb.rate * 8,
-		})
-	}
-	return wait
-}
-
-func (tb *TokenBucket) take(n int, now time.Duration) time.Duration {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	mBytes.Add(int64(n))
 	if now > tb.last {
 		tb.tokens += tb.rate * (now - tb.last).Seconds()
 		if tb.tokens > tb.burst {
@@ -116,17 +84,11 @@ func (tb *TokenBucket) take(n int, now time.Duration) time.Duration {
 		}
 		tb.last = now
 	}
-	if tb.tokens <= -tb.burst {
-		mDrops.Inc()
-	}
 	tb.tokens -= float64(n)
 	if tb.tokens >= 0 {
 		return 0
 	}
-	wait := time.Duration(-tb.tokens / tb.rate * float64(time.Second))
-	mThrottled.Inc()
-	mWait.Observe(wait)
-	return wait
+	return time.Duration(-tb.tokens / tb.rate * float64(time.Second))
 }
 
 // RateBytesPerSec returns the configured rate.

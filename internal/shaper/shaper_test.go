@@ -1,8 +1,6 @@
 package shaper
 
 import (
-	"io"
-	"satwatch/internal/trace"
 	"testing"
 	"time"
 )
@@ -87,25 +85,5 @@ func TestForPlanRate(t *testing.T) {
 	tb := ForPlan(Plan100)
 	if got := tb.RateBytesPerSec(); got != 100e6/8 {
 		t.Fatalf("rate %v", got)
-	}
-}
-
-func TestTakeTracedRecordsThrottleOnly(t *testing.T) {
-	tb, _ := NewTokenBucket(1000, 500)
-	fl := trace.New(io.Discard, 1).Start(0, 0, 0)
-	// The burst passes untraced: no throttle, no span.
-	if w := tb.TakeTraced(500, 0, fl); w != 0 || len(fl.Spans) != 0 {
-		t.Fatalf("unthrottled take recorded a span: wait %v, spans %+v", w, fl.Spans)
-	}
-	w := tb.TakeTraced(1000, 0, fl)
-	if w <= 0 {
-		t.Fatalf("expected a throttle wait, got %v", w)
-	}
-	if len(fl.Spans) != 1 || fl.Spans[0].Name != trace.SpanShaperThrottle {
-		t.Fatalf("expected one %s span, got %+v", trace.SpanShaperThrottle, fl.Spans)
-	}
-	s := fl.Spans[0]
-	if s.Seg != trace.SegGround || s.DurMS != float64(w)/float64(time.Millisecond) {
-		t.Fatalf("span wrong: %+v for wait %v", s, w)
 	}
 }

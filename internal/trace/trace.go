@@ -12,7 +12,7 @@
 // intent index), never a counter or clock, so the same seed and sample
 // rate select the same flows regardless of worker count or scheduling.
 //
-// Instrumented components (mac, pepmodel, shaper, tstat) append spans to
+// Instrumented components (mac, pepmodel, tstat) append spans to
 // the handle as the flow passes through them; each span carries the
 // component's inputs (utilization, FER, rho, ...) as attributes. The
 // component that observes the flow last — the tstat tracker, at flow
@@ -55,10 +55,6 @@ const (
 	// SpanPEPSetup is the PEP connection-setup sojourn (M/M/1 at the
 	// beam's current rho).
 	SpanPEPSetup = "pep.setup"
-	// SpanShaperThrottle is a token-bucket shaping delay imposed on a
-	// throttled Take call (live QoS paths; the macro simulator applies
-	// plan caps analytically and records the bottleneck as flow attrs).
-	SpanShaperThrottle = "shaper.throttle"
 	// SpanGroundRTT is the ground-segment round trip from the gateway
 	// to the server hosting region.
 	SpanGroundRTT = "cdn.ground_rtt"
@@ -90,7 +86,6 @@ func SpanNames() []string {
 		SpanMACDownlink,
 		SpanMACUplink,
 		SpanPEPSetup,
-		SpanShaperThrottle,
 		SpanHandshakeRTT,
 	}
 }

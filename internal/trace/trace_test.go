@@ -178,7 +178,7 @@ func TestSpanNamesSortedAndComplete(t *testing.T) {
 	}
 	want := map[string]bool{
 		SpanPropagation: true, SpanHandover: true, SpanMACUplink: true,
-		SpanMACDownlink: true, SpanPEPSetup: true, SpanShaperThrottle: true,
+		SpanMACDownlink: true, SpanPEPSetup: true,
 		SpanGroundRTT: true, SpanHandshakeRTT: true,
 		SpanLiveQueueWait: true, SpanLiveSynth: true, SpanLiveAdmit: true,
 	}

@@ -1,6 +1,9 @@
 package tstat
 
-import "container/heap"
+import (
+	"container/heap"
+	"sort"
+)
 
 // This file defines the canonical total order over records and the k-way
 // merge the simulator uses to combine per-worker logs. The comparators
@@ -122,6 +125,22 @@ func cmpStr(a, b string) int {
 		return 1
 	}
 	return 0
+}
+
+// SortFlows orders flow records in the canonical total order (start time,
+// then endpoints, then every remaining field — see CompareFlows), so logs
+// sorted or merged from any partitioning compare byte-identically.
+func SortFlows(flows []FlowRecord) {
+	sort.Slice(flows, func(i, j int) bool {
+		return CompareFlows(&flows[i], &flows[j]) < 0
+	})
+}
+
+// SortDNS orders DNS records in the canonical total order (CompareDNS).
+func SortDNS(dns []DNSRecord) {
+	sort.Slice(dns, func(i, j int) bool {
+		return CompareDNS(&dns[i], &dns[j]) < 0
+	})
 }
 
 // mergeHeap is a min-heap over the heads of k sorted runs.

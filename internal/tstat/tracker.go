@@ -17,8 +17,6 @@ var (
 		"Segment events delivered to trackers (counted at Flush).", "")
 	mFlowRecords = obs.NewCounter("tstat_flow_records_total",
 		"Flow records emitted by tracker flushes.", "")
-	mDNSRecords = obs.NewCounter("tstat_dns_records_total",
-		"DNS records emitted by tracker flushes.", "")
 )
 
 // Config tunes the tracker.
@@ -200,7 +198,6 @@ func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
 	t.flowsOut, t.dnsOut = nil, nil
 	mEvents.Add(t.Observed)
 	mFlowRecords.Add(int64(len(flows)))
-	mDNSRecords.Add(int64(len(dns)))
 	return flows, dns
 }
 

@@ -7,10 +7,6 @@ import "satwatch/internal/obs"
 // run a CPE-side and a gateway-side tunnel side by side, and both count
 // here.
 var (
-	mStreamsOpened = obs.NewCounter("tunnel_streams_opened_total",
-		"Streams entered into a tunnel stream table (locally opened plus accepted).", "")
-	mStreamsClosed = obs.NewCounter("tunnel_streams_closed_total",
-		"Streams removed from a tunnel stream table (graceful close, reset, or teardown).", "")
 	mStreamsActive = obs.NewGauge("tunnel_streams_active",
 		"Streams currently in a stream table (opened minus removed); nonzero after full drain = leak.", "")
 	mStreamsReset = obs.NewCounter("tunnel_streams_reset_total",
@@ -19,14 +15,8 @@ var (
 		"Streams torn down by the max-retransmit policy (dead peer).", "")
 	mRetransmits = obs.NewCounter("tunnel_retransmits_total",
 		"Frames retransmitted after an RTO expiry.", "")
-	mRTO = obs.NewGauge("tunnel_rto_seconds",
-		"Adaptive retransmission timeout after the most recent RTT sample (any tunnel).", "seconds")
-	mRawDrops = obs.NewCounter("tunnel_raw_dropped_total",
-		"Raw datagrams dropped because no RecvRaw reader was draining.", "")
 	mWindowStalls = obs.NewCounter("tunnel_window_stalls_total",
 		"Write calls that blocked at least once on a full send window.", "")
 	mFramesSent = obs.NewCounter("tunnel_frames_sent_total",
-		"Frames handed to the transport (first transmissions, retransmissions, ACKs, raw).", "")
-	mFramesReceived = obs.NewCounter("tunnel_frames_received_total",
-		"Well-formed frames received from the transport.", "")
+		"Frames handed to the transport (first transmissions, retransmissions, ACKs).", "")
 )

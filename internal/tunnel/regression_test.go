@@ -261,25 +261,6 @@ func TestWriteRacingCloseNeverSequencesDataAfterFin(t *testing.T) {
 	}
 }
 
-// TestSendRawEnforcesMaxPayload: raw frames must respect the same MTU
-// clamp as DATA instead of riding the 65535-byte wire limit.
-func TestSendRawEnforcesMaxPayload(t *testing.T) {
-	at, bt := newChanPair(0, 0, 25)
-	client := New(at, testConfig(), true)
-	server := New(bt, testConfig(), false)
-	defer client.Close()
-	defer server.Close()
-
-	ok := make([]byte, testConfig().MaxPayload)
-	if err := client.SendRaw(1, ok); err != nil {
-		t.Fatalf("payload at MaxPayload rejected: %v", err)
-	}
-	big := make([]byte, testConfig().MaxPayload+1)
-	if err := client.SendRaw(1, big); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized raw payload: got %v, want ErrTooLarge", err)
-	}
-}
-
 // TestDeadPeerTimesOut: the max-retransmit policy must turn a dead peer
 // into ErrTimeout instead of probing forever.
 func TestDeadPeerTimesOut(t *testing.T) {

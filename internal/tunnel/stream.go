@@ -75,9 +75,6 @@ func (s *Stream) Err() error {
 	return s.err
 }
 
-// Dst returns the destination label carried by the OPEN frame.
-func (s *Stream) Dst() string { return s.dst }
-
 // reserveLocked assigns the next sequence number to a frame and
 // registers it for retransmission; the caller holds s.mu and transmits
 // after unlocking. Keeping the reservation under the caller's lock is

@@ -40,12 +40,6 @@ const (
 	frameAck
 	frameFin
 	frameReset
-	// frameRaw carries one unreliable datagram (§2.1: UDP traffic "cannot
-	// benefit from PEP acceleration and therefore UDP packets are
-	// forwarded as is"): no sequence numbers, no ACKs, no retransmission.
-	// The stream-ID field carries an opaque flow label; the seq field
-	// carries nothing.
-	frameRaw
 )
 
 const headerLen = 1 + 4 + 4 + 2
@@ -57,8 +51,8 @@ type Config struct {
 	RTO time.Duration
 	// Window is the per-stream send window in frames.
 	Window int
-	// MaxPayload is the maximum DATA payload per frame; it also clamps
-	// SendRaw, so no frame ever exceeds the link MTU the value models.
+	// MaxPayload is the maximum DATA payload per frame, so no frame
+	// ever exceeds the link MTU the value models.
 	MaxPayload int
 	// AcceptBacklog bounds pending un-Accept()ed streams.
 	AcceptBacklog int
@@ -98,9 +92,6 @@ func (c Config) withDefaults() Config {
 // ErrClosed is returned on operations over a closed tunnel or stream.
 var ErrClosed = errors.New("tunnel: closed")
 
-// ErrTooLarge is returned by SendRaw for payloads over MaxPayload.
-var ErrTooLarge = errors.New("tunnel: payload exceeds MaxPayload")
-
 // Tunnel is one endpoint of the reliable tunnel.
 type Tunnel struct {
 	tr  Transport
@@ -120,7 +111,6 @@ type Tunnel struct {
 	closed bool
 
 	acceptCh chan *Stream
-	rawCh    chan RawDatagram
 	done     chan struct{}
 	loopErr  error
 
@@ -139,13 +129,6 @@ type Tunnel struct {
 	rto    time.Duration
 }
 
-// RawDatagram is one unreliable datagram received through the tunnel.
-type RawDatagram struct {
-	// FlowID is the opaque label the sender attached (e.g. a NAT flow).
-	FlowID  uint32
-	Payload []byte
-}
-
 // New creates a tunnel endpoint over a transport and starts its receive
 // and retransmission loops. isClient selects the stream-ID parity so the
 // two endpoints never collide when opening streams.
@@ -157,7 +140,6 @@ func New(tr Transport, cfg Config, isClient bool) *Tunnel {
 		dead:     make(map[uint32]tombstone),
 		early:    make(map[uint32][]earlyFrame),
 		acceptCh: make(chan *Stream, cfg.withDefaults().AcceptBacklog),
-		rawCh:    make(chan RawDatagram, 256),
 		done:     make(chan struct{}),
 	}
 	t.framePool = newBufPool(headerLen + t.cfg.MaxPayload)
@@ -186,7 +168,6 @@ func (t *Tunnel) OpenStream(dst string) (*Stream, error) {
 	s := newStream(t, id, dst)
 	t.streams[id] = s
 	t.mu.Unlock()
-	mStreamsOpened.Inc()
 	mStreamsActive.Add(1)
 
 	// The OPEN frame is retransmitted like data (seq 0 carries the dst).
@@ -221,7 +202,6 @@ func (t *Tunnel) sampleRTT(rtt time.Duration) {
 		rto = max
 	}
 	t.rto = rto
-	mRTO.Set(rto.Seconds())
 }
 
 // currentRTO returns the retransmission timeout in force.
@@ -237,33 +217,6 @@ func (t *Tunnel) RTTEstimate() time.Duration {
 	t.rttMu.Lock()
 	defer t.rttMu.Unlock()
 	return t.srtt
-}
-
-// SendRaw forwards one datagram unreliably (no ACK, no retransmission):
-// the non-accelerated UDP path of the PEP architecture. flowID is an
-// opaque label the receiver uses to demultiplex. Payloads over
-// MaxPayload are rejected with ErrTooLarge — raw frames must respect
-// the same MTU clamp as DATA, not ride the 65535-byte wire limit.
-func (t *Tunnel) SendRaw(flowID uint32, payload []byte) error {
-	if t.isClosed() {
-		return ErrClosed
-	}
-	if len(payload) > t.cfg.MaxPayload {
-		return fmt.Errorf("%w (%d > %d)", ErrTooLarge, len(payload), t.cfg.MaxPayload)
-	}
-	return t.send(frameRaw, flowID, 0, payload)
-}
-
-// RecvRaw blocks for the next raw datagram. Datagrams arriving while no
-// reader is waiting beyond the channel buffer are dropped, matching UDP
-// semantics.
-func (t *Tunnel) RecvRaw() (RawDatagram, error) {
-	select {
-	case d := <-t.rawCh:
-		return d, nil
-	case <-t.done:
-		return RawDatagram{}, t.closeReason()
-	}
 }
 
 // Accept blocks for the next incoming stream and its destination label.
@@ -303,12 +256,6 @@ func (t *Tunnel) Close() error {
 		s.teardown(ErrClosed)
 	}
 	return t.tr.Close()
-}
-
-func (t *Tunnel) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
 }
 
 // NumStreams returns the number of live streams in the stream table. It
@@ -384,19 +331,6 @@ func (t *Tunnel) dispatch(dgram []byte) {
 		return // truncated: drop
 	}
 	payload := dgram[headerLen : headerLen+n]
-	mFramesReceived.Inc()
-
-	if typ == frameRaw {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		select {
-		case t.rawCh <- RawDatagram{FlowID: id, Payload: cp}:
-		default:
-			// Receiver not draining: drop, as UDP would.
-			mRawDrops.Inc()
-		}
-		return
-	}
 
 	t.mu.Lock()
 	s, ok := t.streams[id]
@@ -426,7 +360,6 @@ func (t *Tunnel) dispatch(dgram []byte) {
 			replay := t.early[id]
 			delete(t.early, id)
 			t.mu.Unlock()
-			mStreamsOpened.Inc()
 			mStreamsActive.Add(1)
 			s.sendAck(1)
 			select {
@@ -493,7 +426,6 @@ func (t *Tunnel) removeStream(id uint32, reset bool) {
 		next := s.recvNext
 		s.mu.Unlock()
 		t.dead[id] = tombstone{recvNext: next, at: time.Now(), reset: reset}
-		mStreamsClosed.Inc()
 		mStreamsActive.Add(-1)
 	}
 	t.mu.Unlock()

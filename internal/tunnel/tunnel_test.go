@@ -537,64 +537,40 @@ func TestEarlyDataReplayedAfterLateOpen(t *testing.T) {
 	}
 }
 
-func TestRawDatagrams(t *testing.T) {
+// TestUnknownFrameTypeIsDropped: a well-formed frame of a type this
+// endpoint does not know (a newer or foreign peer) is discarded, on an
+// unknown stream ID and on a live one, and the stream carries on.
+func TestUnknownFrameTypeIsDropped(t *testing.T) {
 	at, bt := newChanPair(0, 0, 16)
 	client := New(at, testConfig(), true)
 	server := New(bt, testConfig(), false)
 	defer client.Close()
 	defer server.Close()
 
-	if err := client.SendRaw(7, []byte("dns query")); err != nil {
-		t.Fatal(err)
-	}
-	d, err := server.RecvRaw()
+	s, err := client.OpenStream("origin.example:443")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FlowID != 7 || string(d.Payload) != "dns query" {
-		t.Fatalf("got %+v", d)
-	}
-	// And back.
-	if err := server.SendRaw(7, []byte("dns answer")); err != nil {
+	srv, _, err := server.Accept()
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = client.RecvRaw()
-	if err != nil || string(d.Payload) != "dns answer" {
-		t.Fatalf("return path: %+v %v", d, err)
+	const frameUnknown = frameReset + 1
+	for _, id := range []uint32{s.ID(), 9999} {
+		if err := client.send(frameUnknown, id, 0, []byte("ignored")); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-func TestRawDatagramsAreUnreliable(t *testing.T) {
-	at, bt := newChanPair(1.0, 0, 17) // total loss
-	client := New(at, testConfig(), true)
-	server := New(bt, testConfig(), false)
-	defer client.Close()
-	defer server.Close()
-	if err := client.SendRaw(1, []byte("vanishes")); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
 	go func() {
-		server.RecvRaw()
-		close(done)
+		s.Write([]byte("still here"))
+		s.Close()
 	}()
-	select {
-	case <-done:
-		t.Fatal("raw datagram survived a fully lossy link — it must not be retransmitted")
-	case <-time.After(5 * testConfig().RTO):
+	got, err := io.ReadAll(srv)
+	if err != nil || string(got) != "still here" {
+		t.Fatalf("stream after unknown frames: %q, %v", got, err)
 	}
-}
-
-func TestRawOnClosedTunnel(t *testing.T) {
-	at, bt := newChanPair(0, 0, 18)
-	client := New(at, testConfig(), true)
-	New(bt, testConfig(), false)
-	client.Close()
-	if err := client.SendRaw(1, []byte("x")); err == nil {
-		t.Fatal("send on closed tunnel accepted")
-	}
-	if _, err := client.RecvRaw(); err == nil {
-		t.Fatal("recv on closed tunnel accepted")
+	if n := server.NumStreams(); n > 1 {
+		t.Fatalf("unknown frame created a stream: %d in table", n)
 	}
 }
 

@@ -47,16 +47,6 @@ func SubnetFor(code geo.CountryCode) (netip.Prefix, bool) {
 	return netip.Prefix{}, false
 }
 
-// CountryOfAddr recovers the country of a (non-anonymized) CPE address.
-func CountryOfAddr(addr netip.Addr) (geo.CountryCode, bool) {
-	for i, p := range profiles {
-		if countrySubnet(i).Contains(addr) {
-			return p.Country.Code, true
-		}
-	}
-	return "", false
-}
-
 // addrFor places customer j of country idx inside its /16.
 func addrFor(countryIdx, j int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(16 + countryIdx), byte(j / 250), byte(2 + j%250)})

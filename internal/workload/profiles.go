@@ -12,7 +12,6 @@ package workload
 import (
 	"satwatch/internal/dist"
 	"satwatch/internal/geo"
-	"satwatch/internal/services"
 )
 
 // CustomerType is the subscriber archetype.
@@ -114,16 +113,6 @@ func Profiles() []CountryProfile {
 	return out
 }
 
-// ProfileFor returns the profile of a country.
-func ProfileFor(code geo.CountryCode) (CountryProfile, bool) {
-	for _, p := range profiles {
-		if p.Country.Code == code {
-			return p, true
-		}
-	}
-	return CountryProfile{}, false
-}
-
 // Diurnal profiles in LOCAL time per archetype. Residential leisure peaks
 // in the evening (Figure 4's European 18:00-20:00 UTC peak); community APs
 // and businesses are day-heavy, which — combined with the African type mix
@@ -202,15 +191,4 @@ func PenetrationFor(service string, country geo.Country) float64 {
 		sum += m[c]
 	}
 	return sum / float64(len(codes)) / 100
-}
-
-// PenetrationMatrix exposes the Figure 6 services in row order for the
-// report stage.
-func PenetrationMatrix() (rows []string, get func(string, geo.CountryCode) float64) {
-	for _, s := range services.Intentional() {
-		rows = append(rows, s.Name)
-	}
-	return rows, func(service string, code geo.CountryCode) float64 {
-		return penetration[service][code]
-	}
 }

@@ -32,9 +32,6 @@ func NewSource(customers []*Customer, root *dist.Rand) *Source {
 	return &Source{customers: customers, root: root}
 }
 
-// Day returns the simulation day the source is currently generating.
-func (s *Source) Day() int { return s.day }
-
 // Next returns the next flow intent in start order. It never runs dry:
 // exhausting a day's buffer generates the next day for every customer.
 // The returned pointer is valid until the following Next call consumes
@@ -47,9 +44,6 @@ func (s *Source) Next() *FlowIntent {
 	s.pos++
 	return fi
 }
-
-// Pending returns how many intents of the current day remain buffered.
-func (s *Source) Pending() int { return len(s.buf) - s.pos }
 
 func (s *Source) generateDay() {
 	s.buf = s.buf[:0]

@@ -78,8 +78,8 @@ func TestBuildPopulationComposition(t *testing.T) {
 			t.Fatalf("duplicate CPE address %v", c.Addr)
 		}
 		seenAddr[c.Addr.String()] = true
-		if code, ok := CountryOfAddr(c.Addr); !ok || code != c.Country.Code {
-			t.Fatalf("address %v maps to %v, want %v", c.Addr, code, c.Country.Code)
+		if sub, ok := SubnetFor(c.Country.Code); !ok || !sub.Contains(c.Addr) {
+			t.Fatalf("address %v outside %v, the block of %v", c.Addr, sub, c.Country.Code)
 		}
 		if c.Multiplex < 1 {
 			t.Fatal("multiplex below 1")

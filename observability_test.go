@@ -2,6 +2,7 @@ package satwatch
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -166,5 +167,115 @@ func TestDocsNameOnlyExistingTools(t *testing.T) {
 		if !strings.Contains(tree, "\n  "+tool+"/ ") {
 			t.Errorf("cmd/%s has no row in README's \"What is in here\"", tool)
 		}
+	}
+}
+
+// metricName matches a quoted registry name: "<family>_<snake_case>".
+var metricName = regexp.MustCompile(`"((?:netsim|mac|pep|phy|tstat|dnssim|faults|tunnel|live)_[a-z0-9_]+)"`)
+
+// TestBenchmarkMetricNamesRegistered guards the frozen benchmark's
+// silent zero: its counter(name) reads 0 for a name the registry does
+// not hold, so deleting or renaming a metric it reads would quietly
+// disarm a validity rule (live conservation, pepload leak). Every
+// registry name quoted under benchmark/ must be registered.
+func TestBenchmarkMetricNamesRegistered(t *testing.T) {
+	files, err := filepath.Glob("benchmark/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark sources found: %v", err)
+	}
+	read := map[string]bool{}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metricName.FindAllStringSubmatch(string(src), -1) {
+			read[m[1]] = true
+		}
+	}
+	delete(read, "mac_prebuild") // manifest stage key, not a metric
+	if len(read) == 0 {
+		t.Fatal("found no registry names under benchmark/ — has counter(name) moved?")
+	}
+	for name := range read {
+		if _, ok := obs.Default.Get(name); !ok {
+			t.Errorf("benchmark/ reads %q, which is not registered (counter() would read 0)", name)
+		}
+	}
+}
+
+// TestEveryMetricHasAReader is the other half of the doc cross-checks: a
+// registered metric must be read somewhere, not merely written and
+// documented. A reader is the CI workflow, the live dashboard, the
+// benchmark, Go code or a test that names it in a string literal or
+// reads its variable (Value/Count/Total/Sum), OBSERVABILITY.md text
+// outside the metric's own table row, or the DESIGN.md §6 model→metric
+// table. A metric with none of these is deleted, or — for an error or
+// fault counter — given the runbook line that tells an operator what a
+// nonzero value means.
+func TestEveryMetricHasAReader(t *testing.T) {
+	var corpus strings.Builder // everything that counts as reading a name
+	mustRead := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	corpus.WriteString(mustRead(".github/workflows/ci.yml"))
+	corpus.WriteString(mustRead("internal/live/dashboard.html"))
+	_, sec6, ok := strings.Cut(mustRead("DESIGN.md"), "\n## 6. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 6")
+	}
+	sec6, _, _ = strings.Cut(sec6, "\n## ")
+	corpus.WriteString(sec6)
+	for _, line := range strings.Split(mustRead("OBSERVABILITY.md"), "\n") {
+		if strings.HasPrefix(line, "| `") { // table row: its first cell declares, the rest may read
+			_, line, _ = strings.Cut(line[1:], "|")
+		}
+		corpus.WriteString(line + "\n")
+	}
+
+	// Go sources: a quoted name outside its own obs.New* call reads by
+	// name; <var>.Value()/Count()/Total()/Sum() reads through the package
+	// variable (a metric registered into a struct field has none).
+	registration := regexp.MustCompile(`(?:(\w+)\s*=|\w+:)\s*obs\.New(?:Counter|Gauge|Timer|Histogram)\(\s*"([^"]+)"`)
+	varOf := map[string]string{}
+	var goSrc strings.Builder
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		for _, line := range strings.Split(mustRead(path), "\n") {
+			if m := registration.FindStringSubmatch(line); m != nil {
+				varOf[m[2]] = m[1]
+				continue
+			}
+			goSrc.WriteString(line + "\n")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := map[string]bool{} // every name some reader mentions
+	for _, w := range regexp.MustCompile(`[a-z0-9_]+`).FindAllString(corpus.String(), -1) {
+		read[w] = true
+	}
+	code := goSrc.String()
+	for _, m := range metricName.FindAllStringSubmatch(code, -1) {
+		read[m[1]] = true
+	}
+	varRead := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\b(\w+)\.(?:Value|Count|Total|Sum)\(`).FindAllStringSubmatch(code, -1) {
+		varRead[m[1]] = true
+	}
+
+	for _, s := range obs.Default.Snapshot() {
+		if read[s.Name] || varRead[varOf[s.Name]] {
+			continue
+		}
+		t.Errorf("metric %q is written but nothing reads it: delete it, or give it a gate, a panel or a runbook line", s.Name)
 	}
 }
