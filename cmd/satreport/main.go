@@ -1,6 +1,7 @@
 // Command satreport runs the full reproduction pipeline and prints every
 // table and figure of the paper's evaluation, optionally exporting the
-// anonymized flow/DNS logs and the ERRANT emulation profiles.
+// run's four logs (-logs: flows.tsv, dns.tsv, meta.tsv, prefixes.tsv —
+// what -from reads back) and the ERRANT emulation profiles.
 //
 // Simulated runs write a manifest.json next to their outputs (config,
 // seed, version, per-stage timings, output digests, run status);
@@ -10,10 +11,10 @@
 // -debug-addr serves /metrics, /progress and /debug/pprof live (see
 // OBSERVABILITY.md).
 //
-// Replay (-from) tolerates corrupt log lines by default — they are
-// skipped, counted (netsim_rows_skipped_total) and reported, the salvage
-// path for logs out of an interrupted run. -strict restores
-// fail-on-first-error.
+// Replay (-from, -live-history) tolerates corrupt log lines by default —
+// they are skipped, counted (netsim_rows_skipped_total) and reported, the
+// salvage path for logs out of an interrupted run (DESIGN.md §7). -strict
+// fails on the first one instead, naming it.
 //
 // Exit codes: 0 on success, 1 on error, 2 when the analysis ran on
 // incomplete data (degraded/interrupted simulation, or skipped rows in
@@ -59,7 +60,7 @@ func run() (int, error) {
 	parallelism := flag.Int("parallelism", 0, "simulation workers, both passes (0 = GOMAXPROCS); output is identical at any value")
 	intentCacheMB := flag.Int("intent-cache-mb", 0, "pass-A intent cache budget in MiB (0 = 512, negative disables)")
 	faultsArg := flag.String("faults", "", "fault schedule: a JSON file or a preset ("+strings.Join(faults.PresetNames(), ", ")+")")
-	logsDir := flag.String("logs", "", "directory to write flows.tsv and dns.tsv into")
+	logsDir := flag.String("logs", "", "directory to write flows.tsv, dns.tsv, meta.tsv and prefixes.tsv into")
 	fromDir := flag.String("from", "", "re-analyze saved logs (flows.tsv/dns.tsv/meta.tsv/prefixes.tsv) instead of simulating")
 	liveHistory := flag.String("live-history", "", "replay a satlive -history window log (file or directory) into report tables instead of simulating")
 	strict := flag.Bool("strict", false, "fail on the first corrupt log line in -from replay instead of skipping it")
@@ -211,9 +212,8 @@ func run() (int, error) {
 		fmt.Printf("wrote %s\n", filepath.Join(dir, obs.ManifestName))
 	}
 
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "satreport: skipped %d corrupt log lines (use -strict to fail instead)\n", skipped)
-		return 2, nil
+	if code := obs.SalvageExit("satreport", "log", skipped); code != 0 {
+		return code, nil
 	}
 	if *fromDir == "" {
 		if st := res.Output.Stats.Status(); st != netsim.StatusOK {
@@ -238,21 +238,16 @@ func runLiveHistory(path string, strict bool, metricsOut string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if strict && st.Skipped > 0 {
-		return 0, fmt.Errorf("%s: %d corrupt history lines", path, st.Skipped)
+	if strict && st.First != nil {
+		return 0, fmt.Errorf("%s: %w", path, st.First)
 	}
-	netsim.CountSkippedRows(st.Skipped)
 	fmt.Print(live.RenderHistory(ws))
 	if metricsOut != "" {
 		if err := obs.DumpMetrics(metricsOut); err != nil {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 	}
-	if st.Skipped > 0 {
-		fmt.Fprintf(os.Stderr, "satreport: skipped %d corrupt history lines (use -strict to fail instead)\n", st.Skipped)
-		return 2, nil
-	}
-	return 0, nil
+	return obs.SalvageExit("satreport", "history", st.Skipped), nil
 }
 
 // replay rebuilds the analysis from logs previously written by satgen or

@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 
-	"satwatch/internal/netsim"
 	"satwatch/internal/obs"
 	"satwatch/internal/trace"
 )
@@ -99,13 +98,9 @@ func run() (int, error) {
 		}
 	}
 
-	var flows []*trace.Flow
-	var st trace.ReadStats
-	var err error
-	if *strict {
-		flows, err = trace.ReadFiles(paths)
-	} else {
-		flows, st, err = trace.ReadFilesTolerant(paths)
+	flows, st, err := trace.ReadFilesTolerant(paths)
+	if err == nil && *strict {
+		err = st.First
 	}
 	if err != nil {
 		return 0, err
@@ -115,12 +110,14 @@ func run() (int, error) {
 		// stream regardless of file order.
 		trace.SortByStart(flows)
 	}
-	// The same salvage counter the replay path uses, so the -metrics dump
-	// records how much of the trace was unreadable.
-	netsim.CountSkippedRows(st.Skipped)
+	// Every rendering ends the same way: the skip line and exit 2 if the
+	// trace was salvaged, then the metrics dump.
+	done := func() (int, error) {
+		return finish(obs.SalvageExit("sattrace", "trace", st.Skipped), *metricsOut)
+	}
 	if len(flows) == 0 {
 		fmt.Println("no traced flows (sampling selected none — lower -trace-sample)")
-		return finish(exitSkipped(st.Skipped), *metricsOut)
+		return done()
 	}
 
 	if *flowID != "" {
@@ -129,7 +126,7 @@ func run() (int, error) {
 			return 0, fmt.Errorf("flow %s not in %s (%d flows)", *flowID, strings.Join(paths, ","), len(flows))
 		}
 		fmt.Print(trace.Waterfall(f))
-		return finish(exitSkipped(st.Skipped), *metricsOut)
+		return done()
 	}
 
 	if ctx.Err() != nil {
@@ -154,17 +151,7 @@ func run() (int, error) {
 			fmt.Print(trace.Waterfall(f))
 		}
 	}
-	return finish(exitSkipped(st.Skipped), *metricsOut)
-}
-
-// exitSkipped maps a skipped-line count to the process exit code: 2
-// flags output rendered from salvaged, incomplete data.
-func exitSkipped(skipped int) int {
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "sattrace: skipped %d corrupt trace lines (use -strict to fail instead)\n", skipped)
-		return 2
-	}
-	return 0
+	return done()
 }
 
 // finish dumps the metrics registry when requested, then passes the exit

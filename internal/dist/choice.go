@@ -68,36 +68,6 @@ func (w *Weighted[T]) Weight(i int) float64 {
 	return (w.cum[i] - prev) / w.total
 }
 
-// Zipf ranks n alternatives with probability proportional to 1/rank^s.
-// It is used for domain popularity within a service.
-type Zipf struct {
-	w *Weighted[int]
-}
-
-// NewZipf builds a Zipf chooser over ranks [0,n) with exponent s (s>0).
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dist: zipf needs n > 0, got %d", n)
-	}
-	if s <= 0 {
-		return nil, fmt.Errorf("dist: zipf needs s > 0, got %v", s)
-	}
-	items := make([]int, n)
-	weights := make([]float64, n)
-	for i := range items {
-		items[i] = i
-		weights[i] = 1 / math.Pow(float64(i+1), s)
-	}
-	w, err := NewWeighted(items, weights)
-	if err != nil {
-		return nil, err
-	}
-	return &Zipf{w: w}, nil
-}
-
-// Sample draws a rank in [0,n).
-func (z *Zipf) Sample(r *Rand) int { return z.w.Sample(r) }
-
 // Empirical is a piecewise-linear inverse-CDF described by quantile knots.
 // It is used where the paper reports a distribution only through a handful
 // of quantiles.

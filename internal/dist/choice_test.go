@@ -60,35 +60,6 @@ func TestWeightedWeightAccessor(t *testing.T) {
 	}
 }
 
-func TestZipfRankOrdering(t *testing.T) {
-	z, err := NewZipf(10, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRand(8)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample(r)]++
-	}
-	if counts[0] <= counts[4] || counts[4] <= counts[9] {
-		t.Fatalf("zipf counts not rank-ordered: %v", counts)
-	}
-	// Rank 0 over rank 1 should be ~2x for s=1.
-	ratio := float64(counts[0]) / float64(counts[1])
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("rank0/rank1 ratio %.2f, want ≈2", ratio)
-	}
-}
-
-func TestZipfValidation(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := NewZipf(5, 0); err == nil {
-		t.Fatal("s=0 accepted")
-	}
-}
-
 func TestEmpiricalValidation(t *testing.T) {
 	if _, err := NewEmpirical([]float64{0.5}, []float64{1}); err == nil {
 		t.Fatal("single knot accepted")

@@ -105,76 +105,7 @@ func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
 // Median returns exp(mu).
 func (d LogNormal) Median() float64 { return math.Exp(d.Mu) }
 
-// Quantile returns the q-quantile (0<q<1) using the normal quantile of the log.
-func (d LogNormal) Quantile(q float64) float64 {
-	return math.Exp(d.Mu + d.Sigma*normQuantile(q))
-}
-
 // Sample draws one value.
 func (d LogNormal) Sample(r *Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*r.NormFloat64())
 }
-
-// Pareto is a bounded Pareto distribution on [Min, Max] with shape Alpha.
-// Bounding keeps single samples from dominating small simulated populations
-// while preserving the heavy tail the paper's volume distributions show.
-type Pareto struct {
-	Min   float64
-	Max   float64
-	Alpha float64
-}
-
-// Sample draws one value via inverse-CDF of the bounded Pareto.
-func (p Pareto) Sample(r *Rand) float64 {
-	if p.Min <= 0 || p.Max <= p.Min {
-		return p.Min
-	}
-	a := p.Alpha
-	if a <= 0 {
-		a = 1
-	}
-	u := r.Float64()
-	la, ha := math.Pow(p.Min, a), math.Pow(p.Max, a)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/a)
-	if x < p.Min {
-		x = p.Min
-	}
-	if x > p.Max {
-		x = p.Max
-	}
-	return x
-}
-
-// normQuantile is the inverse standard normal CDF (Acklam's rational
-// approximation, |relative error| < 1.15e-9), enough for reporting quantiles.
-func normQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= phigh:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
-// NormQuantile exposes the inverse standard normal CDF.
-func NormQuantile(p float64) float64 { return normQuantile(p) }

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -92,72 +91,5 @@ func TestLogNormalMedianAndMean(t *testing.T) {
 	frac := float64(below) / n
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Fatalf("%.3f of samples below the median, want ~0.5", frac)
-	}
-}
-
-func TestLogNormalQuantileMonotone(t *testing.T) {
-	d := LogNormalFromMedian(10, 2)
-	prev := 0.0
-	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		v := d.Quantile(q)
-		if v <= prev {
-			t.Fatalf("quantile %.2f=%.4f not increasing past %.4f", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestParetoBounds(t *testing.T) {
-	p := Pareto{Min: 10, Max: 1000, Alpha: 1.2}
-	r := NewRand(13)
-	for i := 0; i < 10000; i++ {
-		x := p.Sample(r)
-		if x < p.Min || x > p.Max {
-			t.Fatalf("sample %.3f outside [%v,%v]", x, p.Min, p.Max)
-		}
-	}
-}
-
-func TestParetoHeavyTail(t *testing.T) {
-	p := Pareto{Min: 1, Max: 1e6, Alpha: 1.0}
-	r := NewRand(17)
-	over := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if p.Sample(r) > 100 {
-			over++
-		}
-	}
-	// For alpha=1 bounded Pareto with a huge max, P(X>100) ≈ 1/100.
-	frac := float64(over) / n
-	if frac < 0.005 || frac > 0.02 {
-		t.Fatalf("tail fraction %.4f, want ≈0.01", frac)
-	}
-}
-
-func TestNormQuantile(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0}, {0.8413, 1.0}, {0.1587, -1.0}, {0.9772, 2.0},
-	}
-	for _, c := range cases {
-		if got := NormQuantile(c.p); math.Abs(got-c.want) > 0.01 {
-			t.Errorf("NormQuantile(%v)=%.4f, want %.2f", c.p, got, c.want)
-		}
-	}
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
-		t.Fatal("NormQuantile edges not infinite")
-	}
-}
-
-func TestNormQuantileRoundTripProperty(t *testing.T) {
-	// Phi(Phi^-1(p)) ≈ p via the error function.
-	f := func(u uint16) bool {
-		p := (float64(u) + 1) / 65537 // in (0,1)
-		x := NormQuantile(p)
-		phi := 0.5 * (1 + math.Erf(x/math.Sqrt2))
-		return math.Abs(phi-p) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

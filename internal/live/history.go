@@ -5,11 +5,10 @@ package live
 // /analytics history it died with, and satreport -live-history can
 // replay a log offline. Each summary is one line written in a single
 // O_APPEND write followed by Sync — a crash corrupts at most the final
-// line, which the tolerant reader (same contract as satreport -from)
-// skips and counts instead of aborting on.
+// line, which the reader skips and counts under the salvage policy of
+// obs.ReadLines, the same one satreport -from reads under.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,16 +17,12 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"satwatch/internal/obs"
 )
 
 // HistoryFileName is the log file inside a -history directory.
 const HistoryFileName = "history.jsonl"
-
-// HistoryStats reports what a tolerant history read consumed.
-type HistoryStats struct {
-	Lines   int
-	Skipped int
-}
 
 // HistoryLog is the append destination for finalized windows. Safe for
 // concurrent use (finalization is serialized anyway, but the control
@@ -43,20 +38,20 @@ type HistoryLog struct {
 // replaying whatever the log already holds: the returned summaries are
 // the previous incarnations' finalized windows, oldest first, and stats
 // counts any corrupt lines skipped.
-func OpenHistory(dir string) (*HistoryLog, []WindowSummary, HistoryStats, error) {
+func OpenHistory(dir string) (*HistoryLog, []WindowSummary, obs.ReadStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, HistoryStats{}, fmt.Errorf("live: history dir: %w", err)
+		return nil, nil, obs.ReadStats{}, fmt.Errorf("live: history dir: %w", err)
 	}
 	path := filepath.Join(dir, HistoryFileName)
 	var prior []WindowSummary
-	var st HistoryStats
+	var st obs.ReadStats
 	if _, err := os.Stat(path); err == nil {
 		prior, st, err = ReadHistoryFile(path)
 		if err != nil {
 			return nil, nil, st, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, _, err := obs.OpenAppend(path)
 	if err != nil {
 		return nil, nil, st, fmt.Errorf("live: open history: %w", err)
 	}
@@ -113,33 +108,22 @@ func (h *HistoryLog) Close() error {
 // ReadHistoryFile replays a history log tolerantly: corrupt lines (a
 // truncated tail after a crash, editor garbage) are skipped and
 // counted. Summaries return in file order, which is finalization order.
-func ReadHistoryFile(path string) ([]WindowSummary, HistoryStats, error) {
+func ReadHistoryFile(path string) ([]WindowSummary, obs.ReadStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, HistoryStats{}, err
+		return nil, obs.ReadStats{}, err
 	}
 	defer f.Close()
 	var out []WindowSummary
-	var st HistoryStats
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
+	st, err := obs.ReadLines(f, "live: history", "", func(line []byte) error {
 		var s WindowSummary
-		if err := json.Unmarshal(b, &s); err != nil {
-			st.Skipped++
-			continue
+		err := json.Unmarshal(line, &s)
+		if err == nil {
+			out = append(out, s)
 		}
-		st.Lines++
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, st, fmt.Errorf("live: read history: %w", err)
-	}
-	return out, st, nil
+		return err
+	})
+	return out, st, err
 }
 
 // RenderHistory folds a replayed window list into the standard report

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"satwatch/internal/obs"
 )
 
 func summaryAt(k int64) WindowSummary {
@@ -157,5 +159,55 @@ func TestRenderHistoryTables(t *testing.T) {
 	}
 	if empty := RenderHistory(nil); !strings.Contains(empty, "no finalized windows") {
 		t.Errorf("empty render = %q", empty)
+	}
+}
+
+// The daemon trusts history.jsonl on restart: damage in it is skipped and
+// counted like everywhere else, never a reason not to start.
+func TestDaemonRestartSalvagesDamagedHistory(t *testing.T) {
+	skippedTotal := func() float64 {
+		s, _ := obs.Default.Get("netsim_rows_skipped_total")
+		return s.Value
+	}
+	for _, tc := range []struct {
+		name, damage string
+	}{
+		{"garbage line", "not json at all\n"},
+		{"NUL tail of a power cut", `{"start_ns":12` + strings.Repeat("\x00", 5<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, _, _, err := OpenHistory(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(0); k < 2; k++ {
+				if err := log.Append(summaryAt(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			log.Close()
+			f, err := os.OpenFile(log.Path(), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(tc.damage)
+			f.Close()
+
+			before := skippedTotal()
+			cfg := testConfig()
+			cfg.HistoryDir = dir
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("daemon refused to start on a damaged history: %v", err)
+			}
+			defer p.history.Close()
+			if p.ResumeFrom() != 20*time.Minute {
+				t.Errorf("ResumeFrom = %s, want 20m (both intact windows replayed)", p.ResumeFrom())
+			}
+			if d := skippedTotal() - before; d != 1 {
+				t.Errorf("netsim_rows_skipped_total moved by %v over the replay, want 1", d)
+			}
+		})
 	}
 }

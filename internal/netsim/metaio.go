@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -60,45 +61,48 @@ func WriteLogs(dir string, o *Output) ([]string, error) {
 	return paths, nil
 }
 
-// ReadLogs loads the logs WriteLogs saved in dir — the paper's offline
-// pipeline, where the probe writes at the ground station and the cluster
-// analyzes later. Unless strict, corrupt lines are skipped, counted into
-// netsim_rows_skipped_total and returned as skipped: the salvage path for
-// logs out of an interrupted run.
-func ReadLogs(dir string, strict bool) (o *Output, skipped int, err error) {
-	o = &Output{}
-	if o.Flows, err = readLog(dir, "flows.tsv", strict, &skipped, tstat.ReadFlows, tstat.ReadFlowsTolerant); err != nil {
-		return nil, 0, err
+// parseLog parses one of the run's logs, named as in LogNames, into o.
+func (o *Output) parseLog(name string, r io.Reader) (st obs.ReadStats, err error) {
+	switch name {
+	case "flows.tsv":
+		o.Flows, st, err = tstat.ReadFlowsTolerant(r)
+	case "dns.tsv":
+		o.DNS, st, err = tstat.ReadDNSTolerant(r)
+	case "meta.tsv":
+		o.Meta, st, err = readMeta(r)
+	case "prefixes.tsv":
+		o.CountryPrefixes, st, err = readPrefixes(r)
+	default:
+		err = fmt.Errorf("netsim: no log named %q", name)
 	}
-	if o.DNS, err = readLog(dir, "dns.tsv", strict, &skipped, tstat.ReadDNS, tstat.ReadDNSTolerant); err != nil {
-		return nil, 0, err
-	}
-	if o.Meta, err = readLog(dir, "meta.tsv", strict, &skipped, ReadMeta, ReadMetaTolerant); err != nil {
-		return nil, 0, err
-	}
-	// The prefix table has no tolerant reader: a dozen operator-written
-	// lines every other join depends on.
-	if o.CountryPrefixes, err = readLog(dir, "prefixes.tsv", true, &skipped, ReadPrefixes, nil); err != nil {
-		return nil, 0, err
-	}
-	CountSkippedRows(skipped)
-	return o, skipped, nil
+	return st, err
 }
 
-func readLog[T any](dir, name string, strict bool, skipped *int,
-	read func(io.Reader) (T, error), tolerant func(io.Reader) (T, tstat.ReadStats, error)) (T, error) {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		var zero T
-		return zero, err
+// ReadLogs loads the logs WriteLogs saved in dir — the paper's offline
+// pipeline, where the probe writes at the ground station and the cluster
+// analyzes later. Corrupt lines are skipped and counted (obs.ReadLines)
+// and returned as skipped, the salvage path for logs out of an
+// interrupted run; strict fails on the first one instead.
+func ReadLogs(dir string, strict bool) (o *Output, skipped int, err error) {
+	o = &Output{}
+	for _, name := range LogNames {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			return nil, 0, err
+		}
+		st, err := o.parseLog(name, f)
+		f.Close()
+		// The prefix table is never salvaged: a dozen operator-written
+		// lines every other join depends on.
+		if err == nil && (strict || name == "prefixes.tsv") {
+			err = st.First
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		skipped += st.Skipped
 	}
-	defer f.Close()
-	if strict {
-		return read(f)
-	}
-	v, st, err := tolerant(f)
-	*skipped += st.Skipped
-	return v, err
+	return o, skipped, nil
 }
 
 // WriteMeta writes the customer metadata table as TSV.
@@ -143,6 +147,9 @@ func parseMetaLine(text string) (netip.Addr, CustomerMeta, error) {
 		return netip.Addr{}, m, err
 	}
 	plan, err := strconv.ParseFloat(f[4], 64)
+	if err == nil && (math.IsNaN(plan) || math.IsInf(plan, 0)) {
+		err = fmt.Errorf("plan %v", plan)
+	}
 	if err != nil {
 		return netip.Addr{}, m, err
 	}
@@ -161,52 +168,18 @@ func parseMetaLine(text string) (netip.Addr, CustomerMeta, error) {
 	return addr, m, nil
 }
 
-// readMeta is the shared scanner behind ReadMeta/ReadMetaTolerant.
-func readMeta(r io.Reader, strict bool) (map[netip.Addr]CustomerMeta, tstat.ReadStats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+// readMeta parses a TSV written by WriteMeta, skipping and counting
+// corrupt lines.
+func readMeta(r io.Reader) (map[netip.Addr]CustomerMeta, obs.ReadStats, error) {
 	out := map[netip.Addr]CustomerMeta{}
-	var st tstat.ReadStats
-	first := true
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if first {
-			first = false
-			if text != metaHeader {
-				return nil, st, fmt.Errorf("netsim: meta line 1: unexpected header")
-			}
-			continue
+	st, err := obs.ReadLines(r, "netsim: meta", metaHeader, func(line []byte) error {
+		addr, m, err := parseMetaLine(string(line))
+		if err == nil {
+			out[addr] = m
 		}
-		if text == "" {
-			continue
-		}
-		addr, m, err := parseMetaLine(text)
-		if err != nil {
-			if strict {
-				return nil, st, fmt.Errorf("netsim: meta line %d: %w", line, err)
-			}
-			st.Skipped++
-			continue
-		}
-		st.Lines++
-		out[addr] = m
-	}
-	return out, st, sc.Err()
-}
-
-// ReadMeta parses a TSV written by WriteMeta, failing on the first
-// corrupt line.
-func ReadMeta(r io.Reader) (map[netip.Addr]CustomerMeta, error) {
-	out, _, err := readMeta(r, true)
-	return out, err
-}
-
-// ReadMetaTolerant parses a TSV written by WriteMeta, skipping and
-// counting corrupt lines.
-func ReadMetaTolerant(r io.Reader) (map[netip.Addr]CustomerMeta, tstat.ReadStats, error) {
-	return readMeta(r, false)
+		return err
+	})
+	return out, st, err
 }
 
 // WritePrefixes writes the anonymized country-prefix table as TSV.
@@ -228,36 +201,21 @@ func WritePrefixes(w io.Writer, prefixes map[netip.Prefix]geo.CountryCode) error
 	return bw.Flush()
 }
 
-// ReadPrefixes parses a TSV written by WritePrefixes.
-func ReadPrefixes(r io.Reader) (map[netip.Prefix]geo.CountryCode, error) {
-	sc := bufio.NewScanner(r)
+// readPrefixes parses a TSV written by WritePrefixes.
+func readPrefixes(r io.Reader) (map[netip.Prefix]geo.CountryCode, obs.ReadStats, error) {
 	out := map[netip.Prefix]geo.CountryCode{}
-	first := true
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if first {
-			first = false
-			if text != prefixHeader {
-				return nil, fmt.Errorf("netsim: prefix line 1: unexpected header")
-			}
-			continue
-		}
-		if text == "" {
-			continue
-		}
-		f := strings.Split(text, "\t")
+	st, err := obs.ReadLines(r, "netsim: prefix", prefixHeader, func(line []byte) error {
+		f := strings.Split(string(line), "\t")
 		if len(f) != 2 {
-			return nil, fmt.Errorf("netsim: prefix line %d: %d fields", line, len(f))
+			return fmt.Errorf("%d fields", len(f))
 		}
 		p, err := netip.ParsePrefix(f[0])
-		if err != nil {
-			return nil, fmt.Errorf("netsim: prefix line %d: %w", line, err)
+		if err == nil {
+			out[p] = geo.CountryCode(f[1])
 		}
-		out[p] = geo.CountryCode(f[1])
-	}
-	return out, sc.Err()
+		return err
+	})
+	return out, st, err
 }
 
 func sortAddrs(addrs []netip.Addr) {

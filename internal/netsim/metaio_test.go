@@ -22,9 +22,9 @@ func TestMetaRoundTrip(t *testing.T) {
 	if err := WriteMeta(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
+	out, st, err := readMeta(&buf)
+	if err != nil || st.First != nil {
+		t.Fatal(err, st.First)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in=%v\nout=%v", in, out)
@@ -45,15 +45,15 @@ func TestMetaWriteDeterministic(t *testing.T) {
 }
 
 func TestMetaRejectsGarbage(t *testing.T) {
-	if _, err := ReadMeta(strings.NewReader("nope\n")); err == nil {
+	if _, _, err := readMeta(strings.NewReader("nope\n")); err == nil {
 		t.Fatal("bad header accepted")
 	}
 	bad := metaHeader + "\nnot-an-ip\tCD\t1\t0\t10\t1\tGoogle\n"
-	if _, err := ReadMeta(strings.NewReader(bad)); err == nil {
+	if _, st, _ := readMeta(strings.NewReader(bad)); st.First == nil {
 		t.Fatal("bad address accepted")
 	}
 	short := metaHeader + "\n1.2.3.4\tCD\n"
-	if _, err := ReadMeta(strings.NewReader(short)); err == nil {
+	if _, st, _ := readMeta(strings.NewReader(short)); st.First == nil {
 		t.Fatal("short row accepted")
 	}
 }
@@ -69,7 +69,7 @@ func TestMetaTolerantSkipsAndCounts(t *testing.T) {
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
 	damaged := lines[0] + lines[1] + "not-an-ip\tCD\t1\t0\t10\t1\tGoogle\n" + lines[2][:len(lines[2])/2] + "\n"
-	out, st, err := ReadMetaTolerant(strings.NewReader(damaged))
+	out, st, err := readMeta(strings.NewReader(damaged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMetaTolerantSkipsAndCounts(t *testing.T) {
 		t.Fatalf("salvage: %d rows, stats %+v, want 1 row / 1 line / 2 skipped", len(out), st)
 	}
 	// Tolerance covers damaged rows, not foreign files.
-	if _, _, err := ReadMetaTolerant(strings.NewReader("alpha\tbeta\n1\t2\n")); err == nil {
+	if _, _, err := readMeta(strings.NewReader("alpha\tbeta\n1\t2\n")); err == nil {
 		t.Fatal("tolerant meta read accepted a foreign header")
 	}
 }
@@ -91,14 +91,14 @@ func TestPrefixRoundTrip(t *testing.T) {
 	if err := WritePrefixes(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadPrefixes(&buf)
-	if err != nil {
-		t.Fatal(err)
+	out, st, err := readPrefixes(&buf)
+	if err != nil || st.First != nil {
+		t.Fatal(err, st.First)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatal("prefix round trip mismatch")
 	}
-	if _, err := ReadPrefixes(strings.NewReader("bad\n")); err == nil {
+	if _, _, err := readPrefixes(strings.NewReader("bad\n")); err == nil {
 		t.Fatal("bad header accepted")
 	}
 }
@@ -143,4 +143,34 @@ func TestFullOutputRoundTrip(t *testing.T) {
 	if err != nil || skipped != 1 || len(back.Flows) != len(out.Flows) {
 		t.Errorf("tolerant ReadLogs: %d flows, skipped %d, err %v; want %d, 1, nil", len(back.Flows), skipped, err, len(out.Flows))
 	}
+}
+
+// FuzzParseMetaLine: the metadata line parser never panics, and a line it
+// accepts is one WriteMeta could have written — re-encoded and re-parsed
+// it is the same row.
+func FuzzParseMetaLine(f *testing.F) {
+	good := "77.1.2.3\tCD\t2\t1\t10\t25\tGoogle"
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(strings.Replace(good, "\t10\t", "\tNaN\t", 1))
+	f.Add(strings.Replace(good, "\t10\t", "\t0x1p-2\t", 1))
+	f.Add("not-an-ip\tCD\t1\t0\t10\t1\tGoogle")
+	f.Fuzz(func(t *testing.T, line string) {
+		addr, m, err := parseMetaLine(line)
+		if err != nil || strings.Contains(line, "\n") {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMeta(&buf, map[netip.Addr]CustomerMeta{addr: m}); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("one row encoded to %q", buf.String())
+		}
+		addr2, m2, err := parseMetaLine(lines[1])
+		if err != nil || addr2 != addr || m2 != m {
+			t.Fatalf("%q parsed to %v %+v, re-encoded and re-parsed to %v %+v (%v)", line, addr, m, addr2, m2, err)
+		}
+	})
 }

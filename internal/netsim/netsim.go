@@ -72,8 +72,6 @@ var (
 		"Customer-days dropped from the intent cache by the byte budget (regenerated in pass B).", "")
 	mFlowsDegraded = obs.NewCounter("netsim_flows_degraded_total",
 		"Flows shaped or killed by at least one scheduled fault event (internal/faults).", "")
-	mRowsSkipped = obs.NewCounter("netsim_rows_skipped_total",
-		"Corrupt input rows skipped (and counted) by tolerant readers across the toolchain.", "")
 	mWorkerRecoveries = obs.NewCounter("netsim_worker_recoveries_total",
 		"Worker panics recovered into per-customer errors instead of crashing the run.", "")
 	mCustomersSalvaged = obs.NewCounter("netsim_customers_salvaged_total",
@@ -86,15 +84,6 @@ var (
 	mPassBAllocs = obs.NewCounter("netsim_pass_b_allocs_total",
 		"Heap objects allocated during pass B.", "")
 )
-
-// CountSkippedRows feeds netsim_rows_skipped_total from the tolerant
-// readers in the CLIs (the metric lives here so every tool shares one
-// name for "input rows dropped instead of aborting").
-func CountSkippedRows(n int) {
-	if n > 0 {
-		mRowsSkipped.Add(int64(n))
-	}
-}
 
 // Test hooks (nil outside tests). testHookSynthCustomer runs at the top
 // of every customer synthesis; testHookAfterPassA runs once between the

@@ -23,6 +23,18 @@ func Main(tool string, run func() (int, error)) {
 	os.Exit(code)
 }
 
+// SalvageExit ends a tool that read its input through ReadLines: when
+// lines were skipped the output was rendered from salvaged, incomplete
+// data, so it says so on stderr and returns exit code 2; otherwise 0.
+// what names the input ("log", "trace", "history").
+func SalvageExit(tool, what string, skipped int) int {
+	if skipped == 0 {
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "%s: skipped %d corrupt %s lines (use -strict to fail instead)\n", tool, skipped, what)
+	return 2
+}
+
 // SignalContext returns a context cancelled by the first SIGINT or SIGTERM
 // (SIGTERM is what container runtimes send on stop), so a run can drain —
 // flush logs, write its manifest — instead of dying with lost output. The

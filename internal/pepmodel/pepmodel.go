@@ -118,15 +118,6 @@ func (m Model) Benefit(propRTT time.Duration, rho float64) time.Duration {
 	return 2*propRTT - m.MeanSetupDelay(rho)
 }
 
-// ForwardDelay samples the per-burst forwarding sojourn at utilization rho.
-// It uses the same M/M/1 shape with the (much smaller) forwarding service
-// time, so saturated PEPs also slow mid-connection traffic, just less.
-func (m Model) ForwardDelay(rho float64, r *dist.Rand) time.Duration {
-	rho = m.clampRho(rho)
-	mean := float64(m.ForwardTime) / (1 - rho)
-	return time.Duration(r.Exponential(mean))
-}
-
 // Rho computes the PEP utilization of a beam given the current connection
 // setup rate and the capacity the operator assigned: pepFactor times the
 // dimensioning rate (the setup rate expected at the beam's busiest hour).

@@ -55,19 +55,6 @@ func TestSetupDelaySampleMean(t *testing.T) {
 	}
 }
 
-func TestForwardDelaySmallerThanSetup(t *testing.T) {
-	m := Default()
-	r1, r2 := dist.NewRand(2), dist.NewRand(2)
-	var fwd, setup time.Duration
-	for i := 0; i < 10000; i++ {
-		fwd += m.ForwardDelay(0.9, r1)
-		setup += m.SetupDelay(0.9, r2)
-	}
-	if fwd >= setup {
-		t.Fatal("forwarding delay not smaller than setup delay at equal rho")
-	}
-}
-
 func TestRho(t *testing.T) {
 	// Capacity = peak rate × factor; rho is offered/capacity.
 	if got := Rho(50, 100, 1.0); got != 0.5 {

@@ -162,13 +162,3 @@ func (c Channel) CapacityFactor(rain float64) float64 {
 	}
 	return c.SpectralEfficiency(rain) / clear
 }
-
-// MeanFER returns the long-run frame error rate assuming the station spends
-// rainFraction of the time in fade conditions of intensity rainDepth and
-// clear sky otherwise. Used by the macro flow model; individual micro-sims
-// sample fades explicitly.
-func (c Channel) MeanFER(rainFraction, rainDepth float64) float64 {
-	clear := c.FrameErrorRate(0)
-	faded := c.FrameErrorRate(rainDepth)
-	return clear*(1-rainFraction) + faded*rainFraction
-}

@@ -66,22 +66,6 @@ func TestNigeriaBestChannel(t *testing.T) {
 	}
 }
 
-func TestMeanFERInterpolates(t *testing.T) {
-	ch := chanFor(t, "ZA")
-	clear := ch.FrameErrorRate(0)
-	faded := ch.FrameErrorRate(0.8)
-	mean := ch.MeanFER(0.25, 0.8)
-	if mean < clear || mean > faded {
-		t.Fatalf("mean FER %.3g outside [%.3g, %.3g]", mean, clear, faded)
-	}
-	if ch.MeanFER(0, 0.8) != clear {
-		t.Fatal("zero rain fraction should give clear-sky FER")
-	}
-	if ch.MeanFER(1, 0.8) != faded {
-		t.Fatal("full rain fraction should give faded FER")
-	}
-}
-
 func TestUnknownCountryGetsDefaults(t *testing.T) {
 	ch := ChannelFor(geo.Country{Code: "XX", Lat: 45, Lon: 9})
 	if ch.EdgeFactor != 0.3 {

@@ -7,7 +7,6 @@ package report
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"satwatch/internal/geo"
 )
@@ -101,9 +100,4 @@ func countryName(code geo.CountryCode) string {
 		return c.Name
 	}
 	return string(code)
-}
-
-// secondsToDuration converts float seconds for display.
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }

@@ -274,9 +274,6 @@ func TestFormatters(t *testing.T) {
 	if fmtMbps(30e6) != "30.0 Mb/s" {
 		t.Fatal("fmtMbps")
 	}
-	if secondsToDuration(1.5) != 1500*time.Millisecond {
-		t.Fatal("secondsToDuration")
-	}
 }
 
 func TestTableAlignment(t *testing.T) {

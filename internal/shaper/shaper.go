@@ -93,9 +93,3 @@ func (tb *TokenBucket) Take(n int, now time.Duration) time.Duration {
 
 // RateBytesPerSec returns the configured rate.
 func (tb *TokenBucket) RateBytesPerSec() float64 { return tb.rate }
-
-// DrainDuration returns how long transferring n bytes takes at the plan
-// rate once the burst is exhausted: the steady-state shaping floor.
-func (tb *TokenBucket) DrainDuration(n int64) time.Duration {
-	return time.Duration(float64(n) / tb.rate * float64(time.Second))
-}

@@ -55,15 +55,6 @@ func TestSteadyStateRate(t *testing.T) {
 	}
 }
 
-func TestDrainDuration(t *testing.T) {
-	tb := ForPlan(Plan10) // 10 Mb/s = 1.25 MB/s
-	d := tb.DrainDuration(10 << 20)
-	want := time.Duration(float64(10<<20) / (10e6 / 8) * float64(time.Second))
-	if d < want-time.Millisecond || d > want+time.Millisecond {
-		t.Fatalf("drain %v, want %v", d, want)
-	}
-}
-
 func TestPlansLineup(t *testing.T) {
 	plans := Plans()
 	if len(plans) != 5 {

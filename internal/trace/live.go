@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"satwatch/internal/obs"
 )
 
 // Ring is a bounded, concurrency-safe buffer of the most recently
@@ -130,17 +132,10 @@ func NewRotatingWriter(dir string, maxBytes int64, keep int) (*RotatingWriter, e
 // Current returns the path of the active trace file.
 func (w *RotatingWriter) Current() string { return filepath.Join(w.dir, "trace.jsonl") }
 
-func (w *RotatingWriter) open() error {
-	f, err := os.OpenFile(w.Current(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+func (w *RotatingWriter) open() (err error) {
+	if w.f, w.size, err = obs.OpenAppend(w.Current()); err != nil {
 		return fmt.Errorf("trace: open log: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("trace: stat log: %w", err)
-	}
-	w.f, w.size = f, st.Size()
 	return nil
 }
 
@@ -251,35 +246,4 @@ func SortByStart(flows []*Flow) {
 		}
 		return a.Index < b.Index
 	})
-}
-
-// ReadFilesTolerant reads several JSONL trace files, concatenating
-// their flows and accumulating skip counts across all of them.
-func ReadFilesTolerant(paths []string) ([]*Flow, ReadStats, error) {
-	var all []*Flow
-	var st ReadStats
-	for _, p := range paths {
-		flows, s, err := ReadFileTolerant(p)
-		if err != nil {
-			return nil, st, fmt.Errorf("%s: %w", p, err)
-		}
-		st.Lines += s.Lines
-		st.Skipped += s.Skipped
-		all = append(all, flows...)
-	}
-	return all, st, nil
-}
-
-// ReadFiles reads several JSONL trace files strictly, failing on the
-// first corrupt line in any of them.
-func ReadFiles(paths []string) ([]*Flow, error) {
-	var all []*Flow
-	for _, p := range paths {
-		flows, err := ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		all = append(all, flows...)
-	}
-	return all, nil
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,11 +187,54 @@ func TestRotatingWriterTolerantOfTruncatedTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cut), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	flows, st, err := ReadFileTolerant(path)
+	flows, st, err := ReadFilesTolerant([]string{path})
 	if err != nil {
-		t.Fatalf("ReadFileTolerant: %v", err)
+		t.Fatalf("ReadFilesTolerant: %v", err)
 	}
 	if len(flows) != 2 || st.Skipped != 1 {
 		t.Fatalf("salvage read %d flows, %d skipped; want 2, 1", len(flows), st.Skipped)
+	}
+}
+
+// A daemon killed mid-write leaves a torn last line; the restarted writer
+// must start a fresh line, or its first flow is glued onto the torn one
+// and both are skipped at the next read.
+func TestRotatingWriterRestartAfterTornTailLosesNoFlow(t *testing.T) {
+	dir := t.TempDir()
+	write := func(from, to int) {
+		t.Helper()
+		w, err := NewRotatingWriter(dir, 0, 0)
+		if err != nil {
+			t.Fatalf("NewRotatingWriter: %v", err)
+		}
+		for i := from; i < to; i++ {
+			if _, err := w.Write(liveFlow(0, 0, i, 0)); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	write(0, 3)
+	path := filepath.Join(dir, "trace.jsonl")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+	write(3, 5)
+	flows, st, err := ReadFilesTolerant([]string{path})
+	if err != nil {
+		t.Fatalf("ReadFilesTolerant: %v", err)
+	}
+	var got []int
+	for _, f := range flows {
+		got = append(got, f.Index)
+	}
+	if fmt.Sprint(got) != "[0 1 3 4]" || st.Skipped != 1 {
+		t.Fatalf("read flows %v with %d skipped; want [0 1 3 4] (only the torn f2 lost) and 1", got, st.Skipped)
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,79 +8,70 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"satwatch/internal/obs"
 )
 
-// ReadStats reports what a tolerant read consumed: the JSONL lines it
-// parsed and the corrupt lines it dropped instead of aborting on.
-type ReadStats struct {
-	Lines   int
-	Skipped int
-}
-
-// read is the shared scanner: strict mode fails on the first corrupt
-// line; tolerant mode drops it and counts it — the salvage path for a
-// trace cut short by a kill.
-func read(r io.Reader, strict bool) ([]*Flow, ReadStats, error) {
+// read parses a JSONL trace stream written by Tracer.Close or a
+// RotatingWriter under the salvage policy of obs.ReadLines: corrupt
+// lines — the tail of a trace cut short by a kill — are skipped and
+// counted.
+func read(r io.Reader) ([]*Flow, obs.ReadStats, error) {
 	var flows []*Flow
-	var st ReadStats
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
+	st, err := obs.ReadLines(r, "trace:", "", func(line []byte) error {
 		var f Flow
-		if err := json.Unmarshal(b, &f); err != nil {
-			if strict {
-				return nil, st, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			st.Skipped++
-			continue
+		err := json.Unmarshal(line, &f)
+		if err == nil {
+			flows = append(flows, &f)
 		}
-		st.Lines++
-		flows = append(flows, &f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, st, fmt.Errorf("trace: read: %w", err)
-	}
-	return flows, st, nil
+		return err
+	})
+	return flows, st, err
 }
 
-// Read parses a JSONL trace stream written by Tracer.Close, failing on
-// the first corrupt line.
+// Read is the strict read of one stream: it fails on the first corrupt
+// line.
 func Read(r io.Reader) ([]*Flow, error) {
-	flows, _, err := read(r, true)
+	flows, st, err := read(r)
+	if err == nil {
+		err = st.First
+	}
 	return flows, err
 }
 
-// ReadTolerant parses a JSONL trace stream, skipping and counting
-// corrupt lines.
-func ReadTolerant(r io.Reader) ([]*Flow, ReadStats, error) {
-	return read(r, false)
+// ReadFilesTolerant reads several JSONL trace files, concatenating
+// their flows and accumulating skip counts across all of them.
+func ReadFilesTolerant(paths []string) ([]*Flow, obs.ReadStats, error) {
+	var all []*Flow
+	var st obs.ReadStats
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, st, err
+		}
+		flows, s, err := read(f)
+		f.Close()
+		if err != nil {
+			return nil, st, fmt.Errorf("%s: %w", p, err)
+		}
+		st.Lines += s.Lines
+		st.Skipped += s.Skipped
+		if st.First == nil && s.First != nil {
+			st.First = fmt.Errorf("%s: %w", p, s.First)
+		}
+		all = append(all, flows...)
+	}
+	return all, st, nil
 }
 
-// ReadFile parses a JSONL trace file.
-func ReadFile(path string) ([]*Flow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// ReadFiles is ReadFilesTolerant failing on the first corrupt line in
+// any of the files.
+func ReadFiles(paths []string) ([]*Flow, error) {
+	flows, st, err := ReadFilesTolerant(paths)
+	if err == nil {
+		err = st.First
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-// ReadFileTolerant parses a JSONL trace file, skipping and counting
-// corrupt lines.
-func ReadFileTolerant(path string) ([]*Flow, ReadStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, ReadStats{}, err
-	}
-	defer f.Close()
-	return ReadTolerant(f)
+	return flows, err
 }
 
 // ByID finds a flow by its "c<customer>-d<day>-f<index>" identity.

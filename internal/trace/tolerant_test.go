@@ -15,7 +15,7 @@ not json at all
 {"customer":3,"day":0,"ind`
 
 func TestReadTolerantSkipsAndCounts(t *testing.T) {
-	flows, st, err := ReadTolerant(strings.NewReader(cutTrace))
+	flows, st, err := read(strings.NewReader(cutTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,22 @@ func TestReadFileTolerant(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cutTrace), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	flows, st, err := ReadFileTolerant(path)
+	flows, st, err := ReadFilesTolerant([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 2 || st.Skipped != 2 {
 		t.Fatalf("file salvage: %d flows, %d skipped, want 2 / 2", len(flows), st.Skipped)
 	}
-	if _, _, err := ReadFileTolerant(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
+	// Across a set, skips add up and the strict error names file and line.
+	flows, st, err = ReadFilesTolerant([]string{path, path})
+	if err != nil || len(flows) != 4 || st.Lines != 4 || st.Skipped != 4 {
+		t.Fatalf("set salvage: %d flows, stats %+v, err %v", len(flows), st, err)
+	}
+	if _, err := ReadFiles([]string{path, path}); err == nil || !strings.Contains(err.Error(), path+": trace: line 2:") {
+		t.Fatalf("strict set read: err %v, want %s line 2", err, path)
+	}
+	if _, _, err := ReadFilesTolerant([]string{filepath.Join(t.TempDir(), "missing.jsonl")}); err == nil {
 		t.Fatal("missing file did not error")
 	}
 }

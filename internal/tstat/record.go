@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"satwatch/internal/obs"
 )
 
 // Protocol is the Table 1 protocol class of a flow.
@@ -52,11 +54,6 @@ func parseProtocol(s string) Protocol {
 		}
 	}
 	return ProtoUnknown
-}
-
-// IsTCP reports whether the class rides on TCP.
-func (p Protocol) IsTCP() bool {
-	return p == ProtoHTTPS || p == ProtoHTTP || p == ProtoTCPOther
 }
 
 // RTTStats summarizes the RTT samples of one flow (min/avg/max/std), the
@@ -186,13 +183,6 @@ func WriteFlows(w io.Writer, recs []FlowRecord) error {
 	return bw.Flush()
 }
 
-// ReadStats reports what a tolerant read consumed: the data lines it
-// parsed and the corrupt lines it dropped instead of aborting on.
-type ReadStats struct {
-	Lines   int
-	Skipped int
-}
-
 // parseFlowLine parses one data line of a flow TSV log.
 func parseFlowLine(text string) (FlowRecord, error) {
 	var rec FlowRecord
@@ -210,6 +200,9 @@ func parseFlowLine(text string) (FlowRecord, error) {
 	ints := make([]int64, 0, 14)
 	for _, idx := range []int{1, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17} {
 		v, err := strconv.ParseInt(fields[idx], 10, 64)
+		if err == nil && (idx == 6 || idx == 7 || idx >= 13) { // the microsecond fields
+			_, err = usec(v)
+		}
 		if err != nil {
 			return rec, fmt.Errorf("field %d: %w", idx, err)
 		}
@@ -234,64 +227,52 @@ func parseFlowLine(text string) (FlowRecord, error) {
 	if fields[18] != "" {
 		for _, part := range strings.Split(fields[18], ",") {
 			us, err := strconv.ParseInt(part, 10, 64)
+			var d time.Duration
+			if err == nil {
+				d, err = usec(us)
+			}
 			if err != nil {
 				return rec, fmt.Errorf("first10: %w", err)
 			}
-			rec.First10 = append(rec.First10, time.Duration(us)*time.Microsecond)
+			rec.First10 = append(rec.First10, d)
 		}
 	}
 	return rec, nil
 }
 
-// readFlows is the shared scanner: strict mode fails on the first corrupt
-// line; tolerant mode drops it and counts it in ReadStats.Skipped. The
-// header is checked in both modes — a wrong header means a wrong file,
-// not a damaged one.
-func readFlows(r io.Reader, strict bool) ([]FlowRecord, ReadStats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []FlowRecord
-	var st ReadStats
-	first := true
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if first {
-			first = false
-			if text != flowHeader {
-				return nil, st, fmt.Errorf("tstat: line 1: unexpected header")
-			}
-			continue
-		}
-		if text == "" {
-			continue
-		}
-		rec, err := parseFlowLine(text)
-		if err != nil {
-			if strict {
-				return nil, st, fmt.Errorf("tstat: line %d: %w", line, err)
-			}
-			st.Skipped++
-			continue
-		}
-		st.Lines++
-		out = append(out, rec)
+// usec converts a logged microsecond count, rejecting one no Duration
+// holds: such a field is damage, and accepting it would read back a time
+// the writer never wrote.
+func usec(v int64) (time.Duration, error) {
+	const max = math.MaxInt64 / int64(time.Microsecond)
+	if v > max || v < -max {
+		return 0, fmt.Errorf("%d us overflows", v)
 	}
-	return out, st, sc.Err()
+	return time.Duration(v) * time.Microsecond, nil
 }
 
-// ReadFlows parses a TSV flow log written by WriteFlows, failing on the
-// first corrupt line.
+// ReadFlowsTolerant parses a TSV flow log written by WriteFlows under
+// the salvage policy of obs.ReadLines: corrupt lines are skipped and
+// counted, a foreign header is an error.
+func ReadFlowsTolerant(r io.Reader) ([]FlowRecord, obs.ReadStats, error) {
+	var out []FlowRecord
+	st, err := obs.ReadLines(r, "tstat:", flowHeader, func(line []byte) error {
+		rec, err := parseFlowLine(string(line))
+		if err == nil {
+			out = append(out, rec)
+		}
+		return err
+	})
+	return out, st, err
+}
+
+// ReadFlows is ReadFlowsTolerant failing on the first corrupt line.
 func ReadFlows(r io.Reader) ([]FlowRecord, error) {
-	recs, _, err := readFlows(r, true)
+	recs, st, err := ReadFlowsTolerant(r)
+	if err == nil {
+		err = st.First
+	}
 	return recs, err
-}
-
-// ReadFlowsTolerant parses a TSV flow log, skipping corrupt lines and
-// counting them: the salvage path for logs out of an interrupted run.
-func ReadFlowsTolerant(r io.Reader) ([]FlowRecord, ReadStats, error) {
-	return readFlows(r, false)
 }
 
 const dnsHeader = "client\tresolver\tquery\trcode\tanswer\tt_us\tresp_us"
@@ -341,63 +322,37 @@ func parseDNSLine(text string) (DNSRecord, error) {
 			return rec, err
 		}
 	}
-	tus, err := strconv.ParseInt(fields[5], 10, 64)
-	if err != nil {
-		return rec, err
+	for i, dst := range []*time.Duration{&rec.T, &rec.ResponseTime} {
+		us, err := strconv.ParseInt(fields[5+i], 10, 64)
+		if err == nil {
+			*dst, err = usec(us)
+		}
+		if err != nil {
+			return rec, err
+		}
 	}
-	rus, err := strconv.ParseInt(fields[6], 10, 64)
-	if err != nil {
-		return rec, err
-	}
-	rec.T = time.Duration(tus) * time.Microsecond
-	rec.ResponseTime = time.Duration(rus) * time.Microsecond
 	return rec, nil
 }
 
-// readDNS is the shared scanner behind ReadDNS/ReadDNSTolerant.
-func readDNS(r io.Reader, strict bool) ([]DNSRecord, ReadStats, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+// ReadDNSTolerant parses a TSV DNS log written by WriteDNS, skipping and
+// counting corrupt lines.
+func ReadDNSTolerant(r io.Reader) ([]DNSRecord, obs.ReadStats, error) {
 	var out []DNSRecord
-	var st ReadStats
-	first := true
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if first {
-			first = false
-			if text != dnsHeader {
-				return nil, st, fmt.Errorf("tstat: dns line 1: unexpected header")
-			}
-			continue
+	st, err := obs.ReadLines(r, "tstat: dns", dnsHeader, func(line []byte) error {
+		rec, err := parseDNSLine(string(line))
+		if err == nil {
+			out = append(out, rec)
 		}
-		if text == "" {
-			continue
-		}
-		rec, err := parseDNSLine(text)
-		if err != nil {
-			if strict {
-				return nil, st, fmt.Errorf("tstat: dns line %d: %w", line, err)
-			}
-			st.Skipped++
-			continue
-		}
-		st.Lines++
-		out = append(out, rec)
-	}
-	return out, st, sc.Err()
+		return err
+	})
+	return out, st, err
 }
 
-// ReadDNS parses a TSV DNS log written by WriteDNS, failing on the first
-// corrupt line.
+// ReadDNS is ReadDNSTolerant failing on the first corrupt line.
 func ReadDNS(r io.Reader) ([]DNSRecord, error) {
-	recs, _, err := readDNS(r, true)
+	recs, st, err := ReadDNSTolerant(r)
+	if err == nil {
+		err = st.First
+	}
 	return recs, err
-}
-
-// ReadDNSTolerant parses a TSV DNS log, skipping and counting corrupt
-// lines.
-func ReadDNSTolerant(r io.Reader) ([]DNSRecord, ReadStats, error) {
-	return readDNS(r, false)
 }

@@ -113,7 +113,4 @@ func TestProtocolStrings(t *testing.T) {
 			t.Errorf("parseProtocol(%q) broken", want)
 		}
 	}
-	if !ProtoHTTPS.IsTCP() || ProtoQUIC.IsTCP() {
-		t.Fatal("IsTCP wrong")
-	}
 }

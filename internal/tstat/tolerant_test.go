@@ -2,6 +2,7 @@ package tstat
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -74,4 +75,70 @@ func TestReadDNSTolerantSkipsAndCounts(t *testing.T) {
 	if _, err := ReadDNS(strings.NewReader(in)); err == nil {
 		t.Fatal("strict DNS read accepted corrupt input")
 	}
+}
+
+// dataLine returns the one data line a single-record TSV holds.
+func dataLine(t *testing.T, tsv string) string {
+	t.Helper()
+	lines := strings.Split(tsv, "\n")
+	if len(lines) != 3 || lines[2] != "" {
+		t.Fatalf("one record encoded to %d lines: %q", len(lines)-1, tsv)
+	}
+	return lines[1]
+}
+
+// FuzzParseFlowLine: the flow line parser never panics, and a line it
+// accepts is one the writer could have written — re-encoded and re-parsed
+// it is the same record.
+func FuzzParseFlowLine(f *testing.F) {
+	var buf bytes.Buffer
+	WriteFlows(&buf, []FlowRecord{sampleFlow()})
+	good := strings.Split(buf.String(), "\n")[1]
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(strings.Replace(good, "\t1234\t", "\t99999999999999999\t", 1))
+	f.Add(strings.Replace(good, "\t90000000\t", "\t9223372036854775807\t", 1))
+	f.Add("junk\tfields")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, line string) {
+		rec, err := parseFlowLine(line)
+		if err != nil || strings.Contains(line, "\n") {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFlows(&buf, []FlowRecord{rec}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := parseFlowLine(dataLine(t, buf.String()))
+		if err != nil || !reflect.DeepEqual(rec, again) {
+			t.Fatalf("%q parsed to %+v, re-encoded and re-parsed to %+v (%v)", line, rec, again, err)
+		}
+	})
+}
+
+// FuzzParseDNSLine is FuzzParseFlowLine for the DNS log.
+func FuzzParseDNSLine(f *testing.F) {
+	var buf bytes.Buffer
+	WriteDNS(&buf, []DNSRecord{{Client: sampleFlow().Client, Resolver: sampleFlow().Server,
+		Query: "a.example", Answer: sampleFlow().Server, T: 1e9, ResponseTime: 6e8}})
+	good := strings.Split(buf.String(), "\n")[1]
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(strings.Replace(good, "\t600000", "\t9223372036854775807", 1))
+	f.Add(strings.Replace(good, "151.101.1.1\t1000000", "\t1000000", 1))
+	f.Add("garbage line")
+	f.Fuzz(func(t *testing.T, line string) {
+		rec, err := parseDNSLine(line)
+		if err != nil || strings.Contains(line, "\n") {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteDNS(&buf, []DNSRecord{rec}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := parseDNSLine(dataLine(t, buf.String()))
+		if err != nil || rec != again {
+			t.Fatalf("%q parsed to %+v, re-encoded and re-parsed to %+v (%v)", line, rec, again, err)
+		}
+	})
 }
