@@ -1,0 +1,60 @@
+package mac
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+)
+
+// gridDigest is the sha256 over the nine table values of every cell of
+// m's grid, in (utilization, FER) index order.
+func gridDigest(m *Model) string {
+	h := sha256.New()
+	var b [8]byte
+	for ui := range m.utils {
+		for fi := range m.fers {
+			e := m.cell(ui, fi)
+			for _, q := range tableLevels {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(e.Quantile(q)))
+				h.Write(b[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCellTablesGolden pins the distilled access-delay tables at full
+// SimFrames: the slot simulator's contract is its RNG draw sequence and
+// event order, and these digests are what that contract produces. They
+// were written by the pointer/closure simulator and the full-sort distill
+// this package started with; never regenerate them to make a rewrite pass.
+// Seed+42 and Seed+7 are the reseeds the repo benchmark drives.
+func TestCellTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 270 full-size cells")
+	}
+	cases := []struct {
+		name   string
+		params func() Params
+		reseed uint64
+		want   string
+	}{
+		{"geo/stock", DefaultParams, 0, "869667f300426394115271cfdb1316662395743d2d7a12a6062852c777a3316d"},
+		{"geo/seed42", DefaultParams, 42, "1e2760c31e7e148934a3a154ce7d00042f7171f4ed07ebdc336fc6400e348703"},
+		{"geo/seed7", DefaultParams, 7, "6bace19068c9c1ddf5971a24d6ba71974939e912e55270e8d73373f25466077a"},
+		{"leo/stock", LEOParams, 0, "45edc1680eebc9ab8fed79a6bb7c9c5b843721838d6c4a857236ffd9b4617178"},
+		{"leo/seed42", LEOParams, 42, "0d8551f6479c6a5dc82a545032f1dd2645f8c4851cd14ab980e544e353d509e0"},
+		{"leo/seed7", LEOParams, 7, "cf11be6ade346b07ce55baf837df6989507e372aa588b04901a9fe72c4fd0d45"},
+	}
+	for _, tc := range cases {
+		p := tc.params()
+		p.Seed += tc.reseed
+		m := NewModel(p)
+		m.Prebuild(0)
+		if got := gridDigest(m); got != tc.want {
+			t.Errorf("%s: grid digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
