@@ -21,6 +21,7 @@ package mac
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,6 +150,30 @@ func (p Params) WithDefaults() Params {
 // quantile levels retained from each micro-simulation run.
 var tableLevels = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
 
+// cpe is one terminal's reservation state in the micro-simulation.
+type cpe struct {
+	backlog    int  // queued slot-requests
+	reserved   bool // holds an active capacity reservation
+	contending bool // waiting to win a contention slot
+	grant      bool // reservation grant in flight (control loop)
+	holdUntil  int  // frame number the reservation is held through
+}
+
+// job is one slot's worth of payload waiting for a TDMA grant.
+type job struct {
+	owner   int32 // index of the CPE it queued at
+	arrived simtime.Stamp
+}
+
+// scratch is the working memory of a micro-simulation run that grows with
+// the offered load. A Prebuild worker hands the same scratch to every cell
+// it builds, so the two buffers are sized once per worker, by its first
+// (heaviest) cell.
+type scratch struct {
+	delays []time.Duration
+	queue  []job // FIFO across CPEs
+}
+
 // SimulateAccessDelay runs the slot-level micro-simulation at the given
 // offered utilization (fraction of SlotsPerFrame demanded on average) and
 // residual frame error rate, and returns the empirical distribution of the
@@ -156,6 +181,16 @@ var tableLevels = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99
 // CPE to its successful delivery to the scheduler, excluding propagation of
 // the data itself (the caller adds slant-path delays).
 func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empirical {
+	return simulate(p, util, fer, seed, &scratch{})
+}
+
+// simulate is SimulateAccessDelay over caller-owned scratch. The tables it
+// produces are pinned (TestCellTablesGolden), so the order of RNG draws and
+// of same-instant events is part of its contract: per arrival IntN(NumCPE)
+// then Exponential; per frame, contenders in CPE-index order draw
+// Bool(pTx) then IntN(ReservationSlots), and granted jobs in FIFO order
+// run the Bool(fer) ARQ loop.
+func simulate(p Params, util, fer float64, seed uint64, sc *scratch) *dist.Empirical {
 	p = p.WithDefaults()
 	if util < 0.01 {
 		util = 0.01
@@ -166,50 +201,51 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 	r := dist.NewRand(seed)
 	var sched simtime.Scheduler
 
-	type cpe struct {
-		backlog    int  // queued slot-requests
-		reserved   bool // holds an active capacity reservation
-		contending bool // waiting to win a contention slot
-		grant      bool // reservation grant in flight (control loop)
-		holdUntil  int  // frame number the reservation is held through
-	}
-	cpes := make([]*cpe, p.NumCPE)
-	for i := range cpes {
-		cpes[i] = &cpe{}
+	cpes := make([]cpe, p.NumCPE)
+	// One pre-bound event per CPE: the reservation grant arriving.
+	grantArrives := make([]simtime.Event, p.NumCPE)
+	for i := range grantArrives {
+		c := &cpes[i]
+		grantArrives[i] = func(simtime.Stamp) {
+			c.grant = false
+			c.reserved = true
+		}
 	}
 
 	// Each "request" is one slot's worth of payload. Poisson arrivals at
 	// aggregate rate util*SlotsPerFrame per frame, spread over the CPEs.
-	meanInterarrival := float64(p.FrameDuration) / (util * float64(p.SlotsPerFrame))
-
-	type job struct {
-		owner   *cpe
-		arrived simtime.Stamp
-	}
-	var delays []time.Duration
-	var queue []*job // FIFO across CPEs
-
-	record := func(arrived, done simtime.Stamp, warmup simtime.Stamp) {
-		if arrived >= warmup {
-			delays = append(delays, time.Duration(done-arrived))
-		}
-	}
+	perFrame := util * float64(p.SlotsPerFrame)
+	meanInterarrival := float64(p.FrameDuration) / perFrame
 	warmup := simtime.Stamp(p.SimFrames/10) * simtime.Stamp(p.FrameDuration)
 
-	var arrive func(now simtime.Stamp)
+	queue := sc.queue[:0]
+	delays := sc.delays[:0]
+	if want := int(perFrame * float64(p.SimFrames)); cap(delays) < want {
+		delays = make([]time.Duration, 0, want)
+	}
+
+	var arrive simtime.Event
 	arrive = func(now simtime.Stamp) {
-		c := cpes[r.IntN(len(cpes))]
+		i := r.IntN(len(cpes))
+		c := &cpes[i]
 		if !c.reserved && !c.contending && !c.grant {
 			c.contending = true
 		}
 		c.backlog++
-		queue = append(queue, &job{owner: c, arrived: now})
+		queue = append(queue, job{owner: int32(i), arrived: now})
 		sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
 	}
 	sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
 
+	// Per-frame contention state, reused: who contends, and per reservation
+	// slot how many picked it and who picked it first.
+	contenders := make([]int32, 0, p.NumCPE)
+	slotCount := make([]int32, p.ReservationSlots)
+	slotFirst := make([]int32, p.ReservationSlots)
+	slotTime := simtime.Stamp(p.FrameDuration) / simtime.Stamp(p.SlotsPerFrame)
+
 	frameNo := 0
-	var frame func(now simtime.Stamp)
+	var frame simtime.Event
 	frame = func(now simtime.Stamp) {
 		frameNo++
 		if frameNo > p.SimFrames {
@@ -217,10 +253,10 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 		}
 		// Stabilized slotted-Aloha: contenders transmit with probability
 		// R/n̂ and pick a random reservation slot; sole occupants win.
-		var contenders []*cpe
-		for _, c := range cpes {
-			if c.contending {
-				contenders = append(contenders, c)
+		contenders = contenders[:0]
+		for i := range cpes {
+			if cpes[i].contending {
+				contenders = append(contenders, int32(i))
 			}
 		}
 		if n := len(contenders); n > 0 {
@@ -228,51 +264,55 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 			if n > p.ReservationSlots {
 				pTx = float64(p.ReservationSlots) / float64(n)
 			}
-			slotPick := make(map[int][]*cpe, p.ReservationSlots)
-			for _, c := range contenders {
+			clear(slotCount)
+			for _, i := range contenders {
 				if r.Bool(pTx) {
 					s := r.IntN(p.ReservationSlots)
-					slotPick[s] = append(slotPick[s], c)
+					if slotCount[s]++; slotCount[s] == 1 {
+						slotFirst[s] = i
+					}
 				}
 			}
-			for _, cs := range slotPick {
-				if len(cs) == 1 {
-					winner := cs[0]
-					winner.contending = false
-					winner.grant = true
+			// Winners in slot order, so the grants' scheduling order is a
+			// function of the draws alone.
+			for s, picked := range slotCount {
+				if picked == 1 {
+					winner := slotFirst[s]
+					cpes[winner].contending = false
+					cpes[winner].grant = true
 					// The grant arrives one control loop later.
-					sched.After(p.HopRTT, func(simtime.Stamp) {
-						winner.grant = false
-						winner.reserved = true
-					})
+					sched.After(p.HopRTT, grantArrives[winner])
 				}
 				// Collisions retry next frame (contending stays set).
 			}
 		}
 		// TDMA grants: serve up to SlotsPerFrame queued jobs whose owner
 		// holds an active reservation, in FIFO order across CPEs.
-		slotTime := simtime.Stamp(p.FrameDuration) / simtime.Stamp(p.SlotsPerFrame)
-		granted := 0
+		served := 0
 		rest := queue[:0]
 		for _, j := range queue {
-			if granted < p.SlotsPerFrame && j.owner.reserved {
-				granted++
-				j.owner.backlog--
-				j.owner.holdUntil = frameNo + p.HoldFrames
-				// The transmission errors with probability fer; each ARQ
-				// recovery costs a control loop plus the retx frame.
-				done := now + slotTime
-				for retries := 0; retries < p.MaxARQRetries && r.Bool(fer); retries++ {
-					done += simtime.Stamp(p.HopRTT) + simtime.Stamp(p.FrameDuration)
-				}
-				record(j.arrived, done, warmup)
-			} else {
+			c := &cpes[j.owner]
+			if served == p.SlotsPerFrame || !c.reserved {
 				rest = append(rest, j)
+				continue
+			}
+			served++
+			c.backlog--
+			c.holdUntil = frameNo + p.HoldFrames
+			// The transmission errors with probability fer; each ARQ
+			// recovery costs a control loop plus the retx frame.
+			done := now + slotTime
+			for retries := 0; retries < p.MaxARQRetries && r.Bool(fer); retries++ {
+				done += simtime.Stamp(p.HopRTT) + simtime.Stamp(p.FrameDuration)
+			}
+			if j.arrived >= warmup {
+				delays = append(delays, time.Duration(done-j.arrived))
 			}
 		}
 		queue = rest
 		// Close reservations whose hold expired with an empty queue.
-		for _, c := range cpes {
+		for i := range cpes {
+			c := &cpes[i]
 			if c.reserved && c.backlog == 0 && frameNo > c.holdUntil {
 				c.reserved = false
 			}
@@ -289,10 +329,12 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 	deadline := simtime.Stamp(p.SimFrames+1) * simtime.Stamp(p.FrameDuration)
 	sched.RunUntil(deadline)
 
+	sc.queue, sc.delays = queue, delays
 	return distill(delays, p)
 }
 
-// distill reduces raw delay samples to an empirical quantile table.
+// distill reduces raw delay samples to an empirical quantile table,
+// reordering delays as it reads the table's order statistics.
 func distill(delays []time.Duration, p Params) *dist.Empirical {
 	if len(delays) == 0 {
 		// Pathological (e.g. zero offered load): a flat half-frame.
@@ -300,11 +342,11 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 		e, _ := dist.NewEmpirical([]float64{0.25, 0.75}, []float64{half, half})
 		return e
 	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
+	ranks := tableRanks(len(delays))
+	selectRanks(delays, 0, ranks)
 	values := make([]float64, len(tableLevels))
-	for i, q := range tableLevels {
-		idx := int(q * float64(len(delays)-1))
-		values[i] = float64(delays[idx])
+	for i, k := range ranks {
+		values[i] = float64(delays[k])
 	}
 	// Enforce monotonicity against duplicate quantile collapses.
 	for i := 1; i < len(values); i++ {
@@ -317,6 +359,52 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 		panic("mac: distill produced invalid empirical: " + err.Error())
 	}
 	return e
+}
+
+// tableRanks are the order statistics the table keeps of n sorted samples.
+func tableRanks(n int) []int {
+	ranks := make([]int, len(tableLevels))
+	for i, q := range tableLevels {
+		ranks[i] = int(q * float64(n-1))
+	}
+	return ranks
+}
+
+// selectRanks reorders v so that every wanted rank holds the value a full
+// sort would put there, without sorting the rest: a quickselect that
+// descends only into partitions containing a wanted rank. v is the window
+// starting at index off of the slice the ranks (ascending) index into, and
+// every rank falls inside it. The partition is three-way, so equal delays,
+// however many, end a branch instead of degrading it.
+func selectRanks(v []time.Duration, off int, ranks []int) {
+	if len(ranks) == 0 {
+		return
+	}
+	if len(v) <= 24 {
+		slices.Sort(v)
+		return
+	}
+	a, b, c := v[0], v[len(v)/2], v[len(v)-1]
+	pivot := max(min(a, b), min(max(a, b), c)) // median of three
+	// Invariant: v[:lt] < pivot, v[lt:i] == pivot, v[gt:] > pivot.
+	lt, i, gt := 0, 0, len(v)
+	for i < gt {
+		switch x := v[i]; {
+		case x < pivot:
+			v[i], v[lt] = v[lt], x
+			lt++
+			i++
+		case x > pivot:
+			gt--
+			v[i], v[gt] = v[gt], x
+		default:
+			i++
+		}
+	}
+	below := sort.SearchInts(ranks, off+lt) // ranks[:below] fall in v[:lt]
+	above := sort.SearchInts(ranks, off+gt) // ranks[above:] fall in v[gt:]
+	selectRanks(v[:lt], off, ranks[:below])
+	selectRanks(v[gt:], off+gt, ranks[above:])
 }
 
 // Model interpolates access-delay distributions over a precomputed
@@ -375,7 +463,9 @@ func (m *Model) GridSize() int { return len(m.utils) * len(m.fers) }
 // deterministic functions of (Params, util, fer) alone, so build order and
 // parallelism never affect sampled values; prebuilding only moves the
 // micro-simulation cost off the sampling hot path, where a lazy build
-// would stall every sampler needing that cell.
+// would stall every sampler needing that cell. A cell's cost grows with
+// its arrivals, so cells are handed out heaviest (highest utilization)
+// first and no worker is left finishing a big one alone.
 func (m *Model) Prebuild(workers int) {
 	n := m.GridSize()
 	if workers <= 0 {
@@ -390,12 +480,13 @@ func (m *Model) Prebuild(workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc scratch
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := n - int(next.Add(1))
+				if i < 0 {
 					return
 				}
-				m.cell(i/len(m.fers), i%len(m.fers))
+				m.cellWith(i/len(m.fers), i%len(m.fers), &sc)
 			}
 		}()
 	}
@@ -416,7 +507,11 @@ func nearestIdx(grid []float64, x float64) int {
 	return best
 }
 
-func (m *Model) cell(ui, fi int) *dist.Empirical {
+func (m *Model) cell(ui, fi int) *dist.Empirical { return m.cellWith(ui, fi, nil) }
+
+// cellWith resolves one cell, building it over sc if nobody has yet (nil
+// sc: a lazy build, which allocates its own scratch).
+func (m *Model) cellWith(ui, fi int, sc *scratch) *dist.Empirical {
 	idx := ui*len(m.fers) + fi
 	if c := m.cells[idx].Load(); c != nil {
 		return c
@@ -425,8 +520,11 @@ func (m *Model) cell(ui, fi int) *dist.Empirical {
 	ce := v.(*cellEntry)
 	ce.once.Do(func() {
 		seed := m.p.Seed ^ uint64(ui*31+fi+1)*0x9e3779b97f4a7c15
+		if sc == nil {
+			sc = &scratch{}
+		}
 		stop := mCellBuildTime.Start()
-		ce.e = SimulateAccessDelay(m.p, m.utils[ui], m.fers[fi], seed)
+		ce.e = simulate(m.p, m.utils[ui], m.fers[fi], seed, sc)
 		stop()
 		mCellBuilds.Inc()
 	})

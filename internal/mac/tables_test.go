@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+
+	"satwatch/internal/dist"
 )
 
 // gridDigest is the sha256 over the nine table values of every cell of
@@ -56,5 +58,74 @@ func TestCellTablesGolden(t *testing.T) {
 		if got := gridDigest(m); got != tc.want {
 			t.Errorf("%s: grid digest %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestPrebuildParallelismInvariance: the grid does not depend on how many
+// workers built it, hence not on which cells shared a worker's scratch or
+// in what order they finished.
+func TestPrebuildParallelismInvariance(t *testing.T) {
+	p := fastParams()
+	p.SimFrames = 300
+	p.Seed = 0xfeed2 // distinct Params → this test's own cache entries
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		// Forget the previous round's cells so this one builds them again.
+		sharedCells.Range(func(k, _ any) bool {
+			if k.(cellKey).p == p {
+				sharedCells.Delete(k)
+			}
+			return true
+		})
+		built := mCellBuilds.Value()
+		m := NewModel(p)
+		m.Prebuild(workers)
+		if n := int(mCellBuilds.Value() - built); n != m.GridSize() {
+			t.Fatalf("%d workers built %d cells, grid has %d", workers, n, m.GridSize())
+		}
+		got := gridDigest(m)
+		if want == "" {
+			want = got
+		}
+		if got != want {
+			t.Errorf("%d workers: grid digest %s, 1 worker gave %s", workers, got, want)
+		}
+	}
+}
+
+// TestCellBuildAllocationBudget keeps the micro-simulation's allocations
+// independent of its arrivals (about 38 000 here): what remains is setup —
+// the RNG, per-CPE state and grant events, the scratch and the table.
+func TestCellBuildAllocationBudget(t *testing.T) {
+	p := fastParams()
+	allocs := testing.AllocsPerRun(3, func() { SimulateAccessDelay(p, 0.98, 1e-3, 1) })
+	if allocs > 200 {
+		t.Fatalf("one cell build allocates %v objects, budget 200", allocs)
+	}
+}
+
+var sinkTable *dist.Empirical
+
+// BenchmarkCellBuild is the heaviest cell of the stock grid, built lazily.
+func BenchmarkCellBuild(b *testing.B) {
+	p := DefaultParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkTable = SimulateAccessDelay(p, 0.98, 0.12, uint64(i)+1)
+	}
+}
+
+// prebuildSeed outlives one benchmark call (the harness makes several), so
+// no grid is ever answered by the process-wide cache.
+var prebuildSeed uint64 = 0xbe7c4
+
+// BenchmarkPrebuildSerial is a cold process's whole grid on one worker.
+func BenchmarkPrebuildSerial(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := DefaultParams()
+		p.Seed = prebuildSeed
+		prebuildSeed++
+		NewModel(p).Prebuild(1)
 	}
 }

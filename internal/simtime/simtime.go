@@ -7,7 +7,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -25,32 +24,22 @@ type item struct {
 	fn  Event
 }
 
-type eventHeap []*item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling order.
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*item)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
 // Scheduler is a discrete-event simulator clock plus pending-event queue.
-// The zero value is ready to use.
+// The zero value is ready to use. The queue is a binary min-heap of items
+// held by value, so scheduling and stepping allocate nothing once the
+// backing array has grown to the run's peak of pending events.
 type Scheduler struct {
 	now   Stamp
 	seq   uint64
-	queue eventHeap
+	queue []item
 }
 
 // Now returns the current simulated time.
@@ -66,7 +55,17 @@ func (s *Scheduler) At(at Stamp, fn Event) {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &item{at: at, seq: s.seq, fn: fn})
+	s.queue = append(s.queue, item{at: at, seq: s.seq, fn: fn})
+	// Sift the new item up to its place.
+	q := s.queue
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -83,7 +82,27 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	it := heap.Pop(&s.queue).(*item)
+	q := s.queue
+	it := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = item{} // release the closure
+	s.queue = q[:n]
+	// Sift the moved item down to its place.
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 	s.now = it.at
 	it.fn(s.now)
 	return true
