@@ -403,14 +403,50 @@ func BenchmarkTrackerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkDatasetEnrichment measures the analytics join.
-func BenchmarkDatasetEnrichment(b *testing.B) {
+// The three stages after the simulation, each on the shared reference
+// run, for pair-running parent and change `go test -c` binaries.
+
+// countWriter counts what an encoder writes, for MB/s.
+type countWriter struct{ n int64 }
+
+func (w *countWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
+
+// BenchmarkWriteFlows measures the flow-log encoder.
+func BenchmarkWriteFlows(b *testing.B) {
 	r := benchResults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countWriter
+		if err := tstat.WriteFlows(&w, r.Output.Flows); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(w.n)
+	}
+}
+
+// BenchmarkNewDataset measures the analytics join.
+func BenchmarkNewDataset(b *testing.B) {
+	r := benchResults(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ds := analytics.NewDataset(r.Output, 1)
 		if len(ds.Flows) == 0 {
 			b.Fatal("empty dataset")
+		}
+	}
+}
+
+// BenchmarkAnalyze measures the sixteen report builders.
+func BenchmarkAnalyze(b *testing.B) {
+	r := benchResults(b)
+	p := New(WithDays(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := p.Analyze(r.Output, r.Dataset); len(res.Table1.SharePct) == 0 {
+			b.Fatal("empty Table 1")
 		}
 	}
 }

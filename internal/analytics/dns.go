@@ -51,15 +51,21 @@ type DomainResolverKey struct {
 // configured resolver.
 func (ds *Dataset) GroundRTTByDomainResolver() map[DomainResolverKey][]float64 {
 	out := map[DomainResolverKey][]float64{}
+	secondLevel := map[string]string{} // per distinct domain, not per flow
 	for i := range ds.Flows {
 		f := &ds.Flows[i]
 		if !f.HasMeta || f.Domain == "" || f.GroundRTT.Samples == 0 {
 			continue
 		}
+		sld, ok := secondLevel[f.Domain]
+		if !ok {
+			sld = services.SecondLevel(f.Domain)
+			secondLevel[f.Domain] = sld
+		}
 		key := DomainResolverKey{
 			Country:  f.Country,
 			Resolver: f.Meta.Resolver,
-			Domain:   services.SecondLevel(f.Domain),
+			Domain:   sld,
 		}
 		out[key] = append(out[key], f.GroundRTT.Avg.Seconds())
 	}

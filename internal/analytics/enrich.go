@@ -2,6 +2,8 @@ package analytics
 
 import (
 	"net/netip"
+	"runtime"
+	"sync"
 	"time"
 
 	"satwatch/internal/cdn"
@@ -12,9 +14,10 @@ import (
 )
 
 // Flow is an enriched flow record: the raw probe output joined with the
-// operator metadata and the service classification (§3.1).
+// operator metadata and the service classification (§3.1). The record is
+// the Output's own, not a copy.
 type Flow struct {
-	tstat.FlowRecord
+	*tstat.FlowRecord
 	Country  geo.CountryCode
 	Meta     netsim.CustomerMeta
 	HasMeta  bool
@@ -23,7 +26,9 @@ type Flow struct {
 	Region   cdn.Region // hosting region recovered from the server address
 }
 
-// Dataset is the enriched view of one simulation (or capture) output.
+// Dataset is the enriched view of one simulation (or capture) output. It
+// aliases that Output — flow records, DNS log, metadata and prefixes — so
+// the Output must outlive it and must not be modified while it is in use.
 type Dataset struct {
 	Flows []Flow
 	DNS   []tstat.DNSRecord
@@ -34,17 +39,37 @@ type Dataset struct {
 	Days     int
 }
 
-// NewDataset enriches a simulation output.
+// NewDataset enriches a simulation output, on as many goroutines as the
+// run used (GOMAXPROCS for an output read back from logs). Each takes one
+// contiguous chunk of ds.Flows and writes it by index, so the result does
+// not depend on their number.
 func NewDataset(out *netsim.Output, days int) *Dataset {
 	ds := &Dataset{DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: days}
-	ds.Flows = make([]Flow, 0, len(out.Flows))
-	for _, rec := range out.Flows {
-		ds.Flows = append(ds.Flows, ds.enrich(rec))
+	ds.Flows = make([]Flow, len(out.Flows))
+	workers := out.Stats.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	chunk := (len(out.Flows) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(out.Flows); lo += chunk {
+		hi := min(lo+chunk, len(out.Flows))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A log names a few hundred domains: each is run through the
+			// classifier's regular expressions once per chunk.
+			classified := map[string]*services.Service{}
+			for i := lo; i < hi; i++ {
+				ds.Flows[i] = ds.enrich(&out.Flows[i], classified)
+			}
+		}()
+	}
+	wg.Wait()
 	return ds
 }
 
-func (ds *Dataset) enrich(rec tstat.FlowRecord) Flow {
+func (ds *Dataset) enrich(rec *tstat.FlowRecord, classified map[string]*services.Service) Flow {
 	f := Flow{FlowRecord: rec}
 	if meta, ok := ds.Meta[rec.Client]; ok {
 		f.Meta = meta
@@ -54,7 +79,12 @@ func (ds *Dataset) enrich(rec tstat.FlowRecord) Flow {
 		f.Country, _ = netsim.CountryOf(ds.Prefixes, rec.Client)
 	}
 	if rec.Domain != "" {
-		if svc, ok := services.Classify(rec.Domain); ok {
+		svc, ok := classified[rec.Domain]
+		if !ok {
+			svc, _ = services.Classify(rec.Domain)
+			classified[rec.Domain] = svc
+		}
+		if svc != nil {
 			f.Service = svc.Name
 			f.Category = svc.Category
 		}

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,7 +20,9 @@ var (
 )
 
 // handDataset builds a small dataset without running the simulator.
-func handDataset() *Dataset {
+func handDataset() *Dataset { return NewDataset(handOutput(), 1) }
+
+func handOutput() *netsim.Output {
 	srvWhatsapp := cdn.ServerAddr("e1.whatsapp.net", cdn.RegionEuropeNear, 0)
 	srvAfrica := cdn.ServerAddr("scooper.news", cdn.RegionAfrica, 0)
 	out := &netsim.Output{
@@ -56,7 +59,59 @@ func handDataset() *Dataset {
 		{Client: esClient, Resolver: netip.MustParseAddr("185.12.64.53"), Query: "www.google.com",
 			T: 18 * time.Hour, ResponseTime: 4 * time.Millisecond},
 	}
-	return NewDataset(out, 1)
+	return out
+}
+
+// TestNewDatasetParallelismInvariance: the enrichment is the same at any
+// worker count, more workers than flows and no flows included; every
+// Flow points at its own record of the Output, which is left as it was;
+// and the per-chunk memo answers what the classifier would.
+func TestNewDatasetParallelismInvariance(t *testing.T) {
+	out := handOutput()
+	domains := []string{"e1.whatsapp.net", "scooper.news", "", "www.google.com", "E1.WhatsApp.net.", "rr1.googlevideo.com"}
+	clients := []netip.Addr{cdClient, esClient,
+		netip.MustParseAddr("77.16.0.9"), // no metadata: country through the prefix join
+		netip.MustParseAddr("9.9.9.9")}   // unknown altogether
+	for i := 0; i < 34; i++ {
+		rec := out.Flows[i%3]
+		rec.Client, rec.Domain = clients[i%len(clients)], domains[i%len(domains)]
+		rec.Start += time.Duration(i) * time.Minute
+		out.Flows = append(out.Flows, rec)
+	}
+	before := append([]tstat.FlowRecord(nil), out.Flows...)
+
+	out.Stats.Workers = 1
+	want := NewDataset(out, 1)
+	for i := range want.Flows {
+		f := &want.Flows[i]
+		if f.FlowRecord != &out.Flows[i] {
+			t.Fatalf("flow %d does not point at its record of the Output", i)
+		}
+		svc, _ := services.Classify(f.Domain)
+		if (svc == nil) != (f.Service == "") || (svc != nil && (svc.Name != f.Service || svc.Category != f.Category)) {
+			t.Fatalf("flow %d: %q enriched as %q/%q, the classifier says %+v", i, f.Domain, f.Service, f.Category, svc)
+		}
+	}
+	if got := want.Flows[5].Country; got != "CD" || want.Flows[5].HasMeta {
+		t.Fatalf("prefix join: country %q, HasMeta %v", got, want.Flows[5].HasMeta)
+	}
+	for _, workers := range []int{0, 2, 8, 64} {
+		out.Stats.Workers = workers
+		if got := NewDataset(out, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers=%d: dataset differs from Workers=1", workers)
+		}
+	}
+	if !reflect.DeepEqual(out.Flows, before) {
+		t.Error("NewDataset modified the Output's flows")
+	}
+
+	out.Flows = nil
+	for _, workers := range []int{1, 8} {
+		out.Stats.Workers = workers
+		if ds := NewDataset(out, 1); len(ds.Flows) != 0 || len(ds.DNS) != 2 {
+			t.Errorf("Workers=%d, no flows: %d flows, %d DNS", workers, len(ds.Flows), len(ds.DNS))
+		}
+	}
 }
 
 func TestEnrichment(t *testing.T) {

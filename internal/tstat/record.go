@@ -1,7 +1,6 @@
 package tstat
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -157,30 +156,70 @@ type DNSRecord struct {
 
 const flowHeader = "client\tcport\tserver\tsport\tproto\tdomain\tstart_us\tend_us\tbytes_up\tbytes_down\tpkts_up\tpkts_down\trtt_n\trtt_min_us\trtt_avg_us\trtt_max_us\trtt_std_us\tsat_rtt_us\tfirst10_us"
 
+// rowBufSize is the encoders' one buffer. It is handed to the writer
+// whenever it is half full, which leaves room for the next row: only a
+// row over 32 KiB ever grows it.
+const rowBufSize = 64 << 10
+
+// writeRows writes header and one line per record, each rendered by
+// appendRow onto the shared buffer.
+func writeRows[T any](w io.Writer, header string, recs []T, appendRow func([]byte, *T) []byte) error {
+	b := append(append(make([]byte, 0, rowBufSize), header...), '\n')
+	for i := range recs {
+		if b = appendRow(b, &recs[i]); len(b) >= rowBufSize/2 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendAddr appends what %s prints for an address: Addr.String, which
+// unlike Addr.AppendTo names the zero Addr.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, "invalid IP"...)
+	}
+	return a.AppendTo(b)
+}
+
+// appendUsec appends a tab and d in whole microseconds.
+func appendUsec(b []byte, d time.Duration) []byte {
+	return strconv.AppendInt(append(b, '\t'), d.Microseconds(), 10)
+}
+
+// appendFlowRow appends one flow log line, newline included.
+func appendFlowRow(b []byte, r *FlowRecord) []byte {
+	b = appendAddr(b, r.Client)
+	b = strconv.AppendUint(append(b, '\t'), uint64(r.CPort), 10)
+	b = appendAddr(append(b, '\t'), r.Server)
+	b = strconv.AppendUint(append(b, '\t'), uint64(r.SPort), 10)
+	b = append(append(b, '\t'), r.Proto.String()...)
+	b = append(append(b, '\t'), r.Domain...)
+	b = appendUsec(b, r.Start)
+	b = appendUsec(b, r.End)
+	for _, v := range [...]int64{r.BytesUp, r.BytesDown, r.PktsUp, r.PktsDown, int64(r.GroundRTT.Samples)} {
+		b = strconv.AppendInt(append(b, '\t'), v, 10)
+	}
+	for _, d := range [...]time.Duration{r.GroundRTT.Min, r.GroundRTT.Avg, r.GroundRTT.Max, r.GroundRTT.Std, r.SatRTT} {
+		b = appendUsec(b, d)
+	}
+	b = append(b, '\t')
+	for j, t := range r.First10 {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, t.Microseconds(), 10)
+	}
+	return append(b, '\n')
+}
+
 // WriteFlows writes records as a TSV log with a header line.
 func WriteFlows(w io.Writer, recs []FlowRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, flowHeader); err != nil {
-		return err
-	}
-	for i := range recs {
-		r := &recs[i]
-		f10 := make([]string, len(r.First10))
-		for j, t := range r.First10 {
-			f10[j] = strconv.FormatInt(t.Microseconds(), 10)
-		}
-		_, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			r.Client, r.CPort, r.Server, r.SPort, r.Proto, r.Domain,
-			r.Start.Microseconds(), r.End.Microseconds(),
-			r.BytesUp, r.BytesDown, r.PktsUp, r.PktsDown,
-			r.GroundRTT.Samples, r.GroundRTT.Min.Microseconds(), r.GroundRTT.Avg.Microseconds(),
-			r.GroundRTT.Max.Microseconds(), r.GroundRTT.Std.Microseconds(),
-			r.SatRTT.Microseconds(), strings.Join(f10, ","))
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRows(w, flowHeader, recs, appendFlowRow)
 }
 
 // parseFlowLine parses one data line of a flow TSV log.
@@ -225,7 +264,9 @@ func parseFlowLine(text string) (FlowRecord, error) {
 	}
 	rec.SatRTT = time.Duration(ints[13]) * time.Microsecond
 	if fields[18] != "" {
-		for _, part := range strings.Split(fields[18], ",") {
+		parts := strings.Split(fields[18], ",")
+		rec.First10 = make([]time.Duration, 0, len(parts))
+		for _, part := range parts {
 			us, err := strconv.ParseInt(part, 10, 64)
 			var d time.Duration
 			if err == nil {
@@ -251,14 +292,30 @@ func usec(v int64) (time.Duration, error) {
 	return time.Duration(v) * time.Microsecond, nil
 }
 
+// interner holds one copy of each distinct name a read has seen. A parsed
+// field is a substring of its line and would keep the whole line alive; a
+// log names a few hundred domains in a few hundred thousand lines.
+type interner map[string]string
+
+func (in interner) intern(s string) string {
+	c, ok := in[s]
+	if !ok {
+		c = strings.Clone(s)
+		in[c] = c
+	}
+	return c
+}
+
 // ReadFlowsTolerant parses a TSV flow log written by WriteFlows under
 // the salvage policy of obs.ReadLines: corrupt lines are skipped and
 // counted, a foreign header is an error.
 func ReadFlowsTolerant(r io.Reader) ([]FlowRecord, obs.ReadStats, error) {
 	var out []FlowRecord
+	domains := interner{}
 	st, err := obs.ReadLines(r, "tstat:", flowHeader, func(line []byte) error {
 		rec, err := parseFlowLine(string(line))
 		if err == nil {
+			rec.Domain = domains.intern(rec.Domain)
 			out = append(out, rec)
 		}
 		return err
@@ -277,24 +334,22 @@ func ReadFlows(r io.Reader) ([]FlowRecord, error) {
 
 const dnsHeader = "client\tresolver\tquery\trcode\tanswer\tt_us\tresp_us"
 
+// appendDNSRow appends one DNS log line, newline included. An absent
+// answer is an empty field.
+func appendDNSRow(b []byte, r *DNSRecord) []byte {
+	b = appendAddr(b, r.Client)
+	b = appendAddr(append(b, '\t'), r.Resolver)
+	b = append(append(b, '\t'), r.Query...)
+	b = strconv.AppendUint(append(b, '\t'), uint64(r.RCode), 10)
+	b = r.Answer.AppendTo(append(b, '\t'))
+	b = appendUsec(b, r.T)
+	b = appendUsec(b, r.ResponseTime)
+	return append(b, '\n')
+}
+
 // WriteDNS writes DNS transaction records as TSV.
 func WriteDNS(w io.Writer, recs []DNSRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, dnsHeader); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		ans := ""
-		if r.Answer.IsValid() {
-			ans = r.Answer.String()
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%d\t%s\t%d\t%d\n",
-			r.Client, r.Resolver, r.Query, r.RCode, ans,
-			r.T.Microseconds(), r.ResponseTime.Microseconds()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRows(w, dnsHeader, recs, appendDNSRow)
 }
 
 // parseDNSLine parses one data line of a DNS TSV log.
@@ -338,9 +393,11 @@ func parseDNSLine(text string) (DNSRecord, error) {
 // counting corrupt lines.
 func ReadDNSTolerant(r io.Reader) ([]DNSRecord, obs.ReadStats, error) {
 	var out []DNSRecord
+	queries := interner{}
 	st, err := obs.ReadLines(r, "tstat: dns", dnsHeader, func(line []byte) error {
 		rec, err := parseDNSLine(string(line))
 		if err == nil {
+			rec.Query = queries.intern(rec.Query)
 			out = append(out, rec)
 		}
 		return err

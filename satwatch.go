@@ -19,7 +19,10 @@ package satwatch
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"satwatch/internal/analytics"
 	"satwatch/internal/faults"
@@ -174,32 +177,64 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Results, error) {
 }
 
 // Analyze materializes all experiments from an existing output (useful
-// when replaying saved logs).
+// when replaying saved logs). The builders only read ds and each fills its
+// own fields of the Results, so they run side by side on up to
+// Config.Parallelism goroutines (0 uses GOMAXPROCS), the costliest first.
 func (p *Pipeline) Analyze(out *netsim.Output, ds *analytics.Dataset) *Results {
-	days := p.cfg.Days
-	if days <= 0 {
-		days = 2 // the netsim effective default
+	res := &Results{Output: out, Dataset: ds}
+	builders := []func(){
+		func() {
+			res.Tables45 = report.BuildResolverImpact(ds, "CD", "ZA", "NG", "GB")
+			res.Table2 = restrictImpact(res.Tables45, "GB", "NG")
+		},
+		func() { res.Fig9 = report.BuildFig9(ds) },
+		func() { res.Fig5 = report.BuildFig5(ds) },
+		func() { res.Table1 = report.BuildTable1(ds) },
+		func() { res.Fig2 = report.BuildFig2(ds) },
+		func() { res.Fig3 = report.BuildFig3(ds) },
+		func() { res.Fig4 = report.BuildFig4(ds) },
+		func() { res.Fig6 = report.BuildFig6(ds) },
+		func() { res.Fig7 = report.BuildFig7(ds) },
+		func() { res.Fig8a = report.BuildFig8a(ds) },
+		func() { res.Fig8b = report.BuildFig8b(ds, out.Beams) },
+		func() { res.Fig10 = report.BuildFig10(ds) },
+		func() { res.Fig11 = report.BuildFig11(ds, p.ThroughputMinBytes) },
+		func() { res.Table3 = report.BuildTable3() },
+		func() { res.Signatures = report.BuildSignatures(ds) },
 	}
-	return &Results{
-		Output:     out,
-		Dataset:    ds,
-		Table1:     report.BuildTable1(ds),
-		Fig2:       report.BuildFig2(ds),
-		Fig3:       report.BuildFig3(ds),
-		Fig4:       report.BuildFig4(ds),
-		Fig5:       report.BuildFig5(ds),
-		Fig6:       report.BuildFig6(ds),
-		Fig7:       report.BuildFig7(ds),
-		Fig8a:      report.BuildFig8a(ds),
-		Fig8b:      report.BuildFig8b(ds, out.Beams),
-		Fig9:       report.BuildFig9(ds),
-		Fig10:      report.BuildFig10(ds),
-		Table2:     report.BuildResolverImpact(ds, "GB", "NG"),
-		Fig11:      report.BuildFig11(ds, p.ThroughputMinBytes),
-		Table3:     report.BuildTable3(),
-		Tables45:   report.BuildResolverImpact(ds, "CD", "ZA", "NG", "GB"),
-		Signatures: report.BuildSignatures(ds),
+	workers := p.cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for _, build := range builders {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build()
+			<-slots
+		}()
+	}
+	wg.Wait()
+	return res
+}
+
+// restrictImpact is BuildResolverImpact for a subset of the countries t
+// was built for: Table 2's rows are rows of Tables 4-5, and a second walk
+// over the flows would compute the same means from the same samples.
+func restrictImpact(t report.ResolverImpact, countries ...geo.CountryCode) report.ResolverImpact {
+	out := report.ResolverImpact{Countries: countries,
+		AvgRTT: map[analytics.DomainResolverKey]float64{},
+		Count:  map[analytics.DomainResolverKey]int{}}
+	for key, avg := range t.AvgRTT {
+		if slices.Contains(countries, key.Country) {
+			out.AvgRTT[key] = avg
+			out.Count[key] = t.Count[key]
+		}
+	}
+	return out
 }
 
 // Config returns the underlying simulation configuration.

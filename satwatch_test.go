@@ -1,10 +1,12 @@
 package satwatch
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"satwatch/internal/analytics"
+	"satwatch/internal/report"
 )
 
 func TestOptionsWiring(t *testing.T) {
@@ -65,6 +67,40 @@ func TestAnalyzeReusesOutput(t *testing.T) {
 	}
 	if len(again.Fig2.Rows) != len(r.Fig2.Rows) {
 		t.Fatal("Fig2 rows differ on re-analysis")
+	}
+}
+
+// TestAnalyzeParallelismInvariance: the builders run side by side, so the
+// Results — every field, and every rendering — must not depend on how
+// many goroutines they were spread over; and Table 2, taken from the
+// Tables 4-5 aggregate, is what building it on its own gives.
+func TestAnalyzeParallelismInvariance(t *testing.T) {
+	r := experimentResults(t)
+	ds := analytics.NewDataset(r.Output, 2)
+	serial := New(WithDays(2), WithParallelism(1)).Analyze(r.Output, ds)
+	parallel := New(WithDays(2), WithParallelism(8)).Analyze(r.Output, ds)
+	sv, pv := reflect.ValueOf(*serial), reflect.ValueOf(*parallel)
+	for i := 0; i < sv.NumField(); i++ {
+		if sv.Field(i).IsZero() {
+			t.Errorf("Results.%s left empty", sv.Type().Field(i).Name)
+		}
+		if !reflect.DeepEqual(sv.Field(i).Interface(), pv.Field(i).Interface()) {
+			t.Errorf("Results.%s differs between Parallelism 1 and 8", sv.Type().Field(i).Name)
+		}
+	}
+	for name, render := range map[string]func(*Results) string{
+		"RenderAll":  (*Results).RenderAll,
+		"Signatures": func(r *Results) string { return r.Signatures.Render() },
+		"Tables45":   func(r *Results) string { return r.Tables45.Render() },
+	} {
+		if render(serial) != render(parallel) {
+			t.Errorf("%s renders differently at Parallelism 1 and 8", name)
+		}
+	}
+	if direct := report.BuildResolverImpact(ds, "GB", "NG"); !reflect.DeepEqual(parallel.Table2, direct) {
+		t.Error("Table 2 derived from Tables 4-5 differs from Table 2 built directly")
+	} else if len(direct.AvgRTT) == 0 {
+		t.Error("Table 2 is empty: the comparison proves nothing")
 	}
 }
 
