@@ -36,6 +36,12 @@ type synthesizer struct {
 	shBytes  []byte            // ServerHello + Certificate + HelloDone
 	ckeBytes []byte            // ClientKeyExchange + CCS + Finished
 
+	// classes memoizes shaper.ClassifyFlow, a pure function of (domain,
+	// server port) that runs a regexp cascade; a population draws a few
+	// thousand distinct FQDNs. Owned by this synthesizer, so a scenario
+	// swap (which rebuilds it) starts a fresh memo.
+	classes map[classKey]shaper.Class
+
 	// Per-flow fault state, reset at the top of flow() (each synthesizer
 	// is single-goroutine). cutoff > 0 marks a gateway switchover during
 	// the flow's lifetime: events at or past it are suppressed and the
@@ -44,6 +50,11 @@ type synthesizer struct {
 	cutoff time.Duration
 	cutRST bool
 	retxP  float64
+}
+
+type classKey struct {
+	domain string
+	port   uint16
 }
 
 // observe delivers one event to the tracker unless a gateway switchover
@@ -72,6 +83,7 @@ func (s *synthesizer) init() error {
 	}
 	s.ports = map[int]*portAlloc{}
 	s.chCache = map[string][]byte{}
+	s.classes = map[classKey]shaper.Class{}
 	sh, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0xc02f}).Encode()
 	if err != nil {
 		return fmt.Errorf("encode ServerHello: %w", err)
@@ -113,6 +125,17 @@ func (s *synthesizer) clientHello(sni string) ([]byte, error) {
 	return rec, nil
 }
 
+// classify is shaper.ClassifyFlow through the synthesizer's memo.
+func (s *synthesizer) classify(domain string, port uint16) shaper.Class {
+	k := classKey{domain, port}
+	c, ok := s.classes[k]
+	if !ok {
+		c = shaper.ClassifyFlow(domain, port)
+		s.classes[k] = c
+	}
+	return c
+}
+
 // portAlloc hands out a customer's ephemeral source ports.
 type portAlloc struct {
 	next uint16
@@ -124,7 +147,9 @@ type portAlloc struct {
 }
 
 // portReuseGuard must exceed the tracker's largest inactivity window
-// (TCPIdle + FinLinger) so a reused 5-tuple always lands on a fresh flow.
+// (TCPIdle + FinLinger) plus its one-second sweep cadence so a reused
+// 5-tuple always lands on a fresh flow; flow advances the tracker to each
+// intent's start before the intent takes a port.
 const portReuseGuard = 6 * time.Minute
 
 // nextPort issues an ephemeral port for a flow starting at start. Ports
@@ -375,6 +400,10 @@ func (s *synthesizer) flow(fi *workload.FlowIntent, r *dist.Rand, fl *trace.Flow
 		return err
 	}
 	c := fi.Customer
+	// The synthesizer's clock is the intent's start: bring the probe there
+	// first, so a flow whose port nextPort may reissue has been swept even
+	// on a shard the driver has not advanced lately (portReuseGuard).
+	s.tracker.AdvanceTime(fi.Start)
 
 	// Reset per-flow fault state, then resolve the flow's fate against
 	// the schedule. All decisions are pure functions of (schedule, flow
@@ -421,7 +450,7 @@ func (s *synthesizer) flow(fi *workload.FlowIntent, r *dist.Rand, fl *trace.Flow
 		}
 	}
 
-	class := shaper.ClassifyFlow(fi.Domain, serverPort)
+	class := s.classify(fi.Domain, serverPort)
 	if fl != nil {
 		fl.SetMeta(c.Beam, string(c.Country.Code), hourOf(fi.Start)%24,
 			fi.Proto.String(), fi.Domain, fi.Start)

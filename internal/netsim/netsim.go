@@ -534,7 +534,12 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 			go func(w int) {
 				defer wg.Done()
 				prof.Worker(sctx, w, func(wctx context.Context) {
-					tracker := tstat.NewTracker(tstat.Config{Anonymizer: dep.anon})
+					out := &outs[w]
+					tracker := tstat.NewTracker(tstat.Config{
+						Anonymizer: dep.anon,
+						OnFlow:     func(r tstat.FlowRecord) { out.flows = append(out.flows, r) },
+						OnDNS:      func(r tstat.DNSRecord) { out.dns = append(out.dns, r) },
+					})
 					syn := newSynthesizer(cfg, dep, mod, sched, tracker)
 					sh := &shards[w]
 					local := 0
@@ -544,22 +549,24 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 							break
 						}
 						c := customers[ci]
-						if err := synthCustomer(syn, sh, root, cfg, c, local, &outs[w]); err != nil {
+						if err := synthCustomer(syn, sh, root, cfg, c, local, out); err != nil {
 							mWorkerRecoveries.Inc()
-							outs[w].errs = append(outs[w].errs, err.Error())
+							out.errs = append(out.errs, err.Error())
 						} else {
-							outs[w].done++
+							out.done++
 							mCustomersDone.Inc()
 						}
+						// 5-tuples are per customer: no later event can
+						// reach this customer's flows, so retire them now.
+						tracker.Flush()
 						local++
 					}
-					// The end-of-worker flush and canonical sort are tstat
-					// work, not synthesis — relabel them (keeping worker=N)
-					// so profiles separate tracker drain from flow synthesis.
+					// The canonical sort is tstat work, not synthesis —
+					// relabel it (keeping worker=N) so profiles separate it
+					// from flow synthesis.
 					prof.Do(wctx, prof.StageTstat, func() {
-						outs[w].flows, outs[w].dns = tracker.Flush()
-						tstat.SortFlows(outs[w].flows)
-						tstat.SortDNS(outs[w].dns)
+						tstat.SortFlows(out.flows)
+						tstat.SortDNS(out.dns)
 					})
 				})
 			}(w)

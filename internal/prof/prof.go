@@ -43,9 +43,8 @@ const (
 	StagePassB = "passB"
 	// StageMerge is the k-way merge of per-worker sorted logs.
 	StageMerge = "merge"
-	// StageTstat is tstat record flushing: tracker drain plus the
-	// canonical sort (inside pass-B workers, and the sharded tracker's
-	// Flush on live paths).
+	// StageTstat is the canonical sort of each pass-B worker's log (the
+	// tracker retires flows inside synthesis, at customer boundaries).
 	StageTstat = "tstat"
 	// StageReport is the analysis stage: dataset enrichment and the
 	// paper's tables and figures.

@@ -27,7 +27,8 @@ type outstandingSeg struct {
 
 // flowState is the per-flow tracking state.
 type flowState struct {
-	client packet.Endpoint // initiator (customer side)
+	key    packet.FiveTuple // canonical tuple: the flow-table key
+	client packet.Endpoint  // initiator (customer side)
 	server packet.Endpoint
 	isTCP  bool
 
@@ -56,6 +57,13 @@ type flowState struct {
 
 	finSeen [2]bool
 	rstSeen bool
+
+	// Eviction index (Tracker.sweep): touched marks the flow as queued on
+	// Tracker.touched since the last sweep; gen is the generation of its
+	// live deadline-heap entry (0: none) and due that entry's deadline.
+	touched bool
+	gen     uint32
+	due     time.Duration
 }
 
 type dnsPending struct {
@@ -63,8 +71,8 @@ type dnsPending struct {
 	name string
 }
 
-func newFlowState(client, server packet.Endpoint, isTCP bool, t time.Duration) *flowState {
-	return &flowState{client: client, server: server, isTCP: isTCP, start: t, last: t}
+func newFlowState(key packet.FiveTuple, client, server packet.Endpoint, isTCP bool, t time.Duration) *flowState {
+	return &flowState{key: key, client: client, server: server, isTCP: isTCP, start: t, last: t}
 }
 
 // seqLE compares sequence numbers with wraparound.

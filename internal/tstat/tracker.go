@@ -1,8 +1,9 @@
 package tstat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"satwatch/internal/cryptopan"
@@ -16,7 +17,7 @@ var (
 	mEvents = obs.NewCounter("tstat_events_observed_total",
 		"Segment events delivered to trackers (counted at Flush).", "")
 	mFlowRecords = obs.NewCounter("tstat_flow_records_total",
-		"Flow records emitted by tracker flushes.", "")
+		"Flow records emitted by trackers (counted at Flush).", "")
 )
 
 // Config tunes the tracker.
@@ -45,12 +46,26 @@ func DefaultConfig() Config {
 // Tracker is the flow table. It is not safe for concurrent use; shard by
 // FiveTuple.FastHash across trackers for parallel feeds (as the DPDK
 // pipeline in the paper does).
+//
+// The driver owns the clock: event timestamps never move it (a synthesizer
+// hands the tracker a flow's whole future at once), only AdvanceTime does,
+// so a flow is emitted when the driver's clock passes its end plus linger
+// or idle timeout, as a probe logs it. Flows observed since the last sweep
+// are filed on a min-heap by that deadline, so a sweep visits only what is
+// due, not the whole table.
 type Tracker struct {
 	cfg   Config
 	flows map[packet.FiveTuple]*flowState
 	now   time.Duration
 
 	lastSweep time.Duration
+	// touched lists the flows observed since the last sweep, each once.
+	touched []*flowState
+	// due is the deadline min-heap; an entry whose gen is not its flow's
+	// current one is stale and skipped.
+	due []dueEntry
+	// batch is emitOrdered's reusable scratch.
+	batch []*flowState
 
 	flowsOut []FlowRecord
 	dnsOut   []DNSRecord
@@ -63,6 +78,17 @@ type Tracker struct {
 	// Counters for operational visibility.
 	Observed   int64
 	DecodeErrs int64
+	// flushedEvents is the part of Observed already counted into mEvents;
+	// emitted counts flow records since the last Flush.
+	flushedEvents int64
+	emitted       int64
+}
+
+// dueEntry files a flow on the deadline heap.
+type dueEntry struct {
+	at  time.Duration
+	gen uint32
+	f   *flowState
 }
 
 // NewTracker builds a tracker.
@@ -82,17 +108,19 @@ func NewTracker(cfg Config) *Tracker {
 
 // Observe feeds one segment event. tuple is oriented as sent (the event
 // source is tuple.Src); the tracker derives the flow direction from the
-// initiator it saw first.
+// initiator it saw first. Observe never advances time and never evicts a
+// flow; only AdvanceTime does.
 func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 	t.Observed++
-	if ev.T > t.now {
-		t.now = ev.T
-	}
 	key, _ := tuple.Canonical()
 	f, ok := t.flows[key]
 	if !ok {
-		f = newFlowState(tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
+		f = newFlowState(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
 		t.flows[key] = f
+	}
+	if !f.touched {
+		f.touched = true
+		t.touched = append(t.touched, f)
 	}
 	if tuple.Src == f.client {
 		ev.Dir = ClientToServer
@@ -100,15 +128,11 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 		ev.Dir = ServerToClient
 	}
 	f.observe(ev, t)
-
-	// Amortized eviction sweep once per simulated second of trace time.
-	if t.now-t.lastSweep >= time.Second {
-		t.sweep()
-	}
 }
 
-// FeedPacket decodes a raw IPv4 packet (pcap replay or live capture) and
-// feeds it as a segment event — the packet frontend.
+// FeedPacket decodes a raw IPv4 packet (pcap replay or live capture),
+// feeds it as a segment event and advances the clock to its capture
+// timestamp — the packet frontend.
 func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 	p, err := packet.Decode(raw)
 	if err != nil {
@@ -133,82 +157,166 @@ func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 		ev.Ack = tcp.Ack
 	}
 	t.Observe(tuple, ev)
+	t.AdvanceTime(ts)
 	return nil
 }
 
 // emitOrdered emits a batch of finished flows in a deterministic order
-// (start time, then endpoints), so identical inputs produce identical
-// logs regardless of map iteration order.
+// (start time, then endpoints, then protocol: a total order over the flows
+// a tracker holds at once), so identical inputs produce identical logs
+// regardless of map iteration or heap order. The batch is t.batch's
+// storage and is handed back for reuse.
 func (t *Tracker) emitOrdered(batch []*flowState) {
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.start != b.start {
-			return a.start < b.start
+	slices.SortFunc(batch, func(a, b *flowState) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
 		if c := a.client.Addr.Compare(b.client.Addr); c != 0 {
-			return c < 0
+			return c
 		}
-		if a.client.Port != b.client.Port {
-			return a.client.Port < b.client.Port
+		if c := cmp.Compare(a.client.Port, b.client.Port); c != 0 {
+			return c
 		}
 		if c := a.server.Addr.Compare(b.server.Addr); c != 0 {
-			return c < 0
+			return c
 		}
-		return a.server.Port < b.server.Port
+		if c := cmp.Compare(a.server.Port, b.server.Port); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.Proto, b.key.Proto)
 	})
 	for _, f := range batch {
 		t.emitFlow(f)
 	}
+	clear(batch)
+	t.batch = batch[:0]
 }
 
-// sweep emits flows that have been idle past their timeout or linger.
+// deadline is the clock reading at which f is due: its last event plus the
+// FIN linger (closed TCP), the TCP idle timeout (open TCP) or the UDP idle
+// timeout.
+func (t *Tracker) deadline(f *flowState) time.Duration {
+	switch {
+	case !f.isTCP:
+		return f.last + t.cfg.UDPIdle
+	case f.closed():
+		return f.last + min(t.cfg.FinLinger, t.cfg.TCPIdle)
+	default:
+		return f.last + t.cfg.TCPIdle
+	}
+}
+
+// sweep emits the flows due at t.now. It first files the flows touched
+// since the last sweep: one without a heap entry, or whose deadline moved
+// earlier than its entry's, gets a new entry (superseding the old one); one
+// whose deadline moved later keeps its entry and is refiled when that entry
+// comes due. So every active flow has one live entry no later than its
+// deadline, and popping the entries due at t.now reaches every flow a scan
+// of the whole table would evict, and no other.
 func (t *Tracker) sweep() {
 	t.lastSweep = t.now
-	var batch []*flowState
-	for key, f := range t.flows {
-		idle := t.now - f.last
-		var done bool
-		switch {
-		case f.isTCP && f.closed() && idle >= t.cfg.FinLinger:
-			done = true
-		case f.isTCP && idle >= t.cfg.TCPIdle:
-			done = true
-		case !f.isTCP && idle >= t.cfg.UDPIdle:
-			done = true
+	for _, f := range t.touched {
+		f.touched = false
+		if d := t.deadline(f); f.gen == 0 || d < f.due {
+			t.file(f, d)
 		}
-		if done {
-			batch = append(batch, f)
-			delete(t.flows, key)
+	}
+	clear(t.touched)
+	t.touched = t.touched[:0]
+	batch := t.batch
+	for len(t.due) > 0 && t.due[0].at <= t.now {
+		e := t.popDue()
+		f := e.f
+		if e.gen != f.gen {
+			continue
 		}
+		if d := t.deadline(f); d > t.now {
+			t.file(f, d)
+			continue
+		}
+		f.gen = 0
+		delete(t.flows, f.key)
+		batch = append(batch, f)
 	}
 	t.emitOrdered(batch)
 }
 
-// Flush closes every active flow and returns all accumulated records.
-// Streaming configurations (OnFlow/OnDNS) receive the remaining records
-// through their callbacks and get empty slices here.
-func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
-	batch := make([]*flowState, 0, len(t.flows))
-	for key, f := range t.flows {
-		batch = append(batch, f)
-		delete(t.flows, key)
+// file pushes a heap entry for f due at d, superseding f's previous one.
+func (t *Tracker) file(f *flowState, d time.Duration) {
+	f.gen++
+	f.due = d
+	h := append(t.due, dueEntry{at: d, gen: f.gen, f: f})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
+	t.due = h
+}
+
+// popDue removes and returns the earliest heap entry.
+func (t *Tracker) popDue() dueEntry {
+	h := t.due
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], dueEntry{}
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].at < h[m].at {
+			m = r
+		}
+		if h[i].at <= h[m].at {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	t.due = h
+	return top
+}
+
+// Flush ends the capture: it closes every active flow, returns all
+// accumulated records and resets the clock, so the tracker can carry on
+// with an independent timeline (batch synthesis flushes at each customer
+// boundary: 5-tuples are per customer). Streaming configurations
+// (OnFlow/OnDNS) receive the remaining records through their callbacks and
+// get empty slices here.
+func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
+	t.now, t.lastSweep = 0, 0
+	clear(t.touched)
+	t.touched = t.touched[:0]
+	clear(t.due)
+	t.due = t.due[:0]
+	batch := t.batch
+	for _, f := range t.flows {
+		batch = append(batch, f)
+	}
+	clear(t.flows)
 	t.emitOrdered(batch)
 	flows, dns := t.flowsOut, t.dnsOut
 	t.flowsOut, t.dnsOut = nil, nil
-	mEvents.Add(t.Observed)
-	mFlowRecords.Add(int64(len(flows)))
+	mEvents.Add(t.Observed - t.flushedEvents)
+	t.flushedEvents = t.Observed
+	mFlowRecords.Add(t.emitted)
+	t.emitted = 0
 	return flows, dns
 }
 
 // Active returns the number of in-flight flows.
 func (t *Tracker) Active() int { return len(t.flows) }
 
-// AdvanceTime moves the tracker clock forward without an event and runs
-// the idle sweep when due. Streaming consumers (the live pipeline) call
-// it as simulated time passes so flows that went quiet are emitted even
-// when no new traffic arrives on this shard. Like every other method it
-// must be called from the tracker's owning goroutine.
+// AdvanceTime moves the tracker clock forward (never back) and, once per
+// simulated second, emits the flows whose FIN linger or idle timeout has
+// passed. It is the only thing that moves time: the live pipeline calls it
+// as its simulated clock passes, pcap replay (FeedPacket) with each
+// packet's capture time. Like every other method it must be called from
+// the tracker's owning goroutine.
 func (t *Tracker) AdvanceTime(now time.Duration) {
 	if now > t.now {
 		t.now = now
@@ -238,16 +346,11 @@ func (t *Tracker) finishTrace(f *flowState, rec *FlowRecord) {
 	if len(t.traced) == 0 {
 		return
 	}
-	proto := packet.ProtoUDP
-	if f.isTCP {
-		proto = packet.ProtoTCP
-	}
-	key, _ := packet.FiveTuple{Proto: proto, Src: f.client, Dst: f.server}.Canonical()
-	fl, ok := t.traced[key]
+	fl, ok := t.traced[f.key]
 	if !ok {
 		return
 	}
-	delete(t.traced, key)
+	delete(t.traced, f.key)
 	if rec.SatRTT > 0 {
 		fl.Span(trace.SpanHandshakeRTT, trace.SegProbe, rec.SatRTT, trace.Attrs{
 			"proto": rec.Proto.String(), "events": rec.PktsUp + rec.PktsDown,
@@ -257,6 +360,7 @@ func (t *Tracker) finishTrace(f *flowState, rec *FlowRecord) {
 }
 
 func (t *Tracker) emitFlow(f *flowState) {
+	t.emitted++
 	rec := f.record()
 	t.finishTrace(f, &rec)
 	if t.cfg.Anonymizer != nil && rec.Client.Is4() {

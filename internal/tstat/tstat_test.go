@@ -266,6 +266,8 @@ func TestDNSTransactions(t *testing.T) {
 	}
 }
 
+// TestIdleEviction: Observe alone never evicts, whatever timestamps it is
+// handed; AdvanceTime emits a flow once the clock passes its idle timeout.
 func TestIdleEviction(t *testing.T) {
 	tr := NewTracker(Config{UDPIdle: time.Minute, TCPIdle: 5 * time.Minute})
 	web := packet.Endpoint{Addr: netip.MustParseAddr("5.5.5.5"), Port: 8000}
@@ -273,15 +275,23 @@ func TestIdleEviction(t *testing.T) {
 	if tr.Active() != 1 {
 		t.Fatal("flow not tracked")
 	}
-	// Another flow two minutes later triggers the sweep.
+	// A later event on another flow does not move the clock.
 	other := packet.Endpoint{Addr: netip.MustParseAddr("6.6.6.6"), Port: 8000}
 	tr.Observe(udpTuple(cust, other), SegmentEvent{T: 2 * time.Minute, Payload: 100})
+	if tr.Active() != 2 {
+		t.Fatalf("Observe evicted a flow (%d active, want 2)", tr.Active())
+	}
+	tr.AdvanceTime(time.Minute - time.Second)
+	if tr.Active() != 2 {
+		t.Fatalf("flow evicted before its idle timeout (%d active)", tr.Active())
+	}
+	tr.AdvanceTime(time.Minute)
 	if tr.Active() != 1 {
-		t.Fatalf("idle flow not evicted (%d active)", tr.Active())
+		t.Fatalf("idle flow not evicted at its timeout (%d active)", tr.Active())
 	}
 	flows, _ := tr.Flush()
-	if len(flows) != 2 {
-		t.Fatalf("%d flows", len(flows))
+	if len(flows) != 2 || flows[0].Server != web.Addr {
+		t.Fatalf("flows %+v, want the idled-out flow first", flows)
 	}
 }
 
