@@ -621,7 +621,6 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 	s2c := c2s.Reverse()
 	g := path.groundRTT
 	ms := time.Millisecond
-	obs := func(tuple packet.FiveTuple, ev tstat.SegmentEvent) { s.observe(tuple, ev) }
 
 	t := fi.Start
 	seq := uint32(1)
@@ -632,9 +631,9 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 	if path.bypass {
 		ackGap = path.satRTT
 	}
-	obs(c2s, tstat.SegmentEvent{T: t, Flags: packet.FlagSYN, Packets: 1, WireLen: hdrLen + 12})
-	obs(s2c, tstat.SegmentEvent{T: t + g, Flags: packet.FlagSYN | packet.FlagACK, Ack: 1, Packets: 1, WireLen: hdrLen + 12})
-	obs(c2s, tstat.SegmentEvent{T: t + g + ackGap, Flags: packet.FlagACK, Ack: 1, Packets: 1, WireLen: hdrLen})
+	s.observe(c2s, tstat.SegmentEvent{T: t, Flags: packet.FlagSYN, Packets: 1, WireLen: hdrLen + 12})
+	s.observe(s2c, tstat.SegmentEvent{T: t + g, Flags: packet.FlagSYN | packet.FlagACK, Ack: 1, Packets: 1, WireLen: hdrLen + 12})
+	s.observe(c2s, tstat.SegmentEvent{T: t + g + ackGap, Flags: packet.FlagACK, Ack: 1, Packets: 1, WireLen: hdrLen})
 
 	dataStart := t + g + ackGap + ms
 	switch fi.Proto {
@@ -644,30 +643,30 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 			return 0, err
 		}
 		tCH := t + g + ackGap + ms
-		obs(c2s, tstat.SegmentEvent{T: tCH, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(ch), WireLen: hdrLen + len(ch), Packets: 1, AppData: ch})
+		s.observe(c2s, tstat.SegmentEvent{T: tCH, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(ch), WireLen: hdrLen + len(ch), Packets: 1, AppData: ch})
 		seq += uint32(len(ch))
-		obs(s2c, tstat.SegmentEvent{T: tCH + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
+		s.observe(s2c, tstat.SegmentEvent{T: tCH + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		tSH := tCH + g + ms
-		obs(s2c, tstat.SegmentEvent{T: tSH, Flags: packet.FlagACK | packet.FlagPSH, Seq: 1, Payload: len(s.shBytes), WireLen: 3*hdrLen + len(s.shBytes), Packets: 3, AppData: s.shBytes})
+		s.observe(s2c, tstat.SegmentEvent{T: tSH, Flags: packet.FlagACK | packet.FlagPSH, Seq: 1, Payload: len(s.shBytes), WireLen: 3*hdrLen + len(s.shBytes), Packets: 3, AppData: s.shBytes})
 		// The client's next flight crosses the satellite: this gap is
 		// the probe's satellite-RTT estimate (§2.2).
 		tCKE := tSH + path.satRTT
-		obs(c2s, tstat.SegmentEvent{T: tCKE, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(s.ckeBytes), WireLen: hdrLen + len(s.ckeBytes), Packets: 1, AppData: s.ckeBytes})
+		s.observe(c2s, tstat.SegmentEvent{T: tCKE, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(s.ckeBytes), WireLen: hdrLen + len(s.ckeBytes), Packets: 1, AppData: s.ckeBytes})
 		seq += uint32(len(s.ckeBytes))
-		obs(s2c, tstat.SegmentEvent{T: tCKE + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
+		s.observe(s2c, tstat.SegmentEvent{T: tCKE + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		dataStart = tCKE + g + ms
 	case cdn.AppHTTP:
 		req := (&packet.HTTPRequest{Method: "GET", Target: "/", Headers: []packet.HTTPHeader{{Name: "Host", Value: fi.Domain}}}).Encode()
 		tReq := t + g + ackGap + ms
-		obs(c2s, tstat.SegmentEvent{T: tReq, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(req), WireLen: hdrLen + len(req), Packets: 1, AppData: req})
+		s.observe(c2s, tstat.SegmentEvent{T: tReq, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(req), WireLen: hdrLen + len(req), Packets: 1, AppData: req})
 		seq += uint32(len(req))
-		obs(s2c, tstat.SegmentEvent{T: tReq + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
+		s.observe(s2c, tstat.SegmentEvent{T: tReq + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		dataStart = tReq + g + ms
 	default: // opaque TCP: first client payload right after the handshake
 		first := 64 + r.IntN(400)
-		obs(c2s, tstat.SegmentEvent{T: t + g + ackGap + ms, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: first, WireLen: hdrLen + first, Packets: 1, AppData: []byte{0x16, 0x99, 0x01}})
+		s.observe(c2s, tstat.SegmentEvent{T: t + g + ackGap + ms, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: first, WireLen: hdrLen + first, Packets: 1, AppData: []byte{0x16, 0x99, 0x01}})
 		seq += uint32(first)
-		obs(s2c, tstat.SegmentEvent{T: t + g + ackGap + ms + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
+		s.observe(s2c, tstat.SegmentEvent{T: t + g + ackGap + ms + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		dataStart = t + 2*g + ackGap + 2*ms
 	}
 
@@ -701,8 +700,8 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 	}
 
 	// Teardown.
-	obs(c2s, tstat.SegmentEvent{T: endData + 2*ms, Flags: packet.FlagFIN | packet.FlagACK, Seq: seq, Packets: 1, WireLen: hdrLen})
-	obs(s2c, tstat.SegmentEvent{T: endData + 2*ms + g, Flags: packet.FlagFIN | packet.FlagACK, Ack: seq + 1, Packets: 1, WireLen: hdrLen})
+	s.observe(c2s, tstat.SegmentEvent{T: endData + 2*ms, Flags: packet.FlagFIN | packet.FlagACK, Seq: seq, Packets: 1, WireLen: hdrLen})
+	s.observe(s2c, tstat.SegmentEvent{T: endData + 2*ms + g, Flags: packet.FlagFIN | packet.FlagACK, Ack: seq + 1, Packets: 1, WireLen: hdrLen})
 	return endData + 2*ms + g, nil
 }
 
@@ -713,7 +712,6 @@ func (s *synthesizer) emitDownload(c2s, s2c packet.FiveTuple, start time.Duratio
 	if bytes <= 0 {
 		return start
 	}
-	obs := func(tuple packet.FiveTuple, ev tstat.SegmentEvent) { s.observe(tuple, ev) }
 	segs := (bytes + mss - 1) / mss
 	lead := segs
 	if lead > 6 {
@@ -728,12 +726,12 @@ func (s *synthesizer) emitDownload(c2s, s2c packet.FiveTuple, start time.Duratio
 		if bytes-sent < n {
 			n = bytes - sent
 		}
-		obs(s2c, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: hdrLen + int(n), Packets: 1})
+		s.observe(s2c, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: hdrLen + int(n), Packets: 1})
 		if s.retxP > 0 && r.Bool(s.retxP) {
 			// Rain-window frame loss: the lead segment is repaired by a
 			// retransmission the probe sees as a duplicate (same Seq),
 			// inflating the flow's packet and byte counts.
-			obs(s2c, tstat.SegmentEvent{T: tv + 40*time.Millisecond, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: hdrLen + int(n), Packets: 1})
+			s.observe(s2c, tstat.SegmentEvent{T: tv + 40*time.Millisecond, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: hdrLen + int(n), Packets: 1})
 		}
 		srvSeq += uint32(n)
 		sent += n
@@ -756,13 +754,13 @@ func (s *synthesizer) emitDownload(c2s, s2c packet.FiveTuple, start time.Duratio
 				continue
 			}
 			pkts := int((n + mss - 1) / mss)
-			obs(s2c, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: int(n) + pkts*hdrLen, Packets: pkts})
+			s.observe(s2c, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: srvSeq, Payload: int(n), WireLen: int(n) + pkts*hdrLen, Packets: pkts})
 			srvSeq += uint32(n)
 			// Delayed ACKs from the PEP side: about one per two
 			// data packets, aggregated alongside the burst.
 			acks := pkts / 2
 			if acks > 0 {
-				obs(c2s, tstat.SegmentEvent{T: tv + time.Millisecond, Flags: packet.FlagACK, Ack: srvSeq, Packets: acks, WireLen: acks * hdrLen})
+				s.observe(c2s, tstat.SegmentEvent{T: tv + time.Millisecond, Flags: packet.FlagACK, Ack: srvSeq, Packets: acks, WireLen: acks * hdrLen})
 			}
 			tv += burstGap
 		}
@@ -773,7 +771,6 @@ func (s *synthesizer) emitDownload(c2s, s2c packet.FiveTuple, start time.Duratio
 // emitUpload spreads client→server bytes over the upload window; server
 // ACKs arrive a ground RTT later, feeding the probe's RTT estimator.
 func (s *synthesizer) emitUpload(c2s, s2c packet.FiveTuple, start time.Duration, dur time.Duration, bytes int64, seq *uint32, g time.Duration) time.Duration {
-	obs := func(tuple packet.FiveTuple, ev tstat.SegmentEvent) { s.observe(tuple, ev) }
 	bursts := int64(6)
 	if bytes/mss < bursts {
 		bursts = bytes/mss + 1
@@ -790,9 +787,9 @@ func (s *synthesizer) emitUpload(c2s, s2c packet.FiveTuple, start time.Duration,
 			continue
 		}
 		pkts := int((n + mss - 1) / mss)
-		obs(c2s, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: *seq, Payload: int(n), WireLen: int(n) + pkts*hdrLen, Packets: pkts})
+		s.observe(c2s, tstat.SegmentEvent{T: tv, Flags: packet.FlagACK, Seq: *seq, Payload: int(n), WireLen: int(n) + pkts*hdrLen, Packets: pkts})
 		*seq += uint32(n)
-		obs(s2c, tstat.SegmentEvent{T: tv + g, Flags: packet.FlagACK, Ack: *seq, Packets: (pkts + 1) / 2, WireLen: hdrLen * ((pkts + 1) / 2)})
+		s.observe(s2c, tstat.SegmentEvent{T: tv + g, Flags: packet.FlagACK, Ack: *seq, Packets: (pkts + 1) / 2, WireLen: hdrLen * ((pkts + 1) / 2)})
 		tv += gap
 	}
 	return tv + g
@@ -804,7 +801,6 @@ func (s *synthesizer) emitUpload(c2s, s2c packet.FiveTuple, start time.Duration,
 func (s *synthesizer) quicFlow(fi *workload.FlowIntent, client, server packet.Endpoint, path pathParams, r *dist.Rand) time.Duration {
 	c2s := packet.FiveTuple{Proto: packet.ProtoUDP, Src: client, Dst: server}
 	s2c := c2s.Reverse()
-	obs := func(tuple packet.FiveTuple, ev tstat.SegmentEvent) { s.observe(tuple, ev) }
 
 	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: fi.Domain}).Encode()
 	if err != nil {
@@ -820,10 +816,10 @@ func (s *synthesizer) quicFlow(fi *workload.FlowIntent, client, server packet.En
 	}
 	t := fi.Start
 	g := path.groundRTT
-	obs(c2s, tstat.SegmentEvent{T: t, Payload: 1252, WireLen: 1280, Packets: 1, AppData: ini})
-	obs(s2c, tstat.SegmentEvent{T: t + g, Payload: 3600, WireLen: 3684, Packets: 3})
+	s.observe(c2s, tstat.SegmentEvent{T: t, Payload: 1252, WireLen: 1280, Packets: 1, AppData: ini})
+	s.observe(s2c, tstat.SegmentEvent{T: t + g, Payload: 3600, WireLen: 3684, Packets: 3})
 	// The client's handshake completion crosses the satellite.
-	obs(c2s, tstat.SegmentEvent{T: t + g + path.satRTT, Payload: 120, WireLen: 148, Packets: 1})
+	s.observe(c2s, tstat.SegmentEvent{T: t + g + path.satRTT, Payload: 120, WireLen: 148, Packets: 1})
 
 	tl := tcpmodel.Compute(fi.Down, tcpmodel.Params{RTT: g + path.satRTT, BottleneckBps: path.bneckBps, InitialWindow: 10})
 	dur := tl.LastData - tl.FirstData

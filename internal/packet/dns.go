@@ -147,14 +147,14 @@ func appendRR(out []byte, rr DNSRR) ([]byte, error) {
 // appendName writes a domain name in uncompressed label format.
 func appendName(out []byte, name string) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			if len(label) == 0 || len(label) > 63 {
-				return nil, fmt.Errorf("dns: bad label in %q", name)
-			}
-			out = append(out, byte(len(label)))
-			out = append(out, label...)
+	for rest, more := name, name != ""; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
+		if len(label) == 0 || len(label) > 63 {
+			return nil, fmt.Errorf("dns: bad label in %q", name)
 		}
+		out = append(out, byte(len(label)))
+		out = append(out, label...)
 	}
 	return append(out, 0), nil
 }

@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -130,6 +132,33 @@ func TestDNSBadLabels(t *testing.T) {
 	}
 	if _, err := appendName(nil, "a..com"); err == nil {
 		t.Fatal("empty label accepted")
+	}
+}
+
+// appendNameSplit is the strings.Split encoder appendName replaced, kept as
+// its reference.
+func appendNameSplit(out []byte, name string) ([]byte, error) {
+	name = strings.TrimSuffix(name, ".")
+	if name != "" {
+		for _, label := range strings.Split(name, ".") {
+			if len(label) == 0 || len(label) > 63 {
+				return nil, fmt.Errorf("dns: bad label in %q", name)
+			}
+			out = append(out, byte(len(label)))
+			out = append(out, label...)
+		}
+	}
+	return append(out, 0), nil
+}
+
+func TestAppendNameMatchesSplit(t *testing.T) {
+	for _, name := range []string{"", ".", "a", "a.", "a..", ".a", "a..b", "cdn.example.com",
+		strings.Repeat("x", 63), strings.Repeat("x", 64), strings.Repeat("x", 63) + ".com", "com." + strings.Repeat("x", 64)} {
+		got, gotErr := appendName([]byte{9}, name)
+		want, wantErr := appendNameSplit([]byte{9}, name)
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Errorf("appendName(%q) = %v, %v; strings.Split version %v, %v", name, got, gotErr, want, wantErr)
+		}
 	}
 }
 

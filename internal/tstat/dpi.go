@@ -1,6 +1,8 @@
 package tstat
 
 import (
+	"slices"
+
 	"satwatch/internal/packet"
 )
 
@@ -23,61 +25,77 @@ type dpiState struct {
 }
 
 // feedClientTCP accumulates client-side TCP payload and tries to classify.
+// The first payload is inspected in place; it is copied into buf only when
+// the hello in it is incomplete and the next payload must be appended.
 func (d *dpiState) feedClientTCP(data []byte) {
 	if d.done || len(data) == 0 {
 		return
 	}
 	d.sawData = true
-	d.buf = append(d.buf, data...)
+	stream := data
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, data...)
+		stream = d.buf
+	}
+	if d.name(stream) || len(stream) >= dpiBudget {
+		d.finish()
+		return
+	}
+	if len(d.buf) == 0 {
+		d.buf = append(d.buf, data...)
+	}
+}
 
+// name tries to name the flow from the client bytes seen so far: a TLS
+// ClientHello's SNI, else a plain HTTP request's Host header.
+func (d *dpiState) name(stream []byte) bool {
 	// TLS: reassemble records until a ClientHello parses.
-	if len(d.buf) >= 3 && d.buf[0] == packet.TLSRecordHandshake {
-		recs, _, err := packet.DecodeTLSRecords(d.buf)
-		if err == nil {
-			var hs []byte
-			for _, rec := range recs {
-				if rec.Type == packet.TLSRecordHandshake {
-					hs = append(hs, rec.Payload...)
-				}
+	if len(stream) >= 3 && stream[0] == packet.TLSRecordHandshake {
+		recs, _, err := packet.DecodeTLSRecords(stream)
+		if err != nil {
+			return false
+		}
+		// A single handshake record is parsed from its own payload;
+		// further ones are appended to a copy, never into stream.
+		var hs []byte
+		for _, rec := range recs {
+			if rec.Type != packet.TLSRecordHandshake {
+				continue
 			}
-			if msgs, err := packet.DecodeTLSHandshakes(hs); err == nil {
-				for _, m := range msgs {
-					if m.Type == packet.TLSHandshakeClientHello {
-						if ch, err := packet.ParseClientHello(m.Body); err == nil {
-							d.isTLS = true
-							d.domain = ch.ServerName
-							d.finish()
-							return
-						}
-					}
-				}
+			if hs == nil {
+				hs = rec.Payload
+			} else {
+				hs = append(slices.Clip(hs), rec.Payload...)
 			}
 		}
-		// Looks like TLS but the hello hasn't fully arrived yet.
-		if len(d.buf) < dpiBudget {
-			return
+		msgs, err := packet.DecodeTLSHandshakes(hs)
+		if err != nil {
+			return false
 		}
+		for _, m := range msgs {
+			if m.Type != packet.TLSHandshakeClientHello {
+				continue
+			}
+			if ch, err := packet.ParseClientHello(m.Body); err == nil {
+				d.isTLS = true
+				d.domain = ch.ServerName
+				return true
+			}
+		}
+		return false
 	}
 
 	// Plain HTTP: request line plus Host header.
-	if packet.LooksLikeHTTPRequest(d.buf) {
-		if req, err := packet.ParseHTTPRequest(d.buf); err == nil {
+	if packet.LooksLikeHTTPRequest(stream) {
+		if req, err := packet.ParseHTTPRequest(stream); err == nil {
 			if host := req.Host(); host != "" {
 				d.isHTTP = true
 				d.domain = host
-				d.finish()
-				return
+				return true
 			}
 		}
-		// Head incomplete; wait for more unless over budget.
-		if len(d.buf) < dpiBudget {
-			return
-		}
 	}
-
-	if len(d.buf) >= dpiBudget {
-		d.finish()
-	}
+	return false
 }
 
 // feedClientUDP classifies a client UDP datagram (QUIC or RTP; DNS is

@@ -21,6 +21,7 @@ func scanAdvanceTime(t *Tracker, now time.Duration) {
 		return
 	}
 	t.lastSweep = t.now
+	t.last = nil
 	var batch []*flowState
 	for key, f := range t.flows {
 		idle := t.now - f.last

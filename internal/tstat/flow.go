@@ -1,6 +1,7 @@
 package tstat
 
 import (
+	"encoding/binary"
 	"time"
 
 	"satwatch/internal/packet"
@@ -41,8 +42,10 @@ type flowState struct {
 
 	dpi dpiState
 
-	// Ground RTT: client→server data awaiting server ACKs.
+	// Ground RTT: client→server data awaiting server ACKs. outstanding
+	// starts on outBuf, which holds a typical flow's whole window.
 	outstanding []outstandingSeg
+	outBuf      [4]outstandingSeg
 	maxSeqSent  uint32
 	seqValid    bool
 	ground      rttAccum
@@ -72,27 +75,34 @@ type dnsPending struct {
 }
 
 func newFlowState(key packet.FiveTuple, client, server packet.Endpoint, isTCP bool, t time.Duration) *flowState {
-	return &flowState{key: key, client: client, server: server, isTCP: isTCP, start: t, last: t}
+	f := &flowState{key: key, client: client, server: server, isTCP: isTCP, start: t, last: t,
+		first10: make([]time.Duration, 0, 10)}
+	f.outstanding = f.outBuf[:0]
+	return f
+}
+
+// carries reports whether tuple, in either orientation, is this flow's.
+func (f *flowState) carries(tuple packet.FiveTuple) bool {
+	return tuple.Proto == f.key.Proto &&
+		(tuple.Src == f.client && tuple.Dst == f.server || tuple.Src == f.server && tuple.Dst == f.client)
 }
 
 // seqLE compares sequence numbers with wraparound.
 func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 
 // observe folds one segment event into the flow.
-func (f *flowState) observe(ev SegmentEvent, sink *Tracker) {
-	if ev.Packets <= 0 {
-		ev.Packets = 1
-	}
+func (f *flowState) observe(ev *SegmentEvent, sink *Tracker) {
+	pkts := int64(max(ev.Packets, 1))
 	f.last = ev.T
 	if len(f.first10) < 10 {
 		f.first10 = append(f.first10, ev.T)
 	}
 	if ev.Dir == ClientToServer {
 		f.bytesUp += int64(ev.Payload)
-		f.pktsUp += int64(ev.Packets)
+		f.pktsUp += pkts
 	} else {
 		f.bytesDown += int64(ev.Payload)
-		f.pktsDown += int64(ev.Packets)
+		f.pktsDown += pkts
 	}
 
 	if f.isTCP {
@@ -102,7 +112,7 @@ func (f *flowState) observe(ev SegmentEvent, sink *Tracker) {
 	}
 }
 
-func (f *flowState) observeTCP(ev SegmentEvent) {
+func (f *flowState) observeTCP(ev *SegmentEvent) {
 	if ev.Flags.Has(packet.FlagRST) {
 		f.rstSeen = true
 	}
@@ -149,37 +159,55 @@ func (f *flowState) observeTCP(ev SegmentEvent) {
 }
 
 // feedTLSServer watches for the ServerHello.
-func (f *flowState) feedTLSServer(ev SegmentEvent) {
+func (f *flowState) feedTLSServer(ev *SegmentEvent) {
 	if f.tls == tlsDone || f.tls == tlsSawServerHello {
 		return
 	}
-	recs, _, err := packet.DecodeTLSRecords(ev.AppData)
-	if err != nil {
-		return
+	if hasServerHello(ev.AppData) {
+		f.tls = tlsSawServerHello
+		f.tSrvHello = ev.T
 	}
-	for _, rec := range recs {
-		if rec.Type != packet.TLSRecordHandshake {
-			continue
+}
+
+// hasServerHello reports whether a server payload carries a ServerHello,
+// walking the record and handshake framing in place. Its verdict is that of
+// packet.DecodeTLSRecords followed by packet.DecodeTLSHandshakes on each
+// handshake record: an unknown content type anywhere rejects the whole
+// payload, a handshake record whose messages do not frame exactly is
+// skipped, and a trailing partial record is ignored.
+func hasServerHello(data []byte) bool {
+	found := false
+	for len(data) >= 5 {
+		typ := data[0]
+		if typ < packet.TLSRecordChangeCipherSpec || typ > packet.TLSRecordApplicationData {
+			return false
 		}
-		msgs, err := packet.DecodeTLSHandshakes(rec.Payload)
-		if err != nil {
-			continue
+		n := int(binary.BigEndian.Uint16(data[3:5]))
+		if 5+n > len(data) {
+			break
 		}
-		for _, m := range msgs {
-			if m.Type == packet.TLSHandshakeServerHello {
-				f.tls = tlsSawServerHello
-				f.tSrvHello = ev.T
-				return
+		if typ == packet.TLSRecordHandshake && !found {
+			msgs, hello := data[5:5+n], false
+			for len(msgs) >= 4 {
+				m := int(msgs[1])<<16 | int(msgs[2])<<8 | int(msgs[3])
+				if 4+m > len(msgs) {
+					break
+				}
+				hello = hello || msgs[0] == packet.TLSHandshakeServerHello
+				msgs = msgs[4+m:]
 			}
+			found = hello && len(msgs) == 0
 		}
+		data = data[5+n:]
 	}
+	return found
 }
 
 // feedTLSClient advances the handshake machine on client records; the
 // first client handshake bytes after the ServerHello (the
 // ClientKeyExchange/ChangeCipherSpec flight) close the satellite-RTT
 // sample.
-func (f *flowState) feedTLSClient(ev SegmentEvent) {
+func (f *flowState) feedTLSClient(ev *SegmentEvent) {
 	switch f.tls {
 	case tlsIdle:
 		if len(ev.AppData) > 0 && ev.AppData[0] == packet.TLSRecordHandshake {
@@ -197,7 +225,7 @@ func (f *flowState) feedTLSClient(ev SegmentEvent) {
 	}
 }
 
-func (f *flowState) observeUDP(ev SegmentEvent, sink *Tracker) {
+func (f *flowState) observeUDP(ev *SegmentEvent, sink *Tracker) {
 	if f.server.Port == 53 {
 		f.observeDNS(ev, sink)
 		return
@@ -208,7 +236,7 @@ func (f *flowState) observeUDP(ev SegmentEvent, sink *Tracker) {
 }
 
 // observeDNS parses queries and responses and emits transaction records.
-func (f *flowState) observeDNS(ev SegmentEvent, sink *Tracker) {
+func (f *flowState) observeDNS(ev *SegmentEvent, sink *Tracker) {
 	if len(ev.AppData) == 0 {
 		return
 	}

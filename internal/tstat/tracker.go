@@ -3,6 +3,7 @@ package tstat
 import (
 	"cmp"
 	"fmt"
+	"net/netip"
 	"slices"
 	"time"
 
@@ -43,9 +44,18 @@ func DefaultConfig() Config {
 	return Config{TCPIdle: 5 * time.Minute, UDPIdle: time.Minute, FinLinger: 5 * time.Second}
 }
 
-// Tracker is the flow table. It is not safe for concurrent use; shard by
-// FiveTuple.FastHash across trackers for parallel feeds (as the DPDK
-// pipeline in the paper does).
+// Tracker is the flow table. It is not safe for concurrent use; parallel
+// feeds shard by customer across trackers (the live pipeline by customer ID
+// modulo workers, batch synthesis by customer stride), so every event of a
+// flow reaches one tracker on one goroutine, as the DPDK pipeline in the
+// paper pins a flow to one core, and a tracker's memos cover only its
+// shard's flows and customers.
+//
+// A tracker remembers the flow its previous Observe reached and matches the
+// next tuple against it, in either orientation, before hashing: a
+// synthesized flow arrives as one run of events, so the table is hashed
+// about once per flow. The memo is cleared wherever a flow leaves the table
+// (sweep, Flush), so it never names an evicted flow.
 //
 // The driver owns the clock: event timestamps never move it (a synthesizer
 // hands the tracker a flow's whole future at once), only AdvanceTime does,
@@ -57,6 +67,8 @@ type Tracker struct {
 	cfg   Config
 	flows map[packet.FiveTuple]*flowState
 	now   time.Duration
+	// last is the flow the previous Observe reached, nil after an eviction.
+	last *flowState
 
 	lastSweep time.Duration
 	// touched lists the flows observed since the last sweep, each once.
@@ -74,6 +86,10 @@ type Tracker struct {
 	// handles; the handle is completed and finished when the flow record
 	// is emitted (the probe is the last component to see the flow).
 	traced map[packet.FiveTuple]*trace.Flow
+
+	// anon memoizes Config.Anonymizer per client address: a tracker sees
+	// only its shard's customers, and Crypto-PAn costs 32 AES blocks.
+	anon map[netip.Addr]netip.Addr
 
 	// Counters for operational visibility.
 	Observed   int64
@@ -112,11 +128,15 @@ func NewTracker(cfg Config) *Tracker {
 // flow; only AdvanceTime does.
 func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 	t.Observed++
-	key, _ := tuple.Canonical()
-	f, ok := t.flows[key]
-	if !ok {
-		f = newFlowState(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
-		t.flows[key] = f
+	f := t.last
+	if f == nil || !f.carries(tuple) {
+		key, _ := tuple.Canonical()
+		var ok bool
+		if f, ok = t.flows[key]; !ok {
+			f = newFlowState(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
+			t.flows[key] = f
+		}
+		t.last = f
 	}
 	if !f.touched {
 		f.touched = true
@@ -127,7 +147,7 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 	} else {
 		ev.Dir = ServerToClient
 	}
-	f.observe(ev, t)
+	f.observe(&ev, t)
 }
 
 // FeedPacket decodes a raw IPv4 packet (pcap replay or live capture),
@@ -215,6 +235,7 @@ func (t *Tracker) deadline(f *flowState) time.Duration {
 // of the whole table would evict, and no other.
 func (t *Tracker) sweep() {
 	t.lastSweep = t.now
+	t.last = nil
 	for _, f := range t.touched {
 		f.touched = false
 		if d := t.deadline(f); f.gen == 0 || d < f.due {
@@ -289,6 +310,7 @@ func (t *Tracker) popDue() dueEntry {
 // get empty slices here.
 func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
 	t.now, t.lastSweep = 0, 0
+	t.last = nil
 	clear(t.touched)
 	t.touched = t.touched[:0]
 	clear(t.due)
@@ -363,9 +385,7 @@ func (t *Tracker) emitFlow(f *flowState) {
 	t.emitted++
 	rec := f.record()
 	t.finishTrace(f, &rec)
-	if t.cfg.Anonymizer != nil && rec.Client.Is4() {
-		rec.Client = t.cfg.Anonymizer.MustAnonymize(rec.Client)
-	}
+	rec.Client = t.anonymize(rec.Client)
 	if t.cfg.OnFlow != nil {
 		t.cfg.OnFlow(rec)
 		return
@@ -374,12 +394,28 @@ func (t *Tracker) emitFlow(f *flowState) {
 }
 
 func (t *Tracker) emitDNS(rec DNSRecord) {
-	if t.cfg.Anonymizer != nil && rec.Client.Is4() {
-		rec.Client = t.cfg.Anonymizer.MustAnonymize(rec.Client)
-	}
+	rec.Client = t.anonymize(rec.Client)
 	if t.cfg.OnDNS != nil {
 		t.cfg.OnDNS(rec)
 		return
 	}
 	t.dnsOut = append(t.dnsOut, rec)
+}
+
+// anonymize applies Config.Anonymizer to an IPv4 client address through the
+// tracker's memo; IPv6 addresses, and every address when no anonymizer is
+// set, pass through.
+func (t *Tracker) anonymize(a netip.Addr) netip.Addr {
+	if t.cfg.Anonymizer == nil || !a.Is4() {
+		return a
+	}
+	out, ok := t.anon[a]
+	if !ok {
+		if t.anon == nil {
+			t.anon = make(map[netip.Addr]netip.Addr)
+		}
+		out = t.cfg.Anonymizer.MustAnonymize(a)
+		t.anon[a] = out
+	}
+	return out
 }
