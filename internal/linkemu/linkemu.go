@@ -50,24 +50,17 @@ type Conditions struct {
 // ErrClosed is returned by ReadDatagram after Close.
 var ErrClosed = errors.New("linkemu: closed")
 
-// pktPool recycles packet buffers between WriteDatagram's copy and the
-// post-ReadDatagram release (the tunnel.Transport contract lets the
-// previously returned slice be recycled on the next call).
-var pktPool = sync.Pool{New: func() any { return make([]byte, 2048) }}
-
-func getPkt(n int) []byte {
-	b := pktPool.Get().([]byte)
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-func putPkt(b []byte) {
-	if b != nil {
-		pktPool.Put(b[:cap(b)])
-	}
-}
+const (
+	// inboxSlots is each endpoint's receive queue: a datagram delivered to
+	// a full inbox is tail-dropped, as a real modem queue would.
+	inboxSlots = 4096
+	// freeSlots bounds a pair's packet free list. Buffers returned to a
+	// full list are left to the garbage collector.
+	freeSlots = 1024
+	// pktSize is the capacity of a pooled packet buffer; larger datagrams
+	// get a buffer of their own.
+	pktSize = 2048
+)
 
 // Endpoint is one side of the pair; it implements tunnel.Transport.
 type Endpoint struct {
@@ -75,14 +68,20 @@ type Endpoint struct {
 	in   chan []byte
 	done chan struct{}
 	once sync.Once
-	peer *Endpoint
+	// free recycles packet buffers between WriteDatagram's copy and the
+	// release of the previous ReadDatagram result. Both endpoints of a
+	// pair share it; a channel passes slice headers by value, so a
+	// return allocates nothing.
+	free chan []byte
 	// prev is the buffer handed out by the last ReadDatagram, recycled on
 	// the next call. ReadDatagram therefore expects a single reader (the
 	// tunnel's read loop), matching the Transport contract.
 	prev []byte
 }
 
-// direction carries packets one way.
+// direction carries packets one way. Written packets wait in a min-heap
+// ordered by delivery time; one goroutine per direction (run) sleeps
+// until the head is due and moves every due packet into the peer's inbox.
 type direction struct {
 	link Link
 
@@ -90,20 +89,84 @@ type direction struct {
 	r        *dist.Rand
 	cond     Conditions
 	nextFree time.Time // when the serializer is free again
+	q        []inFlight
+	seq      uint64 // write order: equal delivery times leave FIFO
+	stopped  bool   // the receiving endpoint closed; run has exited
+
+	wake chan struct{} // the head of q changed
+}
+
+type inFlight struct {
+	at  time.Time
+	seq uint64
+	pkt []byte
+}
+
+func (f inFlight) before(g inFlight) bool {
+	return f.at.Before(g.at) || (f.at.Equal(g.at) && f.seq < g.seq)
+}
+
+// push adds f to the heap and reports whether it became the head. The
+// caller holds d.mu. The heap is hand-rolled: container/heap would box
+// every element in an interface.
+func (d *direction) push(f inFlight) bool {
+	d.q = append(d.q, f)
+	i := len(d.q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !d.q[i].before(d.q[parent]) {
+			break
+		}
+		d.q[i], d.q[parent] = d.q[parent], d.q[i]
+		i = parent
+	}
+	return i == 0
+}
+
+// pop removes and returns the head. The caller holds d.mu.
+func (d *direction) pop() inFlight {
+	head := d.q[0]
+	last := len(d.q) - 1
+	d.q[0] = d.q[last]
+	d.q[last] = inFlight{}
+	d.q = d.q[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && d.q[l].before(d.q[least]) {
+			least = l
+		}
+		if r < last && d.q[r].before(d.q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		d.q[i], d.q[least] = d.q[least], d.q[i]
+		i = least
+	}
+	return head
 }
 
 // NewPair builds two connected endpoints. aToB shapes datagrams written by
 // the first endpoint, bToA those written by the second. The seed drives
 // loss and jitter deterministically (delivery order can still vary with
-// goroutine scheduling, as on a real link).
+// goroutine scheduling, as on a real link). Each direction runs one
+// delivery goroutine, which exits when its receiving endpoint closes.
 func NewPair(aToB, bToA Link, seed uint64) (a, b *Endpoint) {
 	base := dist.NewRand(seed)
-	dirAB := &direction{link: aToB, r: base.Fork("a2b")}
-	dirBA := &direction{link: bToA, r: base.Fork("b2a")}
-	ea := &Endpoint{out: dirAB, in: make(chan []byte, 4096), done: make(chan struct{})}
-	eb := &Endpoint{out: dirBA, in: make(chan []byte, 4096), done: make(chan struct{})}
-	ea.peer, eb.peer = eb, ea
-	return ea, eb
+	free := make(chan []byte, freeSlots)
+	newEndpoint := func(link Link, label string) *Endpoint {
+		return &Endpoint{
+			out:  &direction{link: link, r: base.Fork(label), wake: make(chan struct{}, 1)},
+			in:   make(chan []byte, inboxSlots),
+			done: make(chan struct{}),
+			free: free,
+		}
+	}
+	a, b = newEndpoint(aToB, "a2b"), newEndpoint(bToA, "b2a")
+	go a.out.run(b)
+	go b.out.run(a)
+	return a, b
 }
 
 // SetConditions applies live fault conditions to the direction this
@@ -113,6 +176,28 @@ func (e *Endpoint) SetConditions(c Conditions) {
 	e.out.mu.Lock()
 	e.out.cond = c
 	e.out.mu.Unlock()
+}
+
+func (e *Endpoint) getPkt(n int) []byte {
+	if n <= pktSize {
+		select {
+		case b := <-e.free:
+			return b[:n]
+		default:
+			return make([]byte, n, pktSize)
+		}
+	}
+	return make([]byte, n)
+}
+
+func (e *Endpoint) putPkt(b []byte) {
+	if cap(b) != pktSize {
+		return
+	}
+	select {
+	case e.free <- b:
+	default:
+	}
 }
 
 // WriteDatagram schedules delivery at the peer after loss, serialization,
@@ -129,9 +214,9 @@ func (e *Endpoint) WriteDatagram(b []byte) error {
 	if d.cond.ExtraLoss > 0 {
 		loss = 1 - (1-loss)*(1-d.cond.ExtraLoss)
 	}
-	if loss > 0 && d.r.Bool(loss) {
+	if d.stopped || (loss > 0 && d.r.Bool(loss)) {
 		d.mu.Unlock()
-		return nil // lost on the air interface
+		return nil // lost on the air interface, or nobody left to receive it
 	}
 	now := time.Now()
 	txStart := now
@@ -147,25 +232,58 @@ func (e *Endpoint) WriteDatagram(b []byte) error {
 	if d.link.Jitter > 0 {
 		extra += time.Duration(d.r.Float64() * float64(d.link.Jitter))
 	}
-	deliverAt := txStart.Add(ser + d.link.Delay + extra)
-	d.mu.Unlock()
-
 	// Copy into a pooled buffer: the caller may recycle b the moment we
 	// return (tunnel.Transport contract).
-	pkt := getPkt(len(b))
+	pkt := e.getPkt(len(b))
 	copy(pkt, b)
-	peer := e.peer
-	time.AfterFunc(time.Until(deliverAt), func() {
+	d.seq++
+	head := d.push(inFlight{at: txStart.Add(ser + d.link.Delay + extra), seq: d.seq, pkt: pkt})
+	d.mu.Unlock()
+	if head {
 		select {
-		case peer.in <- pkt:
-		case <-peer.done:
-			putPkt(pkt)
-		default:
-			// Inbox full: tail-drop, as a real modem queue would.
-			putPkt(pkt)
+		case d.wake <- struct{}{}:
+		default: // a wake-up is already pending
 		}
-	})
+	}
 	return nil
+}
+
+// run delivers d's packets into to's inbox as they fall due, until to
+// closes. A timer that fires stale (go.mod predates Go 1.23, so Reset
+// does not drain its channel) only causes one more look at the head.
+func (d *direction) run(to *Endpoint) {
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		d.mu.Lock()
+		now := time.Now()
+		for len(d.q) > 0 && !d.q[0].at.After(now) {
+			pkt := d.pop().pkt
+			select {
+			case to.in <- pkt:
+			default:
+				to.putPkt(pkt) // inbox full: tail-drop
+			}
+		}
+		if len(d.q) > 0 {
+			timer.Reset(d.q[0].at.Sub(now))
+		}
+		d.mu.Unlock()
+
+		select {
+		case <-d.wake:
+		case <-timer.C:
+		case <-to.done:
+			d.mu.Lock()
+			d.stopped = true
+			for _, f := range d.q {
+				to.putPkt(f.pkt)
+			}
+			d.q = nil
+			d.mu.Unlock()
+			return
+		}
+	}
 }
 
 // ReadDatagram blocks for the next delivered datagram. The returned
@@ -173,7 +291,7 @@ func (e *Endpoint) WriteDatagram(b []byte) error {
 func (e *Endpoint) ReadDatagram() ([]byte, error) {
 	select {
 	case pkt := <-e.in:
-		putPkt(e.prev)
+		e.putPkt(e.prev)
 		e.prev = pkt
 		return pkt, nil
 	case <-e.done:
@@ -181,7 +299,8 @@ func (e *Endpoint) ReadDatagram() ([]byte, error) {
 	}
 }
 
-// Close shuts this endpoint down; pending reads fail.
+// Close shuts this endpoint down; pending reads fail, and the goroutine
+// delivering to this endpoint exits.
 func (e *Endpoint) Close() error {
 	e.once.Do(func() { close(e.done) })
 	return nil

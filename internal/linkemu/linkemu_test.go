@@ -1,6 +1,7 @@
 package linkemu
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -211,5 +212,91 @@ func TestGEOProfile(t *testing.T) {
 	}
 	if l.Loss <= 0 || l.Loss > 0.05 {
 		t.Fatalf("GEO loss %v implausible", l.Loss)
+	}
+}
+
+func TestZeroJitterDeliversInWriteOrder(t *testing.T) {
+	a, b := NewPair(fastLink(time.Millisecond), fastLink(time.Millisecond), 10)
+	defer a.Close()
+	defer b.Close()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := a.WriteDatagram([]byte{byte(i >> 8), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, err := b.ReadDatagram()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq := int(got[0])<<8 | int(got[1]); seq != i {
+			t.Fatalf("datagram %d arrived in position %d", seq, i)
+		}
+	}
+}
+
+func TestSchedulerHeapOrder(t *testing.T) {
+	// Delivery times drawn from a few values, so many are equal: the heap
+	// must pop in time order and, within one time, in write order.
+	var d direction
+	base := time.Now()
+	for seq := uint64(1); seq <= 500; seq++ {
+		d.push(inFlight{at: base.Add(time.Duration(seq*7919%5) * time.Millisecond), seq: seq})
+	}
+	prev := d.pop()
+	for len(d.q) > 0 {
+		next := d.pop()
+		if next.at.Before(prev.at) || next.at.Equal(prev.at) && next.seq < prev.seq {
+			t.Fatalf("popped (%v, seq %d) after (%v, seq %d)", next.at.Sub(base), next.seq, prev.at.Sub(base), prev.seq)
+		}
+		prev = next
+	}
+}
+
+func TestFullInboxTailDrops(t *testing.T) {
+	a, b := NewPair(fastLink(0), fastLink(0), 11)
+	defer a.Close()
+	defer b.Close()
+	for i := 0; i < 5000; i++ {
+		if err := a.WriteDatagram([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nobody reads b: once the scheduler has moved every packet, the
+	// inbox holds exactly its capacity and the rest were dropped.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.out.mu.Lock()
+		queued := len(a.out.q)
+		a.out.mu.Unlock()
+		if queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d datagrams still scheduled", queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(b.in); got != inboxSlots {
+		t.Fatalf("inbox holds %d datagrams after 5000 writes, want %d", got, inboxSlots)
+	}
+}
+
+func TestCloseStopsSchedulers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		a, b := NewPair(fastLink(time.Hour), fastLink(time.Millisecond), uint64(i))
+		a.WriteDatagram([]byte("never delivered"))
+		b.WriteDatagram([]byte("delivered"))
+		a.Close()
+		b.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after closing every pair, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

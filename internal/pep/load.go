@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,6 +168,9 @@ type LoadReport struct {
 	LeakedGW       int           `json:"leaked_gw_streams"`
 	Retransmits    int64         `json:"retransmits"`
 	FaultTicks     int64         `json:"fault_ticks"`
+	// ObjectsPerFlow is the heap objects the process allocated during the
+	// load section (clients, both proxy halves, link, origin), per flow.
+	ObjectsPerFlow float64 `json:"objects_per_flow"`
 }
 
 // Leaked returns the total leaked streams across both tunnel endpoints.
@@ -177,11 +181,11 @@ func (r *LoadReport) String() string {
 	return fmt.Sprintf(
 		"flows=%d errors=%d duration=%.1fs flows/s=%.1f bytes_down=%d peak_concurrent=%d\n"+
 			"handshake p50=%s p99=%s  transfer p50=%s p99=%s\n"+
-			"retransmits=%d fault_ticks=%d leaked_streams=%d (cpe=%d gw=%d)",
+			"retransmits=%d fault_ticks=%d leaked_streams=%d (cpe=%d gw=%d) objects_per_flow=%.1f",
 		r.Flows, r.Errors, r.Duration.Seconds(), r.FlowsPerSecond, r.BytesDown, r.PeakConcurrent,
 		r.HandshakeP50.Round(time.Millisecond), r.HandshakeP99.Round(time.Millisecond),
 		r.TransferP50.Round(time.Millisecond), r.TransferP99.Round(time.Millisecond),
-		r.Retransmits, r.FaultTicks, r.Leaked(), r.LeakedCPE, r.LeakedGW)
+		r.Retransmits, r.FaultTicks, r.Leaked(), r.LeakedCPE, r.LeakedGW, r.ObjectsPerFlow)
 }
 
 func counterValue(name string) int64 {
@@ -249,6 +253,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	)
 	sem := make(chan struct{}, cfg.Concurrency)
 	arrivals := rnd.Fork("arrivals")
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
 	start := time.Now()
 	launched := 0
 	for i := 0; i < cfg.Flows; i++ {
@@ -294,6 +301,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	wg.Wait()
 	duration := time.Since(start)
+	runtime.ReadMemStats(&mem)
+	mallocs = mem.Mallocs - mallocs
 	close(stopFaults)
 
 	// Drain: every stream must leave both tables. FINs and their ACKs
@@ -318,6 +327,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		LeakedGW:       gw.ActiveStreams(),
 		Retransmits:    counterValue("tunnel_retransmits_total") - retransBase,
 		FaultTicks:     faultTicks.Load(),
+	}
+	if launched > 0 {
+		rep.ObjectsPerFlow = float64(mallocs) / float64(launched)
 	}
 	mLoadLeaked.Set(float64(rep.Leaked()))
 	return rep, nil

@@ -68,7 +68,7 @@ func TestRunLoadDrainsClean(t *testing.T) {
 	if rep.Leaked() != 0 {
 		t.Fatalf("leaked streams after drain: %s", rep)
 	}
-	if rep.Flows != flows || rep.FlowsPerSecond <= 0 {
+	if rep.Flows != flows || rep.FlowsPerSecond <= 0 || rep.ObjectsPerFlow <= 0 {
 		t.Fatalf("implausible report: %s", rep)
 	}
 	if rep.HandshakeP50 > 20*time.Millisecond {

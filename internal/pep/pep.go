@@ -216,7 +216,10 @@ func relay(conn net.Conn, stream *tunnel.Stream) (toStream, toConn int64) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		n, _ := io.Copy(stream, conn)
+		// Not io.Copy(stream, conn): io.Copy prefers conn's WriteTo,
+		// whose generic path allocates a 32 KiB buffer per call, over the
+		// stream's ReadFrom and its recycled buffer.
+		n, _ := stream.ReadFrom(conn)
 		toStream = n
 		// Customer/server finished sending: half-close the stream so the
 		// peer sees EOF after draining.
@@ -224,6 +227,7 @@ func relay(conn net.Conn, stream *tunnel.Stream) (toStream, toConn int64) {
 	}()
 	go func() {
 		defer wg.Done()
+		// The stream's WriteTo hands each received chunk straight to conn.
 		n, _ := io.Copy(conn, stream)
 		toConn = n
 		if stream.Err() != nil {

@@ -289,3 +289,46 @@ func TestDeadPeerTimesOut(t *testing.T) {
 	}
 	waitDrained(t, "client", client, 2*time.Second)
 }
+
+// TestAckBeyondSendNextIsIgnored: an ACK for frames never sent used to
+// move sendBase past sendNext. The window arithmetic then wrapped, the
+// window looked full forever, and the next Write blocked for good.
+func TestAckBeyondSendNextIsIgnored(t *testing.T) {
+	at, bt := newChanPair(0, 0, 27)
+	client := New(at, testConfig(), true)
+	server := New(bt, testConfig(), false)
+	defer client.Close()
+	defer server.Close()
+
+	s, err := client.OpenStream("bogus-ack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The peer's side of the link delivers a forged ACK for seq 1000;
+	// only the OPEN (seq 0) has been sent.
+	bt.WriteDatagram(mkFrame(frameAck, s.ID(), 1000, nil))
+	time.Sleep(20 * time.Millisecond)
+
+	want := []byte("still flowing after a bogus ack")
+	go func() {
+		s.Write(want)
+		s.Close()
+	}()
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(srv)
+		got <- b
+	}()
+	select {
+	case b := <-got:
+		if string(b) != string(want) {
+			t.Fatalf("peer read %q, want %q", b, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write after an ACK beyond sendNext never reached the peer")
+	}
+}

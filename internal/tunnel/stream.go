@@ -1,7 +1,6 @@
 package tunnel
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -41,23 +40,28 @@ type Stream struct {
 	sendCond *sync.Cond
 	recvCond *sync.Cond
 
-	// Sender state.
+	// Sender state. unacked holds the frames sequenced from sendBase to
+	// sendNext-1, oldest first: an ACK pops from the front and the
+	// retransmission timer probes the front.
 	sendNext uint32
 	sendBase uint32
-	unacked  map[uint32]*pending
+	unacked  ring[pending]
 
-	// Receiver state.
+	// Receiver state. recvq holds the in-order payload chunks (pooled
+	// copies) until Read or WriteTo drains them; Read has consumed the
+	// first recvOff bytes of the front chunk.
 	recvNext uint32
-	recvBuf  bytes.Buffer
-	ooo      map[uint32]oooSegment
-	peerFin  bool // FIN delivered in order
+	recvq    ring[[]byte]
+	recvOff  int
+	ooo      map[uint32]oooSegment // frames ahead of recvNext; nil until one arrives
+	peerFin  bool                  // FIN delivered in order
 
 	err    error
 	closed bool // Close called: the FIN holds the stream's last sequence number
 }
 
 func newStream(t *Tunnel, id uint32, dst string) *Stream {
-	s := &Stream{t: t, id: id, dst: dst, unacked: make(map[uint32]*pending), ooo: make(map[uint32]oooSegment)}
+	s := &Stream{t: t, id: id, dst: dst}
 	s.sendCond = sync.NewCond(&s.mu)
 	s.recvCond = sync.NewCond(&s.mu)
 	return s
@@ -85,7 +89,7 @@ func (s *Stream) reserveLocked(typ uint8, payload []byte) uint32 {
 	seq := s.sendNext
 	s.sendNext++
 	now := time.Now()
-	s.unacked[seq] = &pending{typ: typ, payload: payload, firstTx: now, lastTx: now, txCount: 1}
+	s.unacked.push(pending{typ: typ, payload: payload, firstTx: now, lastTx: now, txCount: 1})
 	return seq
 }
 
@@ -142,21 +146,95 @@ func (s *Stream) Write(b []byte) (int, error) {
 	return total, nil
 }
 
+// ReadFrom implements io.ReaderFrom: it writes everything it reads from
+// r to the stream, through a read buffer the tunnel recycles, until r
+// reports io.EOF (returning nil) or an error. It does not close the
+// stream.
+func (s *Stream) ReadFrom(r io.Reader) (int64, error) {
+	buf := s.t.relayPool.get(relayBufSize)
+	defer s.t.relayPool.put(buf)
+	var total int64
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			m, werr := s.Write(buf[:n])
+			total += int64(m)
+			if werr != nil {
+				return total, werr
+			}
+		}
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// waitReadableLocked blocks until a chunk is queued, the peer's FIN was
+// delivered, or the stream failed. The caller holds s.mu.
+func (s *Stream) waitReadableLocked() {
+	for s.recvq.len() == 0 && !s.peerFin && s.err == nil {
+		s.recvCond.Wait()
+	}
+}
+
 // Read implements io.Reader: it blocks until data, EOF (peer FIN), or a
-// stream error.
+// stream error. Buffered data always comes before EOF or the error.
 func (s *Stream) Read(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.recvBuf.Len() == 0 && !s.peerFin && s.err == nil {
-		s.recvCond.Wait()
+	s.waitReadableLocked()
+	if s.recvq.len() == 0 {
+		if s.peerFin {
+			return 0, io.EOF
+		}
+		return 0, s.err
 	}
-	if s.recvBuf.Len() > 0 {
-		return s.recvBuf.Read(b)
+	n := 0
+	for n < len(b) && s.recvq.len() > 0 {
+		chunk := *s.recvq.front()
+		m := copy(b[n:], chunk[s.recvOff:])
+		n += m
+		s.recvOff += m
+		if s.recvOff == len(chunk) {
+			s.t.payloadPool.put(s.recvq.pop())
+			s.recvOff = 0
+		}
 	}
-	if s.peerFin {
-		return 0, io.EOF
+	return n, nil
+}
+
+// WriteTo implements io.WriterTo, so io.Copy(w, s) needs no copy buffer:
+// each queued chunk goes straight to w and back to the tunnel's pool. It
+// returns nil after the peer's FIN and the stream error after a failure,
+// in both cases once the buffered data is written. A chunk w fails to
+// take is dropped with w's error, as io.Copy drops a buffer it could
+// not write.
+func (s *Stream) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		s.mu.Lock()
+		s.waitReadableLocked()
+		if s.recvq.len() == 0 {
+			err := s.err
+			if s.peerFin {
+				err = nil
+			}
+			s.mu.Unlock()
+			return total, err
+		}
+		chunk, off := s.recvq.pop(), s.recvOff
+		s.recvOff = 0
+		s.mu.Unlock()
+		n, err := w.Write(chunk[off:])
+		s.t.payloadPool.put(chunk)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
 	}
-	return 0, s.err
 }
 
 // Close performs a graceful close: a FIN is sequenced after all written
@@ -193,12 +271,12 @@ func (s *Stream) teardown(err error) {
 	first := s.err == nil
 	if first {
 		s.err = err
-		for seq, p := range s.unacked {
-			if p.typ == frameData {
+		for s.unacked.len() > 0 {
+			if p := s.unacked.pop(); p.typ == frameData {
 				s.t.payloadPool.put(p.payload)
 			}
-			delete(s.unacked, seq)
 		}
+		s.sendBase = s.sendNext
 	}
 	s.mu.Unlock()
 	s.recvCond.Broadcast()
@@ -219,21 +297,21 @@ func (s *Stream) handleFrame(typ uint8, seq uint32, payload []byte) {
 		now := time.Now()
 		var sample time.Duration
 		s.mu.Lock()
-		if seq > s.sendBase {
-			for q := s.sendBase; q < seq; q++ {
-				if p, ok := s.unacked[q]; ok {
-					// Karn's rule: only never-retransmitted frames
-					// produce RTT samples.
-					if p.txCount == 1 {
-						sample = now.Sub(p.firstTx)
-					}
-					if p.typ == frameData {
-						s.t.payloadPool.put(p.payload)
-					}
-					delete(s.unacked, q)
+		// An ACK beyond sendNext acknowledges frames never sent. Taking
+		// it would put sendBase past sendNext, and the window would look
+		// full forever.
+		if seq > s.sendBase && seq <= s.sendNext {
+			for ; s.sendBase < seq; s.sendBase++ {
+				p := s.unacked.pop()
+				// Karn's rule: only never-retransmitted frames produce
+				// RTT samples.
+				if p.txCount == 1 {
+					sample = now.Sub(p.firstTx)
+				}
+				if p.typ == frameData {
+					s.t.payloadPool.put(p.payload)
 				}
 			}
-			s.sendBase = seq
 			s.sendCond.Broadcast()
 		}
 		done := s.fullyClosedLocked()
@@ -253,30 +331,23 @@ func (s *Stream) handleFrame(typ uint8, seq uint32, payload []byte) {
 			// Absurdly far ahead: drop without ack.
 			s.mu.Unlock()
 			return
-		default:
-			if _, dup := s.ooo[seq]; !dup {
-				// Pooled copy: the dispatch buffer is recycled on the next
-				// ReadDatagram, and recvBuf.Write below copies again, so the
-				// segment buffer can go straight back to the pool once
-				// delivered.
-				data := s.t.payloadPool.get(len(payload))
-				copy(data, payload)
-				s.ooo[seq] = oooSegment{fin: typ == frameFin, data: data}
-			}
-			// Deliver everything now in order.
+		case seq == s.recvNext:
+			// In order: deliver, then everything it unblocks.
+			s.deliverLocked(typ == frameFin, s.chunk(typ, payload))
 			for {
 				seg, ok := s.ooo[s.recvNext]
 				if !ok {
 					break
 				}
 				delete(s.ooo, s.recvNext)
-				s.recvNext++
-				if seg.fin {
-					s.peerFin = true
-				} else {
-					s.recvBuf.Write(seg.data)
+				s.deliverLocked(seg.fin, seg.data)
+			}
+		default:
+			if _, dup := s.ooo[seq]; !dup {
+				if s.ooo == nil {
+					s.ooo = make(map[uint32]oooSegment)
 				}
-				s.t.payloadPool.put(seg.data)
+				s.ooo[seq] = oooSegment{fin: typ == frameFin, data: s.chunk(typ, payload)}
 			}
 		}
 		next := s.recvNext
@@ -305,11 +376,36 @@ func (s *Stream) handleFrame(typ uint8, seq uint32, payload []byte) {
 	}
 }
 
+// chunk copies a DATA payload into a pooled buffer (the dispatch buffer
+// is recycled on the next ReadDatagram). A FIN's payload, or an empty
+// one, yields nil.
+func (s *Stream) chunk(typ uint8, payload []byte) []byte {
+	if typ != frameData || len(payload) == 0 {
+		return nil
+	}
+	data := s.t.payloadPool.get(len(payload))
+	copy(data, payload)
+	return data
+}
+
+// deliverLocked consumes sequence number recvNext: a FIN marks the end
+// of the peer's data, a chunk is queued for Read and WriteTo. The caller
+// holds s.mu.
+func (s *Stream) deliverLocked(fin bool, data []byte) {
+	s.recvNext++
+	if fin {
+		s.peerFin = true
+	}
+	if data != nil {
+		s.recvq.push(data)
+	}
+}
+
 // fullyClosedLocked reports whether both directions have finished: our
 // FIN is sent and acknowledged, and the peer's FIN was delivered in
 // order. The caller holds s.mu.
 func (s *Stream) fullyClosedLocked() bool {
-	return s.closed && len(s.unacked) == 0 && s.peerFin
+	return s.closed && s.unacked.len() == 0 && s.peerFin
 }
 
 // retransmitDue resends the oldest unacknowledged frame when its RTO has
@@ -319,11 +415,11 @@ func (s *Stream) fullyClosedLocked() bool {
 func (s *Stream) retransmitDue(now time.Time) {
 	rto := s.t.currentRTO()
 	s.mu.Lock()
-	p, ok := s.unacked[s.sendBase]
-	if !ok || s.err != nil || now.Sub(p.lastTx) < rto {
+	if s.unacked.len() == 0 || s.err != nil || now.Sub(s.unacked.front().lastTx) < rto {
 		s.mu.Unlock()
 		return
 	}
+	p := s.unacked.front()
 	if max := s.t.cfg.MaxRetransmits; max > 0 && p.txCount > max {
 		s.mu.Unlock()
 		mStreamsTimedOut.Inc()

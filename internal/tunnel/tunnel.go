@@ -115,10 +115,11 @@ type Tunnel struct {
 	loopErr  error
 
 	// Buffer pools for the datagram hot path: wire frames (header +
-	// payload) and the DATA payload copies Write keeps until
-	// acknowledgement.
+	// payload), the DATA payloads a stream keeps until acknowledgement
+	// or until Read drains them, and ReadFrom's read buffers.
 	framePool   *bufPool
 	payloadPool *bufPool
+	relayPool   *bufPool
 
 	// Adaptive retransmission timeout (Jacobson/Karels smoothing over
 	// RTT samples that pass Karn's rule). Config.RTO is the initial and
@@ -142,8 +143,9 @@ func New(tr Transport, cfg Config, isClient bool) *Tunnel {
 		acceptCh: make(chan *Stream, cfg.withDefaults().AcceptBacklog),
 		done:     make(chan struct{}),
 	}
-	t.framePool = newBufPool(headerLen + t.cfg.MaxPayload)
-	t.payloadPool = newBufPool(t.cfg.MaxPayload)
+	t.framePool = newBufPool(headerLen+t.cfg.MaxPayload, frameSlots)
+	t.payloadPool = newBufPool(t.cfg.MaxPayload, payloadSlots)
+	t.relayPool = newBufPool(relayBufSize, relaySlots)
 	t.rto = t.cfg.RTO
 	if isClient {
 		t.nextID = 1
@@ -456,6 +458,7 @@ func (t *Tunnel) retransmitLoop() {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	var streams []*Stream // the tick's snapshot, reused across ticks
 	for {
 		select {
 		case <-t.done:
@@ -463,7 +466,6 @@ func (t *Tunnel) retransmitLoop() {
 		case <-tick.C:
 		}
 		t.mu.Lock()
-		streams := make([]*Stream, 0, len(t.streams))
 		for _, s := range t.streams {
 			streams = append(streams, s)
 		}
@@ -472,6 +474,8 @@ func (t *Tunnel) retransmitLoop() {
 		for _, s := range streams {
 			s.retransmitDue(now)
 		}
+		clear(streams) // let finished streams go
+		streams = streams[:0]
 		t.pruneDead(now)
 	}
 }
