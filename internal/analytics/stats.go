@@ -36,14 +36,6 @@ func (s *Sample) Min() float64 {
 	return s.sorted[0]
 }
 
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.sorted) == 0 {
-		return 0
-	}
-	return s.sorted[len(s.sorted)-1]
-}
-
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.sorted) == 0 {
