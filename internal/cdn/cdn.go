@@ -51,14 +51,6 @@ var bands = map[Region]rttBand{
 	RegionChina:      {260 * time.Millisecond, 0.14},
 }
 
-// Regions lists all hosting regions in increasing-RTT order.
-func Regions() []Region {
-	return []Region{RegionPeered, RegionEuropeNear, RegionEurope, RegionUSEast, RegionAsia, RegionUSWest, RegionChina, RegionAfrica}
-}
-
-// MedianGroundRTT returns the region's typical ground-segment RTT.
-func MedianGroundRTT(r Region) time.Duration { return bands[r].median }
-
 // SampleGroundRTT draws one ground-segment RTT for a server in the region.
 func SampleGroundRTT(region Region, r *dist.Rand) time.Duration {
 	b, ok := bands[region]

@@ -7,18 +7,6 @@ import (
 	"satwatch/internal/dist"
 )
 
-func TestRegionRTTOrdering(t *testing.T) {
-	regions := Regions()
-	prev := time.Duration(0)
-	for _, reg := range regions {
-		m := MedianGroundRTT(reg)
-		if m < prev {
-			t.Fatalf("Regions() not in increasing RTT order at %s (%v < %v)", reg, m, prev)
-		}
-		prev = m
-	}
-}
-
 func TestFigure9Bumps(t *testing.T) {
 	// The paper's ground-RTT clusters: ~12, 15-17, 35, 95, 180, 300-400 ms.
 	cases := map[Region][2]time.Duration{
@@ -30,7 +18,7 @@ func TestFigure9Bumps(t *testing.T) {
 		RegionAfrica:     {300 * time.Millisecond, 400 * time.Millisecond},
 	}
 	for reg, band := range cases {
-		m := MedianGroundRTT(reg)
+		m := bands[reg].median
 		if m < band[0] || m > band[1] {
 			t.Errorf("%s median %v outside paper band [%v, %v]", reg, m, band[0], band[1])
 		}
@@ -41,7 +29,7 @@ func TestSampleGroundRTTConcentration(t *testing.T) {
 	r := dist.NewRand(1)
 	const n = 20000
 	within := 0
-	med := MedianGroundRTT(RegionEurope)
+	med := bands[RegionEurope].median
 	for i := 0; i < n; i++ {
 		s := SampleGroundRTT(RegionEurope, r)
 		if s <= 0 {
@@ -76,7 +64,7 @@ func TestServerAddrDeterminismAndRegion(t *testing.T) {
 	if !ok || reg != RegionPeered {
 		t.Fatalf("RegionOf(%v) = %v,%v", a1, reg, ok)
 	}
-	for _, region := range Regions() {
+	for region := range bands {
 		addr := ServerAddr("x.example", region, 3)
 		got, ok := RegionOf(addr)
 		if !ok || got != region {
