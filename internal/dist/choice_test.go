@@ -50,16 +50,6 @@ func TestWeightedZeroWeightNeverSampled(t *testing.T) {
 	}
 }
 
-func TestWeightedWeightAccessor(t *testing.T) {
-	w := MustWeighted([]int{1, 2}, []float64{3, 1})
-	if math.Abs(w.Weight(0)-0.75) > 1e-12 || math.Abs(w.Weight(1)-0.25) > 1e-12 {
-		t.Fatalf("weights %.3f/%.3f, want 0.75/0.25", w.Weight(0), w.Weight(1))
-	}
-	if w.Len() != 2 {
-		t.Fatalf("Len %d, want 2", w.Len())
-	}
-}
-
 func TestEmpiricalValidation(t *testing.T) {
 	if _, err := NewEmpirical([]float64{0.5}, []float64{1}); err == nil {
 		t.Fatal("single knot accepted")

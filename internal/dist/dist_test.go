@@ -73,23 +73,23 @@ func TestExponentialMean(t *testing.T) {
 
 func TestLogNormalMedianAndMean(t *testing.T) {
 	d := LogNormalFromMedian(100, 1.0)
-	if math.Abs(d.Median()-100) > 1e-9 {
-		t.Fatalf("median %.3f, want 100", d.Median())
-	}
-	wantMean := 100 * math.Exp(0.5)
-	if math.Abs(d.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("mean %.3f, want %.3f", d.Mean(), wantMean)
-	}
 	r := NewRand(11)
-	below := 0
+	below, sum := 0, 0.0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if d.Sample(r) < 100 {
+		x := d.Sample(r)
+		sum += x
+		if x < 100 {
 			below++
 		}
 	}
 	frac := float64(below) / n
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Fatalf("%.3f of samples below the median, want ~0.5", frac)
+	}
+	// The mean is exp(mu + sigma^2/2); sigma = 1 puts its standard error
+	// over n draws near 0.4 %.
+	if wantMean := 100 * math.Exp(0.5); math.Abs(sum/n-wantMean)/wantMean > 0.02 {
+		t.Fatalf("sample mean %.2f, want ~%.2f", sum/n, wantMean)
 	}
 }

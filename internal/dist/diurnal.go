@@ -47,11 +47,6 @@ func (d *Diurnal) Intensity(h int) float64 {
 	return d.weights[((h%24)+24)%24] / d.peak
 }
 
-// Share returns the fraction of a day's activity falling in local hour h.
-func (d *Diurnal) Share(h int) float64 {
-	return d.weights[((h%24)+24)%24] / d.total
-}
-
 // PeakHour returns the local hour with maximum intensity (first if tied).
 func (d *Diurnal) PeakHour() int {
 	best, bw := 0, -1.0
@@ -74,17 +69,4 @@ func (d *Diurnal) SampleTimeOfDay(r *Rand) time.Duration {
 		x -= w
 	}
 	return 23*time.Hour + time.Duration(r.Float64()*float64(time.Hour))
-}
-
-// Shifted returns a copy of the profile shifted by tz hours: entry h of the
-// result is the intensity at UTC hour h for a population whose local time is
-// UTC+tz. Shifting by the timezone converts local profiles to UTC, matching
-// the paper's Figure 4 ("countries in different time zones appear shifted").
-func (d *Diurnal) Shifted(tz int) *Diurnal {
-	var out [24]float64
-	for utc := 0; utc < 24; utc++ {
-		local := ((utc+tz)%24 + 24) % 24
-		out[utc] = d.weights[local]
-	}
-	return MustDiurnal(out)
 }

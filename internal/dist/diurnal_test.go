@@ -46,17 +46,6 @@ func TestDiurnalPeakAndIntensity(t *testing.T) {
 	}
 }
 
-func TestDiurnalSharesSumToOne(t *testing.T) {
-	d := eveningProfile()
-	sum := 0.0
-	for h := 0; h < 24; h++ {
-		sum += d.Share(h)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("shares sum to %v, want 1", sum)
-	}
-}
-
 func TestDiurnalSampleDistribution(t *testing.T) {
 	d := eveningProfile()
 	r := NewRand(21)
@@ -70,32 +59,9 @@ func TestDiurnalSampleDistribution(t *testing.T) {
 		counts[int(tod/time.Hour)]++
 	}
 	for h := 0; h < 24; h++ {
-		got := float64(counts[h]) / n
-		if math.Abs(got-d.Share(h)) > 0.01 {
-			t.Fatalf("hour %d frequency %.4f, want %.4f", h, got, d.Share(h))
-		}
-	}
-}
-
-func TestDiurnalShifted(t *testing.T) {
-	d := eveningProfile() // local peak at 19
-	utc := d.Shifted(2)   // population at UTC+2
-	// Their local 19:00 happens at 17:00 UTC.
-	if utc.PeakHour() != 17 {
-		t.Fatalf("shifted peak at UTC hour %d, want 17", utc.PeakHour())
-	}
-	// A zero shift is the identity.
-	same := d.Shifted(0)
-	for h := 0; h < 24; h++ {
-		if same.Share(h) != d.Share(h) {
-			t.Fatal("Shifted(0) changed the profile")
-		}
-	}
-	// Shifting by -24 is also the identity.
-	wrap := d.Shifted(-24)
-	for h := 0; h < 24; h++ {
-		if wrap.Share(h) != d.Share(h) {
-			t.Fatal("Shifted(-24) changed the profile")
+		got, want := float64(counts[h])/n, d.weights[h]/d.total
+		if math.Abs(got-want) > 0.01 {
+			t.Fatalf("hour %d frequency %.4f, want %.4f", h, got, want)
 		}
 	}
 }
