@@ -178,15 +178,6 @@ func AdoptionFor(country geo.Country) (*dist.Weighted[ResolverID], error) {
 	return w, nil
 }
 
-// AdoptionShare returns the percentage of a country's DNS traffic using a
-// resolver, per the Figure 10 calibration.
-func AdoptionShare(country geo.CountryCode, id ResolverID) float64 {
-	if m, ok := adoption[country]; ok {
-		return m[id]
-	}
-	return 0
-}
-
 // RetryBackoff is the stub-resolver retry schedule the simulator uses
 // when a resolver outage (internal/faults) swallows a query: retry
 // after 1 s, again 3 s later, then give up — a compressed version of

@@ -94,17 +94,17 @@ func TestSampleResponseTimeMedian(t *testing.T) {
 }
 
 func TestAdoptionMatchesFigure10(t *testing.T) {
-	if got := AdoptionShare("CD", ResolverGoogle); got != 85.68 {
+	if got := adoption["CD"][ResolverGoogle]; got != 85.68 {
 		t.Fatalf("Congo Google share %v, want 85.68", got)
 	}
-	if got := AdoptionShare("NG", ResolverNigerian); got != 11.84 {
+	if got := adoption["NG"][ResolverNigerian]; got != 11.84 {
 		t.Fatalf("Nigeria local-resolver share %v, want 11.84", got)
 	}
-	if got := AdoptionShare("IE", ResolverOperator); got != 43.75 {
+	if got := adoption["IE"][ResolverOperator]; got != 43.75 {
 		t.Fatalf("Ireland operator share %v, want 43.75", got)
 	}
 	// The Nigerian resolver is unused outside Africa.
-	if AdoptionShare("GB", ResolverNigerian) != 0 {
+	if adoption["GB"][ResolverNigerian] != 0 {
 		t.Fatal("Nigerian resolver used in the U.K.")
 	}
 }
