@@ -16,9 +16,15 @@ func fastParams() Params {
 	return p
 }
 
+// simulateAccessDelay runs one micro-simulation on fresh scratch, as the
+// cell cache does for each grid point.
+func simulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empirical {
+	return simulate(p, util, fer, seed, &scratch{})
+}
+
 func TestAccessDelayPositiveAndBounded(t *testing.T) {
 	p := fastParams()
-	e := SimulateAccessDelay(p, 0.5, 1e-3, 1)
+	e := simulateAccessDelay(p, 0.5, 1e-3, 1)
 	for _, q := range []float64{0.05, 0.5, 0.95} {
 		d := time.Duration(e.Quantile(q))
 		if d <= 0 {
@@ -34,7 +40,7 @@ func TestModerateLoadDelaysAreSmall(t *testing.T) {
 	// With held reservations, steady-state access at moderate load should
 	// be dominated by frame alignment: well under one control loop.
 	p := fastParams()
-	e := SimulateAccessDelay(p, 0.5, 1e-5, 2)
+	e := simulateAccessDelay(p, 0.5, 1e-5, 2)
 	if med := time.Duration(e.Quantile(0.5)); med > 150*time.Millisecond {
 		t.Fatalf("median access delay %v at util 0.5, want < 150ms", med)
 	}
@@ -44,7 +50,7 @@ func TestSparseTrafficPaysContention(t *testing.T) {
 	// At very low utilization reservations expire between bursts, so the
 	// tail pays slotted-Aloha plus the grant control loop (≥ HopRTT).
 	p := fastParams()
-	e := SimulateAccessDelay(p, 0.05, 1e-5, 3)
+	e := simulateAccessDelay(p, 0.05, 1e-5, 3)
 	if p95 := time.Duration(e.Quantile(0.95)); p95 < p.HopRTT {
 		t.Fatalf("p95 %v at sparse load, want ≥ control loop %v", p95, p.HopRTT)
 	}
@@ -52,8 +58,8 @@ func TestSparseTrafficPaysContention(t *testing.T) {
 
 func TestOverloadInflatesDelay(t *testing.T) {
 	p := fastParams()
-	low := SimulateAccessDelay(p, 0.5, 1e-5, 4)
-	high := SimulateAccessDelay(p, 0.98, 1e-5, 4)
+	low := simulateAccessDelay(p, 0.5, 1e-5, 4)
+	high := simulateAccessDelay(p, 0.98, 1e-5, 4)
 	if high.Quantile(0.9) <= low.Quantile(0.9) {
 		t.Fatalf("p90 at util 0.98 (%v) not above util 0.5 (%v)",
 			time.Duration(high.Quantile(0.9)), time.Duration(low.Quantile(0.9)))
@@ -62,8 +68,8 @@ func TestOverloadInflatesDelay(t *testing.T) {
 
 func TestHighFERInflatesTail(t *testing.T) {
 	p := fastParams()
-	clean := SimulateAccessDelay(p, 0.4, 1e-5, 5)
-	dirty := SimulateAccessDelay(p, 0.4, 0.12, 5)
+	clean := simulateAccessDelay(p, 0.4, 1e-5, 5)
+	dirty := simulateAccessDelay(p, 0.4, 0.12, 5)
 	if dirty.Quantile(0.95) <= clean.Quantile(0.95) {
 		t.Fatal("FER 0.12 did not inflate the p95 access delay")
 	}
@@ -75,8 +81,8 @@ func TestHighFERInflatesTail(t *testing.T) {
 
 func TestSimulationDeterminism(t *testing.T) {
 	p := fastParams()
-	a := SimulateAccessDelay(p, 0.65, 1e-3, 77)
-	b := SimulateAccessDelay(p, 0.65, 1e-3, 77)
+	a := simulateAccessDelay(p, 0.65, 1e-3, 77)
+	b := simulateAccessDelay(p, 0.65, 1e-3, 77)
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		if a.Quantile(q) != b.Quantile(q) {
 			t.Fatalf("same seed diverged at q%.1f", q)
@@ -87,10 +93,10 @@ func TestSimulationDeterminism(t *testing.T) {
 func TestUtilClamping(t *testing.T) {
 	p := fastParams()
 	// Out-of-range utilizations must not hang or panic.
-	if SimulateAccessDelay(p, -1, 1e-3, 6) == nil {
+	if simulateAccessDelay(p, -1, 1e-3, 6) == nil {
 		t.Fatal("nil distribution for clamped low util")
 	}
-	if SimulateAccessDelay(p, 2, 1e-3, 7) == nil {
+	if simulateAccessDelay(p, 2, 1e-3, 7) == nil {
 		t.Fatal("nil distribution for clamped high util")
 	}
 }
@@ -119,8 +125,8 @@ func TestDownlinkQueueingGrowsWithUtil(t *testing.T) {
 	r2 := dist.NewRand(10)
 	var lo, hi time.Duration
 	for i := 0; i < 2000; i++ {
-		lo += m.SampleDownlink(0.2, 1e-5, r1)
-		hi += m.SampleDownlink(0.97, 1e-5, r2)
+		lo += m.SampleDownlinkTraced(0.2, 1e-5, r1, nil)
+		hi += m.SampleDownlinkTraced(0.97, 1e-5, r2, nil)
 	}
 	if hi <= lo*2 {
 		t.Fatalf("downlink congestion too mild: mean(0.97)=%v vs mean(0.2)=%v", hi/2000, lo/2000)
@@ -133,8 +139,8 @@ func TestDownlinkFERAddsControlLoops(t *testing.T) {
 	r2 := dist.NewRand(11)
 	var clean, dirty time.Duration
 	for i := 0; i < 3000; i++ {
-		clean += m.SampleDownlink(0.3, 0, r1)
-		dirty += m.SampleDownlink(0.3, 0.12, r2)
+		clean += m.SampleDownlinkTraced(0.3, 0, r1, nil)
+		dirty += m.SampleDownlinkTraced(0.3, 0.12, r2, nil)
 	}
 	if dirty <= clean {
 		t.Fatal("downlink FER did not add delay")
@@ -189,7 +195,7 @@ func TestSampleDownlinkTracedRecordsSpan(t *testing.T) {
 // SlotsPerFrame zero and panic inside the micro-simulation.
 func TestPartialParamsGetDefaults(t *testing.T) {
 	p := Params{FrameDuration: 30 * time.Millisecond, SimFrames: 600}
-	e := SimulateAccessDelay(p, 0.5, 1e-3, 3)
+	e := simulateAccessDelay(p, 0.5, 1e-3, 3)
 	if e == nil || e.Quantile(0.5) <= 0 {
 		t.Fatal("partial params produced no usable distribution")
 	}

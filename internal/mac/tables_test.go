@@ -98,7 +98,7 @@ func TestPrebuildParallelismInvariance(t *testing.T) {
 // the RNG, per-CPE state and grant events, the scratch and the table.
 func TestCellBuildAllocationBudget(t *testing.T) {
 	p := fastParams()
-	allocs := testing.AllocsPerRun(3, func() { SimulateAccessDelay(p, 0.98, 1e-3, 1) })
+	allocs := testing.AllocsPerRun(3, func() { simulateAccessDelay(p, 0.98, 1e-3, 1) })
 	if allocs > 200 {
 		t.Fatalf("one cell build allocates %v objects, budget 200", allocs)
 	}
@@ -111,7 +111,7 @@ func BenchmarkCellBuild(b *testing.B) {
 	p := DefaultParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkTable = SimulateAccessDelay(p, 0.98, 0.12, uint64(i)+1)
+		sinkTable = simulateAccessDelay(p, 0.98, 0.12, uint64(i)+1)
 	}
 }
 
