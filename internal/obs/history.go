@@ -28,9 +28,8 @@ type History struct {
 	reg  *Registry
 	keep int
 
-	mu      sync.Mutex
-	points  []Point
-	samples uint64
+	mu     sync.Mutex
+	points []Point
 }
 
 // NewHistory builds a sampler over reg keeping the last keep points
@@ -67,18 +66,7 @@ func (h *History) Sample(t float64) {
 	} else {
 		h.points = append(h.points, p)
 	}
-	h.samples++
 	h.mu.Unlock()
-}
-
-// Samples reports how many snapshots have ever been taken.
-func (h *History) Samples() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.samples
 }
 
 // Recent returns the retained points oldest-first. When names is

@@ -179,12 +179,6 @@ func (t *Timer) Start() func() {
 	return func() { t.Observe(time.Since(start)) }
 }
 
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.nanos.Load()) }
-
 func (t *Timer) snap() Snapshot {
 	return Snapshot{Name: t.name, Kind: KindTimer, Help: t.help, Unit: t.unit,
 		Value: time.Duration(t.nanos.Load()).Seconds(), Count: t.count.Load()}
@@ -221,9 +215,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -101,12 +101,12 @@ func TestTimer(t *testing.T) {
 	tm := r.Timer("t_op_seconds", "op latency")
 	tm.Observe(1500 * time.Millisecond)
 	tm.Observe(500 * time.Millisecond)
-	if tm.Count() != 2 || tm.Total() != 2*time.Second {
-		t.Fatalf("timer = %d obs, %v total", tm.Count(), tm.Total())
+	if s := tm.snap(); s.Count != 2 || s.Value != 2 {
+		t.Fatalf("timer = %d obs, %v s total", s.Count, s.Value)
 	}
 	stop := tm.Start()
 	stop()
-	if tm.Count() != 3 {
+	if tm.snap().Count != 3 {
 		t.Fatalf("Start/stop did not record")
 	}
 }
@@ -209,7 +209,7 @@ func TestReset(t *testing.T) {
 	c.Inc()
 	h.Observe(0.5)
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.snap().Count != 0 || h.Sum() != 0 {
 		t.Fatalf("Reset left state behind")
 	}
 }
