@@ -15,13 +15,6 @@ const (
 	DNSClassIN   uint16 = 1
 )
 
-// DNS response codes.
-const (
-	DNSRCodeNoError  uint8 = 0
-	DNSRCodeNXDomain uint8 = 3
-	DNSRCodeServFail uint8 = 2
-)
-
 // DNSQuestion is one question section entry.
 type DNSQuestion struct {
 	Name  string

@@ -26,12 +26,6 @@ type IPv4 struct {
 	Options  []byte // length must be a multiple of 4
 }
 
-// IPv4 flag bits.
-const (
-	IPv4DontFragment  uint8 = 0x2
-	IPv4MoreFragments uint8 = 0x1
-)
-
 // LayerType implements Layer.
 func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
 

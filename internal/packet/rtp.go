@@ -48,32 +48,6 @@ func (r *RTP) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// DecodeRTP parses an RTP header and returns the payload.
-func DecodeRTP(data []byte) (*RTP, []byte, error) {
-	if len(data) < 12 {
-		return nil, nil, ErrTruncated
-	}
-	if v := data[0] >> 6; v != 2 {
-		return nil, nil, fmt.Errorf("rtp: version %d", v)
-	}
-	r := &RTP{
-		Padding:     data[0]&(1<<5) != 0,
-		Marker:      data[1]&(1<<7) != 0,
-		PayloadType: data[1] & 0x7f,
-		Sequence:    binary.BigEndian.Uint16(data[2:4]),
-		Timestamp:   binary.BigEndian.Uint32(data[4:8]),
-		SSRC:        binary.BigEndian.Uint32(data[8:12]),
-	}
-	cc := int(data[0] & 0x0f)
-	if len(data) < 12+4*cc {
-		return nil, nil, ErrTruncated
-	}
-	for i := 0; i < cc; i++ {
-		r.CSRC = append(r.CSRC, binary.BigEndian.Uint32(data[12+4*i:16+4*i]))
-	}
-	return r, data[12+4*cc:], nil
-}
-
 // LooksLikeRTP is the DPI heuristic for RTP over UDP: version 2 and a
 // plausible payload type.
 func LooksLikeRTP(data []byte) bool {

@@ -8,7 +8,6 @@ import (
 // TLS record content types.
 const (
 	TLSRecordChangeCipherSpec uint8 = 20
-	TLSRecordAlert            uint8 = 21
 	TLSRecordHandshake        uint8 = 22
 	TLSRecordApplicationData  uint8 = 23
 )
@@ -20,7 +19,6 @@ const (
 	TLSHandshakeCertificate       uint8 = 11
 	TLSHandshakeServerHelloDone   uint8 = 14
 	TLSHandshakeClientKeyExchange uint8 = 16
-	TLSHandshakeFinished          uint8 = 20
 )
 
 // TLSVersion12 is the record/handshake version the synthesizer stamps.
@@ -261,26 +259,6 @@ func (sh *ServerHello) Encode() ([]byte, error) {
 	body = append(body, 0) // compression: null
 	body = binary.BigEndian.AppendUint16(body, 0)
 	return encodeHandshake(TLSHandshakeServerHello, body), nil
-}
-
-// ParseServerHello parses a ServerHello handshake body.
-func ParseServerHello(body []byte) (*ServerHello, error) {
-	sh := &ServerHello{}
-	if len(body) < 35 {
-		return nil, ErrTruncated
-	}
-	sh.Version = binary.BigEndian.Uint16(body[0:2])
-	copy(sh.Random[:], body[2:34])
-	off := 34
-	sidLen := int(body[off])
-	off++
-	if off+sidLen+2 > len(body) {
-		return nil, ErrTruncated
-	}
-	sh.SessionID = append([]byte(nil), body[off:off+sidLen]...)
-	off += sidLen
-	sh.CipherSuite = binary.BigEndian.Uint16(body[off : off+2])
-	return sh, nil
 }
 
 // OpaqueHandshake frames an opaque handshake message of the given type and
