@@ -24,8 +24,6 @@ const (
 
 	// LinkTypeRaw is LINKTYPE_RAW: packets begin with the IP header.
 	LinkTypeRaw = 101
-	// LinkTypeEthernet is LINKTYPE_ETHERNET.
-	LinkTypeEthernet = 1
 )
 
 // DefaultSnapLen is the snapshot length written into file headers.

@@ -48,9 +48,13 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// linkTypeEthernet is LINKTYPE_ETHERNET, a link type the writer does not
+// default to.
+const linkTypeEthernet = 1
+
 func TestEmptyCaptureIsValid(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, LinkTypeEthernet)
+	w := NewWriter(&buf, linkTypeEthernet)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestEmptyCaptureIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != LinkTypeEthernet {
+	if r.LinkType() != linkTypeEthernet {
 		t.Fatalf("link type %d", r.LinkType())
 	}
 	if _, _, err := r.Next(); !errors.Is(err, io.EOF) {
