@@ -153,15 +153,6 @@ func Classify(domain string) (service *Service, ok bool) {
 	return nil, false
 }
 
-// ClassifyCategory returns just the category of a domain, or "" when the
-// domain matches no tracked service.
-func ClassifyCategory(domain string) Category {
-	if s, ok := Classify(domain); ok {
-		return s.Category
-	}
-	return ""
-}
-
 // SecondLevel returns the second-level registrable domain of a FQDN,
 // handling the common two-label public suffixes the deployment sees
 // (co.uk, co.za, com.ng, ...), per the paper's footnote 6.

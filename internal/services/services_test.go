@@ -67,9 +67,6 @@ func TestUnknownDomains(t *testing.T) {
 		if s, ok := Classify(d); ok {
 			t.Errorf("%s classified as %s", d, s.Name)
 		}
-		if ClassifyCategory(d) != "" {
-			t.Errorf("%s got a category", d)
-		}
 	}
 }
 
