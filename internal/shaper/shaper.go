@@ -90,6 +90,3 @@ func (tb *TokenBucket) Take(n int, now time.Duration) time.Duration {
 	}
 	return time.Duration(-tb.tokens / tb.rate * float64(time.Second))
 }
-
-// RateBytesPerSec returns the configured rate.
-func (tb *TokenBucket) RateBytesPerSec() float64 { return tb.rate }

@@ -74,7 +74,7 @@ func TestPlansLineup(t *testing.T) {
 
 func TestForPlanRate(t *testing.T) {
 	tb := ForPlan(Plan100)
-	if got := tb.RateBytesPerSec(); got != 100e6/8 {
+	if got := tb.rate; got != 100e6/8 {
 		t.Fatalf("rate %v", got)
 	}
 }
