@@ -22,7 +22,7 @@ func TestSchedulerSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("After+Step allocates %v objects per cycle, want 0", allocs)
 	}
-	if fired == 0 || s.Len() != 64 {
-		t.Fatalf("cycle did not run: fired %d, %d pending", fired, s.Len())
+	if fired == 0 || len(s.queue) != 64 {
+		t.Fatalf("cycle did not run: fired %d, %d pending", fired, len(s.queue))
 	}
 }

@@ -5,21 +5,27 @@ import (
 	"time"
 )
 
+// drain executes events until the queue is empty.
+func drain(s *Scheduler) {
+	for s.Step() {
+	}
+}
+
 func TestSchedulerOrdering(t *testing.T) {
 	var s Scheduler
 	var got []int
 	s.At(30*time.Millisecond, func(Stamp) { got = append(got, 3) })
 	s.At(10*time.Millisecond, func(Stamp) { got = append(got, 1) })
 	s.At(20*time.Millisecond, func(Stamp) { got = append(got, 2) })
-	s.Run()
+	drain(&s)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
-	if s.Now() != 30*time.Millisecond {
-		t.Fatalf("clock %v, want 30ms", s.Now())
+	if s.now != 30*time.Millisecond {
+		t.Fatalf("clock %v, want 30ms", s.now)
 	}
 }
 
@@ -30,7 +36,7 @@ func TestSchedulerTieBreakIsFIFO(t *testing.T) {
 		i := i
 		s.At(5*time.Millisecond, func(Stamp) { got = append(got, i) })
 	}
-	s.Run()
+	drain(&s)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("tie-break order %v not FIFO", got)
@@ -50,7 +56,7 @@ func TestSchedulerAfterChaining(t *testing.T) {
 		}
 	}
 	s.After(time.Second, tick)
-	s.Run()
+	drain(&s)
 	if len(stamps) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(stamps))
 	}
@@ -70,13 +76,13 @@ func TestSchedulerRunUntil(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired %d events before deadline, want 1", fired)
 	}
-	if s.Now() != 2*time.Second {
-		t.Fatalf("clock %v, want 2s", s.Now())
+	if s.now != 2*time.Second {
+		t.Fatalf("clock %v, want 2s", s.now)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("%d events pending, want 1", s.Len())
+	if len(s.queue) != 1 {
+		t.Fatalf("%d events pending, want 1", len(s.queue))
 	}
-	s.Run()
+	drain(&s)
 	if fired != 2 {
 		t.Fatalf("fired %d total, want 2", fired)
 	}
@@ -92,13 +98,13 @@ func TestSchedulerNegativeAfterClamps(t *testing.T) {
 			}
 		})
 	})
-	s.Run()
+	drain(&s)
 }
 
 func TestSchedulerPastPanics(t *testing.T) {
 	var s Scheduler
 	s.At(time.Second, func(Stamp) {})
-	s.Run()
+	drain(&s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
