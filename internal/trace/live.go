@@ -101,7 +101,6 @@ type RotatingWriter struct {
 	mu   sync.Mutex
 	f    *os.File
 	size int64
-	rots uint64
 }
 
 // DefaultTraceMaxBytes caps one live trace file before rotation.
@@ -167,16 +166,6 @@ func (w *RotatingWriter) Write(f *Flow) (rotated bool, err error) {
 	return rotated, nil
 }
 
-// Rotations reports how many rotations have happened.
-func (w *RotatingWriter) Rotations() uint64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rots
-}
-
 // rotateLocked shifts trace.jsonl → trace.1.jsonl → ... → trace.<keep>
 // (the oldest falls off) and opens a fresh current file.
 func (w *RotatingWriter) rotateLocked() error {
@@ -195,7 +184,6 @@ func (w *RotatingWriter) rotateLocked() error {
 	if err := os.Rename(w.Current(), numbered(1)); err != nil {
 		return fmt.Errorf("trace: rotate current: %w", err)
 	}
-	w.rots++
 	return w.open()
 }
 
@@ -212,22 +200,6 @@ func (w *RotatingWriter) Close() error {
 	err := w.f.Close()
 	w.f = nil
 	return err
-}
-
-// Files lists the log set newest-first: the current file then rotations
-// in increasing age. Only files that exist are returned.
-func (w *RotatingWriter) Files() []string {
-	var out []string
-	if _, err := os.Stat(w.Current()); err == nil {
-		out = append(out, w.Current())
-	}
-	for i := 1; i <= w.keep; i++ {
-		p := filepath.Join(w.dir, fmt.Sprintf("trace.%d.jsonl", i))
-		if _, err := os.Stat(p); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // SortByStart orders flows by start time, breaking ties by identity —
