@@ -94,7 +94,7 @@ func TestReadAndWriteToSeeTheSameBytes(t *testing.T) {
 			return s
 		}
 		first, second := accept(), accept()
-		if first.ID() != 1 {
+		if first.id != 1 {
 			first, second = second, first
 		}
 

@@ -257,10 +257,10 @@ func TestStreamIDParity(t *testing.T) {
 	defer server.Close()
 	s1, _ := client.OpenStream("a")
 	s2, _ := client.OpenStream("b")
-	if s1.ID()%2 != 1 || s2.ID()%2 != 1 {
+	if s1.id%2 != 1 || s2.id%2 != 1 {
 		t.Fatal("client streams must use odd IDs")
 	}
-	if s1.ID() == s2.ID() {
+	if s1.id == s2.id {
 		t.Fatal("duplicate stream IDs")
 	}
 }
@@ -556,7 +556,7 @@ func TestUnknownFrameTypeIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	const frameUnknown = frameReset + 1
-	for _, id := range []uint32{s.ID(), 9999} {
+	for _, id := range []uint32{s.id, 9999} {
 		if err := client.send(frameUnknown, id, 0, []byte("ignored")); err != nil {
 			t.Fatal(err)
 		}
@@ -606,17 +606,21 @@ func TestAdaptiveRTOLearnsLinkRTT(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for client.RTTEstimate() == 0 && time.Now().Before(deadline) {
+	srtt := func() time.Duration {
+		client.rttMu.Lock()
+		defer client.rttMu.Unlock()
+		return client.srtt
+	}
+	for srtt() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	srtt := client.RTTEstimate()
-	if srtt == 0 {
+	if srtt() == 0 {
 		t.Fatal("no RTT samples collected")
 	}
 	// In-memory link: RTT is microseconds-to-milliseconds; the adaptive
 	// RTO must have dropped well below the 400 ms anchor.
 	if rto := client.currentRTO(); rto >= cfg.RTO {
-		t.Fatalf("RTO %v did not adapt below the initial %v (srtt %v)", rto, cfg.RTO, srtt)
+		t.Fatalf("RTO %v did not adapt below the initial %v (srtt %v)", rto, cfg.RTO, srtt())
 	}
 	if rto := client.currentRTO(); rto < cfg.RTO/8 {
 		t.Fatalf("RTO %v fell below the spurious-retransmit floor", rto)
