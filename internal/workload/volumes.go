@@ -74,9 +74,6 @@ func DailyServiceVolume(c *Customer, svc *services.Service, r *dist.Rand) (down,
 	return down, up
 }
 
-// UpFraction exposes a category's upload share for tests and docs.
-func UpFraction(cat services.Category) float64 { return volumeModels[cat].upFraction }
-
 // flowSizeModel gives the per-flow size distribution of a category: video
 // moves few big flows, chat many small ones. Sizes are download bytes per
 // flow.

@@ -189,7 +189,7 @@ func TestDailyServiceVolumeShape(t *testing.T) {
 }
 
 func TestUploadFractionChatHighest(t *testing.T) {
-	if UpFraction(services.CategoryChat) <= UpFraction(services.CategoryVideo) {
+	if volumeModels[services.CategoryChat].upFraction <= volumeModels[services.CategoryVideo].upFraction {
 		t.Fatal("chat upload share should dominate video's (Figure 5c mechanism)")
 	}
 }
