@@ -110,7 +110,7 @@ func BenchmarkFig2CountryBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f = report.BuildFig2(r.Dataset)
 	}
-	if cd, ok := f.Row("CD"); ok {
+	if cd, ok := fig2Row(f, "CD"); ok {
 		b.ReportMetric(cd.VolumeSharePct, "congo_vol_pct")
 		b.ReportMetric(cd.CustomerSharePct, "congo_cust_pct")
 	}

@@ -12,6 +12,7 @@ import (
 
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
+	"satwatch/internal/report"
 	"satwatch/internal/services"
 	"satwatch/internal/tstat"
 )
@@ -58,13 +59,23 @@ func TestTable1ProtocolShares(t *testing.T) {
 	}
 }
 
+// fig2Row returns a country's Figure 2 row.
+func fig2Row(f report.Fig2, code geo.CountryCode) (report.Fig2Row, bool) {
+	for _, r := range f.Rows {
+		if r.Country == code {
+			return r, true
+		}
+	}
+	return report.Fig2Row{}, false
+}
+
 func TestFig2CountryImbalance(t *testing.T) {
 	r := experimentResults(t)
-	cd, ok := r.Fig2.Row("CD")
+	cd, ok := fig2Row(r.Fig2, "CD")
 	if !ok {
 		t.Fatal("no Congo row")
 	}
-	es, ok := r.Fig2.Row("ES")
+	es, ok := fig2Row(r.Fig2, "ES")
 	if !ok {
 		t.Fatal("no Spain row")
 	}
@@ -123,8 +134,15 @@ func TestFig4DiurnalPatterns(t *testing.T) {
 	}
 	// African night floor stays high (paper: ≈40% of peak) and above
 	// Europe's (paper: down to 20%).
-	cdFloor := r.Fig4.NightFloor("CD")
-	esFloor := r.Fig4.NightFloor("ES")
+	nightFloor := func(code geo.CountryCode) float64 { // lowest over 00-05 UTC
+		hours, floor := r.Fig4.Normalized[code], 1.0
+		for h := 0; h < 6; h++ {
+			floor = min(floor, hours[h])
+		}
+		return floor
+	}
+	cdFloor := nightFloor("CD")
+	esFloor := nightFloor("ES")
 	if cdFloor < 0.2 {
 		t.Errorf("Congo night floor %.2f, paper ≈0.4", cdFloor)
 	}
@@ -308,7 +326,9 @@ func TestFig9GroundRTT(t *testing.T) {
 	// European traffic: large share below 50 ms (peered + EU clusters
 	// serve >80% per the paper).
 	for _, code := range []geo.CountryCode{"ES", "GB", "IE"} {
-		if frac := r.Fig9.ShareBelow(code, 0.050); frac < 0.6 {
+		if s := r.Fig9.Samples[code]; s == nil {
+			t.Errorf("%s: no ground-RTT samples", code)
+		} else if frac := s.CDF(0.050); frac < 0.6 {
 			t.Errorf("%s: only %.2f of traffic below 50ms ground RTT", code, frac)
 		}
 	}

@@ -118,16 +118,6 @@ func BuildFig9(ds *analytics.Dataset) Fig9 {
 	return out
 }
 
-// ShareBelow returns the share of a country's traffic with ground RTT
-// below the threshold (seconds).
-func (f Fig9) ShareBelow(code geo.CountryCode, seconds float64) float64 {
-	s, ok := f.Samples[code]
-	if !ok || s.Len() == 0 {
-		return 0
-	}
-	return s.CDF(seconds)
-}
-
 // Render prints medians and the paper's bump landmarks.
 func (f Fig9) Render() string {
 	tab := &table{header: []string{"Country", "median", "P(<=20ms)", "P(<=50ms)", "P(<=120ms)", "P(>250ms)"}}

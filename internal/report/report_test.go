@@ -89,19 +89,23 @@ func TestTable1Build(t *testing.T) {
 func TestFig2Build(t *testing.T) {
 	ds := handDataset()
 	f := BuildFig2(ds)
-	cd, ok := f.Row("CD")
+	rows := map[geo.CountryCode]Fig2Row{}
+	for _, r := range f.Rows {
+		rows[r.Country] = r
+	}
+	cd, ok := rows["CD"]
 	if !ok {
 		t.Fatal("no CD row")
 	}
-	es, _ := f.Row("ES")
+	es := rows["ES"]
 	if cd.VolumeSharePct <= es.VolumeSharePct {
 		t.Fatal("CD should carry more volume")
 	}
 	if cd.CustomerSharePct != 50 {
 		t.Fatalf("CD customer share %v", cd.CustomerSharePct)
 	}
-	if _, ok := f.Row("XX"); ok {
-		t.Fatal("phantom row")
+	if len(rows) != len(f.Rows) {
+		t.Fatal("duplicate country rows")
 	}
 	if !strings.Contains(f.Render(), "Congo") {
 		t.Fatal("render missing country")
@@ -200,7 +204,7 @@ func TestFig8bBuild(t *testing.T) {
 func TestFig9Build(t *testing.T) {
 	ds := handDataset()
 	f := BuildFig9(ds)
-	if f.ShareBelow("ES", 0.05) < 0.9 {
+	if f.Samples["ES"].CDF(0.05) < 0.9 {
 		t.Fatal("Spanish traffic should be near the gateway")
 	}
 	if f.Samples["CD"].CCDF(0.25) == 0 {

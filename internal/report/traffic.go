@@ -102,16 +102,6 @@ func BuildFig2(ds *analytics.Dataset) Fig2 {
 	return Fig2{Rows: rows}
 }
 
-// Row returns a country's row.
-func (f Fig2) Row(code geo.CountryCode) (Fig2Row, bool) {
-	for _, r := range f.Rows {
-		if r.Country == code {
-			return r, true
-		}
-	}
-	return Fig2Row{}, false
-}
-
 // Render prints the Figure 2 bars as a table.
 func (f Fig2) Render() string {
 	tab := &table{header: []string{"Country", "Volume %", "Customers %", "Vol/customer/day"}}
@@ -219,18 +209,6 @@ func (f Fig4) PeakHourUTC(code geo.CountryCode) int {
 		}
 	}
 	return best
-}
-
-// NightFloor returns the minimum normalized volume over 00-05 UTC.
-func (f Fig4) NightFloor(code geo.CountryCode) float64 {
-	minV := 1.0
-	hours := f.Normalized[code]
-	for h := 0; h < 6; h++ {
-		if hours[h] < minV {
-			minV = hours[h]
-		}
-	}
-	return minV
 }
 
 // Render sketches each top-6 country's profile.
