@@ -117,7 +117,6 @@ func TestLiveLogsFlowsWhenTheyEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeouts := tstat.DefaultConfig()
 	// clock is the driver's clock at the callback; settled the clock of
 	// the last completed Advance, after which the emitted flow was active.
 	var clock, settled time.Duration
@@ -131,10 +130,10 @@ func TestLiveLogsFlowsWhenTheyEnd(t *testing.T) {
 				firstEarly = fmt.Sprintf("%v flow ending at %v logged at clock %v", r.Proto, r.End, clock)
 			}
 		}
-		timeout := timeouts.UDPIdle
+		timeout := time.Minute // the tracker's UDP idle timeout
 		switch r.Proto {
 		case tstat.ProtoHTTPS, tstat.ProtoHTTP, tstat.ProtoTCPOther:
-			timeout = timeouts.TCPIdle
+			timeout = 5 * time.Minute // its TCP idle timeout
 		}
 		if r.End+timeout <= settled-time.Second {
 			if overdue++; overdue == 1 {

@@ -27,11 +27,11 @@ func scanAdvanceTime(t *Tracker, now time.Duration) {
 		idle := t.now - f.last
 		var done bool
 		switch {
-		case f.isTCP && f.closed() && idle >= t.cfg.FinLinger:
+		case f.isTCP && f.closed() && idle >= finLinger:
 			done = true
-		case f.isTCP && idle >= t.cfg.TCPIdle:
+		case f.isTCP && idle >= tcpIdle:
 			done = true
-		case !f.isTCP && idle >= t.cfg.UDPIdle:
+		case !f.isTCP && idle >= udpIdle:
 			done = true
 		}
 		if done {

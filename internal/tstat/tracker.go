@@ -21,15 +21,17 @@ var (
 		"Flow records emitted by trackers (counted at Flush).", "")
 )
 
+// The inactivity timeouts after which a flow is considered finished and
+// its record emitted, the common Tstat values. finLinger keeps a cleanly
+// closed TCP flow around briefly for late ACKs.
+const (
+	tcpIdle   = 5 * time.Minute
+	udpIdle   = time.Minute
+	finLinger = 5 * time.Second
+)
+
 // Config tunes the tracker.
 type Config struct {
-	// TCPIdle / UDPIdle are the inactivity timeouts after which a flow is
-	// considered finished and its record emitted.
-	TCPIdle time.Duration
-	UDPIdle time.Duration
-	// FinLinger keeps a cleanly closed TCP flow around briefly for late
-	// ACKs before emitting it.
-	FinLinger time.Duration
 	// Anonymizer, when set, anonymizes customer addresses on emission
 	// (the paper's real-time Crypto-PAn step, §2.3).
 	Anonymizer *cryptopan.Anonymizer
@@ -37,11 +39,6 @@ type Config struct {
 	// them in memory.
 	OnFlow func(FlowRecord)
 	OnDNS  func(DNSRecord)
-}
-
-// DefaultConfig mirrors common Tstat timeouts.
-func DefaultConfig() Config {
-	return Config{TCPIdle: 5 * time.Minute, UDPIdle: time.Minute, FinLinger: 5 * time.Second}
 }
 
 // Tracker is the flow table. It is not safe for concurrent use; parallel
@@ -109,16 +106,6 @@ type dueEntry struct {
 
 // NewTracker builds a tracker.
 func NewTracker(cfg Config) *Tracker {
-	d := DefaultConfig()
-	if cfg.TCPIdle <= 0 {
-		cfg.TCPIdle = d.TCPIdle
-	}
-	if cfg.UDPIdle <= 0 {
-		cfg.UDPIdle = d.UDPIdle
-	}
-	if cfg.FinLinger <= 0 {
-		cfg.FinLinger = d.FinLinger
-	}
 	return &Tracker{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState)}
 }
 
@@ -218,11 +205,11 @@ func (t *Tracker) emitOrdered(batch []*flowState) {
 func (t *Tracker) deadline(f *flowState) time.Duration {
 	switch {
 	case !f.isTCP:
-		return f.last + t.cfg.UDPIdle
+		return f.last + udpIdle
 	case f.closed():
-		return f.last + min(t.cfg.FinLinger, t.cfg.TCPIdle)
+		return f.last + finLinger
 	default:
-		return f.last + t.cfg.TCPIdle
+		return f.last + tcpIdle
 	}
 }
 

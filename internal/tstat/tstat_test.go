@@ -269,7 +269,7 @@ func TestDNSTransactions(t *testing.T) {
 // TestIdleEviction: Observe alone never evicts, whatever timestamps it is
 // handed; AdvanceTime emits a flow once the clock passes its idle timeout.
 func TestIdleEviction(t *testing.T) {
-	tr := NewTracker(Config{UDPIdle: time.Minute, TCPIdle: 5 * time.Minute})
+	tr := NewTracker(Config{})
 	web := packet.Endpoint{Addr: netip.MustParseAddr("5.5.5.5"), Port: 8000}
 	tr.Observe(udpTuple(cust, web), SegmentEvent{T: 0, Payload: 100})
 	if tr.Active() != 1 {
