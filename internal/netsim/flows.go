@@ -147,7 +147,7 @@ type portAlloc struct {
 }
 
 // portReuseGuard must exceed the tracker's largest inactivity window
-// (TCPIdle + FinLinger) plus its one-second sweep cadence so a reused
+// (TCP idle plus FIN linger) plus its one-second sweep cadence so a reused
 // 5-tuple always lands on a fresh flow; flow advances the tracker to each
 // intent's start before the intent takes a port.
 const portReuseGuard = 6 * time.Minute
@@ -332,7 +332,7 @@ func (s *synthesizer) samplePath(fi *workload.FlowIntent, region cdn.Region, cla
 		// the split saves, the operator forwards the flow end-to-end
 		// instead of proxying it. A pure function of (prop, rho) — no
 		// randomness — so it cannot perturb parallel determinism.
-		if s.cfg.PEP.Benefit(prop, rho) <= 0 {
+		if pepmodel.Default().Benefit(prop, rho) <= 0 {
 			p.bypass = true
 			pepmodel.CountBypass()
 		}
@@ -346,7 +346,7 @@ func (s *synthesizer) samplePath(fi *workload.FlowIntent, region cdn.Region, cla
 		sat += s.mac.SampleDownlinkTraced(util, fer, r, fl)
 	}
 	if !s.cfg.DisablePEP && !p.bypass {
-		sat += s.cfg.PEP.SetupDelayTraced(rho, r, fl)
+		sat += pepmodel.Default().SetupDelayTraced(rho, r, fl)
 	}
 	p.satRTT = sat
 	fl.SetTotal(sat)
@@ -674,7 +674,7 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 	// end: slow start clocks on the full GEO RTT with no PEP buffer
 	// absorbing it (the exact overhead split-TCP exists to hide).
 	dlRTT := g
-	pepBuf := s.cfg.PEP.PerUserBuffer
+	pepBuf := pepmodel.Default().PerUserBuffer
 	if path.bypass {
 		dlRTT = g + path.satRTT
 		pepBuf = 0

@@ -114,7 +114,8 @@ const defaultIntentCacheBytes = 512 << 20
 // Config parameterizes a simulation run. Zero fields take the effective
 // defaults applied by Run: 400 customers, 2 days (matching
 // DefaultConfig), seed 0, GOMAXPROCS workers, per-field MAC defaults
-// (mac.DefaultParams), the default PEP model, and a 512 MiB intent cache.
+// (mac.DefaultParams) and a 512 MiB intent cache; the PEP is always
+// pepmodel.Default.
 type Config struct {
 	// Customers is the population size; Days the observation window.
 	Customers int
@@ -146,8 +147,6 @@ type Config struct {
 	// matched to the constellation: mac.DefaultParams for geo,
 	// mac.LEOParams for leo).
 	MAC mac.Params
-	// PEP overrides the PEP resource model (zero value → defaults).
-	PEP pepmodel.Model
 
 	// Trace, when non-nil, records a per-flow latency-decomposition span
 	// tree for sampled flows (see internal/trace). Nil disables tracing;
@@ -180,7 +179,7 @@ type Config struct {
 
 // DefaultConfig returns a laptop-scale run: 400 customers over 2 days.
 func DefaultConfig() Config {
-	return Config{Customers: 400, Days: 2, Seed: 1, MAC: mac.DefaultParams(), PEP: pepmodel.Default()}
+	return Config{Customers: 400, Days: 2, Seed: 1, MAC: mac.DefaultParams()}
 }
 
 func (c Config) withDefaults() Config {
@@ -194,9 +193,6 @@ func (c Config) withDefaults() Config {
 		c.Constellation = "geo"
 	}
 	c.MAC = matchedMAC(c.Constellation, c.MAC)
-	if c.PEP.SetupTime == 0 {
-		c.PEP = pepmodel.Default()
-	}
 	return c
 }
 
