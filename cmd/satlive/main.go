@@ -74,12 +74,10 @@ func run() (int, error) {
 	soak := flag.Duration("soak", 0, "run the self-checking soak mode for this wall duration")
 	traceDir := flag.String("trace", "", "write sampled flow span trees as rotating JSONL here")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N flows on the streaming path (0 disables, 1 = all)")
-	traceRing := flag.Int("trace-ring", live.DefaultTraceRing, "recent traced flows retained for /trace/recent")
 	traceFileMB := flag.Int("trace-file-mb", 8, "trace log size cap per file before rotation (MiB)")
 	traceKeep := flag.Int("trace-keep", 4, "rotated trace files kept")
 	historyDir := flag.String("history", "", "persist finalized windows to a JSONL log here and replay it at startup")
 	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "/metrics/history sampling cadence (simulated)")
-	metricsKeep := flag.Int("metrics-keep", obs.DefaultHistoryKeep, "registry time-series points retained")
 	flag.Parse()
 
 	if *traceDir != "" && *traceSample <= 0 {
@@ -104,10 +102,10 @@ func run() (int, error) {
 		Speedup: *speedup, Workers: *workers, Rate: *rate,
 		Window: *window, Grace: *grace,
 		StallTimeout: *stallTimeout, DrainTimeout: *drainTimeout,
-		TraceSample: *traceSample, TraceDir: *traceDir, TraceRing: *traceRing,
+		TraceSample: *traceSample, TraceDir: *traceDir,
 		TraceFileMaxBytes: int64(*traceFileMB) << 20, TraceKeepFiles: *traceKeep,
 		HistoryDir:   *historyDir,
-		MetricsEvery: *metricsEvery, MetricsKeep: *metricsKeep,
+		MetricsEvery: *metricsEvery,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -72,9 +72,12 @@ type Analytics struct {
 	onFinal   func(WindowSummary)
 }
 
+// keepWindows is the number of finalized summaries the daemon retains.
+const keepWindows = 48
+
 // NewAnalytics builds the rolling-window aggregator. window and grace
-// are simulated durations; keep bounds the retained summaries. degraded
-// may be nil.
+// are simulated durations; keep bounds the retained summaries (default
+// keepWindows). degraded may be nil.
 func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Prefix]geo.CountryCode, degraded *atomic.Bool) *Analytics {
 	if window <= 0 {
 		window = 10 * time.Minute
@@ -83,7 +86,7 @@ func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Pref
 		grace = 10 * time.Minute
 	}
 	if keep <= 0 {
-		keep = 48
+		keep = keepWindows
 	}
 	return &Analytics{
 		window: window, grace: grace, keep: keep,

@@ -19,7 +19,6 @@ func newTestHandler(t *testing.T) (*Pipeline, http.Handler) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.TraceSample = 1
-	cfg.TraceRing = 8
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

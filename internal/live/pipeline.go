@@ -25,6 +25,14 @@ import (
 	"satwatch/internal/workload"
 )
 
+const (
+	// intentDepth bounds the admitted-intent edge ahead of the shards.
+	intentDepth = 1024
+	// lookahead is how far ahead of the sim clock the generator may
+	// admit intents (simulated).
+	lookahead = 30 * time.Second
+)
+
 // Config parameterizes the daemon.
 type Config struct {
 	// Customers, Seed, Constellation and Faults configure the underlying
@@ -45,17 +53,13 @@ type Config struct {
 	// fresh random streams so they diverge.
 	Rate float64
 
-	// Queue depths per edge (defaults 1024 / 256 per shard / 4096).
-	IntentDepth, WorkerDepth, RecordDepth int
+	// Queue depths of the synthesis and record edges (defaults 256 per
+	// shard / 4096); the intent edge holds intentDepth.
+	WorkerDepth, RecordDepth int
 
 	// Window and Grace shape the rolling analytics (simulated time;
-	// defaults 10 min each). KeepWindows bounds retained summaries.
+	// defaults 10 min each).
 	Window, Grace time.Duration
-	KeepWindows   int
-
-	// Lookahead is how far ahead of the sim clock the generator may
-	// admit intents (simulated; default 30 s).
-	Lookahead time.Duration
 
 	// StallTimeout is the watchdog's heartbeat deadline (wall; default
 	// 5 s). DrainTimeout bounds the graceful drain (wall; default 20 s).
@@ -67,11 +71,9 @@ type Config struct {
 	// (customer, day, sequence), independent of worker count.
 	TraceSample int
 	// TraceDir, when set (and TraceSample > 0), writes traced flows to a
-	// size-capped rotating JSONL log. TraceRing bounds the in-memory
-	// recent ring served at /trace/recent; TraceFileMaxBytes and
+	// size-capped rotating JSONL log; TraceFileMaxBytes and
 	// TraceKeepFiles shape rotation (internal/trace defaults).
 	TraceDir          string
-	TraceRing         int
 	TraceFileMaxBytes int64
 	TraceKeepFiles    int
 
@@ -82,10 +84,8 @@ type Config struct {
 	HistoryDir string
 
 	// MetricsEvery is the /metrics/history sampling cadence in simulated
-	// time (default 30 s); MetricsKeep bounds the retained points
-	// (default obs.DefaultHistoryKeep).
+	// time (default 30 s).
 	MetricsEvery time.Duration
-	MetricsKeep  int
 
 	// Logf receives operational log lines; nil discards them. Excluded
 	// from the manifest config dump.
@@ -102,17 +102,11 @@ func (c Config) withDefaults() Config {
 	if c.Rate <= 0 {
 		c.Rate = 1
 	}
-	if c.IntentDepth <= 0 {
-		c.IntentDepth = 1024
-	}
 	if c.WorkerDepth <= 0 {
 		c.WorkerDepth = 256
 	}
 	if c.RecordDepth <= 0 {
 		c.RecordDepth = 4096
-	}
-	if c.Lookahead <= 0 {
-		c.Lookahead = 30 * time.Second
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 5 * time.Second
@@ -202,18 +196,18 @@ func New(cfg Config) (*Pipeline, error) {
 		activeFlows: make([]atomic.Int64, cfg.Workers),
 	}
 	p.rateBits.Store(math.Float64bits(cfg.Rate))
-	p.intentQ = NewQueue[intentItem](cfg.IntentDepth, Block, qmIntents, &p.degraded)
+	p.intentQ = NewQueue[intentItem](intentDepth, Block, qmIntents, &p.degraded)
 	p.workerQs = make([]*Queue[intentItem], cfg.Workers)
 	for i := range p.workerQs {
 		p.workerQs[i] = NewQueue[intentItem](cfg.WorkerDepth, Shed, qmSynth, &p.degraded)
 	}
 	p.recordQ = NewQueue[recordItem](cfg.RecordDepth, Shed, qmRecords, &p.degraded)
-	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, cfg.KeepWindows, prefixes, &p.degraded)
+	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, keepWindows, prefixes, &p.degraded)
 	p.workersLeft.Store(int64(cfg.Workers))
 
 	p.tracing, err = NewTracing(TracingConfig{
-		SampleN: cfg.TraceSample, Ring: cfg.TraceRing,
-		Dir: cfg.TraceDir, MaxBytes: cfg.TraceFileMaxBytes, KeepFiles: cfg.TraceKeepFiles,
+		SampleN: cfg.TraceSample,
+		Dir:     cfg.TraceDir, MaxBytes: cfg.TraceFileMaxBytes, KeepFiles: cfg.TraceKeepFiles,
 	})
 	if err != nil {
 		return nil, err
@@ -245,7 +239,7 @@ func New(cfg Config) (*Pipeline, error) {
 		})
 	}
 	p.clock = NewClock(cfg.Speedup, p.resumeFrom)
-	p.metricsHist = obs.NewHistory(nil, cfg.MetricsKeep)
+	p.metricsHist = obs.NewHistory(nil, obs.DefaultHistoryKeep)
 
 	p.sup = &supervisor{
 		timeout: cfg.StallTimeout,
@@ -504,10 +498,10 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 			continue
 		}
 
-		// Pace: hold until the sim clock is within Lookahead of the
+		// Pace: hold until the sim clock is within lookahead of the
 		// intent's start, heartbeating through long waits.
 		for {
-			wait := p.clock.WallUntil(fi.Start - p.cfg.Lookahead)
+			wait := p.clock.WallUntil(fi.Start - lookahead)
 			if wait <= 0 {
 				break
 			}

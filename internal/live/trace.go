@@ -17,8 +17,8 @@ import (
 	"satwatch/internal/trace"
 )
 
-// DefaultTraceRing bounds the recent-traced-flows ring when no size is
-// configured.
+// DefaultTraceRing bounds the recent-traced-flows ring served at
+// /trace/recent.
 const DefaultTraceRing = 256
 
 // Tracing is the live flight-recorder state: sampling rate, recent ring
@@ -34,8 +34,6 @@ type Tracing struct {
 type TracingConfig struct {
 	// SampleN traces 1 in N flows (<= 0 disables tracing; 1 traces all).
 	SampleN int
-	// Ring bounds the recent-flow buffer (default DefaultTraceRing).
-	Ring int
 	// Dir, when non-empty, enables the rotating JSONL log.
 	Dir string
 	// MaxBytes and KeepFiles shape rotation (defaults in internal/trace).
@@ -49,10 +47,7 @@ func NewTracing(cfg TracingConfig) (*Tracing, error) {
 	if cfg.SampleN <= 0 {
 		return nil, nil
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = DefaultTraceRing
-	}
-	t := &Tracing{sampleN: uint64(cfg.SampleN), ring: trace.NewRing(cfg.Ring)}
+	t := &Tracing{sampleN: uint64(cfg.SampleN), ring: trace.NewRing(DefaultTraceRing)}
 	if cfg.Dir != "" {
 		w, err := trace.NewRotatingWriter(cfg.Dir, cfg.MaxBytes, cfg.KeepFiles)
 		if err != nil {
