@@ -1,7 +1,7 @@
 // Command satpep demonstrates the RFC 3135 split-TCP PEP live, over an
 // in-process emulated GEO satellite link (~550 ms RTT): it starts an origin
 // server, the ground-station gateway, and the CPE-side proxy, then fetches
-// a payload twice — once through the PEP and once directly across the
+// a 2 MiB payload twice — once through the PEP and once directly across the
 // emulated satellite — and prints the handshake and transfer timings the
 // paper's §2.1 architecture is designed to improve.
 //
@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	satpep [-size 2097152] [-listen 127.0.0.1:0] [-metrics FILE]
+//	satpep [-listen 127.0.0.1:0] [-metrics FILE]
 //	       [-debug-addr :6060] [-debug-linger 0s]
 //	satpep -load [-flows 1000] [-concurrency 0] [-mix 8k:0.6,64k:0.3,256k:0.1]
 //	       [-arrival 0] [-delay 270ms] [-jitter 30ms] [-loss 0.005] [-rate 0]
@@ -49,10 +49,12 @@ var (
 		"Full download time of the PEP-proxied fetch.", "seconds")
 )
 
+// demoPayload is the size of the payload the demo fetches both ways.
+const demoPayload = 2 << 20
+
 func main() { obs.Main("satpep", run) }
 
 func run() (int, error) {
-	size := flag.Int("size", 2<<20, "payload bytes to download")
 	listen := flag.String("listen", "127.0.0.1:0", "CPE proxy listen address")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump here on exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /progress and /debug/pprof on this address")
@@ -96,7 +98,7 @@ func run() (int, error) {
 		})
 	}
 
-	payload := make([]byte, *size)
+	payload := make([]byte, demoPayload)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -149,7 +151,7 @@ func run() (int, error) {
 	fmt.Printf("origin at %s, CPE proxy at %s, satellite RTT ≈ %v\n\n",
 		origin.Addr(), ln.Addr(), 2*linkemu.GEO().Delay)
 
-	hs, total, err := fetch(ln.Addr().String(), *size)
+	hs, total, err := fetch(ln.Addr().String(), demoPayload)
 	if err != nil {
 		return 0, err
 	}
