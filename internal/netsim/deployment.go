@@ -71,7 +71,8 @@ func newDeployment(cfg Config) (*deployment, error) {
 // a deployment's prefix join (§2.3: Crypto-PAn "preserves the subnet
 // structure"; §3.1: the mapping the operator provides). prefixes is
 // Output.CountryPrefixes or LiveSim.CountryPrefixes: one entry per country,
-// scanned linearly.
+// scanned linearly. The prefixes must not overlap (readPrefixes rejects a
+// row that does), or the answer would depend on map order.
 func CountryOf(prefixes map[netip.Prefix]geo.CountryCode, addr netip.Addr) (geo.CountryCode, bool) {
 	for p, code := range prefixes {
 		if p.Contains(addr) {

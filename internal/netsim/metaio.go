@@ -201,7 +201,9 @@ func WritePrefixes(w io.Writer, prefixes map[netip.Prefix]geo.CountryCode) error
 	return bw.Flush()
 }
 
-// readPrefixes parses a TSV written by WritePrefixes.
+// readPrefixes parses a TSV written by WritePrefixes. A row whose prefix
+// overlaps or repeats an earlier row's is rejected like a corrupt line:
+// CountryOf's answer must not depend on map order.
 func readPrefixes(r io.Reader) (map[netip.Prefix]geo.CountryCode, obs.ReadStats, error) {
 	out := map[netip.Prefix]geo.CountryCode{}
 	st, err := obs.ReadLines(r, "netsim: prefix", prefixHeader, func(line []byte) error {
@@ -210,10 +212,16 @@ func readPrefixes(r io.Reader) (map[netip.Prefix]geo.CountryCode, obs.ReadStats,
 			return fmt.Errorf("%d fields", len(f))
 		}
 		p, err := netip.ParsePrefix(f[0])
-		if err == nil {
-			out[p] = geo.CountryCode(f[1])
+		if err != nil {
+			return err
 		}
-		return err
+		for q := range out {
+			if p.Overlaps(q) {
+				return fmt.Errorf("prefix %s overlaps %s", p, q)
+			}
+		}
+		out[p] = geo.CountryCode(f[1])
+		return nil
 	})
 	return out, st, err
 }

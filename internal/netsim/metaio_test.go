@@ -103,6 +103,30 @@ func TestPrefixRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrefixOverlapSkipped: CountryOf returns the first prefix of a map
+// range that contains the address, so two overlapping rows would let one
+// address resolve to a different country on each call. The reader keeps
+// the first row, and skips and counts one that overlaps or repeats it.
+func TestPrefixOverlapSkipped(t *testing.T) {
+	tsv := prefixHeader + "\n77.16.0.0/16\tCD\n77.16.4.0/24\tES\n77.16.0.0/16\tNG\n"
+	out, st, err := readPrefixes(strings.NewReader(tsv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[netip.MustParsePrefix("77.16.0.0/16")] != "CD" {
+		t.Fatalf("kept %v, want only the first row", out)
+	}
+	if st.Skipped != 2 || st.First == nil || !strings.Contains(st.First.Error(), "line 3:") {
+		t.Fatalf("skipped %d (first: %v), want the overlapping row (line 3) and the repeat", st.Skipped, st.First)
+	}
+	addr := netip.MustParseAddr("77.16.4.9")
+	for i := 0; i < 50; i++ {
+		if code, ok := CountryOf(out, addr); !ok || code != "CD" {
+			t.Fatalf("call %d: CountryOf = %q, %v, want CD", i, code, ok)
+		}
+	}
+}
+
 // TestFullOutputRoundTrip saves a run the way the CLIs do and loads it
 // back the way satreport -from does, then damages one line to check the
 // strict/tolerant split.
