@@ -1,7 +1,10 @@
 // Command satgen generates synthetic SatCom deployment traces: anonymized
-// Tstat-style flow/DNS logs from the full simulator, and optionally a
-// small packet-level pcap capture whose every byte is decodable (for
-// satprobe demos and interoperability tests with standard tooling).
+// Tstat-style flow/DNS logs from the full simulator, and a small pcap
+// capture of a sample of the run's own flows (-pcap-flows, 0 disables;
+// written only when the run completed ok): the sampled flows re-synthesized
+// and rendered to decodable wire packets, stamped from 00:00 UTC of
+// simulated day 0 like the logs, so satprobe replaying sample.pcap
+// reproduces those flows' log rows.
 //
 // Every run writes a manifest.json next to its outputs (config, seed,
 // version, per-stage timings, output digests, run status) so runs are
@@ -42,7 +45,6 @@ import (
 	"satwatch/internal/geo"
 	"satwatch/internal/netsim"
 	"satwatch/internal/obs"
-	"satwatch/internal/pcapgen"
 	"satwatch/internal/prof"
 	"satwatch/internal/trace"
 )
@@ -58,7 +60,7 @@ func run() (int, error) {
 	parallelism := flag.Int("parallelism", 0, "simulation workers, both passes (0 = GOMAXPROCS); output is identical at any value")
 	intentCacheMB := flag.Int("intent-cache-mb", 0, "pass-A intent cache budget in MiB (0 = 512, negative disables)")
 	faultsArg := flag.String("faults", "", "fault schedule: a JSON file or a preset ("+strings.Join(faults.PresetNames(), ", ")+")")
-	pcapFlows := flag.Int("pcap-flows", 50, "flows in the demo pcap (0 disables)")
+	pcapFlows := flag.Int("pcap-flows", 50, "flows of the run sampled into sample.pcap (0 disables)")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump to this file after the run")
 	progress := flag.Bool("progress", false, "print a live progress line to stderr every 2s")
 	traceOut := flag.String("trace", "", "write per-flow latency span trees (JSONL) to this file")
@@ -144,19 +146,6 @@ func run() (int, error) {
 	fmt.Printf("wrote %s (%d flows), %s (%d DNS transactions), %s, %s\n",
 		outputs[0], len(sim.Flows), outputs[1], len(sim.DNS), outputs[2], outputs[3])
 
-	if *pcapFlows > 0 {
-		pcapPath := filepath.Join(*out, "sample.pcap")
-		var st pcapgen.Stats
-		if err := obs.WriteFileAtomic(pcapPath, func(w io.Writer) error {
-			var werr error
-			st, werr = pcapgen.Write(w, pcapgen.Options{Flows: *pcapFlows, Seed: *seed, Epoch: sim.Epoch})
-			return werr
-		}); err != nil {
-			return 0, err
-		}
-		fmt.Printf("wrote %s (%s)\n", pcapPath, st.Describe())
-		outputs = append(outputs, pcapPath)
-	}
 	manifest.AddTiming("write", time.Since(writeStart))
 
 	if tracer != nil {
@@ -173,6 +162,26 @@ func run() (int, error) {
 			return 0, fmt.Errorf("metrics dump: %w", err)
 		}
 		outputs = append(outputs, *metricsOut)
+	}
+
+	// After the metrics dump: the sample is re-synthesized through the
+	// run's models, whose counters would count its customers twice. A run
+	// that dropped customers gets no sample: it could hold flows the logs
+	// lack.
+	if *pcapFlows > 0 && sim.Stats.Status() == netsim.StatusOK {
+		pcapStart := time.Now()
+		pcapPath := filepath.Join(*out, "sample.pcap")
+		var packets, flows int
+		if err := obs.WriteFileAtomic(pcapPath, func(w io.Writer) error {
+			var werr error
+			packets, flows, werr = sim.WritePcap(w, *pcapFlows)
+			return werr
+		}); err != nil {
+			return 0, err
+		}
+		fmt.Printf("wrote %s (%d packets, %d sampled flows)\n", pcapPath, packets, flows)
+		outputs = append(outputs, pcapPath)
+		manifest.AddTiming("pcap", time.Since(pcapStart))
 	}
 
 	for _, p := range outputs {

@@ -1,6 +1,13 @@
 // Command satprobe replays a pcap capture through the Tstat-style probe:
 // every packet is decoded, flows are tracked, DPI names the servers, RTT
-// estimators run, and the resulting flow/DNS logs are written as TSV.
+// estimators run, and the resulting flow/DNS logs are written as TSV, in
+// the sorted order of every other log writer.
+//
+// Times (start_us, end_us, the DNS t_us) are measured from 00:00 UTC of
+// the first packet's day, the epoch satgen's logs use: replaying a
+// satgen sample.pcap reproduces the sampled flows' rows of its flows.tsv
+// and dns.tsv (DESIGN.md, "Packet path vs in-process path", lists the
+// columns that differ).
 //
 // Undecodable packets are skipped and counted, not fatal — a damaged
 // capture still yields the flows it can. -debug-addr serves /metrics,
@@ -101,7 +108,7 @@ func run() (int, error) {
 			return 0, fmt.Errorf("reading capture: %w", err)
 		}
 		if epoch.IsZero() {
-			epoch = ts
+			epoch = ts.UTC().Truncate(24 * time.Hour)
 		}
 		if err := tr.FeedPacket(ts.Sub(epoch), data); err != nil {
 			badPackets.Add(1)
@@ -110,13 +117,15 @@ func run() (int, error) {
 		packets.Add(1)
 	}
 	flows, dns := tr.Flush()
+	tstat.SortFlows(flows)
+	tstat.SortDNS(dns)
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "satprobe: interrupted, salvaging logs tracked so far")
 	}
 
 	fmt.Printf("replayed %d packets (%d undecodable): %d flows, %d DNS transactions\n",
 		packets.Load(), badPackets.Load(), len(flows), len(dns))
-	byProto := map[tstat.Protocol]int{}
+	var byProto [tstat.ProtoUDPOther + 1]int
 	withDomain := 0
 	for i := range flows {
 		byProto[flows[i].Proto]++
@@ -125,7 +134,9 @@ func run() (int, error) {
 		}
 	}
 	for p, n := range byProto {
-		fmt.Printf("  %-10s %d flows\n", p, n)
+		if n > 0 {
+			fmt.Printf("  %-10s %d flows\n", tstat.Protocol(p), n)
+		}
 	}
 	fmt.Printf("  DPI named %d/%d flows\n", withDomain, len(flows))
 

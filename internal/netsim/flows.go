@@ -50,6 +50,10 @@ type synthesizer struct {
 	cutoff time.Duration
 	cutRST bool
 	retxP  float64
+
+	// tap, when set, receives every event the tracker does: WritePcap's
+	// capture of the flows it samples.
+	tap func(packet.FiveTuple, tstat.SegmentEvent)
 }
 
 type classKey struct {
@@ -57,19 +61,23 @@ type classKey struct {
 	port   uint16
 }
 
-// observe delivers one event to the tracker unless a gateway switchover
-// cut the flow first: the old gateway tears its proxied connections
-// down, so the probe sees a reset at the switch instant and nothing
-// after (the paper's mass flow resets on ground-station maintenance).
+// observe delivers one event to the tracker, and to the tap when one is
+// set, unless a gateway switchover cut the flow first: the old gateway
+// tears its proxied connections down, so the probe sees a reset at the
+// switch instant and nothing after (the paper's mass flow resets on
+// ground-station maintenance).
 func (s *synthesizer) observe(tuple packet.FiveTuple, ev tstat.SegmentEvent) {
 	if s.cutoff > 0 && ev.T >= s.cutoff {
-		if !s.cutRST && tuple.Proto == packet.ProtoTCP {
-			s.cutRST = true
-			s.tracker.Observe(tuple, tstat.SegmentEvent{T: s.cutoff, Flags: packet.FlagRST, Packets: 1, WireLen: hdrLen})
+		if s.cutRST || tuple.Proto != packet.ProtoTCP {
+			return
 		}
-		return
+		s.cutRST = true
+		ev = tstat.SegmentEvent{T: s.cutoff, Flags: packet.FlagRST, Packets: 1, WireLen: hdrLen}
 	}
 	s.tracker.Observe(tuple, ev)
+	if s.tap != nil {
+		s.tap(tuple, ev)
+	}
 }
 
 const mss = tcpmodel.MSS

@@ -315,6 +315,13 @@ type Output struct {
 	Faults *faults.Schedule
 	// Stats carries the run's wall timings and worker statistics.
 	Stats RunStats
+
+	// What WritePcap re-synthesizes the run's flows from: the effective
+	// config (tracing off), the deployment and the models. Nil for an
+	// Output read back from logs.
+	cfg Config
+	dep *deployment
+	mod *models
 }
 
 // hourOf returns the absolute hour index of a simulation timestamp.
@@ -627,7 +634,11 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 		Beams:           beamStats(dep.loads, cfg.Days*24),
 		Faults:          sched,
 		Stats:           stats,
+		cfg:             cfg,
+		dep:             dep,
+		mod:             mod,
 	}
+	out.cfg.Trace = nil
 	for _, c := range customers {
 		out.Meta[dep.anon.MustAnonymize(c.Addr)] = CustomerMeta{
 			Country: c.Country.Code, Beam: c.Beam, Type: c.Type,

@@ -1,6 +1,7 @@
 // Package pcapio reads and writes classic pcap capture files (the libpcap
-// format, magic 0xa1b2c3d4) using only the standard library. The probe
-// binaries use it to persist and replay synthesized packet traces.
+// format, microsecond or nanosecond variant) using only the standard
+// library. The probe binaries use it to persist and replay synthesized
+// packet traces.
 //
 // Traces are written with LINKTYPE_RAW (101): packets start directly at the
 // IPv4 header, matching what package packet decodes.
@@ -29,7 +30,8 @@ const (
 // DefaultSnapLen is the snapshot length written into file headers.
 const DefaultSnapLen = 262144
 
-// Writer writes a pcap file with microsecond timestamps.
+// Writer writes a pcap file with nanosecond timestamps (magic 0xa1b23c4d),
+// so a replay sees exactly the times a simulated capture was stamped with.
 type Writer struct {
 	w        *bufio.Writer
 	linkType uint32
@@ -43,7 +45,7 @@ func NewWriter(w io.Writer, linkType uint32) *Writer {
 
 func (w *Writer) writeHeader() error {
 	var h [24]byte
-	binary.LittleEndian.PutUint32(h[0:4], magicMicros)
+	binary.LittleEndian.PutUint32(h[0:4], magicNanos)
 	binary.LittleEndian.PutUint16(h[4:6], versionMajor)
 	binary.LittleEndian.PutUint16(h[6:8], versionMinor)
 	// thiszone and sigfigs stay zero.
@@ -66,7 +68,7 @@ func (w *Writer) WritePacket(ts time.Time, data []byte) error {
 	}
 	var h [16]byte
 	binary.LittleEndian.PutUint32(h[0:4], uint32(ts.Unix()))
-	binary.LittleEndian.PutUint32(h[4:8], uint32(ts.Nanosecond()/1000))
+	binary.LittleEndian.PutUint32(h[4:8], uint32(ts.Nanosecond()))
 	binary.LittleEndian.PutUint32(h[8:12], uint32(len(data)))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(len(data)))
 	if _, err := w.w.Write(h[:]); err != nil {

@@ -104,7 +104,6 @@ func (d *dpiState) feedClientUDP(data []byte) {
 	if d.done || len(data) == 0 {
 		return
 	}
-	d.sawData = true
 	if packet.IsQUICLongHeader(data) {
 		if q, err := packet.DecodeQUICInitial(data); err == nil {
 			d.isQUIC = true
@@ -155,7 +154,11 @@ func (d *dpiState) classifyUDP(serverPort uint16) Protocol {
 		return ProtoQUIC
 	case d.isRTP:
 		return ProtoRTP
-	case serverPort == 443 && !d.sawData:
+	case serverPort == 443:
+		// UDP/443 that no Initial named is QUIC by port, like Tstat: a
+		// short-header packet carries nothing to parse, and a flow whose
+		// datagrams went unanswered must not change class with whether
+		// the probe was handed their bytes.
 		return ProtoQUIC
 	default:
 		return ProtoUDPOther

@@ -7,11 +7,13 @@
 // server (HTTP Host, TLS SNI, QUIC SNI, DNS), logs DNS transactions, and
 // anonymizes customer addresses with Crypto-PAn before anything is stored.
 //
-// The tracker consumes SegmentEvents. Two frontends produce them: the
-// packet frontend decodes raw IPv4 packets (live capture or pcap replay),
-// and the simulator fast path emits them directly, optionally aggregating
+// The tracker consumes SegmentEvents from two frontends: the packet
+// frontend (FeedPacket) decodes raw IPv4 packets (live capture or pcap
+// replay), and the simulator fast path emits them directly, aggregating
 // long bulk transfers into burst events whose byte/packet counters stay
-// exact.
+// exact. Render is the packet frontend's inverse: it turns an event back
+// into its wire packets, which is how a simulated run's capture is written
+// and how the two frontends are held to the same records.
 package tstat
 
 import (

@@ -138,8 +138,10 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 }
 
 // FeedPacket decodes a raw IPv4 packet (pcap replay or live capture),
-// feeds it as a segment event and advances the clock to its capture
-// timestamp — the packet frontend.
+// advances the clock to its capture timestamp and feeds it as a segment
+// event — the packet frontend. The clock moves first, so a packet that
+// arrives after its flow's idle timeout opens a new flow whatever other
+// traffic the capture carried in between.
 func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 	p, err := packet.Decode(raw)
 	if err != nil {
@@ -163,8 +165,8 @@ func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 		ev.Seq = tcp.Seq
 		ev.Ack = tcp.Ack
 	}
-	t.Observe(tuple, ev)
 	t.AdvanceTime(ts)
+	t.Observe(tuple, ev)
 	return nil
 }
 

@@ -522,7 +522,6 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 // it behaves, so no walkthrough needs to set them.
 var deploymentFlags = map[cliFlag]string{
 	{"satpep", "listen"}: "an address",
-	{"satprobe", "dns"}:  "an output path",
 }
 
 // TestEveryFlagHasAReader fails on a flag of a CLI under cmd/ that no CI
