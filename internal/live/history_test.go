@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"satwatch/internal/obs"
+	"satwatch/internal/workload"
 )
 
 func summaryAt(k int64) WindowSummary {
@@ -209,5 +210,42 @@ func TestDaemonRestartSalvagesDamagedHistory(t *testing.T) {
 				t.Errorf("netsim_rows_skipped_total moved by %v over the replay, want 1", d)
 			}
 		})
+	}
+}
+
+// TestResumedDaemonStartsItsSourceAtTheResumeDay: a history ending at
+// day 2 + 20 min resumes the source at day 2's first intent, not at
+// day 0 with two days of intents to regenerate and skip.
+func TestResumedDaemonStartsItsSourceAtTheResumeDay(t *testing.T) {
+	dir := t.TempDir()
+	log, _, _, err := OpenHistory(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(2 * 144); k < 2*144+2; k++ {
+		if err := log.Append(summaryAt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.Close()
+
+	cfg := testConfig()
+	cfg.HistoryDir = dir
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.history.Close()
+	if want := 2*workload.Day + 20*time.Minute; p.ResumeFrom() != want {
+		t.Fatalf("ResumeFrom = %s, want %s", p.ResumeFrom(), want)
+	}
+	fresh := workload.NewSource(p.sim.Customers(), p.sim.Root())
+	want := fresh.Next()
+	for want.Start < 2*workload.Day {
+		want = fresh.Next()
+	}
+	if got := p.source.Next(); *got != *want {
+		t.Errorf("resumed source starts with %s at %s, want day 2's first intent %s at %s",
+			got.Domain, got.Start, want.Domain, want.Start)
 	}
 }

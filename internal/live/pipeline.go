@@ -157,7 +157,8 @@ type Pipeline struct {
 	metricsHist *obs.History
 	// resumeFrom is the simulated instant the clock restarts at after a
 	// history replay; intents starting before it are already covered by
-	// persisted windows and are skipped at generation.
+	// persisted windows. The source starts at resumeFrom's day and the
+	// generator skips that day's earlier intents.
 	resumeFrom time.Duration
 
 	rateBits       atomic.Uint64 // math.Float64bits of the multiplier
@@ -238,6 +239,9 @@ func New(cfg Config) (*Pipeline, error) {
 			}
 		})
 	}
+	// Days before the resume point would all be skipped at generation;
+	// start the source at the resume day instead of regenerating them.
+	p.source.StartAt(int(p.resumeFrom / workload.Day))
 	p.clock = NewClock(cfg.Speedup, p.resumeFrom)
 	p.metricsHist = obs.NewHistory(nil, obs.DefaultHistoryKeep)
 
@@ -493,8 +497,9 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 		}
 		fi := *p.source.Next() // copy: the source reuses its buffer per day
 		if fi.Start < p.resumeFrom {
-			// History replay already covers this instant; regenerating it
-			// would double-count into finalized (persisted) windows.
+			// History replay already covers this instant of the resume
+			// day; regenerating it would double-count into finalized
+			// (persisted) windows.
 			continue
 		}
 

@@ -575,6 +575,53 @@ func TestEveryFlagHasAReader(t *testing.T) {
 	}
 }
 
+// docOnlyFlags are the flags a user document may show in a code span
+// though no CLI under cmd/ defines them.
+var docOnlyFlags = map[string]string{
+	"race": "the go tool's race detector",
+}
+
+// TestEveryDocumentedFlagExists is TestEveryFlagHasAReader's reverse: a
+// code span that opens with -name in README, DESIGN, OBSERVABILITY or
+// EXPERIMENTS names a flag of some CLI under cmd/. Fenced blocks are
+// left out and spans pair left to right, so the closing backtick of
+// "`probe`-segment" opens nothing.
+func TestEveryDocumentedFlagExists(t *testing.T) {
+	m := loadModule(t)
+	defined := map[string]bool{}
+	for _, f := range m.flags() {
+		defined[f.name] = true
+	}
+	fence := regexp.MustCompile("(?ms)^[ \t]*```.*?^[ \t]*```")
+	span := regexp.MustCompile("`([^`]+)`")
+	opens := regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+	named := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md", "OBSERVABILITY.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(b), ""), -1) {
+			f := opens.FindStringSubmatch(s[1])
+			if f == nil {
+				continue
+			}
+			named[f[1]] = true
+			if _, ok := docOnlyFlags[f[1]]; !ok && !defined[f[1]] {
+				t.Errorf("%s names `-%s`, which no CLI under cmd/ defines", doc, f[1])
+			}
+		}
+	}
+	for name := range docOnlyFlags {
+		switch {
+		case defined[name]:
+			t.Errorf("allow-list entry -%s is a CLI flag now: remove it", name)
+		case !named[name]:
+			t.Errorf("allow-list entry -%s is named by no document: remove it", name)
+		}
+	}
+}
+
 // cliFlag is one command-line flag a CLI under cmd/ defines.
 type cliFlag struct{ tool, name string }
 
