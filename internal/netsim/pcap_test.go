@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -41,7 +43,7 @@ func replayPcap(t *testing.T, capture io.Reader) (flows []tstat.FlowRecord, dns 
 		if err := tr.FeedPacket(ts.Sub(epoch), raw); err != nil {
 			t.Fatal(err)
 		}
-		if p, _ := packet.Decode(raw); p.TCPLayer() != nil && p.TCPLayer().Flags.Has(packet.FlagRST) {
+		if p, _ := packet.Decode(raw); p.TCP != nil && p.TCP.Flags.Has(packet.FlagRST) {
 			rsts++
 		}
 	}
@@ -303,5 +305,31 @@ func TestSamplePcapIndependentOfParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(captures[0], captures[1]) {
 		t.Fatal("sample.pcap differs between 1 and 4 workers")
+	}
+}
+
+// samplePcapGolden is the sha256 of TestSamplePcapGolden's capture. The
+// oracle above checks decoded fields; this pins the bytes the renderer
+// writes: IP ID, TTL and checksum, TCP window, UDP length.
+const samplePcapGolden = "sha256:d136fd6d2e5d512d39d48183d4be58e09e4ee4c7005ce005bc5ae741876c4166"
+
+// TestSamplePcapGolden pins the bytes of the sample capture of a small
+// fixed run, so a change to the wire encoders that the decoder would not
+// notice still fails.
+func TestSamplePcapGolden(t *testing.T) {
+	out, err := Run(Config{Customers: 20, Days: 1, Seed: 42, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	packets, sampled, err := out.WritePcap(h, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled != 50 {
+		t.Fatalf("sampled %d flows, want 50", sampled)
+	}
+	if got := "sha256:" + hex.EncodeToString(h.Sum(nil)); got != samplePcapGolden {
+		t.Errorf("capture of %d packets: digest %s, want %s", packets, got, samplePcapGolden)
 	}
 }

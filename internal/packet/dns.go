@@ -53,9 +53,6 @@ type DNS struct {
 	Additionals []DNSRR
 }
 
-// LayerType implements Layer.
-func (*DNS) LayerType() LayerType { return LayerTypeDNS }
-
 // Encode serializes the message.
 func (m *DNS) Encode() ([]byte, error) {
 	out := make([]byte, 12, 64)

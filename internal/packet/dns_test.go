@@ -205,18 +205,13 @@ func TestDNSOverUDPPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Serialize(payload,
-		&IPv4{TTL: 64, Protocol: ProtoUDP, Src: clientAddr, Dst: serverAddr},
-		&UDP{SrcPort: 33333, DstPort: 53},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeUDP(t, &IPv4{TTL: 64, Protocol: ProtoUDP, Src: clientAddr, Dst: serverAddr},
+		&UDP{SrcPort: 33333, DstPort: 53}, payload)
 	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDNS(p.AppPayload())
+	got, err := DecodeDNS(p.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,32 +57,3 @@ func (f FiveTuple) Canonical() (FiveTuple, bool) {
 	}
 	return f, false
 }
-
-// TupleOf extracts the five-tuple from a decoded packet, or ok=false when
-// the packet has no TCP/UDP transport layer.
-func TupleOf(p *Packet) (FiveTuple, bool) {
-	ip := p.IPv4Layer()
-	if ip == nil {
-		return FiveTuple{}, false
-	}
-	t := FiveTuple{Src: Endpoint{Addr: ip.Src}, Dst: Endpoint{Addr: ip.Dst}}
-	switch ip.Protocol {
-	case ProtoTCP:
-		tcp := p.TCPLayer()
-		if tcp == nil {
-			return FiveTuple{}, false
-		}
-		t.Proto = ProtoTCP
-		t.Src.Port, t.Dst.Port = tcp.SrcPort, tcp.DstPort
-	case ProtoUDP:
-		udp := p.UDPLayer()
-		if udp == nil {
-			return FiveTuple{}, false
-		}
-		t.Proto = ProtoUDP
-		t.Src.Port, t.Dst.Port = udp.SrcPort, udp.DstPort
-	default:
-		return FiveTuple{}, false
-	}
-	return t, true
-}

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 )
@@ -10,19 +11,43 @@ import (
 // target seeds the corpus with valid frames and lets the fuzzer mutate.
 
 func FuzzDecode(f *testing.F) {
-	raw, _ := Serialize([]byte("payload"),
-		&IPv4{TTL: 64, Protocol: ProtoTCP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("1.2.3.4")},
-		&TCP{SrcPort: 1234, DstPort: 443, Flags: FlagACK})
-	f.Add(raw)
-	udp, _ := Serialize([]byte{1, 2, 3},
-		&IPv4{TTL: 64, Protocol: ProtoUDP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("8.8.8.8")},
-		&UDP{SrcPort: 53, DstPort: 53})
-	f.Add(udp)
+	f.Add(encodeTCP(f, &IPv4{TTL: 64, Protocol: ProtoTCP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("1.2.3.4")},
+		&TCP{SrcPort: 1234, DstPort: 443, Seq: 1000, Ack: 2000, Flags: FlagPSH | FlagACK}, []byte("payload")))
+	f.Add(encodeUDP(f, &IPv4{TTL: 64, Protocol: ProtoUDP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("8.8.8.8")},
+		&UDP{SrcPort: 53, DstPort: 53}, []byte{1, 2, 3}))
 	f.Add([]byte{})
+	// Every packet Decode accepts re-encodes, headers and payload, to one
+	// that decodes to the same IP header, tuple, TCP header and payload:
+	// the fields the probe reads survive Encode.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
-		if err == nil && p == nil {
-			t.Fatal("nil packet without error")
+		if err != nil {
+			return
+		}
+		transport := p.Payload
+		switch {
+		case p.TCP != nil:
+			transport = p.TCP.Encode(p.Payload)
+		case p.UDP != nil:
+			if transport, err = p.UDP.Encode(p.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := p.IP.Encode(transport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("re-encoded packet rejected: %v", err)
+		}
+		pt, pok := p.Tuple()
+		qt, qok := q.Tuple()
+		if pt != qt || pok != qok || q.IP != p.IP || !bytes.Equal(q.Payload, p.Payload) {
+			t.Fatalf("re-encoded %v %+v %q, decoded %v %+v %q", qt, q.IP, q.Payload, pt, p.IP, p.Payload)
+		}
+		if (p.TCP == nil) != (q.TCP == nil) || p.TCP != nil && *q.TCP != *p.TCP {
+			t.Fatalf("re-encoded TCP %+v, decoded %+v", q.TCP, p.TCP)
 		}
 	})
 }

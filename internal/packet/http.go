@@ -20,9 +20,6 @@ type HTTPHeader struct {
 	Name, Value string
 }
 
-// LayerType implements Layer.
-func (*HTTPRequest) LayerType() LayerType { return LayerTypeHTTP }
-
 // Host returns the Host header value (without any port), or "".
 func (r *HTTPRequest) Host() string {
 	for _, h := range r.Headers {

@@ -1,10 +1,11 @@
 // Package packet implements the wire formats the probe has to understand:
 // IPv4, TCP, UDP, DNS, TLS records and handshake messages, HTTP/1.x request
-// heads, QUIC long-header Initials, and RTP. The design follows gopacket's
-// layer model — each protocol is a Layer that can decode from bytes and
-// serialize by prepending itself to a SerializeBuffer — restricted to what
-// a ground-station probe needs (per the paper §2.2: flow tracking, RTT
-// samples, and DPI for Host/SNI/DNS extraction).
+// heads, QUIC long-header Initials, and RTP. Each type decodes from bytes
+// and encodes with an Encode method that returns its wire bytes; a header's
+// Encode takes the bytes it carries and returns them behind the header.
+// Only what a ground-station probe reads is kept (per the paper §2.2: the
+// 5-tuple, TCP flags, seq and ack for flow tracking and RTT samples, and
+// the first payload bytes for Host/SNI/DNS extraction).
 package packet
 
 import (
@@ -12,138 +13,58 @@ import (
 	"fmt"
 )
 
-// LayerType identifies a protocol layer.
-type LayerType uint8
-
-// The layer types known to the decoder.
-const (
-	LayerTypeNone LayerType = iota
-	LayerTypeIPv4
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypeDNS
-	LayerTypeTLS
-	LayerTypeHTTP
-	LayerTypeQUIC
-	LayerTypeRTP
-	LayerTypePayload
-)
-
-var layerTypeNames = map[LayerType]string{
-	LayerTypeNone:    "None",
-	LayerTypeIPv4:    "IPv4",
-	LayerTypeTCP:     "TCP",
-	LayerTypeUDP:     "UDP",
-	LayerTypeDNS:     "DNS",
-	LayerTypeTLS:     "TLS",
-	LayerTypeHTTP:    "HTTP",
-	LayerTypeQUIC:    "QUIC",
-	LayerTypeRTP:     "RTP",
-	LayerTypePayload: "Payload",
-}
-
-func (t LayerType) String() string {
-	if s, ok := layerTypeNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("LayerType(%d)", uint8(t))
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	LayerType() LayerType
-}
-
 // ErrTruncated reports input shorter than the header it should contain.
 var ErrTruncated = errors.New("packet: truncated input")
 
-// Payload is an opaque application payload layer.
-type Payload []byte
-
-// LayerType implements Layer.
-func (Payload) LayerType() LayerType { return LayerTypePayload }
-
-// Packet is a decoded packet: the stack of layers plus the raw bytes.
+// Packet is a decoded IPv4 packet: its header, the TCP or UDP header when
+// the protocol is one of those, and the bytes above the transport header.
 type Packet struct {
-	Raw    []byte
-	Layers []Layer
+	IP      IPv4
+	TCP     *TCP
+	UDP     *UDP
+	Payload []byte
 }
 
-// Layer returns the first layer of the given type, or nil.
-func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.Layers {
-		if l.LayerType() == t {
-			return l
-		}
-	}
-	return nil
-}
-
-// IPv4Layer returns the IPv4 layer, or nil.
-func (p *Packet) IPv4Layer() *IPv4 {
-	if l := p.Layer(LayerTypeIPv4); l != nil {
-		return l.(*IPv4)
-	}
-	return nil
-}
-
-// TCPLayer returns the TCP layer, or nil.
-func (p *Packet) TCPLayer() *TCP {
-	if l := p.Layer(LayerTypeTCP); l != nil {
-		return l.(*TCP)
-	}
-	return nil
-}
-
-// UDPLayer returns the UDP layer, or nil.
-func (p *Packet) UDPLayer() *UDP {
-	if l := p.Layer(LayerTypeUDP); l != nil {
-		return l.(*UDP)
-	}
-	return nil
-}
-
-// AppPayload returns the bytes above the transport layer (empty when none).
-func (p *Packet) AppPayload() []byte {
-	if l := p.Layer(LayerTypePayload); l != nil {
-		return []byte(l.(Payload))
-	}
-	return nil
-}
-
-// Decode parses a raw IPv4 packet into its layer stack. Transport payloads
-// are kept as an opaque Payload layer; the probe's DPI (package tstat)
-// parses them on demand with the application-layer decoders in this
-// package. Decode fails only when the network or transport header is
-// malformed — an unparseable application payload is still a valid packet.
-func Decode(raw []byte) (*Packet, error) {
-	p := &Packet{Raw: raw}
-	var ip IPv4
-	rest, err := ip.Decode(raw)
+// Decode parses a raw IPv4 packet. Transport payloads are kept opaque; the
+// probe's DPI (package tstat) parses them on demand with the
+// application-layer decoders in this package. Decode fails only when the
+// network or transport header is malformed — an unparseable application
+// payload is still a valid packet.
+func Decode(raw []byte) (Packet, error) {
+	var p Packet
+	rest, err := p.IP.Decode(raw)
 	if err != nil {
-		return nil, fmt.Errorf("ipv4: %w", err)
+		return Packet{}, fmt.Errorf("ipv4: %w", err)
 	}
-	p.Layers = append(p.Layers, &ip)
-	switch ip.Protocol {
+	switch p.IP.Protocol {
 	case ProtoTCP:
-		var tcp TCP
-		rest, err = tcp.Decode(rest)
-		if err != nil {
-			return nil, fmt.Errorf("tcp: %w", err)
+		p.TCP = new(TCP)
+		if rest, err = p.TCP.Decode(rest); err != nil {
+			return Packet{}, fmt.Errorf("tcp: %w", err)
 		}
-		p.Layers = append(p.Layers, &tcp)
 	case ProtoUDP:
-		var udp UDP
-		rest, err = udp.Decode(rest)
-		if err != nil {
-			return nil, fmt.Errorf("udp: %w", err)
+		p.UDP = new(UDP)
+		if rest, err = p.UDP.Decode(rest); err != nil {
+			return Packet{}, fmt.Errorf("udp: %w", err)
 		}
-		p.Layers = append(p.Layers, &udp)
 	default:
 		// Unknown transport: everything after IP is payload.
 	}
-	if len(rest) > 0 {
-		p.Layers = append(p.Layers, Payload(rest))
-	}
+	p.Payload = rest
 	return p, nil
+}
+
+// Tuple returns the packet's five-tuple, or ok=false when it has no TCP or
+// UDP header.
+func (p *Packet) Tuple() (FiveTuple, bool) {
+	t := FiveTuple{Proto: p.IP.Protocol, Src: Endpoint{Addr: p.IP.Src}, Dst: Endpoint{Addr: p.IP.Dst}}
+	switch {
+	case p.TCP != nil:
+		t.Src.Port, t.Dst.Port = p.TCP.SrcPort, p.TCP.DstPort
+	case p.UDP != nil:
+		t.Src.Port, t.Dst.Port = p.UDP.SrcPort, p.UDP.DstPort
+	default:
+		return FiveTuple{}, false
+	}
+	return t, true
 }

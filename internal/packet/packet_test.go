@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -12,65 +13,94 @@ var (
 	serverAddr = netip.MustParseAddr("142.250.10.1")
 )
 
-func buildTCPPacket(t *testing.T, payload []byte, flags TCPFlags) []byte {
+// encodeTCP returns the IPv4 packet ip carrying tcp carrying payload.
+func encodeTCP(t testing.TB, ip *IPv4, tcp *TCP, payload []byte) []byte {
 	t.Helper()
-	raw, err := Serialize(payload,
-		&IPv4{TTL: 64, Protocol: ProtoTCP, Src: clientAddr, Dst: serverAddr, ID: 7},
-		&TCP{SrcPort: 40000, DstPort: 443, Seq: 1000, Ack: 2000, Flags: flags, Window: 65535},
-	)
+	raw, err := ip.Encode(tcp.Encode(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
+// encodeUDP returns the IPv4 packet ip carrying u carrying payload.
+func encodeUDP(t testing.TB, ip *IPv4, u *UDP, payload []byte) []byte {
+	t.Helper()
+	dgram, err := u.Encode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := ip.Encode(dgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+func buildTCPPacket(t *testing.T, payload []byte, flags TCPFlags) []byte {
+	t.Helper()
+	return encodeTCP(t, &IPv4{TTL: 64, Protocol: ProtoTCP, Src: clientAddr, Dst: serverAddr},
+		&TCP{SrcPort: 40000, DstPort: 443, Seq: 1000, Ack: 2000, Flags: flags, Window: 65535}, payload)
+}
+
+// insertOptions returns raw with opts inserted at off, the end of the
+// header whose length nibble is at lenAt, and the IPv4 total length and
+// checksum fixed up.
+func insertOptions(raw []byte, off, lenAt int, opts []byte) []byte {
+	out := append(append(append([]byte(nil), raw[:off]...), opts...), raw[off:]...)
+	if lenAt == 0 {
+		out[0] += uint8(len(opts) / 4) // IHL, the low nibble
+	} else {
+		out[lenAt] += uint8(len(opts)/4) << 4 // data offset, the high nibble
+	}
+	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
+	out[10], out[11] = 0, 0
+	ihl := int(out[0]&0x0f) * 4
+	binary.BigEndian.PutUint16(out[10:12], headerChecksum(out[:ihl]))
+	return out
+}
+
 func TestIPv4TCPRoundTrip(t *testing.T) {
 	payload := []byte("hello satellite")
 	raw := buildTCPPacket(t, payload, FlagPSH|FlagACK)
+	if total := binary.BigEndian.Uint16(raw[2:4]); int(total) != len(raw) {
+		t.Fatalf("IP length %d, raw %d", total, len(raw))
+	}
 	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := p.IPv4Layer()
-	if ip == nil || ip.Src != clientAddr || ip.Dst != serverAddr {
-		t.Fatalf("bad IP layer: %+v", ip)
+	if p.IP.Src != clientAddr || p.IP.Dst != serverAddr || p.IP.TTL != 64 {
+		t.Fatalf("bad IP header: %+v", p.IP)
 	}
-	if int(ip.Length) != len(raw) {
-		t.Fatalf("IP length %d, raw %d", ip.Length, len(raw))
-	}
-	tcp := p.TCPLayer()
-	if tcp == nil || tcp.SrcPort != 40000 || tcp.DstPort != 443 || tcp.Seq != 1000 || tcp.Ack != 2000 {
-		t.Fatalf("bad TCP layer: %+v", tcp)
+	tcp := p.TCP
+	if tcp == nil || p.UDP != nil || tcp.SrcPort != 40000 || tcp.DstPort != 443 || tcp.Seq != 1000 || tcp.Ack != 2000 || tcp.Window != 65535 {
+		t.Fatalf("bad TCP header: %+v", tcp)
 	}
 	if !tcp.Flags.Has(FlagPSH | FlagACK) {
 		t.Fatalf("flags %v", tcp.Flags)
 	}
-	if !bytes.Equal(p.AppPayload(), payload) {
-		t.Fatalf("payload %q, want %q", p.AppPayload(), payload)
+	if !bytes.Equal(p.Payload, payload) {
+		t.Fatalf("payload %q, want %q", p.Payload, payload)
 	}
 }
 
 func TestIPv4UDPRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
-	raw, err := Serialize(payload,
-		&IPv4{TTL: 64, Protocol: ProtoUDP, Src: serverAddr, Dst: clientAddr},
-		&UDP{SrcPort: 53, DstPort: 5353},
-	)
-	if err != nil {
-		t.Fatal(err)
+	raw := encodeUDP(t, &IPv4{TTL: 64, Protocol: ProtoUDP, Src: serverAddr, Dst: clientAddr},
+		&UDP{SrcPort: 53, DstPort: 5353}, payload)
+	if length := binary.BigEndian.Uint16(raw[24:26]); int(length) != 8+len(payload) {
+		t.Fatalf("UDP length %d", length)
 	}
 	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	udp := p.UDPLayer()
-	if udp == nil || udp.SrcPort != 53 || udp.DstPort != 5353 {
-		t.Fatalf("bad UDP layer: %+v", udp)
+	udp := p.UDP
+	if udp == nil || p.TCP != nil || udp.SrcPort != 53 || udp.DstPort != 5353 {
+		t.Fatalf("bad UDP header: %+v", udp)
 	}
-	if int(udp.Length) != 8+len(payload) {
-		t.Fatalf("UDP length %d", udp.Length)
-	}
-	if !bytes.Equal(p.AppPayload(), payload) {
+	if !bytes.Equal(p.Payload, payload) {
 		t.Fatal("payload mismatch")
 	}
 }
@@ -99,22 +129,22 @@ func TestIPv4HeaderCorruption(t *testing.T) {
 	}
 }
 
+// TestIPv4Options: Decode skips IPv4 options and finds the transport
+// header and payload behind them.
 func TestIPv4Options(t *testing.T) {
-	ip := &IPv4{TTL: 1, Protocol: ProtoUDP, Src: clientAddr, Dst: serverAddr, Options: []byte{1, 1, 1, 1}}
-	raw, err := Serialize(nil, ip, &UDP{SrcPort: 1, DstPort: 2})
+	raw := encodeUDP(t, &IPv4{TTL: 1, Protocol: ProtoUDP, Src: clientAddr, Dst: serverAddr},
+		&UDP{SrcPort: 1, DstPort: 2}, []byte("dns"))
+	raw = insertOptions(raw, 20, 0, []byte{1, 1, 1, 1})
+	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got IPv4
-	if _, err := got.Decode(raw); err != nil {
-		t.Fatal(err)
+	if p.UDP == nil || p.UDP.SrcPort != 1 || p.UDP.DstPort != 2 || !bytes.Equal(p.Payload, []byte("dns")) {
+		t.Fatalf("behind options: %+v %q", p.UDP, p.Payload)
 	}
-	if !bytes.Equal(got.Options, []byte{1, 1, 1, 1}) {
-		t.Fatalf("options %v", got.Options)
-	}
-	bad := &IPv4{TTL: 1, Protocol: ProtoUDP, Src: clientAddr, Dst: serverAddr, Options: []byte{1, 2, 3}}
-	if _, err := Serialize(nil, bad, &UDP{}); err == nil {
-		t.Fatal("unaligned options accepted")
+	raw[10] ^= 0xff // the checksum covers the options
+	if _, err := Decode(raw); err == nil {
+		t.Fatal("corrupted checksum over options accepted")
 	}
 }
 
@@ -127,21 +157,23 @@ func TestTCPFlagsString(t *testing.T) {
 	}
 }
 
+// TestTCPOptionsRoundTrip: Decode skips TCP options, and the payload
+// starts at the data offset.
 func TestTCPOptionsRoundTrip(t *testing.T) {
 	opts := []byte{2, 4, 5, 180, 1, 1, 1, 0} // MSS + padding
-	raw, err := Serialize([]byte("d"),
-		&IPv4{TTL: 64, Protocol: ProtoTCP, Src: clientAddr, Dst: serverAddr},
-		&TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN, Options: opts},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeTCP(t, &IPv4{TTL: 64, Protocol: ProtoTCP, Src: clientAddr, Dst: serverAddr},
+		&TCP{SrcPort: 1, DstPort: 2, Seq: 9, Flags: FlagSYN}, []byte("d"))
+	raw = insertOptions(raw, 40, 32, opts)
 	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p.TCPLayer().Options, opts) {
-		t.Fatal("TCP options mismatch")
+	if p.TCP == nil || p.TCP.Seq != 9 || p.TCP.Flags != FlagSYN || !bytes.Equal(p.Payload, []byte("d")) {
+		t.Fatalf("behind options: %+v %q", p.TCP, p.Payload)
+	}
+	raw[32] = 4 << 4 // data offset 16: below the header
+	if _, err := Decode(raw); err == nil {
+		t.Fatal("data offset below 20 accepted")
 	}
 }
 
@@ -160,62 +192,42 @@ func TestFiveTupleCanonicalSymmetry(t *testing.T) {
 	}
 }
 
-func TestTupleOf(t *testing.T) {
-	raw := buildTCPPacket(t, nil, FlagSYN)
-	p, err := Decode(raw)
+func TestPacketTuple(t *testing.T) {
+	p, err := Decode(buildTCPPacket(t, nil, FlagSYN))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, ok := TupleOf(p)
+	ft, ok := p.Tuple()
 	if !ok {
 		t.Fatal("no tuple")
 	}
-	if ft.Proto != ProtoTCP || ft.Src.Port != 40000 || ft.Dst.Port != 443 {
+	if ft.Proto != ProtoTCP || ft.Src.Port != 40000 || ft.Dst.Port != 443 || ft.Src.Addr != clientAddr {
 		t.Fatalf("tuple %v", ft)
 	}
-}
-
-func TestSerializeBufferGrowth(t *testing.T) {
-	b := NewSerializeBuffer()
-	big := b.Prepend(1000) // forces growth
-	for i := range big {
-		big[i] = byte(i)
+	raw, err := (&IPv4{TTL: 64, Protocol: 47, Src: clientAddr, Dst: serverAddr}).Encode([]byte("gre"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.Len() != 1000 {
-		t.Fatalf("len %d", b.Len())
+	if p, err = Decode(raw); err != nil {
+		t.Fatal(err)
 	}
-	if b.Bytes()[999] != byte(999%256) {
-		t.Fatal("growth lost data")
-	}
-	b.Prepend(8)
-	if b.Len() != 1008 {
-		t.Fatalf("len after second prepend %d", b.Len())
+	if _, ok := p.Tuple(); ok || !bytes.Equal(p.Payload, []byte("gre")) {
+		t.Fatalf("protocol 47: tuple ok %v, payload %q", ok, p.Payload)
 	}
 }
 
 func TestIPv4RoundTripProperty(t *testing.T) {
-	f := func(src, dst [4]byte, tos, ttl uint8, id uint16, payload []byte) bool {
+	f := func(src, dst [4]byte, ttl uint8, sport, dport uint16, payload []byte) bool {
 		if len(payload) > 60000 {
 			payload = payload[:60000]
 		}
-		ip := &IPv4{TOS: tos, TTL: ttl, ID: id, Protocol: ProtoUDP,
-			Src: netip.AddrFrom4(src), Dst: netip.AddrFrom4(dst)}
-		raw, err := Serialize(payload, ip, &UDP{SrcPort: 9, DstPort: 10})
+		ip := &IPv4{TTL: ttl, Protocol: ProtoUDP, Src: netip.AddrFrom4(src), Dst: netip.AddrFrom4(dst)}
+		raw := encodeUDP(t, ip, &UDP{SrcPort: sport, DstPort: dport}, payload)
+		p, err := Decode(raw)
 		if err != nil {
 			return false
 		}
-		var got IPv4
-		rest, err := got.Decode(raw)
-		if err != nil {
-			return false
-		}
-		var udp UDP
-		inner, err := udp.Decode(rest)
-		if err != nil {
-			return false
-		}
-		return got.Src == ip.Src && got.Dst == ip.Dst && got.TOS == tos &&
-			got.TTL == ttl && got.ID == id && bytes.Equal(inner, payload)
+		return p.IP == *ip && *p.UDP == (UDP{SrcPort: sport, DstPort: dport}) && bytes.Equal(p.Payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

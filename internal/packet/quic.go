@@ -23,9 +23,6 @@ type QUICInitial struct {
 	CryptoPayload []byte // TLS handshake bytes carried in the CRYPTO frame
 }
 
-// LayerType implements Layer.
-func (*QUICInitial) LayerType() LayerType { return LayerTypeQUIC }
-
 // QUICVersion1 is RFC 9000's version field value.
 const QUICVersion1 uint32 = 1
 

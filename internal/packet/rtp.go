@@ -18,9 +18,6 @@ type RTP struct {
 	CSRC        []uint32 // up to 15
 }
 
-// LayerType implements Layer.
-func (*RTP) LayerType() LayerType { return LayerTypeRTP }
-
 // Encode serializes the header (version 2, no extension).
 func (r *RTP) Encode() ([]byte, error) {
 	if len(r.CSRC) > 15 {

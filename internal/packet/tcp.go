@@ -37,23 +37,17 @@ func (f TCPFlags) String() string {
 	return string(out)
 }
 
-// TCP is a TCP header. Options are carried opaquely. The checksum is not
-// computed (it needs a pseudo-header; the probe never validates it, as span
-// ports commonly deliver offload-mangled checksums anyway).
+// TCP is the part of a TCP header the probe reads. Decode skips options;
+// Encode writes a 20-byte header with the urgent pointer zero. The
+// checksum is not computed (it needs a pseudo-header; the probe never
+// validates it, as span ports commonly deliver offload-mangled checksums
+// anyway).
 type TCP struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
 	Flags            TCPFlags
 	Window           uint16
-	Urgent           uint16
-	Options          []byte // length must be a multiple of 4
 }
-
-// LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// HeaderLen returns the header length in bytes including options.
-func (t *TCP) HeaderLen() int { return 20 + len(t.Options) }
 
 // Decode parses the header and returns the payload bytes.
 func (t *TCP) Decode(data []byte) ([]byte, error) {
@@ -73,47 +67,29 @@ func (t *TCP) Decode(data []byte) ([]byte, error) {
 	t.Ack = binary.BigEndian.Uint32(data[8:12])
 	t.Flags = TCPFlags(data[13] & 0x3f)
 	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.Urgent = binary.BigEndian.Uint16(data[18:20])
-	if off > 20 {
-		t.Options = append([]byte(nil), data[20:off]...)
-	} else {
-		t.Options = nil
-	}
 	return data[off:], nil
 }
 
-// SerializeTo implements Serializer.
-func (t *TCP) SerializeTo(b *SerializeBuffer) error {
-	if len(t.Options)%4 != 0 {
-		return fmt.Errorf("tcp: options length %d not a multiple of 4", len(t.Options))
-	}
-	hlen := t.HeaderLen()
-	if hlen > 60 {
-		return fmt.Errorf("tcp: header length %d exceeds 60", hlen)
-	}
-	h := b.Prepend(hlen)
-	binary.BigEndian.PutUint16(h[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(h[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(h[4:8], t.Seq)
-	binary.BigEndian.PutUint32(h[8:12], t.Ack)
-	h[12] = uint8(hlen/4) << 4
-	h[13] = uint8(t.Flags)
-	binary.BigEndian.PutUint16(h[14:16], t.Window)
-	h[16], h[17] = 0, 0 // checksum not computed
-	binary.BigEndian.PutUint16(h[18:20], t.Urgent)
-	copy(h[20:], t.Options)
-	return nil
+// Encode returns the header followed by payload.
+func (t *TCP) Encode(payload []byte) []byte {
+	out := make([]byte, 20+len(payload))
+	binary.BigEndian.PutUint16(out[0:2], t.SrcPort)
+	binary.BigEndian.PutUint16(out[2:4], t.DstPort)
+	binary.BigEndian.PutUint32(out[4:8], t.Seq)
+	binary.BigEndian.PutUint32(out[8:12], t.Ack)
+	out[12] = 5 << 4
+	out[13] = uint8(t.Flags)
+	binary.BigEndian.PutUint16(out[14:16], t.Window)
+	copy(out[20:], payload)
+	return out
 }
 
-// UDP is a UDP header. As with TCP the checksum is left zero (legal in
-// IPv4: "no checksum computed").
+// UDP is a UDP header's ports. Decode checks the length field; Encode
+// fills it and leaves the checksum zero (legal in IPv4: "no checksum
+// computed").
 type UDP struct {
 	SrcPort, DstPort uint16
-	Length           uint16 // filled by SerializeTo
 }
-
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
 
 // Decode parses the header and returns the payload bytes (bounded by the
 // UDP length field).
@@ -123,27 +99,26 @@ func (u *UDP) Decode(data []byte) ([]byte, error) {
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	u.Length = binary.BigEndian.Uint16(data[4:6])
-	if int(u.Length) < 8 {
-		return nil, fmt.Errorf("udp length %d below 8", u.Length)
+	length := int(binary.BigEndian.Uint16(data[4:6]))
+	if length < 8 {
+		return nil, fmt.Errorf("udp length %d below 8", length)
 	}
-	if int(u.Length) > len(data) {
+	if length > len(data) {
 		return nil, ErrTruncated
 	}
-	return data[8:u.Length], nil
+	return data[8:length], nil
 }
 
-// SerializeTo implements Serializer.
-func (u *UDP) SerializeTo(b *SerializeBuffer) error {
-	total := 8 + b.Len()
+// Encode returns the header followed by payload.
+func (u *UDP) Encode(payload []byte) ([]byte, error) {
+	total := 8 + len(payload)
 	if total > 0xffff {
-		return fmt.Errorf("udp: datagram length %d exceeds 65535", total)
+		return nil, fmt.Errorf("udp: datagram length %d exceeds 65535", total)
 	}
-	h := b.Prepend(8)
-	binary.BigEndian.PutUint16(h[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(h[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(h[4:6], uint16(total))
-	u.Length = uint16(total)
-	h[6], h[7] = 0, 0
-	return nil
+	out := make([]byte, total)
+	binary.BigEndian.PutUint16(out[0:2], u.SrcPort)
+	binary.BigEndian.PutUint16(out[2:4], u.DstPort)
+	binary.BigEndian.PutUint16(out[4:6], uint16(total))
+	copy(out[8:], payload)
+	return out, nil
 }

@@ -34,9 +34,6 @@ type TLSRecord struct {
 	Payload []byte
 }
 
-// LayerType implements Layer.
-func (*TLSRecord) LayerType() LayerType { return LayerTypeTLS }
-
 // Encode serializes the record.
 func (r *TLSRecord) Encode() ([]byte, error) {
 	if len(r.Payload) > 1<<14+256 {

@@ -39,13 +39,20 @@ func Render(tuple packet.FiveTuple, ev SegmentEvent, emit func(raw []byte) error
 		if i == 0 && len(ev.AppData) > 0 {
 			payload = append(slices.Clip(ev.AppData), payload...)
 		}
-		var l4 packet.Serializer = &packet.UDP{SrcPort: tuple.Src.Port, DstPort: tuple.Dst.Port}
+		var raw []byte
+		var err error
 		if tuple.Proto == packet.ProtoTCP {
-			l4 = &packet.TCP{SrcPort: tuple.Src.Port, DstPort: tuple.Dst.Port,
+			tcp := packet.TCP{SrcPort: tuple.Src.Port, DstPort: tuple.Dst.Port,
 				Seq: seq, Ack: ev.Ack, Flags: ev.Flags, Window: 65535}
+			raw = tcp.Encode(payload)
 			seq += uint32(len(payload))
+		} else {
+			udp := packet.UDP{SrcPort: tuple.Src.Port, DstPort: tuple.Dst.Port}
+			raw, err = udp.Encode(payload)
 		}
-		raw, err := packet.Serialize(payload, ip, l4)
+		if err == nil {
+			raw, err = ip.Encode(raw)
+		}
 		if err != nil {
 			return fmt.Errorf("tstat: render: %w", err)
 		}

@@ -151,17 +151,17 @@ func FuzzRenderRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("packet %d: %v", i, err)
 			}
-			if got, _ := packet.TupleOf(p); got != tuple {
+			if got, _ := p.Tuple(); got != tuple {
 				t.Fatalf("packet %d tuple %v, want %v", i, got, tuple)
 			}
 			if tcp {
-				h := p.TCPLayer()
+				h := p.TCP
 				if h.Flags != ev.Flags || h.Seq != next || h.Ack != ev.Ack {
 					t.Fatalf("packet %d flags %v seq %d ack %d, want %v %d %d", i, h.Flags, h.Seq, h.Ack, ev.Flags, next, ev.Ack)
 				}
-				next += uint32(len(p.AppPayload()))
+				next += uint32(len(p.Payload))
 			}
-			body = append(body, p.AppPayload()...)
+			body = append(body, p.Payload...)
 			if err := tr.FeedPacket(ev.T, raw); err != nil {
 				t.Fatal(err)
 			}

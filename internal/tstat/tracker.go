@@ -88,11 +88,10 @@ type Tracker struct {
 	// only its shard's customers, and Crypto-PAn costs 32 AES blocks.
 	anon map[netip.Addr]netip.Addr
 
-	// Counters for operational visibility.
-	Observed   int64
-	DecodeErrs int64
-	// flushedEvents is the part of Observed already counted into mEvents;
-	// emitted counts flow records since the last Flush.
+	// observed counts segment events; flushedEvents is the part of it
+	// already counted into mEvents; emitted counts flow records since the
+	// last Flush.
+	observed      int64
 	flushedEvents int64
 	emitted       int64
 }
@@ -114,7 +113,7 @@ func NewTracker(cfg Config) *Tracker {
 // initiator it saw first. Observe never advances time and never evicts a
 // flow; only AdvanceTime does.
 func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
-	t.Observed++
+	t.observed++
 	f := t.last
 	if f == nil || !f.carries(tuple) {
 		key, _ := tuple.Canonical()
@@ -145,25 +144,23 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 	p, err := packet.Decode(raw)
 	if err != nil {
-		t.DecodeErrs++
 		return fmt.Errorf("tstat: %w", err)
 	}
-	tuple, ok := packet.TupleOf(p)
+	tuple, ok := p.Tuple()
 	if !ok {
-		t.DecodeErrs++
 		return fmt.Errorf("tstat: packet without transport layer")
 	}
 	ev := SegmentEvent{
 		T:       ts,
-		Payload: len(p.AppPayload()),
+		Payload: len(p.Payload),
 		WireLen: len(raw),
 		Packets: 1,
-		AppData: p.AppPayload(),
+		AppData: p.Payload,
 	}
-	if tcp := p.TCPLayer(); tcp != nil {
-		ev.Flags = tcp.Flags
-		ev.Seq = tcp.Seq
-		ev.Ack = tcp.Ack
+	if p.TCP != nil {
+		ev.Flags = p.TCP.Flags
+		ev.Seq = p.TCP.Seq
+		ev.Ack = p.TCP.Ack
 	}
 	t.AdvanceTime(ts)
 	t.Observe(tuple, ev)
@@ -312,8 +309,8 @@ func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
 	t.emitOrdered(batch)
 	flows, dns := t.flowsOut, t.dnsOut
 	t.flowsOut, t.dnsOut = nil, nil
-	mEvents.Add(t.Observed - t.flushedEvents)
-	t.flushedEvents = t.Observed
+	mEvents.Add(t.observed - t.flushedEvents)
+	t.flushedEvents = t.observed
 	mFlowRecords.Add(t.emitted)
 	t.emitted = 0
 	return flows, dns

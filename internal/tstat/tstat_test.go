@@ -1,6 +1,7 @@
 package tstat
 
 import (
+	"errors"
 	"io"
 	"net/netip"
 	"satwatch/internal/trace"
@@ -354,10 +355,8 @@ func playHTTPSFlowNoFlushCheck(t *testing.T, tr *Tracker) {
 func TestFeedPacketFrontend(t *testing.T) {
 	tr := NewTracker(Config{})
 	ch := tlsClientHelloBytes(t, "api.twitter.com")
-	raw, err := packet.Serialize(ch,
-		&packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: cust.Addr, Dst: srv.Addr},
-		&packet.TCP{SrcPort: cust.Port, DstPort: srv.Port, Seq: 1, Flags: packet.FlagACK | packet.FlagPSH},
-	)
+	seg := &packet.TCP{SrcPort: cust.Port, DstPort: srv.Port, Seq: 1, Flags: packet.FlagACK | packet.FlagPSH}
+	raw, err := (&packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: cust.Addr, Dst: srv.Addr}).Encode(seg.Encode(ch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +367,8 @@ func TestFeedPacketFrontend(t *testing.T) {
 	if len(flows) != 1 || flows[0].Domain != "api.twitter.com" {
 		t.Fatalf("packet frontend: %+v", flows)
 	}
-	if err := tr.FeedPacket(0, []byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage packet accepted")
-	}
-	if tr.DecodeErrs != 1 {
-		t.Fatalf("decode errors %d", tr.DecodeErrs)
+	if err := tr.FeedPacket(0, []byte{1, 2, 3}); !errors.Is(err, packet.ErrTruncated) {
+		t.Fatalf("garbage packet: error %v, want %v", err, packet.ErrTruncated)
 	}
 }
 
