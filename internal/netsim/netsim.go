@@ -392,13 +392,49 @@ func beamStats(loads []*beamLoad, hours int) []BeamStat {
 	return out
 }
 
-// workerOut is one pass-B worker's private output.
+// workerOut is one pass-B worker's private output. Records go into the
+// logs as the tracker emits them; flows and dns hold them, sorted, once the
+// worker is done.
 type workerOut struct {
+	flowLog chunkLog[tstat.FlowRecord]
+	dnsLog  chunkLog[tstat.DNSRecord]
 	flows   []tstat.FlowRecord
 	dns     []tstat.DNSRecord
 	intents int
 	errs    []string
 	done    int
+}
+
+// logChunk is how many records one chunk of a chunkLog holds.
+const logChunk = 1024
+
+// chunkLog is an append-only record log kept in fixed-size chunks, so it
+// never copies what it holds as it grows: append regrows a large slice by
+// about 1.25x at a time, which allocates a pass-B worker's log about five
+// times over. collect copies it once.
+type chunkLog[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (l *chunkLog[T]) add(r T) {
+	if l.n%logChunk == 0 {
+		l.chunks = append(l.chunks, make([]T, 0, logChunk))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, r)
+	l.n++
+}
+
+// collect returns the log's records in order in an exact-size slice and
+// empties the log.
+func (l *chunkLog[T]) collect() []T {
+	out := make([]T, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	*l = chunkLog[T]{}
+	return out
 }
 
 // synthCustomer synthesizes one customer's full observation window,
@@ -540,8 +576,8 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 					out := &outs[w]
 					tracker := tstat.NewTracker(tstat.Config{
 						Anonymizer: dep.anon,
-						OnFlow:     func(r tstat.FlowRecord) { out.flows = append(out.flows, r) },
-						OnDNS:      func(r tstat.DNSRecord) { out.dns = append(out.dns, r) },
+						OnFlow:     out.flowLog.add,
+						OnDNS:      out.dnsLog.add,
 					})
 					syn := newSynthesizer(cfg, dep, mod, sched, tracker)
 					sh := &shards[w]
@@ -568,6 +604,7 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 					// relabel it (keeping worker=N) so profiles separate it
 					// from flow synthesis.
 					prof.Do(wctx, prof.StageTstat, func() {
+						out.flows, out.dns = out.flowLog.collect(), out.dnsLog.collect()
 						tstat.SortFlows(out.flows)
 						tstat.SortDNS(out.dns)
 					})

@@ -149,108 +149,111 @@ func appendName(out []byte, name string) ([]byte, error) {
 	return append(out, 0), nil
 }
 
-// DecodeDNS parses a DNS message.
-func DecodeDNS(data []byte) (*DNS, error) {
-	if len(data) < 12 {
-		return nil, ErrTruncated
-	}
-	m := &DNS{ID: binary.BigEndian.Uint16(data[0:2])}
-	flags := binary.BigEndian.Uint16(data[2:4])
-	m.QR = flags&(1<<15) != 0
-	m.Opcode = uint8(flags >> 11 & 0xf)
-	m.AA = flags&(1<<10) != 0
-	m.TC = flags&(1<<9) != 0
-	m.RD = flags&(1<<8) != 0
-	m.RA = flags&(1<<7) != 0
-	m.RCode = uint8(flags & 0xf)
-	qd := int(binary.BigEndian.Uint16(data[4:6]))
-	an := int(binary.BigEndian.Uint16(data[6:8]))
-	ns := int(binary.BigEndian.Uint16(data[8:10]))
-	ar := int(binary.BigEndian.Uint16(data[10:12]))
-	off := 12
-	var err error
-	for i := 0; i < qd; i++ {
-		var q DNSQuestion
-		q.Name, off, err = readName(data, off)
-		if err != nil {
-			return nil, err
-		}
-		if off+4 > len(data) {
-			return nil, ErrTruncated
-		}
-		q.Type = binary.BigEndian.Uint16(data[off : off+2])
-		q.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
-		off += 4
-		m.Questions = append(m.Questions, q)
-	}
-	for _, sec := range []struct {
-		n   int
-		dst *[]DNSRR
-	}{{an, &m.Answers}, {ns, &m.Authorities}, {ar, &m.Additionals}} {
-		for i := 0; i < sec.n; i++ {
-			var rr DNSRR
-			rr, off, err = readRR(data, off)
-			if err != nil {
-				return nil, err
-			}
-			*sec.dst = append(*sec.dst, rr)
-		}
-	}
-	return m, nil
+// DNSSummary is what the probe reads of a DNS message besides the question
+// name: the header fields a transaction is matched by and the first A
+// record of the answer section.
+type DNSSummary struct {
+	ID    uint16
+	QR    bool // response
+	RCode uint8
+	// Answer is the address of the first A answer; invalid when none.
+	Answer netip.Addr
 }
 
-func readRR(data []byte, off int) (DNSRR, int, error) {
-	var rr DNSRR
+// ScanDNS reads a DNS message in place. It accepts exactly the messages a
+// full decode does (every question and resource record is walked, with the
+// same name, compression-pointer and RDATA checks) but builds nothing. The
+// first question's name, dotted, is appended to buf and returned (empty
+// without a question); a buf of 255 bytes, the longest name a message may
+// carry, is never outgrown.
+func ScanDNS(data, buf []byte) (DNSSummary, []byte, error) {
+	if len(data) < 12 {
+		return DNSSummary{}, nil, ErrTruncated
+	}
+	flags := binary.BigEndian.Uint16(data[2:4])
+	s := DNSSummary{
+		ID:    binary.BigEndian.Uint16(data[0:2]),
+		QR:    flags&(1<<15) != 0,
+		RCode: uint8(flags & 0xf),
+	}
+	qd := int(binary.BigEndian.Uint16(data[4:6]))
+	an := int(binary.BigEndian.Uint16(data[6:8]))
+	rrs := an + int(binary.BigEndian.Uint16(data[8:10])) + int(binary.BigEndian.Uint16(data[10:12]))
+	off := 12
+	var qname []byte
 	var err error
-	rr.Name, off, err = readName(data, off)
+	for i := 0; i < qd; i++ {
+		var name []byte
+		if name, off, err = scanName(data, off, buf, i == 0); err != nil {
+			return DNSSummary{}, nil, err
+		}
+		if i == 0 {
+			qname = name
+		}
+		if off+4 > len(data) {
+			return DNSSummary{}, nil, ErrTruncated
+		}
+		off += 4
+	}
+	for i := 0; i < rrs; i++ {
+		var typ uint16
+		var rdata []byte
+		if typ, rdata, off, err = scanRR(data, off); err != nil {
+			return DNSSummary{}, nil, err
+		}
+		if i < an && typ == DNSTypeA && !s.Answer.IsValid() {
+			s.Answer = netip.AddrFrom4([4]byte(rdata))
+		}
+	}
+	return s, qname, nil
+}
+
+// scanRR checks the resource record at off and returns its type, its RDATA
+// and the offset just past it.
+func scanRR(data []byte, off int) (uint16, []byte, int, error) {
+	_, off, err := scanName(data, off, nil, false)
 	if err != nil {
-		return rr, off, err
+		return 0, nil, 0, err
 	}
 	if off+10 > len(data) {
-		return rr, off, ErrTruncated
+		return 0, nil, 0, ErrTruncated
 	}
-	rr.Type = binary.BigEndian.Uint16(data[off : off+2])
-	rr.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
-	rr.TTL = binary.BigEndian.Uint32(data[off+4 : off+8])
+	typ := binary.BigEndian.Uint16(data[off : off+2])
 	rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
 	off += 10
 	if off+rdlen > len(data) {
-		return rr, off, ErrTruncated
+		return 0, nil, 0, ErrTruncated
 	}
-	rdata := data[off : off+rdlen]
-	switch rr.Type {
+	switch typ {
 	case DNSTypeA:
 		if rdlen != 4 {
-			return rr, off, fmt.Errorf("dns: A rdata length %d", rdlen)
+			return 0, nil, 0, fmt.Errorf("dns: A rdata length %d", rdlen)
 		}
-		rr.Addr = netip.AddrFrom4([4]byte(rdata))
 	case DNSTypeAAAA:
 		if rdlen != 16 {
-			return rr, off, fmt.Errorf("dns: AAAA rdata length %d", rdlen)
+			return 0, nil, 0, fmt.Errorf("dns: AAAA rdata length %d", rdlen)
 		}
-		rr.Addr = netip.AddrFrom16([16]byte(rdata))
 	case DNSTypeCNAME:
 		// CNAME targets may use compression pointers into the message.
-		rr.Target, _, err = readName(data, off)
-		if err != nil {
-			return rr, off, err
+		if _, _, err := scanName(data, off, nil, false); err != nil {
+			return 0, nil, 0, err
 		}
-	default:
-		rr.Data = append([]byte(nil), rdata...)
 	}
-	return rr, off + rdlen, nil
+	return typ, data[off : off+rdlen], off + rdlen, nil
 }
 
-// readName reads a possibly-compressed domain name starting at off and
-// returns the name and the offset just past it in the original stream.
-func readName(data []byte, off int) (string, int, error) {
-	var sb strings.Builder
+// scanName walks the possibly-compressed domain name at off and returns the
+// offset just past it in the original stream. With keep it appends the
+// dotted name to dst and returns the result; otherwise dst is returned
+// untouched.
+func scanName(data []byte, off int, dst []byte, keep bool) ([]byte, int, error) {
+	n := 0 // length of the dotted name so far
 	jumped := false
 	end := off
 	hops := 0
 	for {
 		if off >= len(data) {
-			return "", 0, ErrTruncated
+			return nil, 0, ErrTruncated
 		}
 		l := int(data[off])
 		switch {
@@ -258,10 +261,10 @@ func readName(data []byte, off int) (string, int, error) {
 			if !jumped {
 				end = off + 1
 			}
-			return sb.String(), end, nil
+			return dst, end, nil
 		case l&0xc0 == 0xc0:
 			if off+1 >= len(data) {
-				return "", 0, ErrTruncated
+				return nil, 0, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(data[off:off+2]) & 0x3fff)
 			if !jumped {
@@ -269,24 +272,29 @@ func readName(data []byte, off int) (string, int, error) {
 				jumped = true
 			}
 			if hops++; hops > 32 {
-				return "", 0, fmt.Errorf("dns: compression pointer loop")
+				return nil, 0, fmt.Errorf("dns: compression pointer loop")
 			}
 			if ptr >= off {
-				return "", 0, fmt.Errorf("dns: forward compression pointer")
+				return nil, 0, fmt.Errorf("dns: forward compression pointer")
 			}
 			off = ptr
 		case l&0xc0 != 0:
-			return "", 0, fmt.Errorf("dns: reserved label type %#x", l&0xc0)
+			return nil, 0, fmt.Errorf("dns: reserved label type %#x", l&0xc0)
 		default:
 			if off+1+l > len(data) {
-				return "", 0, ErrTruncated
+				return nil, 0, ErrTruncated
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if n > 0 {
+				n++
+				if keep {
+					dst = append(dst, '.')
+				}
 			}
-			sb.Write(data[off+1 : off+1+l])
-			if sb.Len() > 255 {
-				return "", 0, fmt.Errorf("dns: name too long")
+			if keep {
+				dst = append(dst, data[off+1:off+1+l]...)
+			}
+			if n += l; n > 255 {
+				return nil, 0, fmt.Errorf("dns: name too long")
 			}
 			off += 1 + l
 		}

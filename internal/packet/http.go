@@ -20,20 +20,6 @@ type HTTPHeader struct {
 	Name, Value string
 }
 
-// Host returns the Host header value (without any port), or "".
-func (r *HTTPRequest) Host() string {
-	for _, h := range r.Headers {
-		if strings.EqualFold(h.Name, "Host") {
-			host := h.Value
-			if i := strings.LastIndexByte(host, ':'); i > 0 && !strings.Contains(host[i+1:], "]") {
-				host = host[:i]
-			}
-			return host
-		}
-	}
-	return ""
-}
-
 // Encode serializes the request head (no body).
 func (r *HTTPRequest) Encode() []byte {
 	var b strings.Builder
@@ -70,41 +56,40 @@ func LooksLikeHTTPRequest(data []byte) bool {
 	return false
 }
 
-// ParseHTTPRequest parses a request head from the start of data. It accepts
-// a partial header block (stops at the end of input), because the probe may
-// only hold the first segment of the stream.
-func ParseHTTPRequest(data []byte) (*HTTPRequest, error) {
+// HTTPRequestHost reads the head of an HTTP/1.x request in place. It
+// accepts a partial head, because the probe may hold only the first
+// segment of the stream: ok reports whether data opens with a complete
+// request line (a known method, a target, an HTTP/ version). host is the
+// value of the first Host field among the complete header lines before the
+// blank line or the first line that is not a header field, trimmed and
+// without a port; it is empty when there is none. A trailing line the
+// segment cut is never read, so a truncated name is not reported.
+func HTTPRequestHost(data []byte) (host []byte, ok bool) {
 	if !LooksLikeHTTPRequest(data) {
-		return nil, fmt.Errorf("http: no request line")
+		return nil, false
 	}
-	// Bound the head to the header/body separator when present.
-	if i := bytes.Index(data, []byte("\r\n\r\n")); i >= 0 {
-		data = data[:i+2]
+	line, rest, ok := bytes.Cut(data, []byte("\r\n"))
+	if !ok {
+		return nil, false
 	}
-	lines := strings.Split(string(data), "\r\n")
-	if !bytes.HasSuffix(data, []byte("\r\n")) && len(lines) > 0 {
-		// The segment was cut mid-line; the trailing fragment is not a
-		// complete header field and must not be half-parsed.
-		lines = lines[:len(lines)-1]
+	_, version, _ := bytes.Cut(line, []byte(" ")) // LooksLikeHTTPRequest saw the first space
+	if _, version, ok = bytes.Cut(version, []byte(" ")); !ok || !bytes.HasPrefix(version, []byte("HTTP/")) {
+		return nil, false
 	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("http: no complete request line")
-	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, fmt.Errorf("http: malformed request line %q", lines[0])
-	}
-	req := &HTTPRequest{Method: parts[0], Target: parts[1], Version: parts[2]}
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			break
+	for {
+		if line, rest, ok = bytes.Cut(rest, []byte("\r\n")); !ok || len(line) == 0 {
+			return nil, true
 		}
-		name, value, ok := strings.Cut(ln, ":")
-		if !ok {
-			// Tolerate a trailing partial header line from a cut segment.
-			break
+		name, value, field := bytes.Cut(line, []byte(":"))
+		if !field {
+			return nil, true
 		}
-		req.Headers = append(req.Headers, HTTPHeader{Name: strings.TrimSpace(name), Value: strings.TrimSpace(value)})
+		if bytes.EqualFold(bytes.TrimSpace(name), []byte("Host")) {
+			host = bytes.TrimSpace(value)
+			if i := bytes.LastIndexByte(host, ':'); i > 0 && bytes.IndexByte(host[i+1:], ']') < 0 {
+				host = host[:i]
+			}
+			return host, true
+		}
 	}
-	return req, nil
 }

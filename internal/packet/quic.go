@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // QUICInitial is a QUIC long-header Initial packet carrying a CRYPTO frame
@@ -60,95 +61,84 @@ func IsQUICLongHeader(data []byte) bool {
 	return len(data) >= 5 && data[0]&0xc0 == 0xc0
 }
 
-// DecodeQUICInitial parses an Initial packet and the ClientHello inside its
-// CRYPTO frame, if any.
-func DecodeQUICInitial(data []byte) (*QUICInitial, error) {
+// QUICInitialSNI reads a QUIC Initial packet in place. ok reports whether
+// data is an Initial whose header, token, payload and frames parse up to
+// the first frame that is neither PADDING nor CRYPTO. sni is the server
+// name of the first ClientHello in the CRYPTO data, which the handshake
+// messages must frame exactly; it is empty when there is no such hello or
+// it does not parse. The CRYPTO data is read where it lies unless the
+// packet splits it over several frames, which are then joined in a copy.
+func QUICInitialSNI(data []byte) (sni []byte, ok bool) {
 	if len(data) < 7 {
-		return nil, ErrTruncated
+		return nil, false
 	}
 	first := data[0]
-	if first&0x80 == 0 {
-		return nil, fmt.Errorf("quic: short header")
+	if first&0x80 == 0 || (first>>4)&0x3 != 0 {
+		return nil, false // short header, or a long header other than Initial
 	}
-	if (first>>4)&0x3 != 0 {
-		return nil, fmt.Errorf("quic: not an Initial packet")
-	}
-	q := &QUICInitial{Version: binary.BigEndian.Uint32(data[1:5])}
 	off := 5
 	var err error
-	if q.DCID, off, err = readCID(data, off); err != nil {
-		return nil, err
+	if _, off, err = readCID(data, off); err != nil {
+		return nil, false
 	}
-	if q.SCID, off, err = readCID(data, off); err != nil {
-		return nil, err
+	if _, off, err = readCID(data, off); err != nil {
+		return nil, false
 	}
 	tokenLen, off, err := readVarint(data, off)
-	if err != nil {
-		return nil, err
+	if err != nil || off+int(tokenLen) > len(data) {
+		return nil, false
 	}
-	if off+int(tokenLen) > len(data) {
-		return nil, ErrTruncated
-	}
-	q.Token = append([]byte(nil), data[off:off+int(tokenLen)]...)
 	off += int(tokenLen)
 	payloadLen, off, err := readVarint(data, off)
-	if err != nil {
-		return nil, err
-	}
-	if off+int(payloadLen) > len(data) {
-		return nil, ErrTruncated
+	if err != nil || off+int(payloadLen) > len(data) {
+		return nil, false
 	}
 	payload := data[off : off+int(payloadLen)]
 	pnLen := int(first&0x3) + 1
 	if len(payload) < pnLen {
-		return nil, ErrTruncated
+		return nil, false
 	}
-	frames := payload[pnLen:]
-	for len(frames) > 0 {
-		switch frames[0] {
-		case 0: // PADDING
+	var crypto []byte
+	for frames := payload[pnLen:]; len(frames) > 0; {
+		if frames[0] == 0 { // PADDING
 			frames = frames[1:]
-		case quicFrameCrypto:
-			fo := 1
-			var n uint64
-			if _, fo, err = readVarint(frames, fo); err != nil { // offset
-				return nil, err
-			}
-			if n, fo, err = readVarint(frames, fo); err != nil { // length
-				return nil, err
-			}
-			if fo+int(n) > len(frames) {
-				return nil, ErrTruncated
-			}
-			q.CryptoPayload = append(q.CryptoPayload, frames[fo:fo+int(n)]...)
-			frames = frames[fo+int(n):]
-		default:
-			// Unknown frame: stop scanning (the synthesizer only emits
-			// PADDING and CRYPTO in Initials).
-			return q, nil
+			continue
 		}
+		if frames[0] != quicFrameCrypto {
+			break // the synthesizer emits only PADDING and CRYPTO in Initials
+		}
+		fo := 1
+		var n uint64
+		if _, fo, err = readVarint(frames, fo); err != nil { // offset
+			return nil, false
+		}
+		if n, fo, err = readVarint(frames, fo); err != nil { // length
+			return nil, false
+		}
+		if fo+int(n) > len(frames) {
+			return nil, false
+		}
+		if crypto == nil {
+			crypto = frames[fo : fo+int(n)]
+		} else {
+			crypto = append(slices.Clip(crypto), frames[fo:fo+int(n)]...)
+		}
+		frames = frames[fo+int(n):]
 	}
-	return q, nil
+	seen := false
+	if !WalkTLSHandshakes(crypto, func(typ uint8, body []byte) {
+		if typ == TLSHandshakeClientHello && !seen {
+			seen = true
+			sni, _ = helloSNI(body)
+		}
+	}) {
+		return nil, true
+	}
+	return sni, true
 }
 
-// SNI extracts the server name from the Initial's embedded ClientHello.
-func (q *QUICInitial) SNI() (string, error) {
-	msgs, err := DecodeTLSHandshakes(q.CryptoPayload)
-	if err != nil {
-		return "", err
-	}
-	for _, m := range msgs {
-		if m.Type == TLSHandshakeClientHello {
-			ch, err := ParseClientHello(m.Body)
-			if err != nil {
-				return "", err
-			}
-			return ch.ServerName, nil
-		}
-	}
-	return "", nil
-}
-
+// readCID returns the length-prefixed connection ID at off, in place, and
+// the offset just past it.
 func readCID(data []byte, off int) ([]byte, int, error) {
 	if off >= len(data) {
 		return nil, 0, ErrTruncated
@@ -161,7 +151,7 @@ func readCID(data []byte, off int) ([]byte, int, error) {
 	if off+n > len(data) {
 		return nil, 0, ErrTruncated
 	}
-	return append([]byte(nil), data[off:off+n]...), off + n, nil
+	return data[off : off+n], off + n, nil
 }
 
 // appendVarint writes a QUIC variable-length integer (RFC 9000 §16).

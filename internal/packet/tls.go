@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // TLS record content types.
@@ -44,48 +45,6 @@ func (r *TLSRecord) Encode() ([]byte, error) {
 	binary.BigEndian.PutUint16(out[1:3], r.Version)
 	binary.BigEndian.PutUint16(out[3:5], uint16(len(r.Payload)))
 	copy(out[5:], r.Payload)
-	return out, nil
-}
-
-// DecodeTLSRecords parses a byte stream into consecutive TLS records.
-// A trailing partial record is returned as rest without error, so callers
-// can feed reassembled stream chunks incrementally.
-func DecodeTLSRecords(data []byte) (recs []TLSRecord, rest []byte, err error) {
-	for len(data) >= 5 {
-		typ := data[0]
-		if typ < TLSRecordChangeCipherSpec || typ > TLSRecordApplicationData {
-			return recs, data, fmt.Errorf("tls: unknown content type %d", typ)
-		}
-		n := int(binary.BigEndian.Uint16(data[3:5]))
-		if 5+n > len(data) {
-			break
-		}
-		recs = append(recs, TLSRecord{Type: typ, Version: binary.BigEndian.Uint16(data[1:3]), Payload: data[5 : 5+n]})
-		data = data[5+n:]
-	}
-	return recs, data, nil
-}
-
-// TLSHandshake is one handshake message inside a handshake record.
-type TLSHandshake struct {
-	Type uint8
-	Body []byte
-}
-
-// DecodeTLSHandshakes splits a handshake-record payload into messages.
-func DecodeTLSHandshakes(payload []byte) ([]TLSHandshake, error) {
-	var out []TLSHandshake
-	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return nil, ErrTruncated
-		}
-		n := int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
-		if 4+n > len(payload) {
-			return nil, ErrTruncated
-		}
-		out = append(out, TLSHandshake{Type: payload[0], Body: payload[4 : 4+n]})
-		payload = payload[4+n:]
-	}
 	return out, nil
 }
 
@@ -149,91 +108,6 @@ func (ch *ClientHello) Encode() ([]byte, error) {
 	return encodeHandshake(TLSHandshakeClientHello, body), nil
 }
 
-// ParseClientHello parses a ClientHello handshake body (without the 4-byte
-// handshake header).
-func ParseClientHello(body []byte) (*ClientHello, error) {
-	ch := &ClientHello{}
-	if len(body) < 35 {
-		return nil, ErrTruncated
-	}
-	ch.Version = binary.BigEndian.Uint16(body[0:2])
-	copy(ch.Random[:], body[2:34])
-	off := 34
-	sidLen := int(body[off])
-	off++
-	if off+sidLen > len(body) {
-		return nil, ErrTruncated
-	}
-	ch.SessionID = append([]byte(nil), body[off:off+sidLen]...)
-	off += sidLen
-	if off+2 > len(body) {
-		return nil, ErrTruncated
-	}
-	csLen := int(binary.BigEndian.Uint16(body[off : off+2]))
-	off += 2
-	if csLen%2 != 0 || off+csLen > len(body) {
-		return nil, fmt.Errorf("tls: bad cipher suite list")
-	}
-	for i := 0; i < csLen; i += 2 {
-		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(body[off+i:off+i+2]))
-	}
-	off += csLen
-	if off >= len(body) {
-		return ch, nil // no compression/extensions (legal pre-extensions hello)
-	}
-	compLen := int(body[off])
-	off++
-	off += compLen
-	if off+2 > len(body) {
-		return ch, nil // no extensions block
-	}
-	extLen := int(binary.BigEndian.Uint16(body[off : off+2]))
-	off += 2
-	if off+extLen > len(body) {
-		return nil, ErrTruncated
-	}
-	exts := body[off : off+extLen]
-	for len(exts) >= 4 {
-		typ := binary.BigEndian.Uint16(exts[0:2])
-		n := int(binary.BigEndian.Uint16(exts[2:4]))
-		if 4+n > len(exts) {
-			return nil, ErrTruncated
-		}
-		if typ == sniExtension {
-			name, err := parseSNI(exts[4 : 4+n])
-			if err != nil {
-				return nil, err
-			}
-			ch.ServerName = name
-		}
-		exts = exts[4+n:]
-	}
-	return ch, nil
-}
-
-func parseSNI(ext []byte) (string, error) {
-	if len(ext) < 2 {
-		return "", ErrTruncated
-	}
-	listLen := int(binary.BigEndian.Uint16(ext[0:2]))
-	if 2+listLen > len(ext) {
-		return "", ErrTruncated
-	}
-	list := ext[2 : 2+listLen]
-	for len(list) >= 3 {
-		nameType := list[0]
-		n := int(binary.BigEndian.Uint16(list[1:3]))
-		if 3+n > len(list) {
-			return "", ErrTruncated
-		}
-		if nameType == 0 {
-			return string(list[3 : 3+n]), nil
-		}
-		list = list[3+n:]
-	}
-	return "", nil
-}
-
 // ServerHello is the subset of a TLS ServerHello the probe cares about.
 type ServerHello struct {
 	Version     uint16
@@ -263,4 +137,150 @@ func (sh *ServerHello) Encode() ([]byte, error) {
 // etc., whose contents the probe never inspects).
 func OpaqueHandshake(typ uint8, bodyLen int) []byte {
 	return encodeHandshake(typ, make([]byte, bodyLen))
+}
+
+// WalkTLSRecords calls visit with the content type and payload of each
+// whole record at the front of a TLS byte stream, in place, and reports
+// whether the stream is well formed. A trailing partial record is not
+// visited: the next segment may complete it. A record with an unknown
+// content type, partial or not once its 5-byte header is there, makes the
+// stream malformed, whatever was visited before it.
+func WalkTLSRecords(data []byte, visit func(typ uint8, payload []byte)) bool {
+	for len(data) >= 5 {
+		typ := data[0]
+		if typ < TLSRecordChangeCipherSpec || typ > TLSRecordApplicationData {
+			return false
+		}
+		n := int(binary.BigEndian.Uint16(data[3:5]))
+		if 5+n > len(data) {
+			break
+		}
+		visit(typ, data[5:5+n])
+		data = data[5+n:]
+	}
+	return true
+}
+
+// WalkTLSHandshakes calls visit with the type and body of each handshake
+// message in a handshake payload, in place, and reports whether the
+// messages frame the payload exactly; when they do not, the messages
+// visited before the break count for nothing.
+func WalkTLSHandshakes(payload []byte, visit func(typ uint8, body []byte)) bool {
+	for len(payload) > 0 {
+		if len(payload) < 4 {
+			return false
+		}
+		n := int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
+		if 4+n > len(payload) {
+			return false
+		}
+		visit(payload[0], payload[4:4+n])
+		payload = payload[4+n:]
+	}
+	return true
+}
+
+// ClientHelloSNI reads a client's TLS stream in place. ok reports whether
+// the handshake records at its front carry a ClientHello that parses: the
+// stream is well formed, the handshake messages of its records, taken
+// together, frame exactly, and one of them is such a ClientHello. sni is
+// the first such hello's server name, empty when it names none; it aliases
+// stream unless the handshake spans records, which are then joined in a
+// copy.
+func ClientHelloSNI(stream []byte) (sni []byte, ok bool) {
+	var hs []byte
+	if !WalkTLSRecords(stream, func(typ uint8, payload []byte) {
+		if typ != TLSRecordHandshake {
+			return
+		}
+		if hs == nil {
+			hs = payload
+		} else {
+			hs = append(slices.Clip(hs), payload...)
+		}
+	}) {
+		return nil, false
+	}
+	if !WalkTLSHandshakes(hs, func(typ uint8, body []byte) {
+		if typ == TLSHandshakeClientHello && !ok {
+			sni, ok = helloSNI(body)
+		}
+	}) {
+		return nil, false
+	}
+	return sni, ok
+}
+
+// helloSNI reads the server name of a ClientHello body (without the 4-byte
+// handshake header) in place. ok is false where the body is malformed: a
+// field runs past its end, the cipher suite list has odd length, or an
+// extension, or the server_name list, overruns its frame. A hello without
+// extensions, or without a server_name extension, parses with an empty
+// name; of several server_name extensions the last counts.
+func helloSNI(body []byte) (sni []byte, ok bool) {
+	if len(body) < 35 {
+		return nil, false
+	}
+	off := 35 + int(body[34]) // version, random, session ID
+	if off+2 > len(body) {
+		return nil, false
+	}
+	csLen := int(binary.BigEndian.Uint16(body[off : off+2]))
+	off += 2
+	if csLen%2 != 0 || off+csLen > len(body) {
+		return nil, false
+	}
+	off += csLen
+	if off >= len(body) {
+		return nil, true // no compression/extensions (legal pre-extensions hello)
+	}
+	off += 1 + int(body[off]) // compression methods
+	if off+2 > len(body) {
+		return nil, true // no extensions block
+	}
+	extLen := int(binary.BigEndian.Uint16(body[off : off+2]))
+	off += 2
+	if off+extLen > len(body) {
+		return nil, false
+	}
+	exts := body[off : off+extLen]
+	for len(exts) >= 4 {
+		typ := binary.BigEndian.Uint16(exts[0:2])
+		n := int(binary.BigEndian.Uint16(exts[2:4]))
+		if 4+n > len(exts) {
+			return nil, false
+		}
+		if typ == sniExtension {
+			if sni, ok = serverName(exts[4 : 4+n]); !ok {
+				return nil, false
+			}
+		}
+		exts = exts[4+n:]
+	}
+	return sni, true
+}
+
+// serverName reads a server_name extension body: the first host_name entry
+// of its list, empty when there is none.
+func serverName(ext []byte) ([]byte, bool) {
+	if len(ext) < 2 {
+		return nil, false
+	}
+	listLen := int(binary.BigEndian.Uint16(ext[0:2]))
+	if 2+listLen > len(ext) {
+		return nil, false
+	}
+	list := ext[2 : 2+listLen]
+	for len(list) >= 3 {
+		nameType := list[0]
+		n := int(binary.BigEndian.Uint16(list[1:3]))
+		if 3+n > len(list) {
+			return nil, false
+		}
+		if nameType == 0 {
+			return list[3 : 3+n], true
+		}
+		list = list[3+n:]
+	}
+	return nil, true
 }

@@ -1,10 +1,6 @@
 package tstat
 
-import (
-	"slices"
-
-	"satwatch/internal/packet"
-)
+import "satwatch/internal/packet"
 
 // dpiBudget caps how many reassembled client bytes the DPI inspects per
 // flow before giving up on naming it.
@@ -14,6 +10,9 @@ const dpiBudget = 8 << 10
 // from the first client payload bytes (§2.2's DPI module: HTTP Host, TLS
 // SNI, QUIC SNI).
 type dpiState struct {
+	// names interns the names read off the wire: the tracker's memo, or
+	// nil for a plain conversion.
+	names   nameMemo
 	buf     []byte
 	done    bool
 	domain  string
@@ -49,51 +48,18 @@ func (d *dpiState) feedClientTCP(data []byte) {
 // name tries to name the flow from the client bytes seen so far: a TLS
 // ClientHello's SNI, else a plain HTTP request's Host header.
 func (d *dpiState) name(stream []byte) bool {
-	// TLS: reassemble records until a ClientHello parses.
 	if len(stream) >= 3 && stream[0] == packet.TLSRecordHandshake {
-		recs, _, err := packet.DecodeTLSRecords(stream)
-		if err != nil {
-			return false
+		sni, ok := packet.ClientHelloSNI(stream)
+		if ok {
+			d.isTLS = true
+			d.domain = d.names.intern(sni)
 		}
-		// A single handshake record is parsed from its own payload;
-		// further ones are appended to a copy, never into stream.
-		var hs []byte
-		for _, rec := range recs {
-			if rec.Type != packet.TLSRecordHandshake {
-				continue
-			}
-			if hs == nil {
-				hs = rec.Payload
-			} else {
-				hs = append(slices.Clip(hs), rec.Payload...)
-			}
-		}
-		msgs, err := packet.DecodeTLSHandshakes(hs)
-		if err != nil {
-			return false
-		}
-		for _, m := range msgs {
-			if m.Type != packet.TLSHandshakeClientHello {
-				continue
-			}
-			if ch, err := packet.ParseClientHello(m.Body); err == nil {
-				d.isTLS = true
-				d.domain = ch.ServerName
-				return true
-			}
-		}
-		return false
+		return ok
 	}
-
-	// Plain HTTP: request line plus Host header.
-	if packet.LooksLikeHTTPRequest(stream) {
-		if req, err := packet.ParseHTTPRequest(stream); err == nil {
-			if host := req.Host(); host != "" {
-				d.isHTTP = true
-				d.domain = host
-				return true
-			}
-		}
+	if host, ok := packet.HTTPRequestHost(stream); ok && len(host) > 0 {
+		d.isHTTP = true
+		d.domain = d.names.intern(host)
+		return true
 	}
 	return false
 }
@@ -105,10 +71,10 @@ func (d *dpiState) feedClientUDP(data []byte) {
 		return
 	}
 	if packet.IsQUICLongHeader(data) {
-		if q, err := packet.DecodeQUICInitial(data); err == nil {
+		if sni, ok := packet.QUICInitialSNI(data); ok {
 			d.isQUIC = true
-			if sni, err := q.SNI(); err == nil && sni != "" {
-				d.domain = sni
+			if len(sni) > 0 {
+				d.domain = d.names.intern(sni)
 			}
 			d.finish()
 			return

@@ -1,7 +1,6 @@
 package tstat
 
 import (
-	"encoding/binary"
 	"time"
 
 	"satwatch/internal/packet"
@@ -170,37 +169,21 @@ func (f *flowState) feedTLSServer(ev *SegmentEvent) {
 }
 
 // hasServerHello reports whether a server payload carries a ServerHello,
-// walking the record and handshake framing in place. Its verdict is that of
-// packet.DecodeTLSRecords followed by packet.DecodeTLSHandshakes on each
-// handshake record: an unknown content type anywhere rejects the whole
-// payload, a handshake record whose messages do not frame exactly is
-// skipped, and a trailing partial record is ignored.
+// walking the record and handshake framing in place: an unknown content
+// type anywhere rejects the whole payload, a handshake record whose
+// messages do not frame exactly is skipped, and a trailing partial record
+// is ignored.
 func hasServerHello(data []byte) bool {
 	found := false
-	for len(data) >= 5 {
-		typ := data[0]
-		if typ < packet.TLSRecordChangeCipherSpec || typ > packet.TLSRecordApplicationData {
-			return false
+	return packet.WalkTLSRecords(data, func(typ uint8, payload []byte) {
+		if typ != packet.TLSRecordHandshake || found {
+			return
 		}
-		n := int(binary.BigEndian.Uint16(data[3:5]))
-		if 5+n > len(data) {
-			break
-		}
-		if typ == packet.TLSRecordHandshake && !found {
-			msgs, hello := data[5:5+n], false
-			for len(msgs) >= 4 {
-				m := int(msgs[1])<<16 | int(msgs[2])<<8 | int(msgs[3])
-				if 4+m > len(msgs) {
-					break
-				}
-				hello = hello || msgs[0] == packet.TLSHandshakeServerHello
-				msgs = msgs[4+m:]
-			}
-			found = hello && len(msgs) == 0
-		}
-		data = data[5+n:]
-	}
-	return found
+		hello := false
+		found = packet.WalkTLSHandshakes(payload, func(typ uint8, _ []byte) {
+			hello = hello || typ == packet.TLSHandshakeServerHello
+		}) && hello
+	}) && found
 }
 
 // feedTLSClient advances the handshake machine on client records; the
@@ -240,7 +223,8 @@ func (f *flowState) observeDNS(ev *SegmentEvent, sink *Tracker) {
 	if len(ev.AppData) == 0 {
 		return
 	}
-	msg, err := packet.DecodeDNS(ev.AppData)
+	var buf [255]byte
+	msg, name, err := packet.ScanDNS(ev.AppData, buf[:0])
 	if err != nil {
 		return
 	}
@@ -248,11 +232,7 @@ func (f *flowState) observeDNS(ev *SegmentEvent, sink *Tracker) {
 		f.dnsPending = make(map[uint16]dnsPending)
 	}
 	if !msg.QR {
-		name := ""
-		if len(msg.Questions) > 0 {
-			name = msg.Questions[0].Name
-		}
-		f.dnsPending[msg.ID] = dnsPending{t: ev.T, name: name}
+		f.dnsPending[msg.ID] = dnsPending{t: ev.T, name: sink.names.intern(name)}
 		return
 	}
 	req, ok := f.dnsPending[msg.ID]
@@ -264,15 +244,10 @@ func (f *flowState) observeDNS(ev *SegmentEvent, sink *Tracker) {
 		Client:       f.client.Addr,
 		Resolver:     f.server.Addr,
 		Query:        req.name,
+		Answer:       msg.Answer,
 		RCode:        msg.RCode,
 		T:            req.t,
 		ResponseTime: ev.T - req.t,
-	}
-	for _, a := range msg.Answers {
-		if a.Type == packet.DNSTypeA {
-			rec.Answer = a.Addr
-			break
-		}
 	}
 	sink.emitDNS(rec)
 }

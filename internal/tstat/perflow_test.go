@@ -2,8 +2,10 @@ package tstat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,25 +38,42 @@ func TestObserveAfterEvictionStartsFreshFlow(t *testing.T) {
 	}
 }
 
-// serverHelloByParsers is the verdict hasServerHello replaced: decode the
-// records, then the messages of each handshake record.
+// serverHelloByParsers is the verdict of the struct-building TLS decoders,
+// written out with slices: split the payload into records (an unknown
+// content type rejects the whole payload, a trailing partial record is
+// dropped), then each handshake record into its messages (a record whose
+// messages do not frame exactly is skipped).
 func serverHelloByParsers(data []byte) bool {
-	recs, _, err := packet.DecodeTLSRecords(data)
-	if err != nil {
-		return false
+	var handshakes [][]byte
+	for len(data) >= 5 {
+		typ := data[0]
+		if typ < packet.TLSRecordChangeCipherSpec || typ > packet.TLSRecordApplicationData {
+			return false
+		}
+		n := int(binary.BigEndian.Uint16(data[3:5]))
+		if 5+n > len(data) {
+			break
+		}
+		if typ == packet.TLSRecordHandshake {
+			handshakes = append(handshakes, data[5:5+n])
+		}
+		data = data[5+n:]
 	}
-	for _, rec := range recs {
-		if rec.Type != packet.TLSRecordHandshake {
-			continue
-		}
-		msgs, err := packet.DecodeTLSHandshakes(rec.Payload)
-		if err != nil {
-			continue
-		}
-		for _, m := range msgs {
-			if m.Type == packet.TLSHandshakeServerHello {
-				return true
+	for _, payload := range handshakes {
+		var types []uint8
+		for len(payload) > 0 {
+			if len(payload) < 4 {
+				break
 			}
+			n := int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
+			if 4+n > len(payload) {
+				break
+			}
+			types = append(types, payload[0])
+			payload = payload[4+n:]
+		}
+		if len(payload) == 0 && slices.Contains(types, packet.TLSHandshakeServerHello) {
+			return true
 		}
 	}
 	return false
@@ -130,26 +149,32 @@ func TestDPIFeedOwnsWhatItKeeps(t *testing.T) {
 	}
 }
 
-// TestObserveAllocationBudget: one 36-event HTTPS flow (3WHS, ClientHello,
-// ServerHello, ClientKeyExchange, 14 data/ACK pairs, FIN/FIN) costs the
-// tracker a bounded number of heap objects once its anonymization memo is
-// warm: the flow state, its first-10 timestamps and the ClientHello parse.
+// TestObserveAllocationBudget: a flow of each kind the synthesizer writes
+// costs the tracker a bounded number of heap objects once its memos
+// (anonymization, names) are warm. DPI and the DNS path read the wire in
+// place, so what is left is the flow state and its first-10 timestamps,
+// and a DNS flow's pending-query map: 2 objects (4 for DNS), against 7, 15,
+// 9 and 7 when every payload was decoded into structs. Each budget is one
+// object above.
 func TestObserveAllocationBudget(t *testing.T) {
 	key := make([]byte, cryptopan.KeySize)
 	anon, err := cryptopan.New(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(Config{Anonymizer: anon, OnFlow: func(FlowRecord) {}})
-	ch, sh, cke := tlsClientHelloBytes(t, "e1.whatsapp.net"), tlsServerHelloBytes(t), tlsClientKeyExchangeBytes(t)
-	c2s, s2c := tcpTuple(cust, srv), tcpTuple(srv, cust)
-	const g = 20 * time.Millisecond
+	tr := NewTracker(Config{Anonymizer: anon, OnFlow: func(FlowRecord) {}, OnDNS: func(DNSRecord) {}})
 	events := 0
-	flow := func() {
-		obs := func(tuple packet.FiveTuple, ev SegmentEvent) {
-			events++
-			tr.Observe(tuple, ev)
-		}
+	obs := func(tuple packet.FiveTuple, ev SegmentEvent) {
+		events++
+		tr.Observe(tuple, ev)
+	}
+	const g = 20 * time.Millisecond
+
+	// HTTPS: 3WHS, ClientHello, ServerHello, ClientKeyExchange, 14
+	// data/ACK pairs, FIN/FIN.
+	ch, sh, cke := tlsClientHelloBytes(t, "e1.whatsapp.net"), tlsServerHelloBytes(t), tlsClientKeyExchangeBytes(t)
+	https := func() {
+		c2s, s2c := tcpTuple(cust, srv), tcpTuple(srv, cust)
 		at, seq := time.Second, uint32(1)
 		obs(c2s, SegmentEvent{T: at, Flags: packet.FlagSYN, Packets: 1})
 		obs(s2c, SegmentEvent{T: at + g, Flags: packet.FlagSYN | packet.FlagACK, Ack: 1, Packets: 1})
@@ -172,16 +197,83 @@ func TestObserveAllocationBudget(t *testing.T) {
 		at += 10 * time.Millisecond
 		obs(c2s, SegmentEvent{T: at, Flags: packet.FlagFIN | packet.FlagACK, Seq: seq, Ack: srvSeq, Packets: 1})
 		obs(s2c, SegmentEvent{T: at + g, Flags: packet.FlagFIN | packet.FlagACK, Seq: srvSeq, Ack: seq + 1, Packets: 1})
-		tr.Flush()
 	}
-	flow() // warm the memo, the touched list and the table
-	if events != 36 {
-		t.Fatalf("flow has %d events, want 36", events)
+
+	// DNS: a query and its answer.
+	resolver := packet.Endpoint{Addr: netip.MustParseAddr("8.8.8.8"), Port: 53}
+	q := &packet.DNS{ID: 42, RD: true, Questions: []packet.DNSQuestion{{Name: "www.google.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}
+	resp := &packet.DNS{ID: 42, QR: true, RA: true, Questions: q.Questions,
+		Answers: []packet.DNSRR{{Name: "www.google.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Addr: netip.MustParseAddr("142.250.1.1")}}}
+	qb, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := testing.AllocsPerRun(20, flow)
-	t.Logf("one HTTPS flow: %.1f objects", n)
-	if n > 8 {
-		t.Errorf("one HTTPS flow allocated %.1f objects, budget 8", n)
+	rb, err := resp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns := func() {
+		obs(udpTuple(cust, resolver), SegmentEvent{T: time.Second, Payload: len(qb), AppData: qb, Packets: 1})
+		obs(udpTuple(resolver, cust), SegmentEvent{T: time.Second + g, Payload: len(rb), AppData: rb, Packets: 1})
+	}
+
+	// QUIC: the Initial, the server's flight, the client's completion.
+	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: "www.youtube.com"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, CryptoPayload: hs}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quic := func() {
+		obs(udpTuple(cust, srv), SegmentEvent{T: time.Second, Payload: 1252, AppData: ini, Packets: 1})
+		obs(udpTuple(srv, cust), SegmentEvent{T: time.Second + g, Payload: 3600, Packets: 3})
+		obs(udpTuple(cust, srv), SegmentEvent{T: time.Second + 600*time.Millisecond, Payload: 120, Packets: 1})
+	}
+
+	// HTTP: 3WHS, the request and its ACK, FIN/FIN.
+	web := packet.Endpoint{Addr: netip.MustParseAddr("185.60.9.1"), Port: 80}
+	req := (&packet.HTTPRequest{Method: "GET", Target: "/", Headers: []packet.HTTPHeader{{Name: "Host", Value: "video-cdn.sky.com"}}}).Encode()
+	http := func() {
+		c2s, s2c := tcpTuple(cust, web), tcpTuple(web, cust)
+		at := time.Second
+		obs(c2s, SegmentEvent{T: at, Flags: packet.FlagSYN, Packets: 1})
+		obs(s2c, SegmentEvent{T: at + g, Flags: packet.FlagSYN | packet.FlagACK, Ack: 1, Packets: 1})
+		obs(c2s, SegmentEvent{T: at + g + time.Millisecond, Flags: packet.FlagACK, Ack: 1, Packets: 1})
+		at += g + 2*time.Millisecond
+		obs(c2s, SegmentEvent{T: at, Flags: packet.FlagACK | packet.FlagPSH, Seq: 1, Payload: len(req), AppData: req, Packets: 1})
+		obs(s2c, SegmentEvent{T: at + g, Flags: packet.FlagACK, Ack: 1 + uint32(len(req)), Packets: 1})
+		at += 2 * g
+		obs(c2s, SegmentEvent{T: at, Flags: packet.FlagFIN | packet.FlagACK, Seq: 1 + uint32(len(req)), Ack: 1, Packets: 1})
+		obs(s2c, SegmentEvent{T: at + g, Flags: packet.FlagFIN | packet.FlagACK, Seq: 1, Ack: 2 + uint32(len(req)), Packets: 1})
+	}
+
+	for _, c := range []struct {
+		name   string
+		play   func()
+		events int
+		budget float64
+	}{
+		{"HTTPS", https, 36, 3},
+		{"DNS", dns, 2, 5},
+		{"QUIC", quic, 3, 3},
+		{"HTTP", http, 7, 3},
+	} {
+		flow := func() {
+			c.play()
+			tr.Flush()
+		}
+		events = 0
+		flow() // warm the memos, the touched list and the table
+		if events != c.events {
+			t.Fatalf("%s flow has %d events, want %d", c.name, events, c.events)
+		}
+		n := testing.AllocsPerRun(20, flow)
+		t.Logf("one %s flow: %.1f objects", c.name, n)
+		if n > c.budget {
+			t.Errorf("one %s flow allocated %.1f objects, budget %v", c.name, n, c.budget)
+		}
 	}
 }
 

@@ -87,6 +87,9 @@ type Tracker struct {
 	// anon memoizes Config.Anonymizer per client address: a tracker sees
 	// only its shard's customers, and Crypto-PAn costs 32 AES blocks.
 	anon map[netip.Addr]netip.Addr
+	// names interns the domains DPI and the DNS path read, for the same
+	// reason: a shard's customers keep naming the same servers.
+	names nameMemo
 
 	// observed counts segment events; flushedEvents is the part of it
 	// already counted into mEvents; emitted counts flow records since the
@@ -105,7 +108,7 @@ type dueEntry struct {
 
 // NewTracker builds a tracker.
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState)}
+	return &Tracker{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState), names: make(nameMemo)}
 }
 
 // Observe feeds one segment event. tuple is oriented as sent (the event
@@ -120,6 +123,7 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 		var ok bool
 		if f, ok = t.flows[key]; !ok {
 			f = newFlowState(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
+			f.dpi.names = t.names
 			t.flows[key] = f
 		}
 		t.last = f
@@ -404,4 +408,30 @@ func (t *Tracker) anonymize(a netip.Addr) netip.Addr {
 		t.anon[a] = out
 	}
 	return out
+}
+
+// maxNames bounds a nameMemo: a capture can carry any number of distinct
+// names, and the live daemon's trackers never end.
+const maxNames = 1 << 16
+
+// nameMemo interns names read off the wire, so a name seen before costs a
+// map probe instead of a string. A nil memo converts every time.
+type nameMemo map[string]string
+
+func (m nameMemo) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if m == nil {
+		return string(b)
+	}
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	if len(m) >= maxNames {
+		clear(m)
+	}
+	s := string(b)
+	m[s] = s
+	return s
 }
