@@ -86,6 +86,7 @@ func run() (int, error) {
 
 	// Metrics reflect this run only.
 	obs.Default.Reset()
+	memSampler := obs.StartMemSampler(time.Second)
 	start := time.Now()
 
 	var sched *faults.Schedule
@@ -160,7 +161,8 @@ func run() (int, error) {
 	if d, _ := p.Degraded(); d && status == "ok" {
 		status = "degraded"
 	}
-	if err := writeOutputs(p, cfg, *outDir, *metricsOut, status, time.Since(start)); err != nil {
+	mem := memSampler.Stop()
+	if err := writeOutputs(p, cfg, *outDir, *metricsOut, status, time.Since(start), mem); err != nil {
 		return 0, err
 	}
 	if runErr != nil {
@@ -176,7 +178,7 @@ func run() (int, error) {
 // writeOutputs lands the manifest, the finalized analytics windows, and
 // the metrics dump. Everything is written atomically so a kill mid-write
 // never leaves a truncated file at its final name.
-func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status string, wall time.Duration) error {
+func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status string, wall time.Duration, mem obs.MemInfo) error {
 	var outputs []string
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -212,6 +214,7 @@ func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status 
 		m.Errors = append(m.Errors, reason)
 	}
 	m.AddTiming("run", wall)
+	m.Mem = &mem
 	for _, path := range outputs {
 		if err := m.AddOutput(path); err != nil {
 			return err

@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"satwatch/internal/dist"
@@ -159,18 +160,36 @@ func Lookup(fqdn string) (Entry, bool) {
 // FQDN returns a concrete hostname for the entry. Sharded entries get a
 // CDN-style numbered shard label (deterministic per draw), matching the
 // paper's observation that CDN names embed numbers and country codes.
+// The name is built in a stack buffer, so the returned string is the only
+// allocation.
 func (e Entry) FQDN(r *dist.Rand) string {
 	if !e.Sharded {
 		return e.Domain
 	}
+	var buf [64]byte
+	b := buf[:0]
 	switch {
 	case strings.Contains(e.Domain, "googlevideo"):
-		return fmt.Sprintf("rr%d---sn-%02x.%s", 1+r.IntN(8), r.IntN(256), e.Domain)
+		b = append(b, "rr"...)
+		b = strconv.AppendInt(b, int64(1+r.IntN(8)), 10)
+		v := r.IntN(256)
+		const hex = "0123456789abcdef"
+		b = append(b, "---sn-"...)
+		b = append(b, hex[v>>4], hex[v&15])
 	case strings.Contains(e.Domain, "nflxvideo"):
-		return fmt.Sprintf("ipv4-c%03d-mxp001-ix.1.oca.%s", r.IntN(200), e.Domain)
+		v := r.IntN(200)
+		b = append(b, "ipv4-c"...)
+		b = append(b, byte('0'+v/100), byte('0'+v/10%10), byte('0'+v%10))
+		b = append(b, "-mxp001-ix.1.oca"...)
 	case strings.Contains(e.Domain, "fbcdn"):
-		return fmt.Sprintf("scontent-mxp%d-1.xx.%s", 1+r.IntN(2), e.Domain)
+		b = append(b, "scontent-mxp"...)
+		b = strconv.AppendInt(b, int64(1+r.IntN(2)), 10)
+		b = append(b, "-1.xx"...)
 	default:
-		return fmt.Sprintf("cdn%d.%s", 1+r.IntN(16), e.Domain)
+		b = append(b, "cdn"...)
+		b = strconv.AppendInt(b, int64(1+r.IntN(16)), 10)
 	}
+	b = append(b, '.')
+	b = append(b, e.Domain...)
+	return string(b)
 }

@@ -1,6 +1,8 @@
 package cdn
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,5 +155,52 @@ func TestFQDNShards(t *testing.T) {
 func TestProtocolStrings(t *testing.T) {
 	if AppHTTPS.String() != "TCP/HTTPS" || AppQUIC.String() != "UDP/QUIC" {
 		t.Fatal("protocol names do not match Table 1 rows")
+	}
+}
+
+// referenceFQDN is FQDN as it was written with fmt.Sprintf: the oracle
+// for the append form, which must give the same name from the same draws.
+func referenceFQDN(e Entry, r *dist.Rand) string {
+	if !e.Sharded {
+		return e.Domain
+	}
+	switch {
+	case strings.Contains(e.Domain, "googlevideo"):
+		return fmt.Sprintf("rr%d---sn-%02x.%s", 1+r.IntN(8), r.IntN(256), e.Domain)
+	case strings.Contains(e.Domain, "nflxvideo"):
+		return fmt.Sprintf("ipv4-c%03d-mxp001-ix.1.oca.%s", r.IntN(200), e.Domain)
+	case strings.Contains(e.Domain, "fbcdn"):
+		return fmt.Sprintf("scontent-mxp%d-1.xx.%s", 1+r.IntN(2), e.Domain)
+	default:
+		return fmt.Sprintf("cdn%d.%s", 1+r.IntN(16), e.Domain)
+	}
+}
+
+// TestFQDNMatchesReference: every sharded entry, over 10 000 seeds, gets
+// the reference's name and leaves its stream where the reference leaves
+// it, so the workload draws nothing differently afterwards.
+func TestFQDNMatchesReference(t *testing.T) {
+	sharded := 0
+	for _, e := range Catalog() {
+		if !e.Sharded {
+			continue
+		}
+		sharded++
+		for seed := uint64(0); seed < 10000; seed++ {
+			got, want := dist.NewRand(seed), dist.NewRand(seed)
+			if g, w := e.FQDN(got), referenceFQDN(e, want); g != w {
+				t.Fatalf("%s seed %d: FQDN %q, reference %q", e.Domain, seed, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("%s seed %d: next draw %#x after FQDN, %#x after the reference", e.Domain, seed, g, w)
+			}
+		}
+		r := dist.NewRand(1)
+		if n := testing.AllocsPerRun(100, func() { _ = e.FQDN(r) }); n > 1 {
+			t.Errorf("%s: FQDN allocates %v objects, want ≤ 1", e.Domain, n)
+		}
+	}
+	if sharded == 0 {
+		t.Fatal("catalog has no sharded entry")
 	}
 }

@@ -17,14 +17,31 @@ import (
 // generator and adds the distribution samplers used across the project.
 // The originating seed material is retained so Fork can derive independent
 // streams that do not depend on how much the parent has been consumed.
+//
+// The generator state lives inside the Rand, so a stream is one heap
+// object. Its src points into the same struct: never copy a Rand by
+// value, or the copy would draw from the original's state. go vet's
+// copylocks check flags such a copy (see noCopy).
 type Rand struct {
-	src  *rand.Rand
+	_    noCopy
+	pcg  rand.PCG
+	src  rand.Rand
 	seed uint64
 }
 
+// noCopy makes go vet report a copied Rand: copylocks flags any value
+// whose pointer has Lock and Unlock methods.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // NewRand returns a Rand seeded from seed.
 func NewRand(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), seed: seed}
+	r := &Rand{seed: seed}
+	r.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
+	r.src = *rand.New(&r.pcg)
+	return r
 }
 
 // Fork derives an independent deterministic stream keyed by label.

@@ -93,3 +93,42 @@ func TestLogNormalMedianAndMean(t *testing.T) {
 		t.Fatalf("sample mean %.2f, want ~%.2f", sum/n, wantMean)
 	}
 }
+
+// TestStreamsArePinned holds every stream to the draws it gave while the
+// generator state was three heap objects (a Rand, a rand.Rand and a PCG):
+// folding them into one must not move a single bit. ForkN runs once per
+// live intent, so it is also held to its one object.
+func TestStreamsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed              uint64
+		root              [2]uint64
+		fork, forkN, days uint64
+	}{
+		{0, [2]uint64{0x7655d15c919ef624, 0xb87a4210b4edc8b7}, 0x8d3543f76b0fef82, 0x13b9134640ea9cef, 0xa50938089966731e},
+		{1, [2]uint64{0x8707a01d6329783f, 0x7df1bd4a477b564}, 0xa4b8ab96531f8211, 0x6dc00be1601319b2, 0xfe65c69222282177},
+		{42, [2]uint64{0x743a6a4551a9b830, 0xf9015ec7f256d640}, 0x4aaed55acbc5eaeb, 0xb666ab223137ada2, 0x538ff6da1f84234f},
+		{2022, [2]uint64{0x4f7a304a0ddc710b, 0xa46297bdc0a8e467}, 0x8bf7cd754a3da6d0, 0x1fc72cfcca3bdf00, 0x571a6e61f19a08b1},
+		{1<<63 + 12345, [2]uint64{0x21c1a7a9748d47eb, 0x862c6f648e2e1e7}, 0xbe77e7a9c8b52d33, 0xdbf81835e31d2b9b, 0x83363695f7e61d5},
+	} {
+		r := NewRand(tc.seed)
+		fork, forkN, days := r.Fork("live-rate"), r.ForkN("live-synth", 7), r.ForkN("day", 1025)
+		if got := [2]uint64{r.Uint64(), r.Uint64()}; got != tc.root {
+			t.Errorf("seed %d: NewRand draws %#x, want %#x", tc.seed, got, tc.root)
+		}
+		if got := fork.Uint64(); got != tc.fork {
+			t.Errorf("seed %d: Fork draw %#x, want %#x", tc.seed, got, tc.fork)
+		}
+		if got := forkN.Uint64(); got != tc.forkN {
+			t.Errorf("seed %d: ForkN(live-synth, 7) draw %#x, want %#x", tc.seed, got, tc.forkN)
+		}
+		if got := days.Uint64(); got != tc.days {
+			t.Errorf("seed %d: ForkN(day, 1025) draw %#x, want %#x", tc.seed, got, tc.days)
+		}
+	}
+	root := NewRand(5)
+	var sink *Rand
+	if n := testing.AllocsPerRun(100, func() { sink = root.ForkN("live-synth", 3) }); n != 1 {
+		t.Errorf("ForkN allocates %v objects, want 1", n)
+	}
+	_ = sink
+}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -152,6 +153,12 @@ type Pipeline struct {
 	analytics *Analytics
 	sup       *supervisor
 
+	// flowFree and dnsFree are the record edge's free lists: synth fills
+	// a record from them per emission, analyze returns it once folded,
+	// and synth returns one the edge shed. The edge carries pointers, not
+	// records, so a deep record queue costs pointers until it fills.
+	flowFree, dnsFree sync.Pool
+
 	tracing     *Tracing
 	history     *HistoryLog
 	metricsHist *obs.History
@@ -203,6 +210,8 @@ func New(cfg Config) (*Pipeline, error) {
 		p.workerQs[i] = NewQueue[intentItem](cfg.WorkerDepth, Shed, qmSynth, &p.degraded)
 	}
 	p.recordQ = NewQueue[recordItem](cfg.RecordDepth, Shed, qmRecords, &p.degraded)
+	p.flowFree.New = func() any { return new(tstat.FlowRecord) }
+	p.dnsFree.New = func() any { return new(tstat.DNSRecord) }
 	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, keepWindows, prefixes, &p.degraded)
 	p.workersLeft.Store(int64(cfg.Workers))
 
@@ -404,25 +413,25 @@ func (p *Pipeline) Run(ctx context.Context) error {
 
 	drainCh := make(chan struct{})
 	genR := p.sim.Root().Fork("live-rate")
-	p.sup.add("generate", func(sctx context.Context, beat func()) error {
-		return p.generate(sctx, drainCh, genR, beat)
+	p.sup.addStage("generate", func(sctx context.Context, st *stage) error {
+		return p.generate(sctx, drainCh, genR, st)
 	}, p.intentQ.Close)
-	p.sup.add("dispatch", p.dispatch, func() {
+	p.sup.addStage("dispatch", p.dispatch, func() {
 		for _, q := range p.workerQs {
 			q.Close()
 		}
 	})
 	for i := 0; i < p.cfg.Workers; i++ {
 		i := i
-		p.sup.add(fmt.Sprintf("synth-%d", i), func(sctx context.Context, beat func()) error {
-			return p.synth(sctx, i, beat)
+		p.sup.addStage(fmt.Sprintf("synth-%d", i), func(sctx context.Context, st *stage) error {
+			return p.synth(sctx, i, st)
 		}, func() {
 			if p.workersLeft.Add(-1) == 0 {
 				p.recordQ.Close()
 			}
 		})
 	}
-	p.sup.add("analytics", p.analyze, p.analytics.Finalize)
+	p.sup.addStage("analytics", p.analyze, p.analytics.Finalize)
 	p.sup.add("sampler", func(sctx context.Context, beat func()) error {
 		return p.sampleMetrics(sctx, drainCh, beat)
 	}, nil)
@@ -485,9 +494,13 @@ func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, bea
 // generate is the source stage: it paces intents against the sim clock
 // and admits them (times the rate multiplier) onto the blocking intent
 // queue. Exits cleanly when drain closes.
-func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.Rand, beat func()) error {
+func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.Rand, st *stage) error {
+	// One pacing timer for the incarnation, stopped until the first wait.
+	pace := time.NewTimer(time.Hour)
+	pace.Stop()
+	defer pace.Stop()
 	for {
-		beat()
+		st.beat()
 		select {
 		case <-drain:
 			return nil
@@ -503,24 +516,24 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 			continue
 		}
 
-		// Pace: hold until the sim clock is within lookahead of the
-		// intent's start, heartbeating through long waits.
+		// Pace: hold, parked, until the sim clock is within lookahead of
+		// the intent's start. The timer fired (and was received) before
+		// each Reset, so no stale tick is left in its channel.
 		for {
 			wait := p.clock.WallUntil(fi.Start - lookahead)
 			if wait <= 0 {
 				break
 			}
-			if wait > 100*time.Millisecond {
-				wait = 100 * time.Millisecond
-			}
+			pace.Reset(wait)
+			st.park()
 			select {
 			case <-drain:
 				return nil
 			case <-ctx.Done():
 				return nil
-			case <-time.After(wait):
-				beat()
+			case <-pace.C:
 			}
+			st.unpark()
 		}
 		// Rate multiplier: floor copies plus a Bernoulli trial on the
 		// fraction. Replicas get distinct sequence numbers, hence
@@ -535,7 +548,7 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 			if p.tracing != nil {
 				item.admitNS = time.Now().UnixNano()
 			}
-			if !p.intentQ.Push(ctx, item, beat) {
+			if !p.intentQ.Push(ctx, item, st) {
 				return nil // cancelled mid-push
 			}
 			p.intents.Add(1)
@@ -547,18 +560,15 @@ func (p *Pipeline) generate(ctx context.Context, drain <-chan struct{}, r *dist.
 // dispatch shards intents to workers by customer ID (each customer's
 // port allocator and tracker state must stay on one goroutine). The
 // worker edges shed under overload.
-func (p *Pipeline) dispatch(ctx context.Context, beat func()) error {
+func (p *Pipeline) dispatch(ctx context.Context, st *stage) error {
 	for {
-		beat()
-		item, ok := p.intentQ.Pop(ctx, beat)
+		st.beat()
+		item, ok := p.intentQ.Pop(ctx, st)
 		if !ok {
-			if ctx.Err() != nil {
-				return nil // hard abort; supervisor sorts it out
-			}
-			return nil // drained
+			return nil // drained, or a hard abort the supervisor sorts out
 		}
 		shard := item.fi.Customer.ID % p.cfg.Workers
-		p.workerQs[shard].Push(ctx, item, beat) // Shed: drop + count when full
+		p.workerQs[shard].Push(ctx, item, st) // Shed: drop + count when full
 	}
 }
 
@@ -575,7 +585,7 @@ func (p *Pipeline) dispatch(ctx context.Context, beat func()) error {
 // is the only moment the analytics-admit span can be attributed safely;
 // it is cleared between Process and Advance so a directly-finished
 // handle (beam outage) can never steal a later record's admit span.
-func (p *Pipeline) synth(ctx context.Context, shard int, beat func()) error {
+func (p *Pipeline) synth(ctx context.Context, shard int, st *stage) error {
 	var pending []*trace.Flow
 	fresh := false
 	sink := trace.SinkFunc(func(f *trace.Flow) {
@@ -599,12 +609,13 @@ func (p *Pipeline) synth(ctx context.Context, shard int, beat func()) error {
 	w := p.sim.NewWorker(
 		func(rec tstat.FlowRecord) {
 			fl := takeFresh()
-			r := rec
+			r := p.flowFree.Get().(*tstat.FlowRecord)
+			*r = rec
 			start := time.Time{}
 			if fl != nil {
 				start = time.Now()
 			}
-			ok := p.recordQ.Push(ctx, recordItem{flow: &r}, beat)
+			ok := p.recordQ.Push(ctx, recordItem{flow: r}, st)
 			if fl != nil {
 				fl.Span(trace.SpanLiveAdmit, trace.SegProbe, time.Since(start),
 					trace.Attrs{"admitted": ok})
@@ -612,12 +623,17 @@ func (p *Pipeline) synth(ctx context.Context, shard int, beat func()) error {
 			if ok {
 				p.flowRecs.Add(1)
 				mFlowRecords.Inc()
+			} else {
+				p.flowFree.Put(r)
 			}
 		},
 		func(rec tstat.DNSRecord) {
-			r := rec
-			if p.recordQ.Push(ctx, recordItem{dns: &r}, beat) {
+			r := p.dnsFree.Get().(*tstat.DNSRecord)
+			*r = rec
+			if p.recordQ.Push(ctx, recordItem{dns: r}, st) {
 				p.dnsRecs.Add(1)
+			} else {
+				p.dnsFree.Put(r)
 			}
 		},
 	)
@@ -626,8 +642,8 @@ func (p *Pipeline) synth(ctx context.Context, shard int, beat func()) error {
 		p.publishActiveFlows()
 	}()
 	for {
-		beat()
-		item, ok := p.workerQs[shard].Pop(ctx, beat)
+		st.beat()
+		item, ok := p.workerQs[shard].Pop(ctx, st)
 		if !ok {
 			if ctx.Err() == nil {
 				w.Flush() // graceful drain: emit everything in flight
@@ -668,19 +684,22 @@ func (p *Pipeline) publishActiveFlows() {
 	mActiveFlows.Set(float64(p.activeFlowsTotal()))
 }
 
-// analyze folds the record stream into rolling windows.
-func (p *Pipeline) analyze(ctx context.Context, beat func()) error {
+// analyze folds the record stream into rolling windows, returning each
+// record to the edge's free list once folded.
+func (p *Pipeline) analyze(ctx context.Context, st *stage) error {
 	for {
-		beat()
-		item, ok := p.recordQ.Pop(ctx, beat)
+		st.beat()
+		item, ok := p.recordQ.Pop(ctx, st)
 		if !ok {
 			return nil
 		}
 		switch {
 		case item.flow != nil:
 			p.analytics.AddFlow(*item.flow)
+			p.flowFree.Put(item.flow)
 		case item.dns != nil:
 			p.analytics.AddDNS(*item.dns)
+			p.dnsFree.Put(item.dns)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"satwatch/internal/obs"
 )
@@ -80,13 +79,12 @@ func (q *Queue[T]) accepted() {
 	q.m.HighWater.SetMax(depth)
 }
 
-// Push offers v to the queue. Block policy waits for space, calling beat
-// (when non-nil) periodically so a backpressured producer still
-// heartbeats — backpressure is not a stall. Shed policy never waits.
-// Returns false when the item was shed or ctx was cancelled. Push on a
-// closed queue panics (the pipeline closes an edge only after every
-// producer has exited).
-func (q *Queue[T]) Push(ctx context.Context, v T, beat func()) bool {
+// Push offers v to the queue. Block policy waits for space or for ctx;
+// st (when non-nil) is parked for the wait, because backpressure is not
+// a stall. Shed policy never waits. Returns false when the item was shed
+// or ctx was cancelled. Push on a closed queue panics (the pipeline
+// closes an edge only after every producer has exited).
+func (q *Queue[T]) Push(ctx context.Context, v T, st *stage) bool {
 	if q.policy == Shed {
 		if len(q.ch) >= q.limit() {
 			q.m.Shed.Inc()
@@ -101,59 +99,42 @@ func (q *Queue[T]) Push(ctx context.Context, v T, beat func()) bool {
 			return false
 		}
 	}
-	// Block: try fast, then wait with heartbeats.
+	// Block: try fast, then park until there is space.
 	select {
 	case q.ch <- v:
 		q.accepted()
 		return true
 	default:
 	}
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case q.ch <- v:
-			q.accepted()
-			return true
-		case <-ctx.Done():
-			return false
-		case <-tick.C:
-			if beat != nil {
-				beat()
-			}
-		}
+	st.park()
+	defer st.unpark()
+	select {
+	case q.ch <- v:
+		q.accepted()
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
-// Pop takes the next item, waiting for one. beat (when non-nil) is
-// called periodically while idle so a starved consumer still heartbeats.
-// ok is false when the queue is closed and drained, or ctx is cancelled.
-func (q *Queue[T]) Pop(ctx context.Context, beat func()) (v T, ok bool) {
+// Pop takes the next item, waiting for one; st (when non-nil) is parked
+// while the queue is empty, so a starved consumer is not a stall. ok is
+// false when the queue is closed and drained, or ctx is cancelled.
+func (q *Queue[T]) Pop(ctx context.Context, st *stage) (v T, ok bool) {
 	select {
 	case v, ok = <-q.ch:
-		if ok {
-			q.m.Depth.Add(-1)
-		}
-		return v, ok
 	default:
-	}
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
+		st.park()
 		select {
 		case v, ok = <-q.ch:
-			if ok {
-				q.m.Depth.Add(-1)
-			}
-			return v, ok
 		case <-ctx.Done():
-			return v, false
-		case <-tick.C:
-			if beat != nil {
-				beat()
-			}
 		}
+		st.unpark()
 	}
+	if ok {
+		q.m.Depth.Add(-1)
+	}
+	return v, ok
 }
 
 // Close marks the producer side finished; Pop drains the remaining items

@@ -29,20 +29,20 @@ func TestQueueBlockAppliesBackpressure(t *testing.T) {
 		t.Fatal("pushes within capacity must succeed")
 	}
 
-	// A third push must block until a pop frees space — and must call
-	// beat while waiting, because backpressure is not a stall.
-	var beats atomic.Int64
+	// A third push must block until a pop frees space — and must park
+	// its stage while waiting, because backpressure is not a stall.
+	st := &stage{name: "producer"}
 	pushed := make(chan bool, 1)
 	go func() {
-		pushed <- q.Push(ctx, 3, func() { beats.Add(1) })
+		pushed <- q.Push(ctx, 3, st)
 	}()
 	select {
 	case <-pushed:
 		t.Fatal("push on a full Block queue returned without a pop")
 	case <-time.After(250 * time.Millisecond):
 	}
-	if beats.Load() == 0 {
-		t.Error("blocked push never heartbeated")
+	if !st.parked.Load() {
+		t.Error("blocked push did not park its stage")
 	}
 	if v, ok := q.Pop(ctx, nil); !ok || v != 1 {
 		t.Fatalf("Pop = %d, %v", v, ok)
@@ -54,6 +54,9 @@ func TestQueueBlockAppliesBackpressure(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("push still blocked after pop freed space")
+	}
+	if st.parked.Load() {
+		t.Error("stage still parked after its push went through")
 	}
 	if m.Shed.Value() != 0 {
 		t.Errorf("Block queue shed %d items", m.Shed.Value())
@@ -77,6 +80,26 @@ func TestQueueBlockPushAbortsOnCancel(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled push did not return")
+	}
+}
+
+// TestQueueIdleWaitAllocatesNothing: a wait parks the stage and blocks
+// on the queue's channel and ctx, with no ticker or timer behind it.
+func TestQueueIdleWaitAllocatesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st := &stage{name: "idle"}
+	empty := NewQueue[int](1, Block, testQueueMetrics(t), nil)
+	if n := testing.AllocsPerRun(100, func() { empty.Pop(ctx, st) }); n != 0 {
+		t.Errorf("Pop on an empty queue allocates %v objects, want 0", n)
+	}
+	full := NewQueue[int](1, Block, testQueueMetrics(t), nil)
+	full.Push(ctx, 1, nil)
+	if n := testing.AllocsPerRun(100, func() { full.Push(ctx, 2, st) }); n != 0 {
+		t.Errorf("Block Push to a full queue allocates %v objects, want 0", n)
+	}
+	if st.parked.Load() {
+		t.Error("stage left parked after its waits were cancelled")
 	}
 }
 

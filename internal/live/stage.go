@@ -10,19 +10,24 @@ import (
 )
 
 // stageFn is one stage's body. It must heartbeat via the provided beat
-// function at every loop iteration (queue Push/Pop call it while
-// waiting). Returning nil means clean exit (input drained) — the
+// function at every loop iteration; a body that waits for input, space
+// or time parks its stage for the wait instead (see addStage and
+// Queue.Push/Pop). Returning nil means clean exit (input drained) — the
 // supervisor lets the stage go. Returning an error (or panicking) gets
 // the stage relaunched.
 type stageFn func(ctx context.Context, beat func()) error
 
 // stage is the supervised unit: a named goroutine with a heartbeat the
-// watchdog inspects, restarted on panic or watchdog cancel.
+// watchdog inspects, restarted on panic or watchdog cancel. At any moment
+// a running stage is working (beating per item), parked (blocked on a
+// channel and its context, waiting for input, space or time) or wedged
+// (working, but its last beat is older than the stall timeout).
 type stage struct {
 	name string
 	fn   stageFn
 
 	hb       atomic.Int64 // wall nanos of the last heartbeat
+	parked   atomic.Bool  // waiting on a channel and ctx; watchdog ignores
 	restarts atomic.Int64
 	done     atomic.Bool // clean exit; no restart, watchdog ignores
 
@@ -36,9 +41,30 @@ type stage struct {
 
 func (st *stage) beat() { st.hb.Store(time.Now().UnixNano()) }
 
-// stale reports whether the heartbeat is older than timeout.
+// park marks the stage as waiting: until unpark, the watchdog does not
+// count the silence against it. A parked stage must block only on
+// channels and its context, so a cancel still unwinds it. Nil-safe, so a
+// queue used outside a supervisor takes a nil stage.
+func (st *stage) park() {
+	if st != nil {
+		st.parked.Store(true)
+	}
+}
+
+// unpark ends a wait: the stage is working again, as of now. The beat
+// lands before the flag clears, so the watchdog never sees an unparked
+// stage with the heartbeat from before its wait.
+func (st *stage) unpark() {
+	if st != nil {
+		st.beat()
+		st.parked.Store(false)
+	}
+}
+
+// stale reports whether a working stage's heartbeat is older than
+// timeout: it is wedged mid-item.
 func (st *stage) stale(timeout time.Duration) bool {
-	if st.done.Load() {
+	if st.done.Load() || st.parked.Load() {
 		return false
 	}
 	return time.Since(time.Unix(0, st.hb.Load())) > timeout
@@ -63,6 +89,14 @@ func (sup *supervisor) add(name string, fn stageFn, onExit func()) *stage {
 	return st
 }
 
+// addStage registers a stage whose body holds its own *stage: it beats
+// through it and hands it to every wait (Queue.Push/Pop, pacing), so the
+// stage parks while idle instead of waking to beat.
+func (sup *supervisor) addStage(name string, body func(ctx context.Context, st *stage) error, onExit func()) {
+	var st *stage
+	st = sup.add(name, func(ctx context.Context, _ func()) error { return body(ctx, st) }, onExit)
+}
+
 // start launches every stage under ctx plus the watchdog. The watchdog
 // exits only when ctx is cancelled — it must outlive a graceful drain,
 // so wait does not cover it; cancel ctx and receive on wdDone to reap it.
@@ -85,7 +119,7 @@ func (sup *supervisor) wait() { sup.wg.Wait() }
 func (sup *supervisor) run(ctx context.Context, st *stage) {
 	defer sup.wg.Done()
 	for {
-		st.beat()
+		st.unpark() // an incarnation starts out working
 		stageCtx, cancel := context.WithCancel(ctx)
 		st.cancelMu.Lock()
 		st.cancel = cancel
@@ -131,9 +165,10 @@ func (sup *supervisor) invoke(ctx context.Context, st *stage) (err error) {
 }
 
 // watchdog scans heartbeats and cancels stalled incarnations. Every
-// blocking point in a stage is context-aware and beats while waiting, so
-// a stale heartbeat means the stage is wedged mid-item; cancelling its
-// context unwinds it and run relaunches it in (now) degraded mode.
+// blocking point in a stage is context-aware and parks the stage while it
+// waits, so a stale heartbeat on an unparked stage means it is wedged
+// mid-item; cancelling its context unwinds it and run relaunches it in
+// (now) degraded mode.
 func (sup *supervisor) watchdog(ctx context.Context) {
 	defer close(sup.wdDone)
 	interval := sup.timeout / 4

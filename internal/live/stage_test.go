@@ -146,3 +146,42 @@ func TestSupervisorHardAbortStopsRestarting(t *testing.T) {
 	}
 	<-sup.wdDone
 }
+
+// TestParkedStageIsNotStalled: a stage starved of input parks in Pop and
+// stays parked past several stall timeouts without a single wake-up; the
+// watchdog must neither report it stalled nor cancel it.
+func TestParkedStageIsNotStalled(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	sup, degradations := testSupervisor(timeout)
+	q := NewQueue[int](1, Block, testQueueMetrics(t), nil)
+	var runs atomic.Int64
+	sup.addStage("starved", func(ctx context.Context, st *stage) error {
+		runs.Add(1)
+		st.beat()
+		if _, ok := q.Pop(ctx, st); ok {
+			return errors.New("popped an item nobody pushed")
+		}
+		return nil
+	}, nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sup.start(ctx)
+	for end := time.Now().Add(4 * timeout); time.Now().Before(end); {
+		if s := sup.stalled(); len(s) > 0 {
+			t.Fatalf("parked stage reported stalled: %v", s)
+		}
+		time.Sleep(timeout / 5)
+	}
+	q.Close()
+	sup.wait()
+	cancel()
+	<-sup.wdDone
+
+	if got := runs.Load(); got != 1 {
+		t.Errorf("parked stage ran %d times, want 1 (never restarted)", got)
+	}
+	if degradations.Load() != 0 {
+		t.Error("parked stage degraded the pipeline")
+	}
+}

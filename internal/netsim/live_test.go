@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -300,5 +302,53 @@ func TestLiveSimHonoursMACOverride(t *testing.T) {
 	want.Seed = 77
 	if got := lv.NewWorker(nil, nil).syn.mac.Params(); got != want {
 		t.Errorf("live MAC params = %+v, want %+v", got, want)
+	}
+}
+
+// TestLiveWorkerAllocationBudget holds what a warm LiveWorker allocates
+// per intent, Process plus Advance, the way the daemon's synth stage
+// calls them. It measures 6.75 objects (geo, 30 customers, seed 11); it
+// read 8.75 while each intent's random stream was three objects. A race
+// build reads about 0.25 more: the race detector drops sync.Pool puts at
+// random, and the service classifier's regexps then allocate matchers.
+func TestLiveWorkerAllocationBudget(t *testing.T) {
+	budget := 6.8
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				budget += 0.45
+			}
+		}
+	}
+	lv, err := NewLiveSim(Config{Customers: 30, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := lv.NewWorker(func(tstat.FlowRecord) {}, func(tstat.DNSRecord) {})
+	src := workload.NewSource(lv.Customers(), lv.Root())
+	intents := make([]workload.FlowIntent, 7000)
+	for i := range intents {
+		intents[i] = *src.Next()
+	}
+	process := func(i int) {
+		if err := w.Process(&intents[i], uint64(i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+		w.Advance(intents[i].Start)
+	}
+	const warm = 2000 // tracker tables and memos fill up
+	for i := 0; i < warm; i++ {
+		process(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := warm; i < len(intents); i++ {
+		process(i)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / float64(len(intents)-warm)
+	if got > budget {
+		t.Errorf("warm LiveWorker allocates %.3f objects per intent, budget %.2f", got, budget)
 	}
 }
