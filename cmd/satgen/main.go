@@ -1,10 +1,11 @@
 // Command satgen generates synthetic SatCom deployment traces: anonymized
-// Tstat-style flow/DNS logs from the full simulator, and a small pcap
-// capture of a sample of the run's own flows (-pcap-flows, 0 disables;
-// written only when the run completed ok): the sampled flows re-synthesized
-// and rendered to decodable wire packets, stamped from 00:00 UTC of
-// simulated day 0 like the logs, so satprobe replaying sample.pcap
-// reproduces those flows' log rows.
+// Tstat-style flow/DNS logs from the full simulator, with the operator's
+// customer, prefix and beam tables (the five logs satreport -from reads),
+// and a small pcap capture of a sample of the run's own flows (-pcap-flows,
+// 0 disables; written only when the run completed ok): the sampled flows
+// re-synthesized and rendered to decodable wire packets, stamped from
+// 00:00 UTC of simulated day 0 like the logs, so satprobe replaying
+// sample.pcap reproduces those flows' log rows.
 //
 // Every run writes a manifest.json next to its outputs (config, seed,
 // version, per-stage timings, output digests, run status) so runs are
@@ -143,8 +144,8 @@ func run() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("wrote %s (%d flows), %s (%d DNS transactions), %s, %s\n",
-		outputs[0], len(sim.Flows), outputs[1], len(sim.DNS), outputs[2], outputs[3])
+	fmt.Printf("wrote %s (%d flows), %s (%d DNS transactions), %s\n",
+		outputs[0], len(sim.Flows), outputs[1], len(sim.DNS), strings.Join(outputs[2:], ", "))
 
 	manifest.AddTiming("write", time.Since(writeStart))
 

@@ -1,5 +1,5 @@
-// Command sattrace renders flow traces recorded by satgen/satreport
-// -trace: per-flow latency waterfalls ("explain this flow's 550 ms") and
+// Command sattrace renders flow traces recorded by satgen -trace or
+// satlive -trace: per-flow latency waterfalls ("explain this flow's 550 ms") and
 // top-K rankings of the slowest flows, overall or by component.
 //
 // Corrupt JSONL lines — the tail of a trace cut short by a kill — are
@@ -40,7 +40,7 @@ import (
 func main() { obs.Main("sattrace", run) }
 
 func run() (int, error) {
-	in := flag.String("in", "", "trace JSONL file written by satgen/satreport -trace")
+	in := flag.String("in", "", "trace JSONL file written by satgen -trace")
 	glob := flag.String("glob", "", "glob of trace JSONL files to merge (rotated satlive -trace logs)")
 	top := flag.Int("top", 10, "show the K slowest flows")
 	by := flag.String("by", "", "rank by this component's span time (e.g. pep.setup) instead of total RTT")

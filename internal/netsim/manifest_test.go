@@ -52,8 +52,8 @@ func TestManifestIntegration(t *testing.T) {
 	if err := json.Unmarshal(raw, &generic); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
-	got, err := obs.ReadManifest(dir)
-	if err != nil {
+	var got obs.Manifest
+	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tool != "netsim-test" || got.Seed != 7 || got.Parallelism != 2 {

@@ -212,13 +212,9 @@ type CustomerMeta struct {
 
 // BeamStat summarizes one beam over the run (Figure 8b inputs).
 type BeamStat struct {
-	Beam           int
-	Country        geo.CountryCode
-	PeakUtil       float64 // utilization at the beam's busiest hour
-	MeanUtil       float64
-	PEPPeakRho     float64
-	CapacityBps    float64
-	OfferedPeakBps float64
+	Beam     int
+	Country  geo.CountryCode
+	PeakUtil float64 // utilization at the beam's busiest hour
 }
 
 // RunStats are the per-stage wall timings and worker statistics of one
@@ -371,23 +367,11 @@ func beamStats(loads []*beamLoad, hours int) []BeamStat {
 		if bl == nil {
 			continue
 		}
-		var sum, peak, pepPeakRho float64
+		var peak float64
 		for h := 0; h < hours; h++ {
-			u := bl.util(h)
-			sum += u
-			if u > peak {
-				peak = u
-			}
-			if rho := bl.pepRho(h, bl.beam.PEPFactor); rho > pepPeakRho {
-				pepPeakRho = rho
-			}
+			peak = max(peak, bl.util(h))
 		}
-		out = append(out, BeamStat{
-			Beam: bl.beam.ID, Country: bl.beam.Country,
-			PeakUtil: peak, MeanUtil: sum / float64(hours),
-			PEPPeakRho: pepPeakRho, CapacityBps: bl.capacity * 8,
-			OfferedPeakBps: bl.capacity * bl.beam.TargetPeakUtil * 8,
-		})
+		out = append(out, BeamStat{Beam: bl.beam.ID, Country: bl.beam.Country, PeakUtil: peak})
 	}
 	return out
 }

@@ -180,12 +180,6 @@ func TestBeamStatsSane(t *testing.T) {
 		if b.PeakUtil <= 0 || b.PeakUtil > 1.05 {
 			t.Fatalf("beam %d peak util %v", b.Beam, b.PeakUtil)
 		}
-		if b.MeanUtil > b.PeakUtil {
-			t.Fatalf("beam %d mean util above peak", b.Beam)
-		}
-		if b.CapacityBps <= 0 {
-			t.Fatalf("beam %d capacity %v", b.Beam, b.CapacityBps)
-		}
 	}
 }
 

@@ -20,7 +20,7 @@ const ManifestName = "manifest.json"
 // effective parallelism, per-stage wall timings, and content digests of
 // every output file. OBSERVABILITY.md documents the schema.
 type Manifest struct {
-	// Tool is the producing command ("satgen", "satreport", ...).
+	// Tool is the producing command ("satgen", "satlive", ...).
 	Tool string `json:"tool"`
 	// Version identifies the build (module version plus VCS revision
 	// when the binary was built with VCS stamping; see Version).
@@ -174,19 +174,6 @@ func (m *Manifest) Write(dir string) error {
 		_, err := w.Write(append(b, '\n'))
 		return err
 	})
-}
-
-// ReadManifest parses dir/manifest.json.
-func ReadManifest(dir string) (*Manifest, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("obs: manifest parse: %w", err)
-	}
-	return &m, nil
 }
 
 // Version reports the build's identity from the embedded build info: the

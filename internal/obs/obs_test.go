@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -318,3 +319,16 @@ func TestStartProgress(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// ReadManifest parses dir/manifest.json.
+func ReadManifest(dir string) (*Manifest, error) {
+	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		return nil, err
+	}
+	var m Manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		return nil, fmt.Errorf("obs: manifest parse: %w", err)
+	}
+	return &m, nil
+}

@@ -14,16 +14,17 @@ import (
 	"satwatch/internal/obs"
 )
 
-// The artifact file names a capture writes into its directory.
+// The artifact file names a capture writes into its directory. Every one
+// is a gzipped, symbolized protobuf profile: go tool pprof reads it
+// without the binary that wrote it.
 const (
-	// CPUProfileName is the CPU profile, protobuf format (go tool pprof).
+	// CPUProfileName is the CPU profile, labeled by stage and worker.
 	CPUProfileName = "cpu.pprof"
-	// HeapProfileName is the heap profile in debug=1 text form: readable
-	// by go tool pprof and parseable by ParseHeap/cmd/satprof.
+	// HeapProfileName is the heap profile after a forced GC.
 	HeapProfileName = "heap.pprof"
-	// GoroutineProfileName is the goroutine profile in debug=1 text form.
+	// GoroutineProfileName is the goroutine profile.
 	GoroutineProfileName = "goroutine.pprof"
-	// BlockProfileName is the blocking profile, protobuf format.
+	// BlockProfileName is the blocking profile.
 	BlockProfileName = "block.pprof"
 )
 
@@ -113,22 +114,18 @@ func (c *Capture) stop() (obs.ProfilesInfo, error) {
 	}
 	info.Files[CPUProfileName] = digest
 
-	// Heap last-GC state is what debug=1 reports; run a GC so the profile
+	// The heap profile reports the state as of the last GC; run one so it
 	// reflects the end-of-run heap, not an arbitrary earlier cycle.
 	runtime.GC()
-	for _, p := range []struct {
-		name    string
-		profile string
-		debug   int
-	}{
-		{HeapProfileName, "heap", 1},
-		{GoroutineProfileName, "goroutine", 1},
-		{BlockProfileName, "block", 0},
+	for _, p := range []struct{ name, profile string }{
+		{HeapProfileName, "heap"},
+		{GoroutineProfileName, "goroutine"},
+		{BlockProfileName, "block"},
 	} {
 		path := filepath.Join(c.dir, p.name)
 		h := sha256.New()
 		if err := obs.WriteFileAtomic(path, func(w io.Writer) error {
-			return pprof.Lookup(p.profile).WriteTo(io.MultiWriter(w, h), p.debug)
+			return pprof.Lookup(p.profile).WriteTo(io.MultiWriter(w, h), 0)
 		}); err != nil {
 			return info, fmt.Errorf("prof: %s profile: %w", p.profile, err)
 		}

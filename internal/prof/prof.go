@@ -1,9 +1,8 @@
 // Package prof is the pipeline's profiling layer: per-stage CPU
 // attribution through pprof labels, per-stage allocation accounting from
-// the runtime allocation counters, automatic profile artifacts (-profile
-// DIR on the CLIs), and parsers for the text-format heap and goroutine
-// profiles that cmd/satprof renders. Like internal/obs it is
-// dependency-free: everything here is standard library.
+// the runtime allocation counters, and automatic profile artifacts
+// (-profile DIR on the CLIs) that go tool pprof reads. Like internal/obs
+// it is dependency-free: everything here is standard library.
 //
 // The stage-label contract (documented in DESIGN.md): every CPU sample
 // taken while the pipeline runs carries a `stage` label naming the

@@ -34,8 +34,8 @@ func handDataset() *analytics.Dataset {
 			netip.MustParsePrefix("88.20.0.0/16"): "ES",
 		},
 		Beams: []netsim.BeamStat{
-			{Beam: 1, Country: "CD", PeakUtil: 0.95, MeanUtil: 0.6},
-			{Beam: 10, Country: "ES", PeakUtil: 0.3, MeanUtil: 0.2},
+			{Beam: 1, Country: "CD", PeakUtil: 0.95},
+			{Beam: 10, Country: "ES", PeakUtil: 0.3},
 		},
 	}
 	mk := func(client, server netip.Addr, proto tstat.Protocol, domain string, start time.Duration, down int64, sat, ground time.Duration) tstat.FlowRecord {

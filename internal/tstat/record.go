@@ -152,6 +152,27 @@ type DNSRecord struct {
 	ResponseTime time.Duration // request→response at the vantage point
 }
 
+// TruncateToLog rounds every time in flows and dns toward zero to whole
+// microseconds, the logs' resolution, in place. The records a run
+// analyzes are then the records a replay of its logs reads back; they
+// encode to the same bytes either way.
+func TruncateToLog(flows []FlowRecord, dns []DNSRecord) {
+	const us = time.Microsecond
+	for i := range flows {
+		f := &flows[i]
+		f.Start, f.End, f.SatRTT = f.Start.Truncate(us), f.End.Truncate(us), f.SatRTT.Truncate(us)
+		g := &f.GroundRTT
+		g.Min, g.Avg, g.Max, g.Std = g.Min.Truncate(us), g.Avg.Truncate(us), g.Max.Truncate(us), g.Std.Truncate(us)
+		for j, t := range f.First10 {
+			f.First10[j] = t.Truncate(us)
+		}
+	}
+	for i := range dns {
+		d := &dns[i]
+		d.T, d.ResponseTime = d.T.Truncate(us), d.ResponseTime.Truncate(us)
+	}
+}
+
 // --- TSV serialization -------------------------------------------------
 
 const flowHeader = "client\tcport\tserver\tsport\tproto\tdomain\tstart_us\tend_us\tbytes_up\tbytes_down\tpkts_up\tpkts_down\trtt_n\trtt_min_us\trtt_avg_us\trtt_max_us\trtt_std_us\tsat_rtt_us\tfirst10_us"

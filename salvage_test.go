@@ -30,7 +30,8 @@ type salvageFormat struct {
 	// jsonl: a record cut short never parses. A TSV row cut inside its last
 	// field still does — the formats carry no checksum.
 	jsonl bool
-	// strictOnly: the tools never salvage this file (prefixes.tsv).
+	// strictOnly: the tools never salvage this file (prefixes.tsv,
+	// beams.tsv); a damaged line fails the read, naming the file.
 	strictOnly bool
 	read       func(strict bool) (recs []string, skipped int, err error)
 }
@@ -54,6 +55,7 @@ func salvageFormats(t *testing.T) []salvageFormat {
 			Query: "d.example", Answer: netip.MustParseAddr("151.101.1.1"), T: at, ResponseTime: 600e6})
 		out.Meta[addr(i)] = netsim.CustomerMeta{Country: "CD", Beam: 2 + i, PlanMbs: 10, Multiplex: 25, Resolver: "Google"}
 		out.CountryPrefixes[netip.PrefixFrom(netip.AddrFrom4([4]byte{77, byte(16 + i), 0, 0}), 16)] = "CD"
+		out.Beams = append(out.Beams, netsim.BeamStat{Beam: 2 + i, Country: "CD", PeakUtil: 0.1 * float64(i+1)})
 	}
 	logs := t.TempDir()
 	if _, err := netsim.WriteLogs(logs, out); err != nil {
@@ -64,12 +66,13 @@ func salvageFormats(t *testing.T) []salvageFormat {
 		"dns.tsv":      func(o *netsim.Output) []string { return rendered(o.DNS) },
 		"meta.tsv":     func(o *netsim.Output) []string { return renderedMap(o.Meta) },
 		"prefixes.tsv": func(o *netsim.Output) []string { return renderedMap(o.CountryPrefixes) },
+		"beams.tsv":    func(o *netsim.Output) []string { return rendered(o.Beams) },
 	}
 	var formats []salvageFormat
 	for _, name := range netsim.LogNames {
 		name := name
 		formats = append(formats, salvageFormat{
-			name: name, path: filepath.Join(logs, name), header: true, strictOnly: name == "prefixes.tsv",
+			name: name, path: filepath.Join(logs, name), header: true, strictOnly: name == "prefixes.tsv" || name == "beams.tsv",
 			read: func(strict bool) ([]string, int, error) {
 				o, skipped, err := netsim.ReadLogs(logs, strict)
 				if err != nil {
@@ -150,7 +153,7 @@ func renderedMap[K comparable, V any](m map[K]V) (out []string) {
 }
 
 // TestSalvageAtEveryOffset is crash injection on the read side (ROADMAP
-// 6d): each of the six logs, written by its own writer, is cut at every
+// 6d): each of the seven logs, written by its own writer, is cut at every
 // byte offset of its last record — what a kill mid-write leaves — and once
 // given the 5 MiB NUL tail of a power cut. The tolerant read must return
 // the intact records, skip at most the torn one and not fail; the strict
@@ -165,7 +168,7 @@ func TestSalvageAtEveryOffset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer os.WriteFile(f.path, data, 0o644) // the four TSVs are read as a set
+			defer os.WriteFile(f.path, data, 0o644) // the five TSVs are read as a set
 			want, skipped, err := f.read(false)
 			if err != nil || skipped != 0 || len(want) != salvageRecords {
 				t.Fatalf("clean read: %d records, %d skipped, err %v", len(want), skipped, err)
@@ -195,8 +198,9 @@ func TestSalvageAtEveryOffset(t *testing.T) {
 					badLine++
 				}
 				if f.strictOnly && err != nil {
-					if tail == nothing || tail == completeRecord || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", badLine)) {
-						t.Fatalf("never-salvaged log: err %v, want nil or line %d", err, badLine)
+					if tail == nothing || tail == completeRecord || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", badLine)) ||
+						!strings.Contains(err.Error(), f.name) {
+						t.Fatalf("never-salvaged log: err %v, want nil or %s line %d", err, f.name, badLine)
 					}
 					return nil
 				}

@@ -25,12 +25,12 @@ import (
 	"sync"
 
 	"satwatch/internal/analytics"
-	"satwatch/internal/faults"
 	"satwatch/internal/geo"
 	"satwatch/internal/netsim"
 	"satwatch/internal/prof"
 	"satwatch/internal/report"
 	"satwatch/internal/trace"
+	"satwatch/internal/tstat"
 )
 
 // Pipeline is a configured end-to-end run: generate → probe → analyze.
@@ -79,11 +79,6 @@ func WithIntentCacheBytes(n int64) Option {
 // internal/trace). The caller owns the tracer and must Close it after
 // Run to flush the buffered flows.
 func WithTracer(tr *trace.Tracer) Option { return func(p *Pipeline) { p.cfg.Trace = tr } }
-
-// WithFaults plays back a deterministic fault schedule during the run:
-// rain fronts, beam outages, gateway switchovers, PEP overloads and
-// resolver outages (see internal/faults). Nil restores clear skies.
-func WithFaults(s *faults.Schedule) Option { return func(p *Pipeline) { p.cfg.Faults = s } }
 
 // WithThroughputThreshold sets the Figure 11 minimum flow size in bytes.
 func WithThroughputThreshold(b int64) Option {
@@ -150,25 +145,20 @@ type Results struct {
 	Signatures report.Signatures
 }
 
-// Run executes the pipeline.
+// Run executes the pipeline. The run's records are analyzed at the logs'
+// resolution (whole microseconds), so the report is the one a replay of
+// the run's logs gives: satgen then satreport -from prints it too.
 func (p *Pipeline) Run() (*Results, error) {
-	return p.RunContext(context.Background())
-}
-
-// RunContext executes the pipeline under ctx: cancellation mid-simulation
-// yields the flows the workers had finished, analyzed as usual, with
-// Output.Stats.Interrupted set (see netsim.RunContext).
-func (p *Pipeline) RunContext(ctx context.Context) (*Results, error) {
-	out, err := netsim.RunContext(ctx, p.cfg)
+	out, err := netsim.Run(p.cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Analysis runs as the stage=report profile stage; its allocation
 	// delta joins the simulator's per-stage accounting in Stats.
 	var res *Results
-	alloc := prof.Stage(ctx, prof.StageReport, func(context.Context) {
-		ds := analytics.NewDataset(out, p.cfg.Days)
-		res = p.Analyze(out, ds)
+	alloc := prof.Stage(context.Background(), prof.StageReport, func(context.Context) {
+		tstat.TruncateToLog(out.Flows, out.DNS)
+		res = p.Analyze(out, analytics.NewDataset(out, p.cfg.Days))
 	})
 	if out.Stats.StageAllocs != nil {
 		out.Stats.StageAllocs["report"] = alloc

@@ -409,7 +409,6 @@ var uncalled = map[string]reason{
 	"internal/dist.Rand.Shuffle":         benchCaller,
 	"internal/mac.Model.QuantileUplink":  benchCaller,
 	"internal/mac.Model.SampleUplink":    benchCaller,
-	"internal/netsim.Run":                benchCaller,
 	"internal/pepmodel.Model.SetupDelay": benchCaller,
 	"internal/phy.ChannelFor":            benchCaller,
 	"internal/shaper.ForPlan":            benchCaller,
