@@ -32,9 +32,19 @@ type synthesizer struct {
 	loads   []*beamLoad // indexed by beam ID
 	ports   map[int]*portAlloc
 
-	chCache  map[string][]byte // ClientHello bytes per SNI
-	shBytes  []byte            // ServerHello + Certificate + HelloDone
-	ckeBytes []byte            // ClientKeyExchange + CCS + Finished
+	chCache   map[string][]byte // ClientHello bytes per SNI
+	shBytes   []byte            // ServerHello + Certificate + HelloDone
+	ckeBytes  []byte            // ClientKeyExchange + CCS + Finished
+	opaqueTCP []byte            // an opaque TCP flow's first client payload
+	opaqueUDP []byte            // an opaque UDP flow's first datagram
+
+	// Per-flow message scratch: each message is encoded into its own
+	// buffer, which is reused once the tracker (and the tap) returned. The
+	// probe reads payloads in place and copies what it keeps.
+	dnsQuery, dnsAnswer []byte
+	hello, initial      []byte // a ClientHello, and a QUIC flow's Initial
+	request             []byte // an HTTP flow's request head
+	rtpProbe            []byte // an RTP flow's first packet
 
 	// classes memoizes shaper.ClassifyFlow, a pure function of (domain,
 	// server port) that runs a regexp cascade; a population draws a few
@@ -92,28 +102,32 @@ func (s *synthesizer) init() error {
 	s.ports = map[int]*portAlloc{}
 	s.chCache = map[string][]byte{}
 	s.classes = map[classKey]shaper.Class{}
-	sh, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0xc02f}).Encode()
+	sh, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0xc02f}).AppendBinary(nil)
 	if err != nil {
 		return fmt.Errorf("encode ServerHello: %w", err)
 	}
 	hs := append(sh, packet.OpaqueHandshake(packet.TLSHandshakeCertificate, 2800)...)
 	hs = append(hs, packet.OpaqueHandshake(packet.TLSHandshakeServerHelloDone, 0)...)
-	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).Encode()
+	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).AppendBinary(nil)
 	if err != nil {
 		return fmt.Errorf("encode server handshake record: %w", err)
 	}
 	s.shBytes = rec
 
 	cke := packet.OpaqueHandshake(packet.TLSHandshakeClientKeyExchange, 66)
-	rec1, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: cke}).Encode()
+	rec, err = (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: cke}).AppendBinary(nil)
 	if err != nil {
 		return fmt.Errorf("encode ClientKeyExchange record: %w", err)
 	}
-	ccs, err := (&packet.TLSRecord{Type: packet.TLSRecordChangeCipherSpec, Version: packet.TLSVersion12, Payload: []byte{1}}).Encode()
+	rec, err = (&packet.TLSRecord{Type: packet.TLSRecordChangeCipherSpec, Version: packet.TLSVersion12, Payload: []byte{1}}).AppendBinary(rec)
 	if err != nil {
 		return fmt.Errorf("encode ChangeCipherSpec record: %w", err)
 	}
-	s.ckeBytes = append(rec1, ccs...)
+	s.ckeBytes = rec
+
+	s.opaqueTCP = []byte{0x16, 0x99, 0x01}
+	s.opaqueUDP = make([]byte, 64)
+	s.opaqueUDP[0] = 0x01 // neither QUIC long header nor RTP v2
 	return nil
 }
 
@@ -121,11 +135,12 @@ func (s *synthesizer) clientHello(sni string) ([]byte, error) {
 	if b, ok := s.chCache[sni]; ok {
 		return b, nil
 	}
-	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: sni}).Encode()
+	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: sni}).AppendBinary(s.hello[:0])
 	if err != nil {
 		return nil, fmt.Errorf("encode ClientHello %q: %w", sni, err)
 	}
-	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).Encode()
+	s.hello = hs
+	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).AppendBinary(nil)
 	if err != nil {
 		return nil, fmt.Errorf("encode ClientHello record %q: %w", sni, err)
 	}
@@ -578,16 +593,18 @@ func (s *synthesizer) dnsTransaction(fi *workload.FlowIntent, c *workload.Custom
 	id := uint16(r.Uint64())
 	q := &packet.DNS{ID: id, RD: true,
 		Questions: []packet.DNSQuestion{{Name: fi.Domain, Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}
-	qb, err := q.Encode()
+	qb, err := q.AppendBinary(s.dnsQuery[:0])
 	if err != nil {
 		return
 	}
+	s.dnsQuery = qb
 	resp := &packet.DNS{ID: id, QR: true, RA: true, Questions: q.Questions,
 		Answers: []packet.DNSRR{{Name: fi.Domain, Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Addr: answer}}}
-	rb, err := resp.Encode()
+	rb, err := resp.AppendBinary(s.dnsAnswer[:0])
 	if err != nil {
 		return
 	}
+	s.dnsAnswer = rb
 	cp := packet.Endpoint{Addr: c.Addr, Port: s.nextPort(c.ID, tq)}
 	rp := packet.Endpoint{Addr: resolver.Addr, Port: 53}
 	c2r := packet.FiveTuple{Proto: packet.ProtoUDP, Src: cp, Dst: rp}
@@ -664,7 +681,8 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 		s.observe(s2c, tstat.SegmentEvent{T: tCKE + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		dataStart = tCKE + g + ms
 	case cdn.AppHTTP:
-		req := (&packet.HTTPRequest{Method: "GET", Target: "/", Headers: []packet.HTTPHeader{{Name: "Host", Value: fi.Domain}}}).Encode()
+		req, _ := (&packet.HTTPRequest{Method: "GET", Target: "/", Headers: []packet.HTTPHeader{{Name: "Host", Value: fi.Domain}}}).AppendBinary(s.request[:0])
+		s.request = req
 		tReq := t + g + ackGap + ms
 		s.observe(c2s, tstat.SegmentEvent{T: tReq, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: len(req), WireLen: hdrLen + len(req), Packets: 1, AppData: req})
 		seq += uint32(len(req))
@@ -672,7 +690,7 @@ func (s *synthesizer) tcpFlow(fi *workload.FlowIntent, client, server packet.End
 		dataStart = tReq + g + ms
 	default: // opaque TCP: first client payload right after the handshake
 		first := 64 + r.IntN(400)
-		s.observe(c2s, tstat.SegmentEvent{T: t + g + ackGap + ms, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: first, WireLen: hdrLen + first, Packets: 1, AppData: []byte{0x16, 0x99, 0x01}})
+		s.observe(c2s, tstat.SegmentEvent{T: t + g + ackGap + ms, Flags: packet.FlagACK | packet.FlagPSH, Seq: seq, Payload: first, WireLen: hdrLen + first, Packets: 1, AppData: s.opaqueTCP})
 		seq += uint32(first)
 		s.observe(s2c, tstat.SegmentEvent{T: t + g + ackGap + ms + g, Flags: packet.FlagACK, Ack: seq, Packets: 1, WireLen: hdrLen})
 		dataStart = t + 2*g + ackGap + 2*ms
@@ -810,18 +828,20 @@ func (s *synthesizer) quicFlow(fi *workload.FlowIntent, client, server packet.En
 	c2s := packet.FiveTuple{Proto: packet.ProtoUDP, Src: client, Dst: server}
 	s2c := c2s.Reverse()
 
-	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: fi.Domain}).Encode()
+	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: fi.Domain}).AppendBinary(s.hello[:0])
 	if err != nil {
 		return fi.Start
 	}
-	dcid := make([]byte, 8)
+	s.hello = hs
+	var dcid [8]byte
 	for i := range dcid {
 		dcid[i] = byte(r.Uint64())
 	}
-	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: dcid, CryptoPayload: hs}).Encode()
+	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: dcid[:], CryptoPayload: hs}).AppendBinary(s.initial[:0])
 	if err != nil {
 		return fi.Start
 	}
+	s.initial = ini
 	t := fi.Start
 	g := path.groundRTT
 	s.observe(c2s, tstat.SegmentEvent{T: t, Payload: 1252, WireLen: 1280, Packets: 1, AppData: ini})
@@ -847,11 +867,12 @@ func (s *synthesizer) quicFlow(fi *workload.FlowIntent, client, server packet.En
 func (s *synthesizer) rtpFlow(fi *workload.FlowIntent, client, server packet.Endpoint, path pathParams, r *dist.Rand) time.Duration {
 	c2s := packet.FiveTuple{Proto: packet.ProtoUDP, Src: client, Dst: server}
 	s2c := c2s.Reverse()
-	rtp, err := (&packet.RTP{PayloadType: 111, Sequence: uint16(r.Uint64()), SSRC: uint32(r.Uint64())}).Encode()
+	rtp, err := (&packet.RTP{PayloadType: 111, Sequence: uint16(r.Uint64()), SSRC: uint32(r.Uint64())}).AppendBinary(s.rtpProbe[:0])
 	if err != nil {
 		return fi.Start
 	}
 	probe := append(rtp, make([]byte, 148)...)
+	s.rtpProbe = probe
 	// First packet carries DPI-visible RTP bytes.
 	s.observe(c2s, tstat.SegmentEvent{T: fi.Start, Payload: len(probe), WireLen: len(probe) + 28, Packets: 1, AppData: probe})
 	const rateBps = 80_000.0 / 8
@@ -869,8 +890,7 @@ func (s *synthesizer) rtpFlow(fi *workload.FlowIntent, client, server packet.End
 func (s *synthesizer) udpFlow(fi *workload.FlowIntent, client, server packet.Endpoint, path pathParams, r *dist.Rand) time.Duration {
 	c2s := packet.FiveTuple{Proto: packet.ProtoUDP, Src: client, Dst: server}
 	s2c := c2s.Reverse()
-	first := make([]byte, 64)
-	first[0] = 0x01 // neither QUIC long header nor RTP v2
+	first := s.opaqueUDP
 	s.observe(c2s, tstat.SegmentEvent{T: fi.Start, Payload: len(first), WireLen: len(first) + 28, Packets: 1, AppData: first})
 	dur := time.Duration(30+r.IntN(300)) * time.Second
 	s.emitDatagramBurst(s2c, fi.Start+path.groundRTT, dur, fi.Down, 5)

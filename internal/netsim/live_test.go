@@ -327,20 +327,31 @@ func TestLiveSimHonoursMACOverride(t *testing.T) {
 	}
 }
 
-// TestLiveWorkerAllocationBudget holds what a warm LiveWorker allocates
-// per intent, Process plus Advance, the way the daemon's synth stage
-// calls them. It measures 6.75 objects (geo, 30 customers, seed 11); it
-// read 8.75 while each intent's random stream was three objects. A race
-// build reads about 0.25 more: the race detector drops sync.Pool puts at
-// random, and the service classifier's regexps then allocate matchers.
-func TestLiveWorkerAllocationBudget(t *testing.T) {
-	budget := 6.8
+// raceBuild reports whether the test binary was built with -race, which
+// drops sync.Pool puts at random: the pools then allocate afresh.
+func raceBuild() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				budget += 0.45
+				return true
 			}
 		}
+	}
+	return false
+}
+
+// TestLiveWorkerAllocationBudget holds what a warm LiveWorker allocates
+// per intent, Process plus Advance, the way the daemon's synth stage
+// calls them. It measures 1.09 objects (geo, 30 customers, seed 11),
+// about the intent's random stream; it read 8.75 while each intent's
+// random stream was three objects, and 6.75 while every flow allocated
+// its tracker state and encoded its messages into fresh buffers. A race
+// build reads about 0.17 more: the race detector drops sync.Pool puts at
+// random, and the service classifier's regexps then allocate matchers.
+func TestLiveWorkerAllocationBudget(t *testing.T) {
+	budget := 1.14
+	if raceBuild() {
+		budget += 0.25
 	}
 	lv, err := NewLiveSim(Config{Customers: 30, Seed: 11})
 	if err != nil {
@@ -370,6 +381,7 @@ func TestLiveWorkerAllocationBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / float64(len(intents)-warm)
+	t.Logf("warm LiveWorker: %.3f objects per intent", got)
 	if got > budget {
 		t.Errorf("warm LiveWorker allocates %.3f objects per intent, budget %.2f", got, budget)
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -73,6 +74,9 @@ func (o *Output) sampleCustomer(c *workload.Customer, want int, pick pcapPick, c
 	anon := o.dep.anon.MustAnonymize(c.Addr)
 	syn := newSynthesizer(o.cfg, o.dep, o.mod, o.Faults, tstat.NewTracker(tstat.Config{}))
 	tap := func(tuple packet.FiveTuple, ev tstat.SegmentEvent) {
+		// The synthesizer reuses its message buffers; the capture keeps
+		// the event.
+		ev.AppData = bytes.Clone(ev.AppData)
 		if tuple.Src.Addr == c.Addr {
 			tuple.Src.Addr = anon
 		} else {

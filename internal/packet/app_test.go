@@ -8,7 +8,7 @@ import (
 func TestHTTPRequestRoundTrip(t *testing.T) {
 	req := &HTTPRequest{Method: "GET", Target: "/update.bin", Version: "HTTP/1.1",
 		Headers: []HTTPHeader{{"Host", "download.sky.com"}, {"User-Agent", "skybox/1.0"}}}
-	raw := req.Encode()
+	raw, _ := req.AppendBinary(nil)
 	got, err := ParseHTTPRequest(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestHTTPHostMissing(t *testing.T) {
 func TestHTTPPartialHead(t *testing.T) {
 	req := &HTTPRequest{Method: "POST", Target: "/", Headers: []HTTPHeader{
 		{"Host", "api.example.com"}, {"Content-Type", "application/json"}}}
-	raw := req.Encode()
+	raw, _ := req.AppendBinary(nil)
 	// Cut mid-way through the second header, as a first segment would.
 	got, err := ParseHTTPRequest(raw[:len(raw)-10])
 	if err != nil {
@@ -56,7 +56,7 @@ func TestHTTPHeadCutInsideHostValue(t *testing.T) {
 	// When the cut lands inside the Host value, a truncated name must not
 	// be reported: better no domain than a wrong one.
 	req := &HTTPRequest{Method: "GET", Target: "/", Headers: []HTTPHeader{{"Host", "api.example.com"}}}
-	raw := req.Encode()
+	raw, _ := req.AppendBinary(nil)
 	got, err := ParseHTTPRequest(raw[:len(raw)-6])
 	if err != nil {
 		t.Fatal(err)
@@ -86,13 +86,13 @@ func TestHTTPNotARequest(t *testing.T) {
 
 func TestQUICInitialRoundTrip(t *testing.T) {
 	ch := &ClientHello{Version: TLSVersion12, ServerName: "www.youtube.com"}
-	hs, err := ch.Encode()
+	hs, err := ch.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		SCID: []byte{9, 9}, CryptoPayload: hs}
-	raw, err := q.Encode()
+	raw, err := q.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestQUICInitialRoundTrip(t *testing.T) {
 
 func TestQUICInitialWithToken(t *testing.T) {
 	q := &QUICInitial{Version: QUICVersion1, DCID: []byte{1}, Token: make([]byte, 70)}
-	raw, err := q.Encode()
+	raw, err := q.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestQUICRejectsShortHeader(t *testing.T) {
 
 func TestQUICRejectsOversizeCID(t *testing.T) {
 	q := &QUICInitial{Version: 1, DCID: make([]byte, 21)}
-	if _, err := q.Encode(); err == nil {
+	if _, err := q.AppendBinary(nil); err == nil {
 		t.Fatal("oversize DCID accepted")
 	}
 }
@@ -157,7 +157,7 @@ func TestQUICVarint(t *testing.T) {
 func TestRTPRoundTrip(t *testing.T) {
 	r := &RTP{Marker: true, PayloadType: 111, Sequence: 4242, Timestamp: 90000, SSRC: 0xdeadbeef,
 		CSRC: []uint32{1, 2}}
-	raw, err := r.Encode()
+	raw, err := r.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestRTPRoundTrip(t *testing.T) {
 }
 
 func TestRTPValidation(t *testing.T) {
-	if _, err := (&RTP{PayloadType: 200}).Encode(); err == nil {
+	if _, err := (&RTP{PayloadType: 200}).AppendBinary(nil); err == nil {
 		t.Fatal("payload type > 127 accepted")
 	}
-	if _, err := (&RTP{CSRC: make([]uint32, 16)}).Encode(); err == nil {
+	if _, err := (&RTP{CSRC: make([]uint32, 16)}).AppendBinary(nil); err == nil {
 		t.Fatal("16 CSRCs accepted")
 	}
 	if LooksLikeRTP([]byte{0x80}) {
@@ -187,7 +187,7 @@ func TestRTPValidation(t *testing.T) {
 
 func TestLooksLikeRTP(t *testing.T) {
 	r := &RTP{PayloadType: 96, Sequence: 1}
-	raw, _ := r.Encode()
+	raw, _ := r.AppendBinary(nil)
 	if !LooksLikeRTP(raw) {
 		t.Fatal("RTP not recognized")
 	}

@@ -35,8 +35,8 @@ type DNSRR struct {
 	Data   []byte
 }
 
-// DNS is a DNS message (RFC 1035 wire format). Encoding writes names
-// uncompressed; decoding follows compression pointers.
+// DNS is a DNS message (RFC 1035 wire format). AppendBinary writes names
+// uncompressed; ScanDNS follows compression pointers.
 type DNS struct {
 	ID     uint16
 	QR     bool // response
@@ -53,10 +53,9 @@ type DNS struct {
 	Additionals []DNSRR
 }
 
-// Encode serializes the message.
-func (m *DNS) Encode() ([]byte, error) {
-	out := make([]byte, 12, 64)
-	binary.BigEndian.PutUint16(out[0:2], m.ID)
+// AppendBinary appends the message to b.
+func (m *DNS) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint16(b, m.ID)
 	var flags uint16
 	if m.QR {
 		flags |= 1 << 15
@@ -75,63 +74,67 @@ func (m *DNS) Encode() ([]byte, error) {
 		flags |= 1 << 7
 	}
 	flags |= uint16(m.RCode & 0xf)
-	binary.BigEndian.PutUint16(out[2:4], flags)
-	binary.BigEndian.PutUint16(out[4:6], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(out[6:8], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(out[8:10], uint16(len(m.Authorities)))
-	binary.BigEndian.PutUint16(out[10:12], uint16(len(m.Additionals)))
+	b = binary.BigEndian.AppendUint16(b, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Questions)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Answers)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Authorities)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Additionals)))
 	var err error
 	for _, q := range m.Questions {
-		if out, err = appendName(out, q.Name); err != nil {
+		if b, err = appendName(b, q.Name); err != nil {
 			return nil, err
 		}
-		out = binary.BigEndian.AppendUint16(out, q.Type)
-		out = binary.BigEndian.AppendUint16(out, q.Class)
+		b = binary.BigEndian.AppendUint16(b, q.Type)
+		b = binary.BigEndian.AppendUint16(b, q.Class)
 	}
 	for _, sec := range [][]DNSRR{m.Answers, m.Authorities, m.Additionals} {
 		for _, rr := range sec {
-			if out, err = appendRR(out, rr); err != nil {
+			if b, err = appendRR(b, rr); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return out, nil
+	return b, nil
 }
 
-func appendRR(out []byte, rr DNSRR) ([]byte, error) {
+// appendRR appends a resource record; its RDATA length is filled in once
+// the RDATA is written.
+func appendRR(b []byte, rr DNSRR) ([]byte, error) {
 	var err error
-	if out, err = appendName(out, rr.Name); err != nil {
+	if b, err = appendName(b, rr.Name); err != nil {
 		return nil, err
 	}
-	out = binary.BigEndian.AppendUint16(out, rr.Type)
-	out = binary.BigEndian.AppendUint16(out, rr.Class)
-	out = binary.BigEndian.AppendUint32(out, rr.TTL)
-	var rdata []byte
+	b = binary.BigEndian.AppendUint16(b, rr.Type)
+	b = binary.BigEndian.AppendUint16(b, rr.Class)
+	b = binary.BigEndian.AppendUint32(b, rr.TTL)
+	at := len(b)
+	b = append(b, 0, 0)
 	switch rr.Type {
 	case DNSTypeA:
 		if !rr.Addr.Is4() {
 			return nil, fmt.Errorf("dns: A record %q without IPv4 address", rr.Name)
 		}
 		a := rr.Addr.As4()
-		rdata = a[:]
+		b = append(b, a[:]...)
 	case DNSTypeAAAA:
 		if !rr.Addr.Is6() {
 			return nil, fmt.Errorf("dns: AAAA record %q without IPv6 address", rr.Name)
 		}
 		a := rr.Addr.As16()
-		rdata = a[:]
+		b = append(b, a[:]...)
 	case DNSTypeCNAME:
-		if rdata, err = appendName(nil, rr.Target); err != nil {
+		if b, err = appendName(b, rr.Target); err != nil {
 			return nil, err
 		}
 	default:
-		rdata = rr.Data
+		b = append(b, rr.Data...)
 	}
-	if len(rdata) > 0xffff {
+	n := len(b) - at - 2
+	if n > 0xffff {
 		return nil, fmt.Errorf("dns: rdata of %q too long", rr.Name)
 	}
-	out = binary.BigEndian.AppendUint16(out, uint16(len(rdata)))
-	return append(out, rdata...), nil
+	binary.BigEndian.PutUint16(b[at:], uint16(n))
+	return b, nil
 }
 
 // appendName writes a domain name in uncompressed label format.

@@ -12,7 +12,7 @@ import (
 func TestDNSQueryRoundTrip(t *testing.T) {
 	q := &DNS{ID: 0x1234, RD: true,
 		Questions: []DNSQuestion{{Name: "play.googleapis.com", Type: DNSTypeA, Class: DNSClassIN}}}
-	raw, err := q.Encode()
+	raw, err := q.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDNSResponseRoundTrip(t *testing.T) {
 			{Name: "google.com", Type: DNSTypeCNAME, Class: DNSClassIN, TTL: 300, Target: "www.google.com"},
 			{Name: "www.google.com", Type: DNSTypeA, Class: DNSClassIN, TTL: 60, Addr: addr},
 		}}
-	raw, err := m.Encode()
+	raw, err := m.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDNSAAAARoundTrip(t *testing.T) {
 	addr := netip.MustParseAddr("2a00:1450:4003::8a")
 	m := &DNS{ID: 1, QR: true,
 		Answers: []DNSRR{{Name: "x.example", Type: DNSTypeAAAA, Class: DNSClassIN, TTL: 5, Addr: addr}}}
-	raw, err := m.Encode()
+	raw, err := m.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDNSRootName(t *testing.T) {
 
 func TestDNSARecordNeedsV4(t *testing.T) {
 	m := &DNS{Answers: []DNSRR{{Name: "x", Type: DNSTypeA, Addr: netip.MustParseAddr("::1")}}}
-	if _, err := m.Encode(); err == nil {
+	if _, err := m.AppendBinary(nil); err == nil {
 		t.Fatal("A record with IPv6 address accepted")
 	}
 }
@@ -201,7 +201,7 @@ func TestDNSNameRoundTripProperty(t *testing.T) {
 
 func TestDNSOverUDPPacket(t *testing.T) {
 	q := &DNS{ID: 77, RD: true, Questions: []DNSQuestion{{Name: "whatsapp.net", Type: DNSTypeA, Class: DNSClassIN}}}
-	payload, err := q.Encode()
+	payload, err := q.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,24 +73,24 @@ func newSynthPayloads(tb testing.TB) synthPayloads {
 		return b
 	}
 	record := func(typ uint8, payload []byte) []byte {
-		return must((&TLSRecord{Type: typ, Version: TLSVersion12, Payload: payload}).Encode())
+		return must((&TLSRecord{Type: typ, Version: TLSVersion12, Payload: payload}).AppendBinary(nil))
 	}
 	q := &DNS{ID: 0xbeef, RD: true, Questions: []DNSQuestion{{Name: domain, Type: DNSTypeA, Class: DNSClassIN}}}
 	resp := &DNS{ID: 0xbeef, QR: true, RA: true, Questions: q.Questions,
 		Answers: []DNSRR{{Name: domain, Type: DNSTypeA, Class: DNSClassIN, TTL: 60, Addr: netip.MustParseAddr("157.240.1.53")}}}
-	ch := must((&ClientHello{Version: TLSVersion12, ServerName: domain}).Encode())
-	flight := must((&ServerHello{Version: TLSVersion12, CipherSuite: 0xc02f}).Encode())
+	ch := must((&ClientHello{Version: TLSVersion12, ServerName: domain}).AppendBinary(nil))
+	flight := must((&ServerHello{Version: TLSVersion12, CipherSuite: 0xc02f}).AppendBinary(nil))
 	flight = append(flight, OpaqueHandshake(TLSHandshakeCertificate, 2800)...)
 	flight = append(flight, OpaqueHandshake(TLSHandshakeServerHelloDone, 0)...)
 	return synthPayloads{
-		dnsQuery:     must(q.Encode()),
-		dnsAnswer:    must(resp.Encode()),
+		dnsQuery:     must(q.AppendBinary(nil)),
+		dnsAnswer:    must(resp.AppendBinary(nil)),
 		clientHello:  record(TLSRecordHandshake, ch),
 		serverFlight: record(TLSRecordHandshake, flight),
 		clientFinal: append(record(TLSRecordHandshake, OpaqueHandshake(TLSHandshakeClientKeyExchange, 66)),
 			record(TLSRecordChangeCipherSpec, []byte{1})...),
-		quicInitial: must((&QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, CryptoPayload: ch}).Encode()),
-		httpRequest: (&HTTPRequest{Method: "GET", Target: "/", Headers: []HTTPHeader{{Name: "Host", Value: domain}}}).Encode(),
+		quicInitial: must((&QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8}, CryptoPayload: ch}).AppendBinary(nil)),
+		httpRequest: must((&HTTPRequest{Method: "GET", Target: "/", Headers: []HTTPHeader{{Name: "Host", Value: domain}}}).AppendBinary(nil)),
 	}
 }
 
@@ -113,7 +113,7 @@ func sameErr(a, b error) bool {
 // QR, RCode, first question name and first A answer of the decoded message.
 func FuzzDecodeDNS(f *testing.F) {
 	m := &DNS{ID: 1, RD: true, Questions: []DNSQuestion{{Name: "www.example.com", Type: DNSTypeA, Class: DNSClassIN}}}
-	raw, _ := m.Encode()
+	raw, _ := m.AppendBinary(nil)
 	f.Add(raw)
 	// A compressed response.
 	var comp []byte
@@ -184,16 +184,16 @@ func clientHelloByDecoders(stream []byte) (string, bool) {
 // DecodeTLSHandshakes on the input and on each record's payload, helloSNI
 // to ParseClientHello, and ClientHelloSNI to the decoders' pipeline.
 func FuzzDecodeTLS(f *testing.F) {
-	ch, _ := (&ClientHello{ServerName: "fuzz.example"}).Encode()
-	rec, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch}).Encode()
+	ch, _ := (&ClientHello{ServerName: "fuzz.example"}).AppendBinary(nil)
+	rec, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch}).AppendBinary(nil)
 	f.Add(rec)
 	f.Add(ch[4:])
 	syn := newSynthPayloads(f)
 	addCuts(f, syn.clientHello, syn.clientFinal)
 	f.Add(syn.serverFlight)
 	// A ClientHello split over two handshake records.
-	first, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch[:9]}).Encode()
-	second, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch[9:]}).Encode()
+	first, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch[:9]}).AppendBinary(nil)
+	second, _ := (&TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: ch[9:]}).AppendBinary(nil)
 	f.Add(append(first, second...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _, err := DecodeTLSRecords(data)
@@ -257,8 +257,8 @@ func checkHandshakeWalk(t *testing.T, payload []byte) {
 // FuzzDecodeQUIC holds QUICInitialSNI to DecodeQUICInitial and the
 // Initial's SNI: the same verdict and the same server name.
 func FuzzDecodeQUIC(f *testing.F) {
-	hs, _ := (&ClientHello{ServerName: "quic.example"}).Encode()
-	ini, _ := (&QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4}, CryptoPayload: hs}).Encode()
+	hs, _ := (&ClientHello{ServerName: "quic.example"}).AppendBinary(nil)
+	ini, _ := (&QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4}, CryptoPayload: hs}).AppendBinary(nil)
 	f.Add(ini)
 	addCuts(f, newSynthPayloads(f).quicInitial)
 	// The ClientHello split over two CRYPTO frames, then a PING.
@@ -305,7 +305,7 @@ func FuzzParseHTTPRequest(f *testing.F) {
 }
 
 func FuzzDecodeRTP(f *testing.F) {
-	raw, _ := (&RTP{PayloadType: 96, Sequence: 7, CSRC: []uint32{1}}).Encode()
+	raw, _ := (&RTP{PayloadType: 96, Sequence: 7, CSRC: []uint32{1}}).AppendBinary(nil)
 	f.Add(raw)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = LooksLikeRTP(data)

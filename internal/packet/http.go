@@ -1,10 +1,6 @@
 package packet
 
-import (
-	"bytes"
-	"fmt"
-	"strings"
-)
+import "bytes"
 
 // HTTPRequest is the head of an HTTP/1.x request: what a probe can observe
 // of plain-text web traffic (paper §2.2: the Host header names the server).
@@ -20,9 +16,8 @@ type HTTPHeader struct {
 	Name, Value string
 }
 
-// Encode serializes the request head (no body).
-func (r *HTTPRequest) Encode() []byte {
-	var b strings.Builder
+// AppendBinary appends the request head (no body) to b. It never fails.
+func (r *HTTPRequest) AppendBinary(b []byte) ([]byte, error) {
 	method := r.Method
 	if method == "" {
 		method = "GET"
@@ -35,12 +30,19 @@ func (r *HTTPRequest) Encode() []byte {
 	if version == "" {
 		version = "HTTP/1.1"
 	}
-	fmt.Fprintf(&b, "%s %s %s\r\n", method, target, version)
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, target...)
+	b = append(b, ' ')
+	b = append(b, version...)
+	b = append(b, "\r\n"...)
 	for _, h := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", h.Name, h.Value)
+		b = append(b, h.Name...)
+		b = append(b, ": "...)
+		b = append(b, h.Value...)
+		b = append(b, "\r\n"...)
 	}
-	b.WriteString("\r\n")
-	return []byte(b.String())
+	return append(b, "\r\n"...), nil
 }
 
 var httpMethods = [...]string{"GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "PATCH", "CONNECT", "TRACE"}

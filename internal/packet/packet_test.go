@@ -233,3 +233,39 @@ func TestIPv4RoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendBinaryAppends: every append-form encoder leaves what b holds
+// in place and appends exactly the bytes it writes into an empty buffer,
+// whether b has room to spare or must grow.
+func TestAppendBinaryAppends(t *testing.T) {
+	q := []DNSQuestion{{Name: "www.example.org", Type: DNSTypeA, Class: DNSClassIN}}
+	for _, c := range []struct {
+		name string
+		enc  interface{ AppendBinary([]byte) ([]byte, error) }
+	}{
+		{"DNS", &DNS{ID: 7, QR: true, RA: true, Questions: q, Answers: []DNSRR{
+			{Name: "www.example.org", Type: DNSTypeCNAME, Class: DNSClassIN, TTL: 60, Target: "edge.example.net"},
+			{Name: "edge.example.net", Type: DNSTypeA, Class: DNSClassIN, TTL: 60, Addr: serverAddr}}}},
+		{"ClientHello", &ClientHello{Version: TLSVersion12, SessionID: []byte{1, 2}, ServerName: "www.example.org"}},
+		{"ServerHello", &ServerHello{Version: TLSVersion12, CipherSuite: 0xc02f}},
+		{"TLSRecord", &TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: []byte{1, 2, 3}}},
+		{"QUICInitial", &QUICInitial{Version: QUICVersion1, DCID: []byte{1, 2, 3, 4}, Token: []byte{9}, CryptoPayload: make([]byte, 100)}},
+		{"HTTPRequest", &HTTPRequest{Headers: []HTTPHeader{{Name: "Host", Value: "www.example.org"}}}},
+		{"RTP", &RTP{PayloadType: 111, Sequence: 3, CSRC: []uint32{5}}},
+	} {
+		want, err := c.enc.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		prefix := []byte("prefix")
+		for _, b := range [][]byte{prefix[:len(prefix):len(prefix)], append(make([]byte, 0, 512), prefix...)} {
+			got, err := c.enc.AppendBinary(b)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%s onto %d spare bytes: %x, want %x after the prefix", c.name, cap(b)-len(b), got, want)
+			}
+		}
+	}
+}

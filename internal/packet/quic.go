@@ -29,31 +29,27 @@ const QUICVersion1 uint32 = 1
 
 const quicFrameCrypto = 0x06
 
-// Encode serializes the Initial packet.
-func (q *QUICInitial) Encode() ([]byte, error) {
+// AppendBinary appends the Initial packet to b.
+func (q *QUICInitial) AppendBinary(b []byte) ([]byte, error) {
 	if len(q.DCID) > 20 || len(q.SCID) > 20 {
 		return nil, fmt.Errorf("quic: connection id exceeds 20 bytes")
 	}
+	// The protected payload is the packet number (1 byte, value 0) and one
 	// CRYPTO frame: type, offset varint (0), length varint, data.
-	frame := []byte{quicFrameCrypto, 0}
-	frame = appendVarint(frame, uint64(len(q.CryptoPayload)))
-	frame = append(frame, q.CryptoPayload...)
-
-	// Packet number (1 byte, value 0) + frames form the protected payload.
-	payload := append([]byte{0}, frame...)
-
-	out := make([]byte, 0, 64+len(payload))
-	out = append(out, 0xc0) // long header, Initial, 1-byte packet number
-	out = binary.BigEndian.AppendUint32(out, q.Version)
-	out = append(out, byte(len(q.DCID)))
-	out = append(out, q.DCID...)
-	out = append(out, byte(len(q.SCID)))
-	out = append(out, q.SCID...)
-	out = appendVarint(out, uint64(len(q.Token)))
-	out = append(out, q.Token...)
-	out = appendVarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	return out, nil
+	var hdr [10]byte
+	frame := appendVarint(append(hdr[:0], quicFrameCrypto, 0), uint64(len(q.CryptoPayload)))
+	b = append(b, 0xc0) // long header, Initial, 1-byte packet number
+	b = binary.BigEndian.AppendUint32(b, q.Version)
+	b = append(b, byte(len(q.DCID)))
+	b = append(b, q.DCID...)
+	b = append(b, byte(len(q.SCID)))
+	b = append(b, q.SCID...)
+	b = appendVarint(b, uint64(len(q.Token)))
+	b = append(b, q.Token...)
+	b = appendVarint(b, uint64(1+len(frame)+len(q.CryptoPayload)))
+	b = append(b, 0)
+	b = append(b, frame...)
+	return append(b, q.CryptoPayload...), nil
 }
 
 // IsQUICLongHeader reports whether data starts with a QUIC long header.

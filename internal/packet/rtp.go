@@ -18,31 +18,30 @@ type RTP struct {
 	CSRC        []uint32 // up to 15
 }
 
-// Encode serializes the header (version 2, no extension).
-func (r *RTP) Encode() ([]byte, error) {
+// AppendBinary appends the header (version 2, no extension) to b.
+func (r *RTP) AppendBinary(b []byte) ([]byte, error) {
 	if len(r.CSRC) > 15 {
 		return nil, fmt.Errorf("rtp: %d CSRCs exceeds 15", len(r.CSRC))
 	}
 	if r.PayloadType > 127 {
 		return nil, fmt.Errorf("rtp: payload type %d exceeds 127", r.PayloadType)
 	}
-	out := make([]byte, 12+4*len(r.CSRC))
-	out[0] = 2 << 6
+	b0 := byte(2<<6) | uint8(len(r.CSRC))
 	if r.Padding {
-		out[0] |= 1 << 5
+		b0 |= 1 << 5
 	}
-	out[0] |= uint8(len(r.CSRC))
-	out[1] = r.PayloadType
+	b1 := r.PayloadType
 	if r.Marker {
-		out[1] |= 1 << 7
+		b1 |= 1 << 7
 	}
-	binary.BigEndian.PutUint16(out[2:4], r.Sequence)
-	binary.BigEndian.PutUint32(out[4:8], r.Timestamp)
-	binary.BigEndian.PutUint32(out[8:12], r.SSRC)
-	for i, c := range r.CSRC {
-		binary.BigEndian.PutUint32(out[12+4*i:16+4*i], c)
+	b = append(b, b0, b1)
+	b = binary.BigEndian.AppendUint16(b, r.Sequence)
+	b = binary.BigEndian.AppendUint32(b, r.Timestamp)
+	b = binary.BigEndian.AppendUint32(b, r.SSRC)
+	for _, c := range r.CSRC {
+		b = binary.BigEndian.AppendUint32(b, c)
 	}
-	return out, nil
+	return b, nil
 }
 
 // LooksLikeRTP is the DPI heuristic for RTP over UDP: version 2 and a

@@ -35,28 +35,21 @@ type TLSRecord struct {
 	Payload []byte
 }
 
-// Encode serializes the record.
-func (r *TLSRecord) Encode() ([]byte, error) {
+// AppendBinary appends the record to b.
+func (r *TLSRecord) AppendBinary(b []byte) ([]byte, error) {
 	if len(r.Payload) > 1<<14+256 {
 		return nil, fmt.Errorf("tls: record payload %d exceeds maximum", len(r.Payload))
 	}
-	out := make([]byte, 5+len(r.Payload))
-	out[0] = r.Type
-	binary.BigEndian.PutUint16(out[1:3], r.Version)
-	binary.BigEndian.PutUint16(out[3:5], uint16(len(r.Payload)))
-	copy(out[5:], r.Payload)
-	return out, nil
+	b = append(b, r.Type)
+	b = binary.BigEndian.AppendUint16(b, r.Version)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Payload)))
+	return append(b, r.Payload...), nil
 }
 
-// encodeHandshake frames a handshake message.
-func encodeHandshake(typ uint8, body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	out[0] = typ
-	out[1] = byte(len(body) >> 16)
-	out[2] = byte(len(body) >> 8)
-	out[3] = byte(len(body))
-	copy(out[4:], body)
-	return out
+// appendHandshakeHeader appends a handshake message header: its type and
+// its 24-bit body length.
+func appendHandshakeHeader(b []byte, typ uint8, bodyLen int) []byte {
+	return append(b, typ, byte(bodyLen>>16), byte(bodyLen>>8), byte(bodyLen))
 }
 
 // ClientHello is the subset of a TLS ClientHello the probe cares about.
@@ -68,44 +61,49 @@ type ClientHello struct {
 	ServerName   string // SNI, empty when absent
 }
 
-// Encode builds the full handshake message (type + length + body).
-func (ch *ClientHello) Encode() ([]byte, error) {
+// defaultCipherSuites is what a ClientHello without CipherSuites offers.
+var defaultCipherSuites = []uint16{0x1301, 0x1302, 0xc02f}
+
+// AppendBinary appends the full handshake message (type + length + body)
+// to b.
+func (ch *ClientHello) AppendBinary(b []byte) ([]byte, error) {
 	if len(ch.SessionID) > 32 {
 		return nil, fmt.Errorf("tls: session id too long")
 	}
-	body := make([]byte, 0, 128)
-	body = binary.BigEndian.AppendUint16(body, ch.Version)
-	body = append(body, ch.Random[:]...)
-	body = append(body, byte(len(ch.SessionID)))
-	body = append(body, ch.SessionID...)
+	if len(ch.ServerName) > 255 {
+		return nil, fmt.Errorf("tls: server name too long")
+	}
 	suites := ch.CipherSuites
 	if len(suites) == 0 {
-		suites = []uint16{0x1301, 0x1302, 0xc02f}
+		suites = defaultCipherSuites
 	}
-	body = binary.BigEndian.AppendUint16(body, uint16(2*len(suites)))
-	for _, s := range suites {
-		body = binary.BigEndian.AppendUint16(body, s)
-	}
-	body = append(body, 1, 0) // compression methods: null
-	var exts []byte
+	extLen := 0
 	if ch.ServerName != "" {
-		if len(ch.ServerName) > 255 {
-			return nil, fmt.Errorf("tls: server name too long")
-		}
-		// server_name extension: list of (type=0 host_name, name).
-		name := []byte(ch.ServerName)
-		sni := make([]byte, 0, 5+len(name))
-		sni = binary.BigEndian.AppendUint16(sni, uint16(3+len(name))) // server_name_list length
-		sni = append(sni, 0)                                          // name_type host_name
-		sni = binary.BigEndian.AppendUint16(sni, uint16(len(name)))
-		sni = append(sni, name...)
-		exts = binary.BigEndian.AppendUint16(exts, sniExtension)
-		exts = binary.BigEndian.AppendUint16(exts, uint16(len(sni)))
-		exts = append(exts, sni...)
+		// server_name extension: type, length, list length, then the one
+		// (host_name, name) entry.
+		extLen = 4 + 2 + 3 + len(ch.ServerName)
 	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(exts)))
-	body = append(body, exts...)
-	return encodeHandshake(TLSHandshakeClientHello, body), nil
+	bodyLen := 2 + len(ch.Random) + 1 + len(ch.SessionID) + 2 + 2*len(suites) + 2 + 2 + extLen
+	b = appendHandshakeHeader(b, TLSHandshakeClientHello, bodyLen)
+	b = binary.BigEndian.AppendUint16(b, ch.Version)
+	b = append(b, ch.Random[:]...)
+	b = append(b, byte(len(ch.SessionID)))
+	b = append(b, ch.SessionID...)
+	b = binary.BigEndian.AppendUint16(b, uint16(2*len(suites)))
+	for _, s := range suites {
+		b = binary.BigEndian.AppendUint16(b, s)
+	}
+	b = append(b, 1, 0) // compression methods: null
+	b = binary.BigEndian.AppendUint16(b, uint16(extLen))
+	if ch.ServerName != "" {
+		b = binary.BigEndian.AppendUint16(b, sniExtension)
+		b = binary.BigEndian.AppendUint16(b, uint16(extLen-4))
+		b = binary.BigEndian.AppendUint16(b, uint16(3+len(ch.ServerName))) // server_name_list length
+		b = append(b, 0)                                                   // name_type host_name
+		b = binary.BigEndian.AppendUint16(b, uint16(len(ch.ServerName)))
+		b = append(b, ch.ServerName...)
+	}
+	return b, nil
 }
 
 // ServerHello is the subset of a TLS ServerHello the probe cares about.
@@ -116,27 +114,28 @@ type ServerHello struct {
 	CipherSuite uint16
 }
 
-// Encode builds the full handshake message.
-func (sh *ServerHello) Encode() ([]byte, error) {
+// AppendBinary appends the full handshake message to b.
+func (sh *ServerHello) AppendBinary(b []byte) ([]byte, error) {
 	if len(sh.SessionID) > 32 {
 		return nil, fmt.Errorf("tls: session id too long")
 	}
-	body := make([]byte, 0, 64)
-	body = binary.BigEndian.AppendUint16(body, sh.Version)
-	body = append(body, sh.Random[:]...)
-	body = append(body, byte(len(sh.SessionID)))
-	body = append(body, sh.SessionID...)
-	body = binary.BigEndian.AppendUint16(body, sh.CipherSuite)
-	body = append(body, 0) // compression: null
-	body = binary.BigEndian.AppendUint16(body, 0)
-	return encodeHandshake(TLSHandshakeServerHello, body), nil
+	bodyLen := 2 + len(sh.Random) + 1 + len(sh.SessionID) + 2 + 1 + 2
+	b = appendHandshakeHeader(b, TLSHandshakeServerHello, bodyLen)
+	b = binary.BigEndian.AppendUint16(b, sh.Version)
+	b = append(b, sh.Random[:]...)
+	b = append(b, byte(len(sh.SessionID)))
+	b = append(b, sh.SessionID...)
+	b = binary.BigEndian.AppendUint16(b, sh.CipherSuite)
+	b = append(b, 0) // compression: null
+	b = binary.BigEndian.AppendUint16(b, 0)
+	return b, nil
 }
 
 // OpaqueHandshake frames an opaque handshake message of the given type and
 // body length (used by the synthesizer for Certificate, ClientKeyExchange,
 // etc., whose contents the probe never inspects).
 func OpaqueHandshake(typ uint8, bodyLen int) []byte {
-	return encodeHandshake(typ, make([]byte, bodyLen))
+	return append(appendHandshakeHeader(nil, typ, bodyLen), make([]byte, bodyLen)...)
 }
 
 // WalkTLSRecords calls visit with the content type and payload of each

@@ -31,7 +31,7 @@ func parseServerHello(body []byte) (*ServerHello, error) {
 func TestClientHelloSNIRoundTrip(t *testing.T) {
 	ch := &ClientHello{Version: TLSVersion12, ServerName: "edge.whatsapp.net"}
 	ch.Random[0] = 0xaa
-	msg, err := ch.Encode()
+	msg, err := ch.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestClientHelloSNIRoundTrip(t *testing.T) {
 
 func TestClientHelloWithoutSNI(t *testing.T) {
 	ch := &ClientHello{Version: TLSVersion12}
-	msg, err := ch.Encode()
+	msg, err := ch.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestClientHelloWithoutSNI(t *testing.T) {
 
 func TestServerHelloRoundTrip(t *testing.T) {
 	sh := &ServerHello{Version: TLSVersion12, CipherSuite: 0xc02f, SessionID: []byte{1, 2, 3}}
-	msg, err := sh.Encode()
+	msg, err := sh.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestServerHelloRoundTrip(t *testing.T) {
 
 func TestTLSRecordFraming(t *testing.T) {
 	ch := &ClientHello{Version: TLSVersion12, ServerName: "x.test"}
-	hs, _ := ch.Encode()
+	hs, _ := ch.AppendBinary(nil)
 	rec := &TLSRecord{Type: TLSRecordHandshake, Version: TLSVersion12, Payload: hs}
-	raw, err := rec.Encode()
+	raw, err := rec.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccs, _ := (&TLSRecord{Type: TLSRecordChangeCipherSpec, Version: TLSVersion12, Payload: []byte{1}}).Encode()
+	ccs, _ := (&TLSRecord{Type: TLSRecordChangeCipherSpec, Version: TLSVersion12, Payload: []byte{1}}).AppendBinary(nil)
 	stream := append(append([]byte{}, raw...), ccs...)
 	recs, rest, err := DecodeTLSRecords(stream)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestTLSRecordFraming(t *testing.T) {
 }
 
 func TestTLSPartialRecordReturnedAsRest(t *testing.T) {
-	rec, _ := (&TLSRecord{Type: TLSRecordApplicationData, Version: TLSVersion12, Payload: make([]byte, 100)}).Encode()
+	rec, _ := (&TLSRecord{Type: TLSRecordApplicationData, Version: TLSVersion12, Payload: make([]byte, 100)}).AppendBinary(nil)
 	recs, rest, err := DecodeTLSRecords(rec[:50])
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestTLSUnknownContentType(t *testing.T) {
 
 func TestHandshakeTruncation(t *testing.T) {
 	ch := &ClientHello{ServerName: "a.b"}
-	msg, _ := ch.Encode()
+	msg, _ := ch.AppendBinary(nil)
 	if _, err := DecodeTLSHandshakes(msg[:3]); err == nil {
 		t.Fatal("truncated header accepted")
 	}
@@ -163,7 +163,7 @@ func TestSNIRoundTripProperty(t *testing.T) {
 		n2 := int(b)%10 + 1
 		name := string(bytes.Repeat([]byte{'s'}, n1)) + "." + string(bytes.Repeat([]byte{'d'}, n2))
 		ch := &ClientHello{ServerName: name}
-		msg, err := ch.Encode()
+		msg, err := ch.AppendBinary(nil)
 		if err != nil {
 			return false
 		}
@@ -181,7 +181,7 @@ func TestSNIRoundTripProperty(t *testing.T) {
 
 func TestRecordTooLarge(t *testing.T) {
 	r := &TLSRecord{Type: TLSRecordApplicationData, Payload: make([]byte, 1<<15)}
-	if _, err := r.Encode(); err == nil {
+	if _, err := r.AppendBinary(nil); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 }

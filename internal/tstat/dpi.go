@@ -12,7 +12,9 @@ const dpiBudget = 8 << 10
 type dpiState struct {
 	// names interns the names read off the wire: the tracker's memo, or
 	// nil for a plain conversion.
-	names   nameMemo
+	names nameMemo
+	// buf holds a client stream whose first payload did not decide;
+	// empty otherwise.
 	buf     []byte
 	done    bool
 	domain  string
@@ -89,9 +91,11 @@ func (d *dpiState) feedClientUDP(data []byte) {
 	d.finish()
 }
 
+// finish ends the inspection; buf keeps its storage for the flow state's
+// next life.
 func (d *dpiState) finish() {
 	d.done = true
-	d.buf = nil
+	d.buf = d.buf[:0]
 }
 
 // classifyTCP returns the Table 1 class of a TCP flow given the DPI

@@ -81,7 +81,7 @@ func dnsBytes(tb testing.TB, id uint16, response bool) []byte {
 	if response {
 		m.Answers = []packet.DNSRR{{Name: "www.example.org", Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Addr: netip.MustParseAddr("93.184.216.34")}}
 	}
-	b, err := m.Encode()
+	b, err := m.AppendBinary(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -37,7 +37,10 @@ type flowState struct {
 	bytesDown   int64
 	pktsUp      int64
 	pktsDown    int64
-	first10     []time.Duration
+	// first10 holds the times of the first n10 events; record copies them
+	// out, so a recycled state never shares them with a record.
+	first10 [10]time.Duration
+	n10     uint8
 
 	dpi dpiState
 
@@ -54,7 +57,8 @@ type flowState struct {
 	tSrvHello time.Duration
 	satRTT    time.Duration
 
-	// DNS transaction bookkeeping (UDP/53 flows).
+	// DNS transaction bookkeeping (UDP/53 flows). A recycled state keeps
+	// the map, cleared.
 	dnsPending map[uint16]dnsPending
 
 	finSeen [2]bool
@@ -62,7 +66,9 @@ type flowState struct {
 
 	// Eviction index (Tracker.sweep): touched marks the flow as queued on
 	// Tracker.touched since the last sweep; gen is the generation of its
-	// live deadline-heap entry (0: none) and due that entry's deadline.
+	// live deadline-heap entry and due that entry's deadline (0: none).
+	// gen only grows, across the lives of a recycled state too, so an
+	// entry filed in an earlier life never matches a later one.
 	touched bool
 	gen     uint32
 	due     time.Duration
@@ -73,11 +79,17 @@ type dnsPending struct {
 	name string
 }
 
-func newFlowState(key packet.FiveTuple, client, server packet.Endpoint, isTCP bool, t time.Duration) *flowState {
-	f := &flowState{key: key, client: client, server: server, isTCP: isTCP, start: t, last: t,
-		first10: make([]time.Duration, 0, 10)}
+// reset starts a new flow on f, a fresh state or one off the tracker's
+// free list. It keeps what a recycled state may reuse: the cleared
+// pending-query map, the DPI buffer's storage, the name memo and the heap
+// generation.
+func (f *flowState) reset(key packet.FiveTuple, client, server packet.Endpoint, isTCP bool, t time.Duration) {
+	pending, buf, names, gen := f.dnsPending, f.dpi.buf[:0], f.dpi.names, f.gen
+	clear(pending)
+	*f = flowState{key: key, client: client, server: server, isTCP: isTCP, start: t, last: t,
+		dnsPending: pending, gen: gen}
+	f.dpi.buf, f.dpi.names = buf, names
 	f.outstanding = f.outBuf[:0]
-	return f
 }
 
 // carries reports whether tuple, in either orientation, is this flow's.
@@ -93,8 +105,9 @@ func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 func (f *flowState) observe(ev *SegmentEvent, sink *Tracker) {
 	pkts := int64(max(ev.Packets, 1))
 	f.last = ev.T
-	if len(f.first10) < 10 {
-		f.first10 = append(f.first10, ev.T)
+	if f.n10 < uint8(len(f.first10)) {
+		f.first10[f.n10] = ev.T
+		f.n10++
 	}
 	if ev.Dir == ClientToServer {
 		f.bytesUp += int64(ev.Payload)
@@ -257,8 +270,9 @@ func (f *flowState) closed() bool {
 	return f.rstSeen || (f.finSeen[0] && f.finSeen[1])
 }
 
-// record materializes the final FlowRecord.
-func (f *flowState) record() FlowRecord {
+// record materializes the final FlowRecord; its First10 is carved from the
+// tracker's slab.
+func (f *flowState) record(t *Tracker) FlowRecord {
 	rec := FlowRecord{
 		Client:    f.client.Addr,
 		Server:    f.server.Addr,
@@ -271,7 +285,7 @@ func (f *flowState) record() FlowRecord {
 		BytesDown: f.bytesDown,
 		PktsUp:    f.pktsUp,
 		PktsDown:  f.pktsDown,
-		First10:   f.first10,
+		First10:   t.carve(f.first10[:f.n10]),
 		GroundRTT: f.ground.stats(),
 		SatRTT:    f.satRTT,
 	}

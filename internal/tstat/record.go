@@ -27,7 +27,8 @@ const (
 	ProtoUDPOther
 )
 
-var protocolNames = map[Protocol]string{
+// protocolNames is indexed by Protocol.
+var protocolNames = [...]string{
 	ProtoUnknown:  "Unknown",
 	ProtoHTTPS:    "TCP/HTTPS",
 	ProtoHTTP:     "TCP/HTTP",
@@ -39,8 +40,8 @@ var protocolNames = map[Protocol]string{
 }
 
 func (p Protocol) String() string {
-	if s, ok := protocolNames[p]; ok {
-		return s
+	if int(p) < len(protocolNames) {
+		return protocolNames[p]
 	}
 	return fmt.Sprintf("Protocol(%d)", uint8(p))
 }
@@ -49,7 +50,7 @@ func (p Protocol) String() string {
 func parseProtocol(s string) Protocol {
 	for p, name := range protocolNames {
 		if name == s {
-			return p
+			return Protocol(p)
 		}
 	}
 	return ProtoUnknown

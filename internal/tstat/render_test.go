@@ -107,7 +107,7 @@ func TestUnnamedUDP443IsQUICOnBothPaths(t *testing.T) {
 // packet count, flags and sequence numbers.
 func FuzzRenderRoundTrip(f *testing.F) {
 	q, err := (&packet.DNS{ID: 7, RD: true, Questions: []packet.DNSQuestion{
-		{Name: "www.example.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}).Encode()
+		{Name: "www.example.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}).AppendBinary(nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -75,6 +75,12 @@ type Tracker struct {
 	due []dueEntry
 	// batch is emitOrdered's reusable scratch.
 	batch []*flowState
+	// free holds emitted flow states for reuse, so a warm tracker
+	// allocates no flow state.
+	free []*flowState
+	// slab is where records' First10 slices are carved from: once warm,
+	// one allocation per about slabFlows flows.
+	slab []time.Duration
 
 	flowsOut []FlowRecord
 	dnsOut   []DNSRecord
@@ -122,8 +128,8 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 		key, _ := tuple.Canonical()
 		var ok bool
 		if f, ok = t.flows[key]; !ok {
-			f = newFlowState(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
-			f.dpi.names = t.names
+			f = t.newFlow()
+			f.reset(key, tuple.Src, tuple.Dst, tuple.Proto == packet.ProtoTCP, ev.T)
 			t.flows[key] = f
 		}
 		t.last = f
@@ -138,6 +144,36 @@ func (t *Tracker) Observe(tuple packet.FiveTuple, ev SegmentEvent) {
 		ev.Dir = ServerToClient
 	}
 	f.observe(&ev, t)
+}
+
+// newFlow takes a state off the free list, or allocates one.
+func (t *Tracker) newFlow() *flowState {
+	n := len(t.free)
+	if n == 0 {
+		return &flowState{dpi: dpiState{names: t.names}}
+	}
+	f := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return f
+}
+
+// slabFlows is how many full First10 slices one slab holds.
+const slabFlows = 1024
+
+// carve copies first10 into the slab and returns the copy, capped at its
+// length so that an append to one record's First10 never writes into the
+// next record's.
+func (t *Tracker) carve(first10 []time.Duration) []time.Duration {
+	if cap(t.slab)-len(t.slab) < len(first10) {
+		// Slabs double up to slabFlows flows' worth, so a tracker that
+		// logs a handful of flows does not pay for a thousand.
+		t.slab = make([]time.Duration, 0, min(max(2*cap(t.slab), 64), slabFlows*10))
+	}
+	n := len(t.slab)
+	t.slab = append(t.slab, first10...)
+	m := len(t.slab)
+	return t.slab[n:m:m]
 }
 
 // FeedPacket decodes a raw IPv4 packet (pcap replay or live capture),
@@ -175,7 +211,8 @@ func (t *Tracker) FeedPacket(ts time.Duration, raw []byte) error {
 // (start time, then endpoints, then protocol: a total order over the flows
 // a tracker holds at once), so identical inputs produce identical logs
 // regardless of map iteration or heap order. The batch is t.batch's
-// storage and is handed back for reuse.
+// storage and is handed back for reuse; the emitted states go on the free
+// list.
 func (t *Tracker) emitOrdered(batch []*flowState) {
 	slices.SortFunc(batch, func(a, b *flowState) int {
 		if c := cmp.Compare(a.start, b.start); c != 0 {
@@ -198,6 +235,7 @@ func (t *Tracker) emitOrdered(batch []*flowState) {
 	for _, f := range batch {
 		t.emitFlow(f)
 	}
+	t.free = append(t.free, batch...)
 	clear(batch)
 	t.batch = batch[:0]
 }
@@ -228,7 +266,7 @@ func (t *Tracker) sweep() {
 	t.last = nil
 	for _, f := range t.touched {
 		f.touched = false
-		if d := t.deadline(f); f.gen == 0 || d < f.due {
+		if d := t.deadline(f); f.due == 0 || d < f.due {
 			t.file(f, d)
 		}
 	}
@@ -245,7 +283,6 @@ func (t *Tracker) sweep() {
 			t.file(f, d)
 			continue
 		}
-		f.gen = 0
 		delete(t.flows, f.key)
 		batch = append(batch, f)
 	}
@@ -373,7 +410,7 @@ func (t *Tracker) finishTrace(f *flowState, rec *FlowRecord) {
 
 func (t *Tracker) emitFlow(f *flowState) {
 	t.emitted++
-	rec := f.record()
+	rec := f.record(t)
 	t.finishTrace(f, &rec)
 	rec.Client = t.anonymize(rec.Client)
 	if t.cfg.OnFlow != nil {

@@ -28,11 +28,11 @@ func udpTuple(src, dst packet.Endpoint) packet.FiveTuple {
 // tlsClientHelloBytes builds a handshake record carrying a ClientHello.
 func tlsClientHelloBytes(t *testing.T, sni string) []byte {
 	t.Helper()
-	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: sni}).Encode()
+	hs, err := (&packet.ClientHello{Version: packet.TLSVersion12, ServerName: sni}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).Encode()
+	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +41,12 @@ func tlsClientHelloBytes(t *testing.T, sni string) []byte {
 
 func tlsServerHelloBytes(t *testing.T) []byte {
 	t.Helper()
-	hs, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0x1301}).Encode()
+	hs, err := (&packet.ServerHello{Version: packet.TLSVersion12, CipherSuite: 0x1301}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs = append(hs, packet.OpaqueHandshake(packet.TLSHandshakeCertificate, 1800)...)
-	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).Encode()
+	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func tlsServerHelloBytes(t *testing.T) []byte {
 func tlsClientKeyExchangeBytes(t *testing.T) []byte {
 	t.Helper()
 	hs := packet.OpaqueHandshake(packet.TLSHandshakeClientKeyExchange, 64)
-	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).Encode()
+	rec, err := (&packet.TLSRecord{Type: packet.TLSRecordHandshake, Version: packet.TLSVersion12, Payload: hs}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccs, err := (&packet.TLSRecord{Type: packet.TLSRecordChangeCipherSpec, Version: packet.TLSVersion12, Payload: []byte{1}}).Encode()
+	ccs, err := (&packet.TLSRecord{Type: packet.TLSRecordChangeCipherSpec, Version: packet.TLSVersion12, Payload: []byte{1}}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestHTTPFlow(t *testing.T) {
 	tr := NewTracker(Config{})
 	web := packet.Endpoint{Addr: netip.MustParseAddr("185.60.9.1"), Port: 80}
 	c2s := tcpTuple(cust, web)
-	req := (&packet.HTTPRequest{Method: "GET", Target: "/video.ts",
-		Headers: []packet.HTTPHeader{{Name: "Host", Value: "video-cdn.sky.com"}}}).Encode()
+	req, _ := (&packet.HTTPRequest{Method: "GET", Target: "/video.ts",
+		Headers: []packet.HTTPHeader{{Name: "Host", Value: "video-cdn.sky.com"}}}).AppendBinary(nil)
 	tr.Observe(c2s, SegmentEvent{T: 0, Flags: packet.FlagSYN})
 	tr.Observe(c2s, SegmentEvent{T: time.Millisecond, Seq: 1, Payload: len(req), AppData: req, Flags: packet.FlagACK})
 	flows, _ := tr.Flush()
@@ -185,8 +185,8 @@ func TestHTTPFlow(t *testing.T) {
 func TestQUICFlow(t *testing.T) {
 	tr := NewTracker(Config{})
 	q443 := packet.Endpoint{Addr: netip.MustParseAddr("34.76.1.1"), Port: 443}
-	hs, _ := (&packet.ClientHello{ServerName: "www.youtube.com"}).Encode()
-	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: []byte{1, 2, 3, 4}, CryptoPayload: hs}).Encode()
+	hs, _ := (&packet.ClientHello{ServerName: "www.youtube.com"}).AppendBinary(nil)
+	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: []byte{1, 2, 3, 4}, CryptoPayload: hs}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestQUICFlow(t *testing.T) {
 func TestRTPFlow(t *testing.T) {
 	tr := NewTracker(Config{})
 	media := packet.Endpoint{Addr: netip.MustParseAddr("52.20.3.3"), Port: 19302}
-	rtp, _ := (&packet.RTP{PayloadType: 111, Sequence: 1, SSRC: 7}).Encode()
+	rtp, _ := (&packet.RTP{PayloadType: 111, Sequence: 1, SSRC: 7}).AppendBinary(nil)
 	payload := append(rtp, make([]byte, 160)...)
 	for i := 0; i < 5; i++ {
 		tr.Observe(udpTuple(cust, media), SegmentEvent{T: time.Duration(i) * 20 * time.Millisecond, Payload: len(payload), AppData: payload})
@@ -239,11 +239,11 @@ func TestDNSTransactions(t *testing.T) {
 	tr := NewTracker(Config{})
 	resolver := packet.Endpoint{Addr: netip.MustParseAddr("8.8.8.8"), Port: 53}
 	q := &packet.DNS{ID: 42, RD: true, Questions: []packet.DNSQuestion{{Name: "www.google.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}
-	qb, _ := q.Encode()
+	qb, _ := q.AppendBinary(nil)
 	resp := &packet.DNS{ID: 42, QR: true, RA: true,
 		Questions: q.Questions,
 		Answers:   []packet.DNSRR{{Name: "www.google.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN, TTL: 60, Addr: netip.MustParseAddr("142.250.1.1")}}}
-	rb, _ := resp.Encode()
+	rb, _ := resp.AppendBinary(nil)
 
 	tr.Observe(udpTuple(cust, resolver), SegmentEvent{T: time.Second, Payload: len(qb), AppData: qb})
 	tr.Observe(udpTuple(resolver, cust), SegmentEvent{T: time.Second + 22*time.Millisecond, Payload: len(rb), AppData: rb})
