@@ -38,10 +38,16 @@ func (*noCopy) Unlock() {}
 
 // NewRand returns a Rand seeded from seed.
 func NewRand(seed uint64) *Rand {
-	r := &Rand{seed: seed}
+	r := &Rand{}
+	r.reseed(seed)
+	return r
+}
+
+// reseed restarts r as the stream NewRand(seed) returns.
+func (r *Rand) reseed(seed uint64) {
+	r.seed = seed
 	r.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
 	r.src = *rand.New(&r.pcg)
-	return r
 }
 
 // Fork derives an independent deterministic stream keyed by label.
@@ -57,10 +63,21 @@ func (r *Rand) Fork(label string) *Rand {
 // ForkN derives an independent stream keyed by label and an index, for
 // per-entity streams (one per customer, per beam, ...).
 func (r *Rand) ForkN(label string, n uint64) *Rand {
+	return NewRand(forkNSeed(r.seed, label, n))
+}
+
+// SetForkN is ForkN in place: it re-seeds r as the stream
+// parent.ForkN(label, n) returns, without allocating one. A caller
+// drawing one short stream per item keeps a single Rand and re-seeds it.
+func (r *Rand) SetForkN(parent *Rand, label string, n uint64) {
+	r.reseed(forkNSeed(parent.seed, label, n))
+}
+
+func forkNSeed(seed uint64, label string, n uint64) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	k := h.Sum64() ^ ((n + 1) * 0x9e3779b97f4a7c15)
-	return NewRand(r.seed ^ k ^ 0xaf251af3b0f025b5)
+	return seed ^ k ^ 0xaf251af3b0f025b5
 }
 
 // Float64 returns a uniform sample in [0,1).

@@ -131,4 +131,33 @@ func TestStreamsArePinned(t *testing.T) {
 		t.Errorf("ForkN allocates %v objects, want 1", n)
 	}
 	_ = sink
+	// SetForkN is ForkN in place: the same first draws, over a Rand that
+	// has drawn from other streams before, and no object at all.
+	var inPlace Rand
+	for _, tc := range []struct {
+		seed  uint64
+		label string
+		n     uint64
+		want  uint64
+	}{
+		{0, "live-synth", 7, 0x13b9134640ea9cef},
+		{42, "day", 1025, 0x538ff6da1f84234f},
+		{1, "live-synth", 7, 0x6dc00be1601319b2},
+		{2022, "day", 1025, 0x571a6e61f19a08b1},
+	} {
+		inPlace.SetForkN(NewRand(tc.seed), tc.label, tc.n)
+		if got := inPlace.Uint64(); got != tc.want {
+			t.Errorf("seed %d: SetForkN(%s, %d) draw %#x, want %#x", tc.seed, tc.label, tc.n, got, tc.want)
+		}
+		fresh := NewRand(tc.seed).ForkN(tc.label, tc.n)
+		fresh.Uint64()
+		for i := 0; i < 8; i++ {
+			if a, b := inPlace.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("seed %d: SetForkN draw %d = %v, ForkN's %v", tc.seed, i+1, a, b)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { inPlace.SetForkN(root, "live-synth", 3) }); n != 0 {
+		t.Errorf("SetForkN allocates %v objects, want 0", n)
+	}
 }

@@ -105,9 +105,13 @@ type passAShard struct {
 	// cache holds this worker's generated intents per local
 	// (customer, day) slot; nil slots were spilled by the budget and are
 	// regenerated deterministically in pass B.
-	cache  [][]workload.FlowIntent
-	hits   int
-	spills int
+	cache [][]workload.FlowIntent
+	// scratch is the worker's generation buffer: pass A generates each
+	// customer-day into it and caches an exact-size copy, and pass B
+	// regenerates spilled days into it.
+	scratch []workload.FlowIntent
+	hits    int
+	spills  int
 	// errs collects recovered pass-A panics; failed marks the local
 	// slots they poisoned so pass B never regenerates them (which would
 	// just re-trigger the panic).
@@ -115,15 +119,15 @@ type passAShard struct {
 	failed map[int]bool
 }
 
-// generateDaySafe is GenerateDay with a panic fence: one bad customer-day
+// generateDaySafe is AppendDay with a panic fence: one bad customer-day
 // becomes an error carrying its coordinates instead of a dead worker.
-func generateDaySafe(c *workload.Customer, day int, r *dist.Rand) (intents []workload.FlowIntent, err error) {
+func generateDaySafe(dst []workload.FlowIntent, c *workload.Customer, day int, r *dist.Rand) (intents []workload.FlowIntent, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("netsim: generate customer %d day %d: panic: %v", c.ID, day, p)
 		}
 	}()
-	return workload.GenerateDay(c, day, r), nil
+	return workload.AppendDay(dst, c, day, r), nil
 }
 
 // dimension is pass A: it generates every customer-day of cfg.Days on
@@ -180,7 +184,8 @@ func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wra
 					c := customers[ci]
 					for day := 0; day < cfg.Days; day++ {
 						r := d.root.ForkN("day", uint64(c.ID)*1024+uint64(day))
-						intents, gerr := generateDaySafe(c, day, r)
+						intents, gerr := generateDaySafe(sh.scratch[:0], c, day, r)
+						sh.scratch = intents
 						if gerr != nil {
 							mWorkerRecoveries.Inc()
 							sh.errs = append(sh.errs, gerr.Error())
@@ -200,10 +205,13 @@ func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wra
 							}
 							size += int64(fi.MemBytes())
 						}
-						// Admit into the intent cache while the budget
-						// lasts; spilled slots are regenerated in pass B.
+						// Admit an exact-size copy into the intent cache
+						// while the budget lasts; spilled slots are
+						// regenerated in pass B.
 						if cacheFree.Add(-size) >= 0 {
-							sh.cache[local*cfg.Days+day] = intents
+							cached := make([]workload.FlowIntent, len(intents))
+							copy(cached, intents)
+							sh.cache[local*cfg.Days+day] = cached
 						} else {
 							cacheFree.Add(size)
 							sh.spills++

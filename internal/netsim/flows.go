@@ -31,6 +31,9 @@ type synthesizer struct {
 	tracker *tstat.Tracker
 	loads   []*beamLoad // indexed by beam ID
 	ports   map[int]*portAlloc
+	// spare is a retired customer's allocator, reset to a new one's
+	// state, for the next customer nextPort sees (see retirePorts).
+	spare *portAlloc
 
 	chCache   map[string][]byte // ClientHello bytes per SNI
 	shBytes   []byte            // ServerHello + Certificate + HelloDone
@@ -181,7 +184,10 @@ const portReuseGuard = 6 * time.Minute
 func (s *synthesizer) nextPort(custID int, start time.Duration) uint16 {
 	pa := s.ports[custID]
 	if pa == nil {
-		pa = &portAlloc{next: 1024, busy: map[uint16]time.Duration{}}
+		pa, s.spare = s.spare, nil
+		if pa == nil {
+			pa = &portAlloc{next: 1024, busy: map[uint16]time.Duration{}}
+		}
 		s.ports[custID] = pa
 	}
 	for tries := 0; tries < 1<<16; tries++ {
@@ -201,6 +207,19 @@ func (s *synthesizer) nextPort(custID int, start time.Duration) uint16 {
 	}
 	// Pathological: every port busy. Reuse the cursor anyway.
 	return pa.next
+}
+
+// retirePorts ends a customer's port allocation once no flow of it can
+// still be tracked: its allocator, reset and its map cleared, serves the
+// next customer, so a batch worker keeps one port map alive rather than
+// one per customer.
+func (s *synthesizer) retirePorts(custID int) {
+	if pa := s.ports[custID]; pa != nil {
+		delete(s.ports, custID)
+		pa.next = 1024
+		clear(pa.busy)
+		s.spare = pa
+	}
 }
 
 // holdPort records when a flow on port p went quiet, blocking its reuse
@@ -447,12 +466,12 @@ func (s *synthesizer) flow(fi *workload.FlowIntent, r *dist.Rand, fl *trace.Flow
 	var region cdn.Region
 	var serverAddr netip.Addr
 	var serverPort uint16
-	if fi.Entry.Domain != "" {
+	if fi.Entry != nil {
 		resolver := c.Resolver
 		if s.cfg.ForceOperatorDNS {
 			resolver, _ = dnssim.ByID(dnssim.ResolverOperator)
 		}
-		region = dnssim.SelectRegion(fi.Entry, resolver, c.Country, r)
+		region = dnssim.SelectRegion(*fi.Entry, resolver, c.Country, r)
 		serverAddr = cdn.ServerAddr(fi.Entry.Domain, region, r.IntN(4))
 		switch fi.Proto {
 		case cdn.AppHTTP:
@@ -504,7 +523,7 @@ func (s *synthesizer) flow(fi *workload.FlowIntent, r *dist.Rand, fl *trace.Flow
 
 	// DNS resolution precedes ~30% of catalog flows (the rest hit the
 	// device/CPE cache).
-	if fi.Entry.Domain != "" && r.Bool(0.3) {
+	if fi.Entry != nil && r.Bool(0.3) {
 		s.dnsTransaction(fi, c, serverAddr, r)
 	}
 
@@ -535,7 +554,7 @@ func (s *synthesizer) failedFlow(fi *workload.FlowIntent, r *dist.Rand, fl *trac
 	c := fi.Customer
 	var serverAddr netip.Addr
 	var serverPort uint16
-	if fi.Entry.Domain != "" {
+	if fi.Entry != nil {
 		// Resolution is cached or stale; region choice is moot for a flow
 		// that never leaves the beam, so pin the first candidate server.
 		serverAddr = cdn.ServerAddr(fi.Entry.Domain, cdn.RegionEurope, 0)

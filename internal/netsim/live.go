@@ -123,6 +123,8 @@ type LiveWorker struct {
 	tracker *tstat.Tracker
 	syn     *synthesizer
 	mod     *models // what syn was built over
+	// rng is the current intent's random stream, re-seeded per intent.
+	rng dist.Rand
 }
 
 // NewWorker builds a live synthesis worker. onFlow/onDNS receive records
@@ -157,8 +159,8 @@ func (w *LiveWorker) refresh() {
 // which finishes it at record emission.
 func (w *LiveWorker) Process(fi *workload.FlowIntent, seq uint64, fl *trace.Flow) error {
 	w.refresh()
-	r := w.lv.dep.root.ForkN("live-synth", seq)
-	if err := w.syn.flow(fi, r, fl); err != nil {
+	w.rng.SetForkN(w.lv.dep.root, "live-synth", seq)
+	if err := w.syn.flow(fi, &w.rng, fl); err != nil {
 		return fmt.Errorf("netsim: live intent %d: %w", seq, err)
 	}
 	mFlows.Inc()

@@ -19,8 +19,9 @@
 // capacity and PEP resources; pass B synthesizes the flow timelines under
 // the resulting utilization, reusing the pass-A intents through a
 // memory-bounded cache (regenerating deterministically when the budget
-// spilled them). Per-worker logs are sorted in parallel and combined with
-// a k-way merge, so the output is byte-identical at any worker count.
+// spilled them). Each worker sorts its log chunks in parallel, and one
+// k-way merge combines every worker's chunks, so the output is
+// byte-identical at any worker count.
 package netsim
 
 import (
@@ -377,13 +378,11 @@ func beamStats(loads []*beamLoad, hours int) []BeamStat {
 }
 
 // workerOut is one pass-B worker's private output. Records go into the
-// logs as the tracker emits them; flows and dns hold them, sorted, once the
-// worker is done.
+// logs as the tracker emits them; once the worker is done, each chunk is
+// sorted and becomes one run of the final merge.
 type workerOut struct {
 	flowLog chunkLog[tstat.FlowRecord]
 	dnsLog  chunkLog[tstat.DNSRecord]
-	flows   []tstat.FlowRecord
-	dns     []tstat.DNSRecord
 	intents int
 	errs    []string
 	done    int
@@ -395,7 +394,8 @@ const logChunk = 1024
 // chunkLog is an append-only record log kept in fixed-size chunks, so it
 // never copies what it holds as it grows: append regrows a large slice by
 // about 1.25x at a time, which allocates a pass-B worker's log about five
-// times over. collect copies it once.
+// times over. The merge reads the sorted chunks straight into Output, so
+// a record is written twice: into its chunk and into the merged log.
 type chunkLog[T any] struct {
 	chunks [][]T
 	n      int
@@ -408,17 +408,6 @@ func (l *chunkLog[T]) add(r T) {
 	last := &l.chunks[len(l.chunks)-1]
 	*last = append(*last, r)
 	l.n++
-}
-
-// collect returns the log's records in order in an exact-size slice and
-// empties the log.
-func (l *chunkLog[T]) collect() []T {
-	out := make([]T, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	*l = chunkLog[T]{}
-	return out
 }
 
 // synthCustomer synthesizes one customer's full observation window,
@@ -446,10 +435,11 @@ func synthCustomer(syn *synthesizer, sh *passAShard, root *dist.Rand, cfg Config
 		} else {
 			r := root.ForkN("day", uint64(c.ID)*1024+uint64(day))
 			var gerr error
-			intents, gerr = generateDaySafe(c, day, r)
+			sh.scratch, gerr = generateDaySafe(sh.scratch[:0], c, day, r)
 			if gerr != nil {
 				return gerr
 			}
+			intents = sh.scratch
 		}
 		sr := root.ForkN("synth", uint64(c.ID)*1024+uint64(day))
 		for i := range intents {
@@ -541,13 +531,14 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// Each worker owns a private tracker and synthesizes only its own
 	// customers (the pass-A stride partition), so every tracker sees a
 	// fully deterministic single-producer event order; flows never span
-	// workers because 5-tuples are per-customer. Each worker sorts its
-	// own log into the canonical total order, and the sorted runs are
-	// k-way merged afterwards, making the output independent of
-	// scheduling and worker count. A customer whose synthesis panics is
-	// dropped with a recovered error; a cancelled context stops every
-	// worker at its next customer boundary — either way the remaining
-	// customers' logs are flushed, sorted, and merged as usual.
+	// workers because 5-tuples are per-customer. Each worker sorts each
+	// chunk of its logs into the canonical total order, and every
+	// worker's sorted chunks are k-way merged afterwards, making the
+	// output independent of scheduling and worker count. A customer
+	// whose synthesis panics is dropped with a recovered error; a
+	// cancelled context stops every worker at its next customer boundary
+	// — either way the remaining customers' logs are flushed, sorted, and
+	// merged as usual.
 	var interrupted atomic.Bool
 	var wg sync.WaitGroup
 	outs := make([]workerOut, workers)
@@ -580,17 +571,22 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 							mCustomersDone.Inc()
 						}
 						// 5-tuples are per customer: no later event can
-						// reach this customer's flows, so retire them now.
+						// reach this customer's flows, so retire them and
+						// hand its port map to the next customer.
 						tracker.Flush()
+						syn.retirePorts(c.ID)
 						local++
 					}
 					// The canonical sort is tstat work, not synthesis —
 					// relabel it (keeping worker=N) so profiles separate it
 					// from flow synthesis.
 					prof.Do(wctx, prof.StageTstat, func() {
-						out.flows, out.dns = out.flowLog.collect(), out.dnsLog.collect()
-						tstat.SortFlows(out.flows)
-						tstat.SortDNS(out.dns)
+						for _, c := range out.flowLog.chunks {
+							tstat.SortFlows(c)
+						}
+						for _, c := range out.dnsLog.chunks {
+							tstat.SortDNS(c)
+						}
 					})
 				})
 			}(w)
@@ -625,11 +621,11 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	mIntentCacheSpills.Add(int64(stats.IntentCacheSpills))
 
 	startMerge := time.Now()
-	flowRuns := make([][]tstat.FlowRecord, workers)
-	dnsRuns := make([][]tstat.DNSRecord, workers)
+	var flowRuns [][]tstat.FlowRecord
+	var dnsRuns [][]tstat.DNSRecord
 	for w := range outs {
-		flowRuns[w] = outs[w].flows
-		dnsRuns[w] = outs[w].dns
+		flowRuns = append(flowRuns, outs[w].flowLog.chunks...)
+		dnsRuns = append(dnsRuns, outs[w].dnsLog.chunks...)
 	}
 	var flows []tstat.FlowRecord
 	var dns []tstat.DNSRecord

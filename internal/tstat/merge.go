@@ -1,15 +1,13 @@
 package tstat
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // This file defines the canonical total order over records and the k-way
-// merge the simulator uses to combine per-worker logs. The comparators
-// cover every serialized field, so any two records that compare equal are
-// byte-identical in the TSV output — which is what makes the merged log
-// independent of how records were partitioned across workers.
+// merge the simulator uses to combine its workers' log chunks. The
+// comparators cover every serialized field, so any two records that
+// compare equal are byte-identical in the TSV output — which is what
+// makes the merged log independent of how records were partitioned into
+// runs.
 
 // CompareFlows is the canonical total order over flow records: start
 // time, then endpoints (the order SortFlows always used), then every
@@ -143,73 +141,87 @@ func SortDNS(dns []DNSRecord) {
 	})
 }
 
-// mergeHeap is a min-heap over the heads of k sorted runs.
-type mergeHeap[T any] struct {
+// runHeap is a binary min-heap over the heads of k sorted runs: idx
+// holds the index of every run not yet drained, ordered by the run's head
+// record. Fully equal heads order by run index, which keeps the merge
+// deterministic (the records are interchangeable).
+type runHeap[T any] struct {
 	runs [][]T // remaining tail of each run
-	idx  []int // heap of run indices
+	idx  []int
 	cmp  func(a, b *T) int
 }
 
-func (h *mergeHeap[T]) Len() int { return len(h.idx) }
-func (h *mergeHeap[T]) Less(i, j int) bool {
+// less orders heap positions i and j.
+func (h *runHeap[T]) less(i, j int) bool {
 	a, b := h.idx[i], h.idx[j]
 	if c := h.cmp(&h.runs[a][0], &h.runs[b][0]); c != 0 {
 		return c < 0
 	}
-	// Fully equal heads: order by run index for reproducibility (the
-	// records are interchangeable, but keep the heap deterministic).
 	return a < b
 }
-func (h *mergeHeap[T]) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *mergeHeap[T]) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *mergeHeap[T]) Pop() any {
-	x := h.idx[len(h.idx)-1]
-	h.idx = h.idx[:len(h.idx)-1]
-	return x
+
+// down restores the heap order below position i.
+func (h *runHeap[T]) down(i int) {
+	n := len(h.idx)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
+		i = m
+	}
 }
 
 // mergeRuns k-way merges sorted runs under cmp, which must be the total
-// order each run was sorted in.
+// order each run was sorted in. A single non-empty run is returned as is.
 func mergeRuns[T any](runs [][]T, cmp func(a, b *T) int) []T {
 	total := 0
-	nonEmpty := runs[:0:0]
+	h := &runHeap[T]{cmp: cmp}
 	for _, r := range runs {
 		if len(r) > 0 {
-			nonEmpty = append(nonEmpty, r)
+			h.idx = append(h.idx, len(h.runs))
+			h.runs = append(h.runs, r)
 			total += len(r)
 		}
 	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0]
+	if len(h.runs) == 1 {
+		return h.runs[0]
+	}
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 	out := make([]T, 0, total)
-	h := &mergeHeap[T]{runs: nonEmpty, cmp: cmp}
-	for i := range nonEmpty {
-		h.idx = append(h.idx, i)
-	}
-	heap.Init(h)
-	for h.Len() > 0 {
+	for len(h.idx) > 0 {
 		i := h.idx[0]
 		out = append(out, h.runs[i][0])
-		h.runs[i] = h.runs[i][1:]
-		if len(h.runs[i]) == 0 {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
+		if h.runs[i] = h.runs[i][1:]; len(h.runs[i]) == 0 {
+			last := len(h.idx) - 1
+			h.idx[0] = h.idx[last]
+			h.idx = h.idx[:last]
 		}
+		h.down(0)
 	}
 	return out
 }
 
-// MergeFlows k-way merges per-worker flow logs, each already sorted in
-// CompareFlows order (see SortFlows), into one globally sorted log. The
-// result is identical to concatenating and sorting, at O(N log k) with no
-// re-sort of the whole record set.
+// MergeFlows k-way merges sorted runs of flow records (the simulator
+// passes every worker's log chunks), each already sorted in CompareFlows
+// order (see SortFlows), into one globally sorted log. The result is
+// identical to concatenating and sorting, at O(N log k) with no re-sort of
+// the whole record set.
 func MergeFlows(runs [][]FlowRecord) []FlowRecord {
 	return mergeRuns(runs, CompareFlows)
 }
 
-// MergeDNS k-way merges per-worker DNS logs sorted in CompareDNS order.
+// MergeDNS k-way merges sorted runs of DNS records, each in CompareDNS
+// order.
 func MergeDNS(runs [][]DNSRecord) []DNSRecord {
 	return mergeRuns(runs, CompareDNS)
 }

@@ -3,6 +3,7 @@ package tstat
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -33,25 +34,61 @@ func synthFlows(n int) []FlowRecord {
 	return out
 }
 
+// mergeKs are the run counts the merge tests partition into: a worker's
+// log, a few workers, and the tens to hundreds of log chunks a batch run
+// merges.
+var mergeKs = []int{1, 2, 3, 7, 64, 257}
+
+// mergeShapes cuts recs into k runs three ways: round-robin (with k = 257
+// most runs hold one record), chunk-shaped (consecutive cuts of one size
+// and a short last one, as a worker's log chunks, with an empty run after
+// each) and uneven (run sizes cycle 0..6, the last run takes the rest).
+// Every run is a fresh slice, sorted by sortRun.
+func mergeShapes[T any](recs []T, k int, sortRun func([]T)) map[string][][]T {
+	shapes := map[string][][]T{}
+	rr := make([][]T, k)
+	for i, r := range recs {
+		rr[i%k] = append(rr[i%k], r)
+	}
+	shapes["round-robin"] = rr
+	var chunks [][]T
+	size := (len(recs) + k - 1) / k
+	for lo := 0; lo < len(recs); lo += size {
+		chunks = append(chunks, slices.Clone(recs[lo:min(lo+size, len(recs))]), nil)
+	}
+	shapes["chunks"] = chunks
+	uneven := make([][]T, k)
+	lo := 0
+	for i := range uneven {
+		hi := min(lo+i%7, len(recs))
+		if i == k-1 {
+			hi = len(recs)
+		}
+		uneven[i] = slices.Clone(recs[lo:hi])
+		lo = hi
+	}
+	shapes["uneven"] = uneven
+	for _, runs := range shapes {
+		for _, r := range runs {
+			sortRun(r)
+		}
+	}
+	return shapes
+}
+
 // TestMergeFlowsMatchesGlobalSort: k-way merging per-run sorted slices
 // must be indistinguishable from concatenating and sorting globally, for
 // any partitioning.
 func TestMergeFlowsMatchesGlobalSort(t *testing.T) {
 	all := synthFlows(500)
-	want := append([]FlowRecord(nil), all...)
+	want := slices.Clone(all)
 	SortFlows(want)
 
-	for _, k := range []int{1, 2, 3, 7} {
-		runs := make([][]FlowRecord, k)
-		for i, f := range all { // round-robin partition
-			runs[i%k] = append(runs[i%k], f)
-		}
-		for i := range runs {
-			SortFlows(runs[i])
-		}
-		got := MergeFlows(runs)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge of %d runs differs from global sort", k)
+	for _, k := range mergeKs {
+		for shape, runs := range mergeShapes(all, k, SortFlows) {
+			if got := MergeFlows(runs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("merge of %d %s runs differs from global sort", k, shape)
+			}
 		}
 	}
 }
@@ -70,23 +107,40 @@ func TestMergeFlowsEdgeCases(t *testing.T) {
 	}
 }
 
+// synthDNS is synthFlows for DNS records: dense times, few clients and
+// names, so the deep tie-breaks run and some records repeat exactly.
+func synthDNS(n int) []DNSRecord {
+	state := uint64(0x2545f4914f6cdd1d)
+	next := func(mod uint64) uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return (state >> 33) % mod
+	}
+	out := make([]DNSRecord, n)
+	for i := range out {
+		out[i] = DNSRecord{
+			T:            time.Duration(next(40)) * time.Second,
+			Client:       netip.AddrFrom4([4]byte{10, 0, 0, byte(next(4))}),
+			Query:        []string{"a.example", "b.example", "z.example"}[next(3)],
+			Resolver:     netip.AddrFrom4([4]byte{9, 9, 9, byte(next(2))}),
+			RCode:        uint8(next(2) * 3),
+			Answer:       netip.AddrFrom4([4]byte{93, 184, 0, byte(next(3))}),
+			ResponseTime: time.Duration(next(3)) * 10 * time.Millisecond,
+		}
+	}
+	return out
+}
+
 func TestMergeDNSMatchesGlobalSort(t *testing.T) {
-	mk := func(tq int, client byte, q string) DNSRecord {
-		return DNSRecord{T: time.Duration(tq) * time.Second,
-			Client: netip.AddrFrom4([4]byte{10, 0, 0, client}),
-			Query:  q, Resolver: netip.AddrFrom4([4]byte{9, 9, 9, 9})}
-	}
-	all := []DNSRecord{
-		mk(3, 1, "z.example"), mk(1, 2, "a.example"), mk(1, 1, "a.example"),
-		mk(1, 1, "b.example"), mk(2, 9, "a.example"), mk(1, 1, "a.example"),
-	}
-	want := append([]DNSRecord(nil), all...)
+	all := synthDNS(500)
+	want := slices.Clone(all)
 	SortDNS(want)
-	runs := [][]DNSRecord{append([]DNSRecord(nil), all[:3]...), append([]DNSRecord(nil), all[3:]...)}
-	SortDNS(runs[0])
-	SortDNS(runs[1])
-	if got := MergeDNS(runs); !reflect.DeepEqual(got, want) {
-		t.Fatal("DNS merge differs from global sort")
+
+	for _, k := range mergeKs {
+		for shape, runs := range mergeShapes(all, k, SortDNS) {
+			if got := MergeDNS(runs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("DNS merge of %d %s runs differs from global sort", k, shape)
+			}
+		}
 	}
 }
 

@@ -19,9 +19,10 @@ type FlowIntent struct {
 	Customer *Customer
 	// Start is the flow's start, offset from the simulation epoch (UTC).
 	Start time.Duration
-	// Entry is the catalog entry being contacted; zero-valued for opaque
-	// flows (VPN, RTP, unknown UDP), which use OpaqueServer instead.
-	Entry  cdn.Entry
+	// Entry is the catalog entry being contacted, pointing into this
+	// package's read-only catalog tables; nil for opaque flows (VPN, RTP,
+	// unknown UDP), which use OpaqueServer instead.
+	Entry  *cdn.Entry
 	Domain string // concrete FQDN; "" for opaque flows
 	Proto  cdn.AppProtocol
 	// OpaqueServer/OpaqueRegion locate the server of non-catalog flows.
@@ -57,14 +58,21 @@ var backgroundEntries = func() []cdn.Entry {
 		"au.download.windowsupdate.com", "s3.amazonaws.com", "github.com",
 		"api.zoom.us", "cdn.cloudflare.net",
 	} {
-		e, ok := cdn.Lookup(d)
-		if !ok {
-			panic("workload: background domain missing from catalog: " + d)
-		}
-		out = append(out, e)
+		out = append(out, mustLookup(d))
 	}
 	return out
 }()
+
+// windowsUpdate is the plain-HTTP update host behind the OS downloads.
+var windowsUpdate = mustLookup("au.download.windowsupdate.com")
+
+func mustLookup(domain string) cdn.Entry {
+	e, ok := cdn.Lookup(domain)
+	if !ok {
+		panic("workload: domain missing from catalog: " + domain)
+	}
+	return e
+}
 
 var africanEntries = func() []cdn.Entry {
 	var out []cdn.Entry
@@ -91,8 +99,8 @@ const Day = 24 * time.Hour
 
 // MemBytes estimates the retained heap footprint of one intent, for the
 // simulator's pass-A intent cache budget. The struct itself plus the
-// per-flow FQDN string; catalog-entry strings are shared with the catalog
-// and not counted.
+// per-flow FQDN string; the catalog entry is shared with this package's
+// tables and not counted.
 func (fi *FlowIntent) MemBytes() int {
 	return int(unsafe.Sizeof(*fi)) + len(fi.Domain)
 }
@@ -100,7 +108,13 @@ func (fi *FlowIntent) MemBytes() int {
 // GenerateDay produces all flow intents of one customer for one day.
 // Determinism: the caller derives r per (customer, day).
 func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
-	var out []FlowIntent
+	return AppendDay(nil, c, day, r)
+}
+
+// AppendDay appends the intents GenerateDay produces to dst and returns
+// the extended slice, so a caller generating many customer-days can reuse
+// one buffer.
+func AppendDay(dst []FlowIntent, c *Customer, day int, r *dist.Rand) []FlowIntent {
 	dayStart := time.Duration(day) * Day
 	diurnal := DiurnalFor(c.Type)
 	tz := c.Country.TZOffset
@@ -122,12 +136,12 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 		// knee: tens to a couple hundred tiny flows).
 		n := 25 + r.IntN(120)
 		for i := 0; i < n; i++ {
-			e := backgroundEntries[r.IntN(len(backgroundEntries))]
+			e := &backgroundEntries[r.IntN(len(backgroundEntries))]
 			size := int64(2<<10 + r.IntN(40<<10))
-			out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 				Domain: e.FQDN(r), Proto: e.Proto, Down: size, Up: size / 8})
 		}
-		return out
+		return dst
 	}
 
 	// Tracked services per the Figure 6 penetration, boosted for
@@ -151,9 +165,9 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 			continue
 		}
 		for _, sz := range sizes {
-			e := entries[r.IntN(len(entries))]
+			e := &entries[r.IntN(len(entries))]
 			flowUp := int64(float64(sz) * float64(up) / float64(down+1))
-			out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 				Domain: e.FQDN(r), Proto: e.Proto, Down: sz, Up: flowUp + 200})
 		}
 	}
@@ -161,9 +175,9 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 	// Background traffic for active customers.
 	nBg := 50 + r.IntN(120)
 	for i := 0; i < nBg; i++ {
-		e := backgroundEntries[r.IntN(len(backgroundEntries))]
+		e := &backgroundEntries[r.IntN(len(backgroundEntries))]
 		size := int64(3<<10 + r.IntN(200<<10))
-		out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+		dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 			Domain: e.FQDN(r), Proto: e.Proto, Down: size, Up: size / 8})
 	}
 
@@ -174,9 +188,9 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 		updateProb = 0.12
 	}
 	if r.Bool(updateProb) {
-		e, _ := cdn.Lookup("au.download.windowsupdate.com")
+		e := &windowsUpdate
 		size := int64(dist.LogNormalFromMedian(50*MB, 1.1).Sample(r))
-		out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+		dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 			Domain: e.Domain, Proto: cdn.AppHTTP, Down: size, Up: size / 100})
 	}
 
@@ -185,9 +199,9 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 	if c.Country.Continent == geo.Africa && r.Bool(0.55) {
 		n := 2 + r.IntN(10)
 		for i := 0; i < n; i++ {
-			e := africanEntries[r.IntN(len(africanEntries))]
+			e := &africanEntries[r.IntN(len(africanEntries))]
 			size := int64(dist.LogNormalFromMedian(150<<10, 1.2).Sample(r))
-			out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 				Domain: e.FQDN(r), Proto: e.Proto, Down: size, Up: size / 10})
 		}
 	}
@@ -196,9 +210,9 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 	if c.ChineseCommunity {
 		n := 4 + r.IntN(12)
 		for i := 0; i < n; i++ {
-			e := chineseEntries[r.IntN(len(chineseEntries))]
+			e := &chineseEntries[r.IntN(len(chineseEntries))]
 			size := int64(dist.LogNormalFromMedian(400<<10, 1.3).Sample(r))
-			out = append(out, FlowIntent{Customer: c, Start: stamp(), Entry: e,
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(), Entry: e,
 				Domain: e.FQDN(r), Proto: e.Proto, Down: size, Up: size / 8})
 		}
 	}
@@ -213,7 +227,7 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 			if r.Bool(0.2) {
 				region = cdn.RegionUSEast
 			}
-			out = append(out, FlowIntent{Customer: c, Start: stamp(),
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(),
 				Proto:        cdn.AppTCPOther,
 				OpaqueServer: cdn.ServerAddr(fmt.Sprintf("vpn-%d-%d", c.ID, i), region, 0),
 				OpaqueRegion: region,
@@ -244,7 +258,7 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 			}
 			vol := int64(secs * rate / 8)
 			region := cdn.RegionEuropeNear
-			out = append(out, FlowIntent{Customer: c, Start: stamp(),
+			dst = append(dst, FlowIntent{Customer: c, Start: stamp(),
 				Proto:        cdn.AppRTP,
 				OpaqueServer: cdn.ServerAddr(fmt.Sprintf("turn-%d-%d", c.ID, i), region, 0),
 				OpaqueRegion: region,
@@ -257,12 +271,12 @@ func GenerateDay(c *Customer, day int, r *dist.Rand) []FlowIntent {
 	for i := 0; i < nUDP; i++ {
 		region := cdn.RegionEurope
 		size := int64(dist.LogNormalFromMedian(3*MB, 1.5).Sample(r))
-		out = append(out, FlowIntent{Customer: c, Start: stamp(),
+		dst = append(dst, FlowIntent{Customer: c, Start: stamp(),
 			Proto:        cdn.AppUDPOther,
 			OpaqueServer: cdn.ServerAddr(fmt.Sprintf("udp-%d-%d", c.ID, i), region, 0),
 			OpaqueRegion: region,
 			Down:         size, Up: size / 3})
 	}
 
-	return out
+	return dst
 }

@@ -272,7 +272,13 @@ func TestGenerateDayActiveResidentialEU(t *testing.T) {
 				t.Fatalf("flow to unknown domain %q", f.Domain)
 			}
 		}
-		if f.Entry.Service != "" {
+		// Only catalog flows point at an entry; VPN, RTP and other-UDP
+		// intents carry an opaque server instead.
+		opaque := f.Proto == cdn.AppTCPOther || f.Proto == cdn.AppRTP || f.Proto == cdn.AppUDPOther
+		if (f.Entry == nil) != opaque {
+			t.Fatalf("%v intent to %q: entry %v", f.Proto, f.Domain, f.Entry)
+		}
+		if f.Entry != nil && f.Entry.Service != "" {
 			haveTracked = true
 		}
 		if f.Down < 0 || f.Up < 0 {
