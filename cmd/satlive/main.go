@@ -24,7 +24,9 @@
 // finalize, and the manifest lands with status "partial" (signal) or
 // "ok" (duration reached). -soak runs the self-checking soak mode: a
 // fixed-length run with an overload phase that exits nonzero on leaked
-// goroutines, undrained queues, or unbounded heap growth.
+// goroutines, undrained queues, or unbounded heap growth; it serves no
+// control plane and runs for its own length, so -control-addr and
+// -duration with it are an error.
 //
 // Exit codes: 0 ok, 1 error or failed soak, 2 interrupted (partial).
 //
@@ -113,6 +115,9 @@ func run() (int, error) {
 	}
 
 	if *soak > 0 {
+		if err := obs.RejectUnread(flag.CommandLine, "-soak", "control-addr", "duration"); err != nil {
+			return 0, err
+		}
 		return runSoak(cfg, *soak, *outDir, *metricsOut)
 	}
 

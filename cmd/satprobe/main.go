@@ -90,7 +90,12 @@ func run() (int, error) {
 	ctx, stop := obs.SignalContext()
 	defer stop()
 
-	tr := tstat.NewTracker(tstat.Config{})
+	var flows []tstat.FlowRecord
+	var dns []tstat.DNSRecord
+	tr := tstat.NewTracker(tstat.Config{
+		OnFlow: func(r tstat.FlowRecord) { flows = append(flows, r) },
+		OnDNS:  func(r tstat.DNSRecord) { dns = append(dns, r) },
+	})
 	var epoch time.Time
 	interrupted := false
 	for !interrupted {
@@ -116,7 +121,7 @@ func run() (int, error) {
 		}
 		packets.Add(1)
 	}
-	flows, dns := tr.Flush()
+	tr.Flush()
 	tstat.SortFlows(flows)
 	tstat.SortDNS(dns)
 	if interrupted {

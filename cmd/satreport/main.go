@@ -4,9 +4,10 @@
 // with operator metadata later. It simulates nothing; satgen writes the
 // logs it reads (flows.tsv, dns.tsv, meta.tsv, prefixes.tsv, beams.tsv).
 // The observation window (Figure 4's customer-days) is read off the logs
-// too: the days up to the latest record (netsim.Output.Days). -live-history
-// renders a satlive window-history log instead, and -errant also prints
-// the ERRANT emulation profiles.
+// too: the days up to the latest record (netsim.Output.Days). -errant also
+// prints the ERRANT emulation profiles. -live-history renders a satlive
+// window-history log instead; it reads neither -from, -errant nor
+// -parallelism, and setting one with it is an error.
 //
 // Corrupt log lines are skipped by default — counted
 // (netsim_rows_skipped_total) and reported, the salvage path for logs out
@@ -53,6 +54,9 @@ func run() (int, error) {
 	obs.Default.Reset()
 
 	if *liveHistory != "" {
+		if err := obs.RejectUnread(flag.CommandLine, "-live-history", "from", "errant", "parallelism"); err != nil {
+			return 0, err
+		}
 		return runLiveHistory(*liveHistory, *strict, *metricsOut)
 	}
 	if *fromDir == "" {

@@ -215,10 +215,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, keepWindows, prefixes, &p.degraded)
 	p.workersLeft.Store(int64(cfg.Workers))
 
-	p.tracing, err = NewTracing(TracingConfig{
-		SampleN: cfg.TraceSample,
-		Dir:     cfg.TraceDir, MaxBytes: cfg.TraceFileMaxBytes, KeepFiles: cfg.TraceKeepFiles,
-	})
+	p.tracing, err = newTracing(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -30,26 +30,16 @@ type Tracing struct {
 	w       *trace.RotatingWriter // nil: ring only
 }
 
-// TracingConfig parameterizes NewTracing.
-type TracingConfig struct {
-	// SampleN traces 1 in N flows (<= 0 disables tracing; 1 traces all).
-	SampleN int
-	// Dir, when non-empty, enables the rotating JSONL log.
-	Dir string
-	// MaxBytes and KeepFiles shape rotation (defaults in internal/trace).
-	MaxBytes  int64
-	KeepFiles int
-}
-
-// NewTracing builds the live tracer. A SampleN <= 0 returns (nil, nil):
-// tracing disabled, zero hot-path cost beyond a nil check.
-func NewTracing(cfg TracingConfig) (*Tracing, error) {
-	if cfg.SampleN <= 0 {
+// newTracing builds the live tracer from cfg's Trace* fields. A
+// TraceSample <= 0 returns (nil, nil): tracing disabled, zero hot-path
+// cost beyond a nil check.
+func newTracing(cfg Config) (*Tracing, error) {
+	if cfg.TraceSample <= 0 {
 		return nil, nil
 	}
-	t := &Tracing{sampleN: uint64(cfg.SampleN), ring: trace.NewRing(DefaultTraceRing)}
-	if cfg.Dir != "" {
-		w, err := trace.NewRotatingWriter(cfg.Dir, cfg.MaxBytes, cfg.KeepFiles)
+	t := &Tracing{sampleN: uint64(cfg.TraceSample), ring: trace.NewRing(DefaultTraceRing)}
+	if cfg.TraceDir != "" {
+		w, err := trace.NewRotatingWriter(cfg.TraceDir, cfg.TraceFileMaxBytes, cfg.TraceKeepFiles)
 		if err != nil {
 			return nil, err
 		}

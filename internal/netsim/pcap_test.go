@@ -28,7 +28,10 @@ func replayPcap(t *testing.T, capture io.Reader) (flows []tstat.FlowRecord, dns 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tstat.NewTracker(tstat.Config{})
+	tr := tstat.NewTracker(tstat.Config{
+		OnFlow: func(r tstat.FlowRecord) { flows = append(flows, r) },
+		OnDNS:  func(r tstat.DNSRecord) { dns = append(dns, r) },
+	})
 	for {
 		ts, raw, err := rd.Next()
 		if errors.Is(err, io.EOF) {
@@ -47,7 +50,7 @@ func replayPcap(t *testing.T, capture io.Reader) (flows []tstat.FlowRecord, dns 
 			rsts++
 		}
 	}
-	flows, dns = tr.Flush()
+	tr.Flush()
 	return flows, dns, epoch, rsts
 }
 

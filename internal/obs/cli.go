@@ -2,10 +2,13 @@ package obs
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 )
@@ -33,6 +36,23 @@ func SalvageExit(tool, what string, skipped int) int {
 	}
 	fmt.Fprintf(os.Stderr, "%s: skipped %d corrupt %s lines (use -strict to fail instead)\n", tool, skipped, what)
 	return 2
+}
+
+// RejectUnread fails when a flag in unread was set explicitly on fs's
+// command line: mode does not read it, and running without it would
+// silently ignore what the user asked for. Flags left at their default
+// pass.
+func RejectUnread(fs *flag.FlagSet, mode string, unread ...string) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(unread, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s does not read %s", mode, strings.Join(set, " or "))
 }
 
 // SignalContext returns a context cancelled by the first SIGINT or SIGTERM

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"flag"
 	"net"
 	"net/http"
 	"os"
@@ -21,6 +22,38 @@ func TestSignalContextCancelsOnSIGTERM(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("context not cancelled by SIGTERM")
+	}
+}
+
+func TestRejectUnread(t *testing.T) {
+	parse := func(args ...string) *flag.FlagSet {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.String("from", "", "")
+		fs.Bool("errant", false, "")
+		fs.Int("parallelism", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-from", "d"}, ""},
+		// Set to its default value is still set: the user asked for it.
+		{[]string{"-parallelism", "0"}, "-replay does not read -parallelism"},
+		{[]string{"-errant"}, "-replay does not read -errant"},
+		{[]string{"-parallelism", "3", "-from", "d", "-errant"}, "-replay does not read -errant or -parallelism"},
+	} {
+		err := RejectUnread(parse(tc.args...), "-replay", "errant", "parallelism")
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: %v, want accepted", tc.args, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%q: %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package pep
 
-// The load harness behind `satpep -load`: it stands up a full
+// The load harness behind `satpep`: it stands up a full
 // CPE↔gateway pair over an emulated satellite link, drives thousands of
 // concurrent split-TCP flows through it with a configurable size and
 // arrival mix, optionally plays a fault schedule (rain fade, beam
@@ -123,7 +123,7 @@ type LoadConfig struct {
 	Logf func(format string, args ...any)
 	// Ctx, when non-nil, stops the run gracefully on cancellation: no new
 	// flows are launched, in-flight flows finish, and the drain check
-	// still runs. Used for SIGINT/SIGTERM handling in satpep.
+	// still runs. satpep cancels it on SIGINT/SIGTERM.
 	Ctx context.Context
 }
 

@@ -42,22 +42,6 @@ func scanAdvanceTime(t *Tracker, now time.Duration) {
 	t.emitOrdered(batch)
 }
 
-// recorder is a tracker whose records stream into slices.
-type recorder struct {
-	tr    *Tracker
-	flows []FlowRecord
-	dns   []DNSRecord
-}
-
-func newRecorder() *recorder {
-	r := &recorder{}
-	r.tr = NewTracker(Config{
-		OnFlow: func(f FlowRecord) { r.flows = append(r.flows, f) },
-		OnDNS:  func(d DNSRecord) { r.dns = append(r.dns, d) },
-	})
-	return r
-}
-
 // expirySlots are the flows a fuzz input plays on: TCP toward three
 // servers, plain UDP toward two, DNS toward two resolvers. A slot is
 // reused once its flow is evicted, so tuples recur on fresh flows.
@@ -104,7 +88,7 @@ func FuzzTrackerExpiry(f *testing.F) {
 	responses := [2][]byte{dnsBytes(f, 7, true), dnsBytes(f, 8, true)}
 	scales := [4]time.Duration{10 * time.Millisecond, time.Second, 10 * time.Second, time.Minute}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		heap, ref := newRecorder(), newRecorder()
+		heap, ref := newRecorder(Config{}), newRecorder(Config{})
 		var cur time.Duration
 		var seenFlows, seenDNS int
 		if len(in) > 4096 {
@@ -119,11 +103,11 @@ func FuzzTrackerExpiry(f *testing.F) {
 				if b2&4 != 0 {
 					at -= time.Duration(b3) * time.Second
 				}
-				heap.tr.AdvanceTime(at)
-				scanAdvanceTime(ref.tr, at)
+				heap.AdvanceTime(at)
+				scanAdvanceTime(ref.Tracker, at)
 			case op%8 == 7:
-				heap.tr.Flush()
-				ref.tr.Flush()
+				heap.Flush()
+				ref.Flush()
 			default: // one event on a slot
 				tuple := expirySlots[int(op>>3)%len(expirySlots)]
 				if b1&1 != 0 {
@@ -148,24 +132,24 @@ func FuzzTrackerExpiry(f *testing.F) {
 						ev.AppData = responses[b3>>7]
 					}
 				}
-				heap.tr.Observe(tuple, ev)
-				ref.tr.Observe(tuple, ev)
+				heap.Observe(tuple, ev)
+				ref.Observe(tuple, ev)
 			}
-			if heap.tr.Active() != ref.tr.Active() {
-				t.Fatalf("step %d: %d active flows, reference %d", step, heap.tr.Active(), ref.tr.Active())
+			if heap.Active() != ref.Active() {
+				t.Fatalf("step %d: %d active flows, reference %d", step, heap.Active(), ref.Active())
 			}
 			if !reflect.DeepEqual(heap.flows[seenFlows:], ref.flows[seenFlows:]) || !reflect.DeepEqual(heap.dns[seenDNS:], ref.dns[seenDNS:]) {
 				t.Fatalf("step %d: emitted\n%+v\n%+v\nreference emitted\n%+v\n%+v", step, heap.flows[seenFlows:], heap.dns[seenDNS:], ref.flows[seenFlows:], ref.dns[seenDNS:])
 			}
 			seenFlows, seenDNS = len(ref.flows), len(ref.dns)
-			for _, fs := range heap.tr.flows {
-				if !fs.touched && heap.tr.deadline(fs) <= heap.tr.lastSweep {
-					t.Fatalf("step %d: flow due at %v still active after the sweep at %v", step, heap.tr.deadline(fs), heap.tr.lastSweep)
+			for _, fs := range heap.Tracker.flows {
+				if !fs.touched && heap.deadline(fs) <= heap.lastSweep {
+					t.Fatalf("step %d: flow due at %v still active after the sweep at %v", step, heap.deadline(fs), heap.lastSweep)
 				}
 			}
 		}
-		heap.tr.Flush()
-		ref.tr.Flush()
+		heap.Flush()
+		ref.Flush()
 		if !reflect.DeepEqual(heap.flows, ref.flows) || !reflect.DeepEqual(heap.dns, ref.dns) {
 			t.Fatal("final flush differs from the reference")
 		}

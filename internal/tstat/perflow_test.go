@@ -18,19 +18,19 @@ import (
 // flow it reached must not outlive that flow's eviction. A tuple observed
 // again after its flow was swept lands on a fresh flow and a second record.
 func TestObserveAfterEvictionStartsFreshFlow(t *testing.T) {
-	r := newRecorder()
+	r := newRecorder(Config{})
 	srv := packet.Endpoint{Addr: netip.MustParseAddr("5.5.5.5"), Port: 8000}
 	tuple := udpTuple(cust, srv)
-	r.tr.Observe(tuple, SegmentEvent{T: 0, Payload: 100, Packets: 1})
-	r.tr.AdvanceTime(2 * time.Minute)
-	if len(r.flows) != 1 || r.tr.Active() != 0 {
-		t.Fatalf("%d records, %d active after the idle timeout; want 1, 0", len(r.flows), r.tr.Active())
+	r.Observe(tuple, SegmentEvent{T: 0, Payload: 100, Packets: 1})
+	r.AdvanceTime(2 * time.Minute)
+	if len(r.flows) != 1 || r.Active() != 0 {
+		t.Fatalf("%d records, %d active after the idle timeout; want 1, 0", len(r.flows), r.Active())
 	}
-	r.tr.Observe(tuple.Reverse(), SegmentEvent{T: 2*time.Minute + time.Second, Payload: 300, Packets: 1})
-	if r.tr.Active() != 1 {
-		t.Fatalf("%d active flows after the tuple recurred, want 1", r.tr.Active())
+	r.Observe(tuple.Reverse(), SegmentEvent{T: 2*time.Minute + time.Second, Payload: 300, Packets: 1})
+	if r.Active() != 1 {
+		t.Fatalf("%d active flows after the tuple recurred, want 1", r.Active())
 	}
-	r.tr.Flush()
+	r.Flush()
 	if len(r.flows) != 2 {
 		t.Fatalf("%d records, want 2", len(r.flows))
 	}

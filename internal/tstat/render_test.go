@@ -20,7 +20,7 @@ func feedCapture(t *testing.T, capture []byte, epoch time.Time) []FlowRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	for {
 		ts, raw, err := rd.Next()
 		if errors.Is(err, io.EOF) {
@@ -41,7 +41,7 @@ func feedCapture(t *testing.T, capture []byte, epoch time.Time) []FlowRecord {
 // capture, to the packet frontend, and returns each path's records.
 func bothPaths(t *testing.T, tuples []packet.FiveTuple, events []SegmentEvent) (inProcess, packetPath []FlowRecord) {
 	t.Helper()
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	var c Capture
 	for i, ev := range events {
 		tr.Observe(tuples[i], ev)
@@ -143,7 +143,7 @@ func FuzzRenderRoundTrip(f *testing.F) {
 		if len(raws) != ev.Packets {
 			t.Fatalf("%d packets, want %d", len(raws), ev.Packets)
 		}
-		tr := NewTracker(Config{})
+		tr := newRecorder(Config{})
 		var body []byte
 		next := ev.Seq
 		for i, raw := range raws {

@@ -35,8 +35,8 @@ type Config struct {
 	// Anonymizer, when set, anonymizes customer addresses on emission
 	// (the paper's real-time Crypto-PAn step, §2.3).
 	Anonymizer *cryptopan.Anonymizer
-	// OnFlow/OnDNS, when set, stream records out instead of accumulating
-	// them in memory.
+	// OnFlow/OnDNS receive every record as it is emitted: they are a
+	// tracker's one way out. A nil callback drops its records.
 	OnFlow func(FlowRecord)
 	OnDNS  func(DNSRecord)
 }
@@ -81,9 +81,6 @@ type Tracker struct {
 	// slab is where records' First10 slices are carved from: once warm,
 	// one allocation per about slabFlows flows.
 	slab []time.Duration
-
-	flowsOut []FlowRecord
-	dnsOut   []DNSRecord
 
 	// traced maps canonical tuples of sampled flows to their trace
 	// handles; the handle is completed and finished when the flow record
@@ -329,13 +326,11 @@ func (t *Tracker) popDue() dueEntry {
 	return top
 }
 
-// Flush ends the capture: it closes every active flow, returns all
-// accumulated records and resets the clock, so the tracker can carry on
-// with an independent timeline (batch synthesis flushes at each customer
-// boundary: 5-tuples are per customer). Streaming configurations
-// (OnFlow/OnDNS) receive the remaining records through their callbacks and
-// get empty slices here.
-func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
+// Flush ends the capture: it closes every active flow, emitting its
+// record through OnFlow/OnDNS, and resets the clock, so the tracker can
+// carry on with an independent timeline (batch synthesis flushes at each
+// customer boundary: 5-tuples are per customer).
+func (t *Tracker) Flush() {
 	t.now, t.lastSweep = 0, 0
 	t.last = nil
 	clear(t.touched)
@@ -348,13 +343,10 @@ func (t *Tracker) Flush() ([]FlowRecord, []DNSRecord) {
 	}
 	clear(t.flows)
 	t.emitOrdered(batch)
-	flows, dns := t.flowsOut, t.dnsOut
-	t.flowsOut, t.dnsOut = nil, nil
 	mEvents.Add(t.observed - t.flushedEvents)
 	t.flushedEvents = t.observed
 	mFlowRecords.Add(t.emitted)
 	t.emitted = 0
-	return flows, dns
 }
 
 // Active returns the number of in-flight flows.
@@ -415,18 +407,14 @@ func (t *Tracker) emitFlow(f *flowState) {
 	rec.Client = t.anonymize(rec.Client)
 	if t.cfg.OnFlow != nil {
 		t.cfg.OnFlow(rec)
-		return
 	}
-	t.flowsOut = append(t.flowsOut, rec)
 }
 
 func (t *Tracker) emitDNS(rec DNSRecord) {
 	rec.Client = t.anonymize(rec.Client)
 	if t.cfg.OnDNS != nil {
 		t.cfg.OnDNS(rec)
-		return
 	}
-	t.dnsOut = append(t.dnsOut, rec)
 }
 
 // anonymize applies Config.Anonymizer to an IPv4 client address through the

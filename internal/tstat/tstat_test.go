@@ -67,10 +67,34 @@ func tlsClientKeyExchangeBytes(t *testing.T) []byte {
 	return append(rec, ccs...)
 }
 
+// recorder is a tracker whose OnFlow and OnDNS collect its records,
+// which tests read through Flush.
+type recorder struct {
+	*Tracker
+	flows []FlowRecord
+	dns   []DNSRecord
+}
+
+// newRecorder builds a recorder on cfg; cfg's callbacks are replaced.
+func newRecorder(cfg Config) *recorder {
+	r := &recorder{}
+	cfg.OnFlow = func(f FlowRecord) { r.flows = append(r.flows, f) }
+	cfg.OnDNS = func(d DNSRecord) { r.dns = append(r.dns, d) }
+	r.Tracker = NewTracker(cfg)
+	return r
+}
+
+// Flush ends the tracker's capture and returns every record collected
+// since the recorder was built.
+func (r *recorder) Flush() ([]FlowRecord, []DNSRecord) {
+	r.Tracker.Flush()
+	return r.flows, r.dns
+}
+
 // playHTTPSFlow drives a full HTTPS exchange through the tracker and
 // returns its single record. satGap is the ServerHello→CKE spacing;
 // ackGap the data→ACK spacing.
-func playHTTPSFlow(t *testing.T, tr *Tracker, satGap, ackGap time.Duration) FlowRecord {
+func playHTTPSFlow(t *testing.T, tr *recorder, satGap, ackGap time.Duration) FlowRecord {
 	t.Helper()
 	c2s := tcpTuple(cust, srv)
 	s2c := tcpTuple(srv, cust)
@@ -114,7 +138,7 @@ func playHTTPSFlow(t *testing.T, tr *Tracker, satGap, ackGap time.Duration) Flow
 }
 
 func TestHTTPSFlowRecord(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	rec := playHTTPSFlow(t, tr, 600*time.Millisecond, 20*time.Millisecond)
 
 	if rec.Proto != ProtoHTTPS {
@@ -154,7 +178,7 @@ func TestHTTPSFlowRecord(t *testing.T) {
 }
 
 func TestSatRTTOnlyForCompletedTLS(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	c2s := tcpTuple(cust, srv)
 	tr.Observe(c2s, SegmentEvent{T: time.Second, Flags: packet.FlagSYN})
 	ch := tlsClientHelloBytes(t, "x.test")
@@ -166,7 +190,7 @@ func TestSatRTTOnlyForCompletedTLS(t *testing.T) {
 }
 
 func TestHTTPFlow(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	web := packet.Endpoint{Addr: netip.MustParseAddr("185.60.9.1"), Port: 80}
 	c2s := tcpTuple(cust, web)
 	req, _ := (&packet.HTTPRequest{Method: "GET", Target: "/video.ts",
@@ -183,7 +207,7 @@ func TestHTTPFlow(t *testing.T) {
 }
 
 func TestQUICFlow(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	q443 := packet.Endpoint{Addr: netip.MustParseAddr("34.76.1.1"), Port: 443}
 	hs, _ := (&packet.ClientHello{ServerName: "www.youtube.com"}).AppendBinary(nil)
 	ini, err := (&packet.QUICInitial{Version: packet.QUICVersion1, DCID: []byte{1, 2, 3, 4}, CryptoPayload: hs}).AppendBinary(nil)
@@ -202,7 +226,7 @@ func TestQUICFlow(t *testing.T) {
 }
 
 func TestRTPFlow(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	media := packet.Endpoint{Addr: netip.MustParseAddr("52.20.3.3"), Port: 19302}
 	rtp, _ := (&packet.RTP{PayloadType: 111, Sequence: 1, SSRC: 7}).AppendBinary(nil)
 	payload := append(rtp, make([]byte, 160)...)
@@ -216,7 +240,7 @@ func TestRTPFlow(t *testing.T) {
 }
 
 func TestOtherProtocols(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	vpn := packet.Endpoint{Addr: netip.MustParseAddr("3.3.3.3"), Port: 1194}
 	tr.Observe(tcpTuple(cust, vpn), SegmentEvent{T: 0, Flags: packet.FlagSYN})
 	tr.Observe(tcpTuple(cust, vpn), SegmentEvent{T: time.Millisecond, Seq: 1, Payload: 500, AppData: []byte{0x38, 0x01, 0x02}, Flags: packet.FlagACK})
@@ -236,7 +260,7 @@ func TestOtherProtocols(t *testing.T) {
 }
 
 func TestDNSTransactions(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	resolver := packet.Endpoint{Addr: netip.MustParseAddr("8.8.8.8"), Port: 53}
 	q := &packet.DNS{ID: 42, RD: true, Questions: []packet.DNSQuestion{{Name: "www.google.com", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}
 	qb, _ := q.AppendBinary(nil)
@@ -270,7 +294,7 @@ func TestDNSTransactions(t *testing.T) {
 // TestIdleEviction: Observe alone never evicts, whatever timestamps it is
 // handed; AdvanceTime emits a flow once the clock passes its idle timeout.
 func TestIdleEviction(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	web := packet.Endpoint{Addr: netip.MustParseAddr("5.5.5.5"), Port: 8000}
 	tr.Observe(udpTuple(cust, web), SegmentEvent{T: 0, Payload: 100})
 	if tr.Active() != 1 {
@@ -305,7 +329,7 @@ func TestAnonymizationAppliedToClientOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(Config{Anonymizer: anon})
+	tr := newRecorder(Config{Anonymizer: anon})
 	rec := playHTTPSFlow(t, tr, 600*time.Millisecond, 20*time.Millisecond)
 	if rec.Client == cust.Addr {
 		t.Fatal("client address not anonymized")
@@ -319,7 +343,7 @@ func TestAnonymizationAppliedToClientOnly(t *testing.T) {
 }
 
 func TestRetransmissionKarnsRule(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	c2s := tcpTuple(cust, srv)
 	s2c := tcpTuple(srv, cust)
 	tr.Observe(c2s, SegmentEvent{T: 0, Flags: packet.FlagSYN})
@@ -333,27 +357,29 @@ func TestRetransmissionKarnsRule(t *testing.T) {
 	}
 }
 
+// TestStreamingCallbacks: records leave only through the callbacks, and a
+// nil callback drops its kind.
 func TestStreamingCallbacks(t *testing.T) {
 	var got []FlowRecord
 	tr := NewTracker(Config{OnFlow: func(r FlowRecord) { got = append(got, r) }})
-	playHTTPSFlowNoFlushCheck(t, tr)
-	flows, _ := tr.Flush()
-	if len(flows) != 0 {
-		t.Fatal("accumulating despite callback")
-	}
-	if len(got) != 1 {
-		t.Fatalf("callback saw %d flows", len(got))
-	}
-}
-
-func playHTTPSFlowNoFlushCheck(t *testing.T, tr *Tracker) {
 	c2s := tcpTuple(cust, srv)
 	tr.Observe(c2s, SegmentEvent{T: 0, Flags: packet.FlagSYN})
 	tr.Observe(c2s, SegmentEvent{T: time.Millisecond, Seq: 1, Payload: 10, Flags: packet.FlagACK})
+	resolver := packet.Endpoint{Addr: netip.MustParseAddr("8.8.8.8"), Port: 53}
+	q, _ := (&packet.DNS{ID: 7, RD: true, Questions: []packet.DNSQuestion{{Name: "a.test", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}).AppendBinary(nil)
+	r, _ := (&packet.DNS{ID: 7, QR: true, Questions: []packet.DNSQuestion{{Name: "a.test", Type: packet.DNSTypeA, Class: packet.DNSClassIN}}}).AppendBinary(nil)
+	tr.Observe(udpTuple(cust, resolver), SegmentEvent{T: time.Second, Payload: len(q), AppData: q})
+	tr.Observe(udpTuple(resolver, cust), SegmentEvent{T: time.Second + 20*time.Millisecond, Payload: len(r), AppData: r})
+	tr.Flush()
+	// The DNS exchange is a flow record too; its transaction has no
+	// callback and goes nowhere.
+	if len(got) != 2 {
+		t.Fatalf("callback saw %d flows, want 2", len(got))
+	}
 }
 
 func TestFeedPacketFrontend(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	ch := tlsClientHelloBytes(t, "api.twitter.com")
 	seg := &packet.TCP{SrcPort: cust.Port, DstPort: srv.Port, Seq: 1, Flags: packet.FlagACK | packet.FlagPSH}
 	raw, err := (&packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, Src: cust.Addr, Dst: srv.Addr}).Encode(seg.Encode(ch))
@@ -373,7 +399,7 @@ func TestFeedPacketFrontend(t *testing.T) {
 }
 
 func TestTraceFlowFinishesAtEmission(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newRecorder(Config{})
 	rec := trace.New(io.Discard, 1)
 	fl := rec.Start(4, 0, 7)
 	tr.TraceFlow(tcpTuple(cust, srv), fl)
@@ -396,7 +422,7 @@ func TestTraceFlowFinishesAtEmission(t *testing.T) {
 	}
 
 	// Unmeasured flows (no handshake RTT) still finish, without the span.
-	tr2 := NewTracker(Config{})
+	tr2 := newRecorder(Config{})
 	fl2 := rec.Start(4, 0, 8)
 	tr2.TraceFlow(tcpTuple(cust, srv), fl2)
 	ch := tlsClientHelloBytes(t, "x.test")
@@ -411,7 +437,7 @@ func TestTraceFlowFinishesAtEmission(t *testing.T) {
 	}
 
 	// A nil handle is ignored.
-	tr3 := NewTracker(Config{})
+	tr3 := newRecorder(Config{})
 	tr3.TraceFlow(tcpTuple(cust, srv), nil)
 	playHTTPSFlow(t, tr3, 600*time.Millisecond, 20*time.Millisecond)
 }

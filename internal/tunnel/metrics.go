@@ -3,9 +3,9 @@ package tunnel
 import "satwatch/internal/obs"
 
 // Exported metrics (see OBSERVABILITY.md). They aggregate over every
-// tunnel endpoint in the process: the load harness and the satpep CLI
-// run a CPE-side and a gateway-side tunnel side by side, and both count
-// here.
+// tunnel endpoint in the process: the load harness (satpep, the pepload
+// workload) runs a CPE-side and a gateway-side tunnel side by side, and
+// both count here.
 var (
 	mStreamsActive = obs.NewGauge("tunnel_streams_active",
 		"Streams currently in a stream table (opened minus removed); nonzero after full drain = leak.", "")

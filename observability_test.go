@@ -41,9 +41,7 @@ func TestObservabilityDocCoversRegistry(t *testing.T) {
 }
 
 // TestObservabilityDocHasNoStaleMetrics walks the doc's metric table rows
-// and flags documented names that no longer exist in the registry (the
-// satpep command registers its two gauges only in its own binary, so they
-// are allowed here).
+// and flags documented names that no longer exist in the registry.
 func TestObservabilityDocHasNoStaleMetrics(t *testing.T) {
 	doc, err := os.ReadFile("OBSERVABILITY.md")
 	if err != nil {
@@ -54,8 +52,6 @@ func TestObservabilityDocHasNoStaleMetrics(t *testing.T) {
 		registered[s.Name] = true
 	}
 	allowed := map[string]bool{
-		"satpep_handshake_seconds": true,
-		"satpep_download_seconds":  true,
 		// Manifest timings/allocs stage key, not a metric.
 		"mac_prebuild": true,
 	}

@@ -519,9 +519,7 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 
 // deploymentFlags are flags that name where a CLI runs or writes, not how
 // it behaves, so no walkthrough needs to set them.
-var deploymentFlags = map[cliFlag]string{
-	{"satpep", "listen"}: "an address",
-}
+var deploymentFlags = map[cliFlag]string{}
 
 // TestEveryFlagHasAReader fails on a flag of a CLI under cmd/ that no CI
 // step, user document (README, DESIGN, OBSERVABILITY, EXPERIMENTS, AUDIT)
