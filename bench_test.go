@@ -358,7 +358,7 @@ func BenchmarkAblationAfricanGroundStation(b *testing.B) {
 func geoDNSMean(res *Results) float64 {
 	var sum float64
 	n := 0
-	for key, v := range res.Dataset.GroundRTTByDomainResolver() {
+	for key, v := range res.Dataset.GroundRTTByDomainResolver {
 		if key.Country != "NG" {
 			continue
 		}

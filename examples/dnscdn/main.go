@@ -46,7 +46,7 @@ func main() {
 	mean := func(r *satwatch.Results) float64 {
 		var sum float64
 		n := 0
-		for key, xs := range r.Dataset.GroundRTTByDomainResolver() {
+		for key, xs := range r.Dataset.GroundRTTByDomainResolver {
 			if key.Country != "NG" {
 				continue
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"satwatch/internal/cdn"
+	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
 	"satwatch/internal/netsim"
 	"satwatch/internal/services"
@@ -29,6 +30,12 @@ type Flow struct {
 // Dataset is the enriched view of one simulation (or capture) output. It
 // aliases that Output — flow records, DNS log, metadata and prefixes — so
 // the Output must outlive it and must not be modified while it is in use.
+//
+// The fields after Days are the report aggregates, each folded once by
+// NewDataset in record order, so every sample slice holds its samples in
+// log order. Satellite-RTT samples are in seconds and count flows with a
+// TLS-derived estimate; the night and peak windows are the customer-local
+// ones of IsNight and IsPeak (Figure 8a).
 type Dataset struct {
 	Flows []Flow
 	DNS   []tstat.DNSRecord
@@ -37,12 +44,44 @@ type Dataset struct {
 	// records whose exact customer is unknown.
 	Prefixes map[netip.Prefix]geo.CountryCode
 	Days     int
+
+	// CustomerDays holds the Figure 5-7 per-customer-per-day aggregates.
+	CustomerDays map[CustomerDay]*PerCustomerDay
+	// Volume is up+down bytes per (country, protocol): Table 1 and
+	// Figures 2 and 3. Flows of no known country count under "".
+	Volume map[geo.CountryCode]map[tstat.Protocol]int64
+	// HourlyVolume is up+down bytes per country and UTC hour of day,
+	// summed over the observation days (Figure 4).
+	HourlyVolume map[geo.CountryCode]*[24]int64
+	// SatRTT holds every satellite-RTT sample per country (the latency
+	// signatures); SatRTTNight and SatRTTPeak those of the two windows.
+	SatRTT, SatRTTNight, SatRTTPeak map[geo.CountryCode][]float64
+	// SatRTTByBeam holds peak-window satellite-RTT samples per beam, for
+	// flows with metadata (Figure 8b).
+	SatRTTByBeam map[int][]float64
+	// GroundRTT holds ground-RTT samples in seconds per country,
+	// volume-weighted: Figure 9 reads "share of traffic" on its y axis,
+	// so a flow counts once per 256 KiB of volume, between 1 and 64 times.
+	GroundRTT map[geo.CountryCode][]float64
+	// GroundRTTByDomainResolver holds per-flow average ground RTTs in
+	// seconds by (customer country, customer resolver, second-level
+	// server domain) — the paper's Tables 2, 4 and 5. The resolver comes
+	// from the operator metadata join, as each customer's devices stick
+	// to one configured resolver.
+	GroundRTTByDomainResolver map[DomainResolverKey][]float64
+	// ResolverUsage counts DNS transactions per (country, resolver):
+	// Figure 10's left matrix.
+	ResolverUsage map[geo.CountryCode]map[dnssim.ResolverID]int
+	// ResolverResponseTimes holds response times in seconds per
+	// resolver: Figure 10's rightmost column.
+	ResolverResponseTimes map[dnssim.ResolverID][]float64
 }
 
 // NewDataset enriches a simulation output, on as many goroutines as the
 // run used (GOMAXPROCS for an output read back from logs). Each takes one
 // contiguous chunk of ds.Flows and writes it by index, so the result does
-// not depend on their number.
+// not depend on their number. It then folds the report aggregates in one
+// serial walk over the flows and one over the DNS log.
 func NewDataset(out *netsim.Output, days int) *Dataset {
 	ds := &Dataset{DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: days}
 	ds.Flows = make([]Flow, len(out.Flows))
@@ -66,6 +105,8 @@ func NewDataset(out *netsim.Output, days int) *Dataset {
 		}()
 	}
 	wg.Wait()
+	ds.foldFlows()
+	ds.foldDNS()
 	return ds
 }
 
@@ -140,152 +181,89 @@ type PerCustomerDay struct {
 // 250 flows in a day (§4).
 const ActiveFlowThreshold = 250
 
-// GroupByCustomerDay builds the per-customer-day aggregates.
-func (ds *Dataset) GroupByCustomerDay() map[CustomerDay]*PerCustomerDay {
-	out := map[CustomerDay]*PerCustomerDay{}
+// foldFlows fills the flow aggregates of the Dataset.
+func (ds *Dataset) foldFlows() {
+	ds.CustomerDays = map[CustomerDay]*PerCustomerDay{}
+	ds.Volume = map[geo.CountryCode]map[tstat.Protocol]int64{}
+	ds.HourlyVolume = map[geo.CountryCode]*[24]int64{}
+	ds.SatRTT = map[geo.CountryCode][]float64{}
+	ds.SatRTTNight = map[geo.CountryCode][]float64{}
+	ds.SatRTTPeak = map[geo.CountryCode][]float64{}
+	ds.SatRTTByBeam = map[int][]float64{}
+	ds.GroundRTT = map[geo.CountryCode][]float64{}
+	ds.GroundRTTByDomainResolver = map[DomainResolverKey][]float64{}
+	secondLevel := map[string]string{} // per distinct domain, not per flow
 	for i := range ds.Flows {
 		f := &ds.Flows[i]
+		v := f.BytesUp + f.BytesDown
+
 		key := CustomerDay{Client: f.Client, Day: DayOf(f.Start)}
-		agg, ok := out[key]
+		agg, ok := ds.CustomerDays[key]
 		if !ok {
 			agg = &PerCustomerDay{Country: f.Country,
 				Services:      map[string]bool{},
 				CategoryBytes: map[services.Category]int64{}}
-			out[key] = agg
+			ds.CustomerDays[key] = agg
 		}
 		agg.Flows++
 		agg.BytesDown += f.BytesDown
 		agg.BytesUp += f.BytesUp
 		if f.Service != "" {
 			agg.Services[f.Service] = true
-			agg.CategoryBytes[f.Category] += f.BytesDown + f.BytesUp
+			agg.CategoryBytes[f.Category] += v
 		}
-	}
-	return out
-}
 
-// VolumeByProtocol returns total (up+down) bytes per protocol class
-// (Table 1).
-func (ds *Dataset) VolumeByProtocol() map[tstat.Protocol]int64 {
-	out := map[tstat.Protocol]int64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		out[f.Proto] += f.BytesUp + f.BytesDown
-	}
-	return out
-}
-
-// VolumeByCountryProtocol returns bytes per (country, protocol), Figure 3.
-func (ds *Dataset) VolumeByCountryProtocol() map[geo.CountryCode]map[tstat.Protocol]int64 {
-	out := map[geo.CountryCode]map[tstat.Protocol]int64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		m, ok := out[f.Country]
+		byProto, ok := ds.Volume[f.Country]
 		if !ok {
-			m = map[tstat.Protocol]int64{}
-			out[f.Country] = m
+			byProto = map[tstat.Protocol]int64{}
+			ds.Volume[f.Country] = byProto
 		}
-		m[f.Proto] += f.BytesUp + f.BytesDown
-	}
-	return out
-}
-
-// CustomersByCountry counts distinct customers per country (from metadata).
-func (ds *Dataset) CustomersByCountry() map[geo.CountryCode]int {
-	out := map[geo.CountryCode]int{}
-	for _, meta := range ds.Meta {
-		out[meta.Country]++
-	}
-	return out
-}
-
-// HourlyVolume returns, per country, the total bytes per UTC hour-of-day
-// averaged over the observation days (Figure 4).
-func (ds *Dataset) HourlyVolume() map[geo.CountryCode][24]float64 {
-	acc := map[geo.CountryCode]*[24]float64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		a, ok := acc[f.Country]
+		byProto[f.Proto] += v
+		hours, ok := ds.HourlyVolume[f.Country]
 		if !ok {
-			a = &[24]float64{}
-			acc[f.Country] = a
+			hours = &[24]int64{}
+			ds.HourlyVolume[f.Country] = hours
 		}
-		a[UTCHour(f.Start)] += float64(f.BytesUp + f.BytesDown)
-	}
-	out := map[geo.CountryCode][24]float64{}
-	for code, a := range acc {
-		out[code] = *a
-	}
-	return out
-}
+		hours[UTCHour(f.Start)] += v
 
-// SatRTTSamples returns satellite-RTT samples (seconds) per country, split
-// into night and peak windows by customer-local start hour (Figure 8a).
-func (ds *Dataset) SatRTTSamples() (night, peak map[geo.CountryCode][]float64) {
-	night = map[geo.CountryCode][]float64{}
-	peak = map[geo.CountryCode][]float64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		if f.SatRTT <= 0 || f.Country == "" {
-			continue
-		}
-		h := LocalHour(f.Start, f.Country)
-		v := f.SatRTT.Seconds()
-		switch {
-		case IsNight(h):
-			night[f.Country] = append(night[f.Country], v)
-		case IsPeak(h):
-			peak[f.Country] = append(peak[f.Country], v)
-		}
-	}
-	return night, peak
-}
-
-// SatRTTByBeam returns peak-window satellite-RTT samples per beam
-// (Figure 8b), for flows with metadata.
-func (ds *Dataset) SatRTTByBeam() map[int][]float64 {
-	out := map[int][]float64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		if f.SatRTT <= 0 || !f.HasMeta {
-			continue
-		}
-		if !IsPeak(LocalHour(f.Start, f.Country)) {
-			continue
-		}
-		out[f.Meta.Beam] = append(out[f.Meta.Beam], f.SatRTT.Seconds())
-	}
-	return out
-}
-
-// GroundRTTSamples returns per-country ground-RTT samples in seconds,
-// volume-weighted per flow (Figure 9 reads "share of traffic" on the y
-// axis; weighting by flow bytes approximates it).
-func (ds *Dataset) GroundRTTSamples(volumeWeighted bool) map[geo.CountryCode][]float64 {
-	out := map[geo.CountryCode][]float64{}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		if f.GroundRTT.Samples == 0 || f.Country == "" {
-			continue
-		}
-		v := f.GroundRTT.Avg.Seconds()
-		n := 1
-		if volumeWeighted {
-			// One sample per 256 KiB of flow volume, capped, keeps big
-			// flows from exploding the sample set.
-			n = int((f.BytesDown + f.BytesUp) / (256 << 10))
-			if n < 1 {
-				n = 1
+		if f.SatRTT > 0 {
+			rtt := f.SatRTT.Seconds()
+			h := LocalHour(f.Start, f.Country)
+			if f.Country != "" {
+				ds.SatRTT[f.Country] = append(ds.SatRTT[f.Country], rtt)
+				switch {
+				case IsNight(h):
+					ds.SatRTTNight[f.Country] = append(ds.SatRTTNight[f.Country], rtt)
+				case IsPeak(h):
+					ds.SatRTTPeak[f.Country] = append(ds.SatRTTPeak[f.Country], rtt)
+				}
 			}
-			if n > 64 {
-				n = 64
+			if f.HasMeta && IsPeak(h) {
+				ds.SatRTTByBeam[f.Meta.Beam] = append(ds.SatRTTByBeam[f.Meta.Beam], rtt)
 			}
 		}
-		for j := 0; j < n; j++ {
-			out[f.Country] = append(out[f.Country], v)
+
+		if f.GroundRTT.Samples == 0 {
+			continue
+		}
+		ground := f.GroundRTT.Avg.Seconds()
+		if f.Country != "" {
+			xs := ds.GroundRTT[f.Country]
+			for n := min(max(v/(256<<10), 1), 64); n > 0; n-- {
+				xs = append(xs, ground)
+			}
+			ds.GroundRTT[f.Country] = xs
+		}
+		if f.HasMeta && f.Domain != "" {
+			sld, ok := secondLevel[f.Domain]
+			if !ok {
+				sld = services.SecondLevel(f.Domain)
+				secondLevel[f.Domain] = sld
+			}
+			key := DomainResolverKey{Country: f.Country, Resolver: f.Meta.Resolver, Domain: sld}
+			ds.GroundRTTByDomainResolver[key] = append(ds.GroundRTTByDomainResolver[key], ground)
 		}
 	}
-	return out
 }
 
 // ThroughputSamples returns download goodput samples in bit/s per country

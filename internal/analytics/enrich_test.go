@@ -160,7 +160,7 @@ func TestLocalHourAndWindows(t *testing.T) {
 
 func TestSatRTTWindowSplit(t *testing.T) {
 	ds := handDataset()
-	night, peak := ds.SatRTTSamples()
+	night, peak := ds.SatRTTNight, ds.SatRTTPeak
 	if len(night["CD"]) != 1 || night["CD"][0] != 0.6 {
 		t.Fatalf("CD night samples %v", night["CD"])
 	}
@@ -170,11 +170,14 @@ func TestSatRTTWindowSplit(t *testing.T) {
 	if len(peak["ES"]) != 1 {
 		t.Fatalf("ES peak samples %v", peak["ES"])
 	}
+	if got := ds.SatRTT["CD"]; len(got) != 2 || got[0] != 1.5 || got[1] != 0.6 {
+		t.Fatalf("CD samples %v, want both windows' in record order", got)
+	}
 }
 
 func TestSatRTTByBeam(t *testing.T) {
 	ds := handDataset()
-	byBeam := ds.SatRTTByBeam()
+	byBeam := ds.SatRTTByBeam
 	if len(byBeam[1]) != 1 {
 		t.Fatalf("beam 1 samples %v", byBeam[1])
 	}
@@ -182,7 +185,7 @@ func TestSatRTTByBeam(t *testing.T) {
 
 func TestGroupByCustomerDay(t *testing.T) {
 	ds := handDataset()
-	aggs := ds.GroupByCustomerDay()
+	aggs := ds.CustomerDays
 	if len(aggs) != 2 {
 		t.Fatalf("%d customer-days", len(aggs))
 	}
@@ -200,15 +203,14 @@ func TestGroupByCustomerDay(t *testing.T) {
 
 func TestVolumeRollups(t *testing.T) {
 	ds := handDataset()
-	byProto := ds.VolumeByProtocol()
-	if byProto[tstat.ProtoHTTPS] == 0 {
-		t.Fatal("no HTTPS volume")
-	}
-	byCP := ds.VolumeByCountryProtocol()
+	byCP := ds.Volume
 	if byCP["CD"][tstat.ProtoHTTPS] <= byCP["ES"][tstat.ProtoHTTPS] {
 		t.Fatal("per-country volumes wrong")
 	}
-	hourly := ds.HourlyVolume()
+	if got, want := byCP["CD"][tstat.ProtoHTTPS]+byCP["ES"][tstat.ProtoHTTPS], int64(3*1000+(5+1+2)<<20); got != want {
+		t.Fatalf("HTTPS volume %d, want %d", got, want)
+	}
+	hourly := ds.HourlyVolume
 	if hourly["CD"][13] == 0 || hourly["CD"][2] == 0 {
 		t.Fatal("hourly rollup lost volume")
 	}
@@ -219,14 +221,10 @@ func TestVolumeRollups(t *testing.T) {
 
 func TestGroundRTTSamplesWeighting(t *testing.T) {
 	ds := handDataset()
-	unweighted := ds.GroundRTTSamples(false)
-	weighted := ds.GroundRTTSamples(true)
-	if len(unweighted["CD"]) != 2 {
-		t.Fatalf("CD unweighted %d", len(unweighted["CD"]))
-	}
-	// The 5 MiB flow gets more weight than the 1 MiB one.
-	if len(weighted["CD"]) <= len(unweighted["CD"]) {
-		t.Fatal("volume weighting had no effect")
+	// One sample per whole 256 KiB of volume: the 5 MiB flow counts 20
+	// times, the 1 MiB one 4 times.
+	if got := len(ds.GroundRTT["CD"]); got != 20+4 {
+		t.Fatalf("CD weighted samples %d, want 24", got)
 	}
 }
 
@@ -251,14 +249,14 @@ func TestThroughputSamples(t *testing.T) {
 
 func TestResolverAggregates(t *testing.T) {
 	ds := handDataset()
-	usage := ds.ResolverUsage()
+	usage := ds.ResolverUsage
 	if usage["CD"][dnssim.ResolverGoogle] != 1 {
 		t.Fatalf("CD usage %v", usage["CD"])
 	}
 	if usage["ES"][dnssim.ResolverOperator] != 1 {
 		t.Fatalf("ES usage %v", usage["ES"])
 	}
-	times := ds.ResolverResponseTimes()
+	times := ds.ResolverResponseTimes
 	if len(times[dnssim.ResolverGoogle]) != 1 || times[dnssim.ResolverGoogle][0] != 0.022 {
 		t.Fatalf("google times %v", times[dnssim.ResolverGoogle])
 	}
@@ -266,7 +264,7 @@ func TestResolverAggregates(t *testing.T) {
 
 func TestGroundRTTByDomainResolver(t *testing.T) {
 	ds := handDataset()
-	cells := ds.GroundRTTByDomainResolver()
+	cells := ds.GroundRTTByDomainResolver
 	key := DomainResolverKey{Country: "CD", Resolver: dnssim.ResolverGoogle, Domain: "whatsapp.net"}
 	if len(cells[key]) != 1 {
 		t.Fatalf("cell %v missing: %v", key, cells)

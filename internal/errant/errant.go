@@ -66,7 +66,7 @@ const minThroughputBytes = 2 << 20
 // BuildProfiles derives per-(country, window) profiles from a measured
 // dataset. Countries without enough samples are skipped.
 func BuildProfiles(ds *analytics.Dataset) []Profile {
-	night, peak := ds.SatRTTSamples()
+	night, peak := ds.SatRTTNight, ds.SatRTTPeak
 	thrNight, thrPeak, _ := ds.ThroughputSamples(minThroughputBytes)
 
 	var out []Profile

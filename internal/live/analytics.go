@@ -1,8 +1,9 @@
 package live
 
 import (
+	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +14,12 @@ import (
 	"satwatch/internal/tstat"
 )
 
-// WindowSummary is one finalized analytics window: the live counterpart
-// of the batch report's per-dataset aggregates, computed online over a
-// fixed span of simulated time. In degraded mode the per-country and
-// per-resolver breakdowns are dropped (nil maps) and only the totals are
-// kept — coarse but cheap.
+// WindowSummary is one analytics window: the live counterpart of the
+// batch report's per-dataset aggregates, computed online over a fixed
+// span of simulated time. An open window folds its records in through
+// addFlow and addDNS; finalize sets its RTT mean. In degraded mode the
+// per-country and per-resolver breakdowns are dropped (nil maps) and
+// only the totals are kept — coarse but cheap.
 type WindowSummary struct {
 	Start time.Duration `json:"start_ns"`
 	End   time.Duration `json:"end_ns"`
@@ -41,16 +43,62 @@ type WindowSummary struct {
 	RTTMaxMs   float64 `json:"rtt_max_ms"`
 
 	Degraded bool `json:"degraded,omitempty"`
+
+	// rttSum is the exact sum behind RTTMeanMs while the window is open.
+	rttSum time.Duration
+	// rttMsSum is Σ mean·n over the windows merged into a total.
+	rttMsSum float64
 }
 
-type windowAgg struct {
-	flows, dns         int64
-	bytesUp, bytesDown int64
-	byCountry          map[string]int64
-	byResolver         map[string]int64
-	rttN               int64
-	rttSum             time.Duration
-	rttMax             time.Duration
+// addFlow folds one flow record into an open window.
+func (w *WindowSummary) addFlow(rec *tstat.FlowRecord, prefixes map[netip.Prefix]geo.CountryCode) {
+	w.Flows++
+	w.BytesUp += rec.BytesUp
+	w.BytesDown += rec.BytesDown
+	if w.BytesByCountry != nil {
+		if code, ok := netsim.CountryOf(prefixes, rec.Client); ok {
+			w.BytesByCountry[string(code)] += rec.BytesUp + rec.BytesDown
+		}
+	}
+	if rec.SatRTT > 0 {
+		w.RTTSamples++
+		w.rttSum += rec.SatRTT
+		w.RTTMaxMs = max(w.RTTMaxMs, float64(rec.SatRTT)/float64(time.Millisecond))
+	}
+}
+
+// addDNS folds one DNS record into an open window.
+func (w *WindowSummary) addDNS(rec *tstat.DNSRecord) {
+	w.DNS++
+	if w.DNSByResolver != nil {
+		w.DNSByResolver[string(dnssim.ByAddr(rec.Resolver).ID)]++
+	}
+}
+
+// merge adds a finalized window o into w, a total over several windows:
+// the span widens, counts and breakdowns add up, and the RTT mean is
+// Σ mean·n over the merged windows, summed in merge order and divided by
+// their samples — only each window's mean survives finalization. w's
+// breakdown maps must be non-nil.
+func (w *WindowSummary) merge(o *WindowSummary) {
+	w.Start = min(w.Start, o.Start)
+	w.End = max(w.End, o.End)
+	w.Flows += o.Flows
+	w.DNS += o.DNS
+	w.BytesUp += o.BytesUp
+	w.BytesDown += o.BytesDown
+	for c, b := range o.BytesByCountry {
+		w.BytesByCountry[c] += b
+	}
+	for r, n := range o.DNSByResolver {
+		w.DNSByResolver[r] += n
+	}
+	w.RTTSamples += o.RTTSamples
+	w.rttMsSum += o.RTTMeanMs * float64(o.RTTSamples)
+	w.RTTMaxMs = max(w.RTTMaxMs, o.RTTMaxMs)
+	if w.RTTSamples > 0 {
+		w.RTTMeanMs = w.rttMsSum / float64(w.RTTSamples)
+	}
 }
 
 // Analytics folds the record stream into rolling windows of simulated
@@ -66,7 +114,7 @@ type Analytics struct {
 	degraded      *atomic.Bool
 
 	mu        sync.Mutex
-	open      map[int64]*windowAgg
+	open      map[int64]*WindowSummary
 	watermark time.Duration
 	recent    []WindowSummary // newest last, capped at keep
 	onFinal   func(WindowSummary)
@@ -91,76 +139,61 @@ func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Pref
 	return &Analytics{
 		window: window, grace: grace, keep: keep,
 		prefixes: prefixes, degraded: degraded,
-		open: map[int64]*windowAgg{},
+		open: map[int64]*WindowSummary{},
 	}
 }
 
 func (a *Analytics) isDegraded() bool { return a.degraded != nil && a.degraded.Load() }
 
-// aggAt returns the open aggregate for the window containing t, or nil
-// when that window's finalization boundary has already passed the
-// watermark. Folding a too-late record in would reopen the window and
-// re-emit a duplicate summary for a span the control plane — and the
-// history log — has already served; instead the record is dropped and
-// counted, keeping finalization exactly-once per window. Callers hold
-// a.mu.
-func (a *Analytics) aggAt(t time.Duration) *windowAgg {
+// closesAt is the watermark at which window k finalizes: its end plus
+// the grace period.
+func (a *Analytics) closesAt(k int64) time.Duration {
+	return time.Duration(k+1)*a.window + a.grace
+}
+
+// windowAt returns the open window containing t, or nil when that
+// window's finalization boundary has already passed the watermark.
+// Folding a too-late record in would reopen the window and re-emit a
+// duplicate summary for a span the control plane — and the history log
+// — has already served; instead the record is dropped and counted,
+// keeping finalization exactly-once per window. Callers hold a.mu.
+func (a *Analytics) windowAt(t time.Duration) *WindowSummary {
 	k := int64(t / a.window)
-	if time.Duration(k+1)*a.window+a.grace <= a.watermark {
+	if a.closesAt(k) <= a.watermark {
 		mLateRecords.Inc()
 		return nil
 	}
-	agg, ok := a.open[k]
+	w, ok := a.open[k]
 	if !ok {
-		agg = &windowAgg{}
-		if !a.isDegraded() {
-			agg.byCountry = map[string]int64{}
-			agg.byResolver = map[string]int64{}
+		w = &WindowSummary{Start: time.Duration(k) * a.window, End: time.Duration(k+1) * a.window,
+			Degraded: a.isDegraded()}
+		if !w.Degraded {
+			w.BytesByCountry = map[string]int64{}
+			w.DNSByResolver = map[string]int64{}
 		}
-		a.open[k] = agg
+		a.open[k] = w
 	}
-	return agg
+	return w
 }
 
 // AddFlow folds one flow record into its window.
 func (a *Analytics) AddFlow(rec tstat.FlowRecord) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	agg := a.aggAt(rec.Start)
-	if agg == nil {
-		return
+	if w := a.windowAt(rec.Start); w != nil {
+		w.addFlow(&rec, a.prefixes)
+		a.advance(rec.Start)
 	}
-	agg.flows++
-	agg.bytesUp += rec.BytesUp
-	agg.bytesDown += rec.BytesDown
-	if agg.byCountry != nil {
-		if code, ok := netsim.CountryOf(a.prefixes, rec.Client); ok {
-			agg.byCountry[string(code)] += rec.BytesUp + rec.BytesDown
-		}
-	}
-	if rec.SatRTT > 0 {
-		agg.rttN++
-		agg.rttSum += rec.SatRTT
-		if rec.SatRTT > agg.rttMax {
-			agg.rttMax = rec.SatRTT
-		}
-	}
-	a.advance(rec.Start)
 }
 
 // AddDNS folds one DNS record into its window.
 func (a *Analytics) AddDNS(rec tstat.DNSRecord) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	agg := a.aggAt(rec.T)
-	if agg == nil {
-		return
+	if w := a.windowAt(rec.T); w != nil {
+		w.addDNS(&rec)
+		a.advance(rec.T)
 	}
-	agg.dns++
-	if agg.byResolver != nil {
-		agg.byResolver[string(dnssim.ByAddr(rec.Resolver).ID)]++
-	}
-	a.advance(rec.T)
 }
 
 // advance moves the watermark and finalizes every window whose end plus
@@ -169,53 +202,45 @@ func (a *Analytics) advance(t time.Duration) {
 	if t > a.watermark {
 		a.watermark = t
 	}
-	var due []int64
-	for k := range a.open {
-		if time.Duration(k+1)*a.window+a.grace <= a.watermark {
-			due = append(due, k)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, k := range due {
-		a.finalize(k, a.open[k])
-	}
+	a.finalizeThrough(a.watermark)
 }
 
 // Finalize flushes every open window (graceful-drain path).
 func (a *Analytics) Finalize() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	keys := make([]int64, 0, len(a.open))
+	a.finalizeThrough(math.MaxInt64)
+}
+
+// finalizeThrough finalizes, in window order, every open window that
+// closes at or before limit. Callers hold a.mu.
+func (a *Analytics) finalizeThrough(limit time.Duration) {
+	var due []int64
 	for k := range a.open {
-		keys = append(keys, k)
+		if a.closesAt(k) <= limit {
+			due = append(due, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		a.finalize(k, a.open[k])
+	slices.Sort(due)
+	for _, k := range due {
+		a.finalize(k)
 	}
 }
 
-// finalize emits one window summary. Callers hold a.mu.
-func (a *Analytics) finalize(k int64, agg *windowAgg) {
+// finalize emits open window k's summary. Callers hold a.mu.
+func (a *Analytics) finalize(k int64) {
+	w := a.open[k]
 	delete(a.open, k)
-	s := WindowSummary{
-		Start: time.Duration(k) * a.window, End: time.Duration(k+1) * a.window,
-		Flows: agg.flows, DNS: agg.dns,
-		BytesUp: agg.bytesUp, BytesDown: agg.bytesDown,
-		BytesByCountry: agg.byCountry, DNSByResolver: agg.byResolver,
-		RTTSamples: agg.rttN,
-		RTTMaxMs:   float64(agg.rttMax) / float64(time.Millisecond),
-		Degraded:   agg.byCountry == nil,
+	if w.RTTSamples > 0 {
+		w.RTTMeanMs = float64(w.rttSum) / float64(w.RTTSamples) / float64(time.Millisecond)
 	}
-	if agg.rttN > 0 {
-		s.RTTMeanMs = float64(agg.rttSum) / float64(agg.rttN) / float64(time.Millisecond)
-	}
-	a.recent = append(a.recent, s)
+	w.rttSum = 0 // a finalized summary holds what its JSON line holds
+	a.recent = append(a.recent, *w)
 	if len(a.recent) > a.keep {
 		a.recent = a.recent[len(a.recent)-a.keep:]
 	}
 	if a.onFinal != nil {
-		a.onFinal(s)
+		a.onFinal(*w)
 	}
 }
 

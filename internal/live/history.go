@@ -135,43 +135,20 @@ func RenderHistory(ws []WindowSummary) string {
 		sb.WriteString("live history: no finalized windows\n")
 		return sb.String()
 	}
-	var flows, dns, up, down, rttN int64
-	var rttSum, rttMax float64
+	total := WindowSummary{Start: ws[0].Start, End: ws[0].End,
+		BytesByCountry: map[string]int64{}, DNSByResolver: map[string]int64{}}
 	degraded := 0
-	byCountry := map[string]int64{}
-	byResolver := map[string]int64{}
-	start, end := ws[0].Start, ws[0].End
-	for _, w := range ws {
-		if w.Start < start {
-			start = w.Start
-		}
-		if w.End > end {
-			end = w.End
-		}
-		flows += w.Flows
-		dns += w.DNS
-		up += w.BytesUp
-		down += w.BytesDown
-		rttN += w.RTTSamples
-		rttSum += w.RTTMeanMs * float64(w.RTTSamples)
-		if w.RTTMaxMs > rttMax {
-			rttMax = w.RTTMaxMs
-		}
-		if w.Degraded {
+	for i := range ws {
+		total.merge(&ws[i])
+		if ws[i].Degraded {
 			degraded++
-		}
-		for c, b := range w.BytesByCountry {
-			byCountry[c] += b
-		}
-		for r, n := range w.DNSByResolver {
-			byResolver[r] += n
 		}
 	}
 	fmt.Fprintf(&sb, "live history: %d windows spanning %s → %s (simulated)\n",
-		len(ws), fmtDur(start), fmtDur(end))
-	fmt.Fprintf(&sb, "  flows %d · dns %d · bytes up %d down %d", flows, dns, up, down)
-	if rttN > 0 {
-		fmt.Fprintf(&sb, " · sat RTT mean %.1f ms max %.1f ms (%d samples)", rttSum/float64(rttN), rttMax, rttN)
+		len(ws), fmtDur(total.Start), fmtDur(total.End))
+	fmt.Fprintf(&sb, "  flows %d · dns %d · bytes up %d down %d", total.Flows, total.DNS, total.BytesUp, total.BytesDown)
+	if total.RTTSamples > 0 {
+		fmt.Fprintf(&sb, " · sat RTT mean %.1f ms max %.1f ms (%d samples)", total.RTTMeanMs, total.RTTMaxMs, total.RTTSamples)
 	}
 	sb.WriteByte('\n')
 	if degraded > 0 {
@@ -207,8 +184,8 @@ func RenderHistory(ws []WindowSummary) string {
 			fmt.Fprintf(&sb, "%-12s %14d %6.1f%%\n", r.key, r.v, share)
 		}
 	}
-	writeTable("per-country volume", "bytes", byCountry)
-	writeTable("per-resolver queries", "queries", byResolver)
+	writeTable("per-country volume", "bytes", total.BytesByCountry)
+	writeTable("per-resolver queries", "queries", total.DNSByResolver)
 
 	fmt.Fprintf(&sb, "\nwindows\n%-12s %-12s %10s %8s %14s %10s\n",
 		"start", "end", "flows", "dns", "bytes", "rtt ms")

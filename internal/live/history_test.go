@@ -145,20 +145,37 @@ func TestHistoryReaderTolerance(t *testing.T) {
 }
 
 func TestRenderHistoryTables(t *testing.T) {
-	ws := []WindowSummary{summaryAt(0), summaryAt(1)}
+	ws := []WindowSummary{summaryAt(0), summaryAt(1), summaryAt(2)}
 	ws[1].Degraded = true
 	ws[1].BytesByCountry = nil
 	ws[1].DNSByResolver = nil
-	out := RenderHistory(ws)
-	for _, want := range []string{
-		"2 windows", "per-country volume", "per-resolver queries",
-		"IT", "google", "(degraded)", "1 degraded windows",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderHistory missing %q:\n%s", want, out)
-		}
+	ws[2].RTTSamples, ws[2].RTTMeanMs, ws[2].RTTMaxMs = 7, 601.37, 910.25
+	ws[2].BytesByCountry["GB"] = 700
+	const want = `live history: 3 windows spanning 0s → 30m0s (simulated)
+  flows 33 · dns 9 · bytes up 300 down 6000 · sat RTT mean 575.3 ms max 910.2 ms (15 samples)
+  1 degraded windows (breakdowns dropped while degraded)
+
+per-country volume
+key                   bytes   share
+IT                     2400   58.5%
+NG                     1000   24.4%
+GB                      700   17.1%
+
+per-resolver queries
+key                 queries   share
+google                    4   66.7%
+cpe                       2   33.3%
+
+windows
+start        end               flows      dns          bytes     rtt ms
+0s           10m0s                10        3           1100      552.5
+10m0s        20m0s                11        3           2100      552.5 (degraded)
+20m0s        30m0s                12        3           3100      601.4
+`
+	if got := RenderHistory(ws); got != want {
+		t.Errorf("RenderHistory:\n%s\nwant:\n%s", got, want)
 	}
-	if empty := RenderHistory(nil); !strings.Contains(empty, "no finalized windows") {
+	if empty := RenderHistory(nil); empty != "live history: no finalized windows\n" {
 		t.Errorf("empty render = %q", empty)
 	}
 }

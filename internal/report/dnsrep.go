@@ -28,12 +28,11 @@ type Fig10 struct {
 
 // BuildFig10 computes resolver adoption and latency.
 func BuildFig10(ds *analytics.Dataset) Fig10 {
-	usage := ds.ResolverUsage()
 	out := Fig10{
 		SharePct:       map[geo.CountryCode]map[dnssim.ResolverID]float64{},
 		MedianResponse: map[dnssim.ResolverID]float64{},
 	}
-	for code, m := range usage {
+	for code, m := range ds.ResolverUsage {
 		total := 0
 		for _, n := range m {
 			total += n
@@ -47,7 +46,7 @@ func BuildFig10(ds *analytics.Dataset) Fig10 {
 		}
 		out.SharePct[code] = shares
 	}
-	for id, xs := range ds.ResolverResponseTimes() {
+	for id, xs := range ds.ResolverResponseTimes {
 		out.MedianResponse[id] = analytics.NewSample(xs).Median()
 	}
 	return out
@@ -95,7 +94,7 @@ func BuildResolverImpact(ds *analytics.Dataset, countries ...geo.CountryCode) Re
 	out := ResolverImpact{Countries: countries,
 		AvgRTT: map[analytics.DomainResolverKey]float64{},
 		Count:  map[analytics.DomainResolverKey]int{}}
-	for key, xs := range ds.GroundRTTByDomainResolver() {
+	for key, xs := range ds.GroundRTTByDomainResolver {
 		if !wanted[key.Country] {
 			continue
 		}

@@ -18,15 +18,7 @@ type Fig8a struct {
 
 // BuildFig8a computes the satellite-RTT CDFs from TLS-measured flows.
 func BuildFig8a(ds *analytics.Dataset) Fig8a {
-	night, peak := ds.SatRTTSamples()
-	out := Fig8a{Night: map[geo.CountryCode]*analytics.Sample{}, Peak: map[geo.CountryCode]*analytics.Sample{}}
-	for code, xs := range night {
-		out.Night[code] = analytics.NewSample(xs)
-	}
-	for code, xs := range peak {
-		out.Peak[code] = analytics.NewSample(xs)
-	}
-	return out
+	return Fig8a{Night: samples(ds.SatRTTNight), Peak: samples(ds.SatRTTPeak)}
 }
 
 // Render prints the quartiles the paper's dashed/dotted lines mark.
@@ -67,7 +59,7 @@ type Fig8b struct {
 
 // BuildFig8b joins per-beam RTTs with the simulator's beam-load stats.
 func BuildFig8b(ds *analytics.Dataset, beams []netsim.BeamStat) Fig8b {
-	byBeam := ds.SatRTTByBeam()
+	byBeam := ds.SatRTTByBeam
 	maxUtil := 0.0
 	for _, b := range beams {
 		if b.PeakUtil > maxUtil {
@@ -110,12 +102,7 @@ type Fig9 struct {
 
 // BuildFig9 computes the ground-RTT CDFs.
 func BuildFig9(ds *analytics.Dataset) Fig9 {
-	raw := ds.GroundRTTSamples(true)
-	out := Fig9{Samples: map[geo.CountryCode]*analytics.Sample{}}
-	for code, xs := range raw {
-		out.Samples[code] = analytics.NewSample(xs)
-	}
-	return out
+	return Fig9{Samples: samples(ds.GroundRTT)}
 }
 
 // Render prints medians and the paper's bump landmarks.
@@ -151,22 +138,7 @@ type Fig11 struct {
 // uses ≥10 MB; scaled runs may pass a smaller threshold.
 func BuildFig11(ds *analytics.Dataset, minBytes int64) Fig11 {
 	night, peak, all := ds.ThroughputSamples(minBytes)
-	out := Fig11{
-		All:      map[geo.CountryCode]*analytics.Sample{},
-		Night:    map[geo.CountryCode]*analytics.Sample{},
-		Peak:     map[geo.CountryCode]*analytics.Sample{},
-		MinBytes: minBytes,
-	}
-	for code, xs := range all {
-		out.All[code] = analytics.NewSample(xs)
-	}
-	for code, xs := range night {
-		out.Night[code] = analytics.NewSample(xs)
-	}
-	for code, xs := range peak {
-		out.Peak[code] = analytics.NewSample(xs)
-	}
-	return out
+	return Fig11{All: samples(all), Night: samples(night), Peak: samples(peak), MinBytes: minBytes}
 }
 
 // Render prints the CCDF landmarks and night/peak medians.

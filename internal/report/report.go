@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 
+	"satwatch/internal/analytics"
 	"satwatch/internal/geo"
 )
 
@@ -92,6 +93,15 @@ func (t *table) String() string {
 		writeRow(row)
 	}
 	return sb.String()
+}
+
+// samples sorts each sample set of m into a Sample.
+func samples[K comparable](m map[K][]float64) map[K]*analytics.Sample {
+	out := make(map[K]*analytics.Sample, len(m))
+	for k, xs := range m {
+		out[k] = analytics.NewSample(xs)
+	}
+	return out
 }
 
 // countryName resolves a code to the paper's display name.

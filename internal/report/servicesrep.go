@@ -73,7 +73,7 @@ type Fig7 struct {
 // BuildFig7 computes the category-volume boxplots.
 func BuildFig7(ds *analytics.Dataset) Fig7 {
 	samples := map[services.Category]map[geo.CountryCode][]float64{}
-	for _, agg := range ds.GroupByCustomerDay() {
+	for _, agg := range ds.CustomerDays {
 		if agg.Country == "" {
 			continue
 		}

@@ -51,15 +51,8 @@ func classifyOrbit(median float64) string {
 // BuildSignatures computes each country's satellite-RTT fingerprint over
 // all flows with a TLS-derived satellite RTT estimate.
 func BuildSignatures(ds *analytics.Dataset) Signatures {
-	byCountry := map[geo.CountryCode][]float64{}
-	for _, f := range ds.Flows {
-		if f.SatRTT <= 0 || f.Country == "" {
-			continue
-		}
-		byCountry[f.Country] = append(byCountry[f.Country], f.SatRTT.Seconds())
-	}
 	var sig Signatures
-	for code, xs := range byCountry {
+	for code, xs := range ds.SatRTT {
 		s := analytics.NewSample(xs)
 		row := SignatureRow{
 			Country: code,

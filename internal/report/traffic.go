@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,7 +26,12 @@ type Table1 struct {
 
 // BuildTable1 computes the protocol volume breakdown.
 func BuildTable1(ds *analytics.Dataset) Table1 {
-	vols := ds.VolumeByProtocol()
+	vols := map[tstat.Protocol]int64{}
+	for _, byProto := range ds.Volume {
+		for p, v := range byProto {
+			vols[p] += v
+		}
+	}
 	out := Table1{SharePct: map[tstat.Protocol]float64{}}
 	for _, v := range vols {
 		out.Total += v
@@ -70,17 +76,17 @@ type Fig2 struct {
 func BuildFig2(ds *analytics.Dataset) Fig2 {
 	volByCountry := map[geo.CountryCode]int64{}
 	var total int64
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		v := f.BytesUp + f.BytesDown
-		volByCountry[f.Country] += v
-		total += v
+	for code, byProto := range ds.Volume {
+		for _, v := range byProto {
+			volByCountry[code] += v
+			total += v
+		}
 	}
-	customers := ds.CustomersByCountry()
-	nCust := 0
-	for _, n := range customers {
-		nCust += n
+	customers := map[geo.CountryCode]int{}
+	for _, meta := range ds.Meta {
+		customers[meta.Country]++
 	}
+	nCust := len(ds.Meta)
 	var rows []Fig2Row
 	for code, v := range volByCountry {
 		if code == "" {
@@ -121,7 +127,7 @@ type Fig3 struct {
 
 // BuildFig3 computes per-country protocol shares for the top-10 countries.
 func BuildFig3(ds *analytics.Dataset) Fig3 {
-	byCountry := ds.VolumeByCountryProtocol()
+	byCountry := ds.Volume
 	totals := map[geo.CountryCode]int64{}
 	for code, m := range byCountry {
 		for _, v := range m {
@@ -177,22 +183,16 @@ type Fig4 struct {
 
 // BuildFig4 computes the daily trends.
 func BuildFig4(ds *analytics.Dataset) Fig4 {
-	raw := ds.HourlyVolume()
 	out := Fig4{Normalized: map[geo.CountryCode][24]float64{}}
-	for code, hours := range raw {
+	for code, hours := range ds.HourlyVolume {
 		if code == "" {
 			continue
 		}
-		peak := 0.0
-		for _, v := range hours {
-			if v > peak {
-				peak = v
-			}
-		}
+		peak := slices.Max(hours[:])
 		var norm [24]float64
 		if peak > 0 {
 			for h, v := range hours {
-				norm[h] = v / peak
+				norm[h] = float64(v) / float64(peak)
 			}
 		}
 		out.Normalized[code] = norm
@@ -246,7 +246,7 @@ func BuildFig5(ds *analytics.Dataset) Fig5 {
 	flows := map[geo.CountryCode][]float64{}
 	down := map[geo.CountryCode][]float64{}
 	up := map[geo.CountryCode][]float64{}
-	for _, agg := range ds.GroupByCustomerDay() {
+	for _, agg := range ds.CustomerDays {
 		if agg.Country == "" {
 			continue
 		}
@@ -256,21 +256,7 @@ func BuildFig5(ds *analytics.Dataset) Fig5 {
 			up[agg.Country] = append(up[agg.Country], float64(agg.BytesUp))
 		}
 	}
-	out := Fig5{
-		Flows: map[geo.CountryCode]*analytics.Sample{},
-		Down:  map[geo.CountryCode]*analytics.Sample{},
-		Up:    map[geo.CountryCode]*analytics.Sample{},
-	}
-	for code, xs := range flows {
-		out.Flows[code] = analytics.NewSample(xs)
-	}
-	for code, xs := range down {
-		out.Down[code] = analytics.NewSample(xs)
-	}
-	for code, xs := range up {
-		out.Up[code] = analytics.NewSample(xs)
-	}
-	return out
+	return Fig5{Flows: samples(flows), Down: samples(down), Up: samples(up)}
 }
 
 // Render summarizes the three CCDFs at the paper's reference points.
