@@ -328,7 +328,8 @@ func africanHairpinShare(res *Results) float64 {
 		if f.GroundRTT.Samples == 0 {
 			continue
 		}
-		if f.Country == "CD" || f.Country == "NG" || f.Country == "ZA" {
+		// Every simulated client has metadata.
+		if c := res.Dataset.Meta[f.Client].Country; c == "CD" || c == "NG" || c == "ZA" {
 			n++
 			if f.GroundRTT.Avg.Seconds() > 0.25 {
 				over++

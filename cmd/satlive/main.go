@@ -76,8 +76,6 @@ func run() (int, error) {
 	soak := flag.Duration("soak", 0, "run the self-checking soak mode for this wall duration")
 	traceDir := flag.String("trace", "", "write sampled flow span trees as rotating JSONL here")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N flows on the streaming path (0 disables, 1 = all)")
-	traceFileMB := flag.Int("trace-file-mb", 8, "trace log size cap per file before rotation (MiB)")
-	traceKeep := flag.Int("trace-keep", 4, "rotated trace files kept")
 	historyDir := flag.String("history", "", "persist finalized windows to a JSONL log here and replay it at startup")
 	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "/metrics/history sampling cadence (simulated)")
 	flag.Parse()
@@ -106,7 +104,6 @@ func run() (int, error) {
 		Window: *window, Grace: *grace,
 		StallTimeout: *stallTimeout, DrainTimeout: *drainTimeout,
 		TraceSample: *traceSample, TraceDir: *traceDir,
-		TraceFileMaxBytes: int64(*traceFileMB) << 20, TraceKeepFiles: *traceKeep,
 		HistoryDir:   *historyDir,
 		MetricsEvery: *metricsEvery,
 		Logf: func(format string, args ...any) {

@@ -2,11 +2,8 @@ package analytics
 
 import (
 	"net/netip"
-	"runtime"
-	"sync"
 	"time"
 
-	"satwatch/internal/cdn"
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
 	"satwatch/internal/netsim"
@@ -14,20 +11,7 @@ import (
 	"satwatch/internal/tstat"
 )
 
-// Flow is an enriched flow record: the raw probe output joined with the
-// operator metadata and the service classification (§3.1). The record is
-// the Output's own, not a copy.
-type Flow struct {
-	*tstat.FlowRecord
-	Country  geo.CountryCode
-	Meta     netsim.CustomerMeta
-	HasMeta  bool
-	Service  string // services registry name ("" when untracked)
-	Category services.Category
-	Region   cdn.Region // hosting region recovered from the server address
-}
-
-// Dataset is the enriched view of one simulation (or capture) output. It
+// Dataset is the analysis view of one simulation (or capture) output. It
 // aliases that Output — flow records, DNS log, metadata and prefixes — so
 // the Output must outlive it and must not be modified while it is in use.
 //
@@ -37,7 +21,9 @@ type Flow struct {
 // TLS-derived estimate; the night and peak windows are the customer-local
 // ones of IsNight and IsPeak (Figure 8a).
 type Dataset struct {
-	Flows []Flow
+	// Flows is the Output's own flow log, not a copy: each record is
+	// joined to its customer's metadata as the fold reaches it.
+	Flows []tstat.FlowRecord
 	DNS   []tstat.DNSRecord
 	Meta  map[netip.Addr]netsim.CustomerMeta
 	// Prefixes maps anonymized customer prefixes to countries, for
@@ -77,61 +63,24 @@ type Dataset struct {
 	ResolverResponseTimes map[dnssim.ResolverID][]float64
 }
 
-// NewDataset enriches a simulation output, on as many goroutines as the
-// run used (GOMAXPROCS for an output read back from logs). Each takes one
-// contiguous chunk of ds.Flows and writes it by index, so the result does
-// not depend on their number. It then folds the report aggregates in one
-// serial walk over the flows and one over the DNS log.
+// NewDataset folds the report aggregates of a simulation output in one
+// serial walk over its flows and one over its DNS log.
 func NewDataset(out *netsim.Output, days int) *Dataset {
-	ds := &Dataset{DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: days}
-	ds.Flows = make([]Flow, len(out.Flows))
-	workers := out.Stats.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (len(out.Flows) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(out.Flows); lo += chunk {
-		hi := min(lo+chunk, len(out.Flows))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A log names a few hundred domains: each is run through the
-			// classifier's regular expressions once per chunk.
-			classified := map[string]*services.Service{}
-			for i := lo; i < hi; i++ {
-				ds.Flows[i] = ds.enrich(&out.Flows[i], classified)
-			}
-		}()
-	}
-	wg.Wait()
+	ds := &Dataset{Flows: out.Flows, DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: days}
 	ds.foldFlows()
 	ds.foldDNS()
 	return ds
 }
 
-func (ds *Dataset) enrich(rec *tstat.FlowRecord, classified map[string]*services.Service) Flow {
-	f := Flow{FlowRecord: rec}
-	if meta, ok := ds.Meta[rec.Client]; ok {
-		f.Meta = meta
-		f.HasMeta = true
-		f.Country = meta.Country
-	} else {
-		f.Country, _ = netsim.CountryOf(ds.Prefixes, rec.Client)
+// join returns a record's customer metadata (ok false when the operator
+// has none) and country: the metadata's, else the anonymized prefix's
+// (§3.1).
+func (ds *Dataset) join(rec *tstat.FlowRecord) (meta netsim.CustomerMeta, ok bool, country geo.CountryCode) {
+	if meta, ok = ds.Meta[rec.Client]; ok {
+		return meta, true, meta.Country
 	}
-	if rec.Domain != "" {
-		svc, ok := classified[rec.Domain]
-		if !ok {
-			svc, _ = services.Classify(rec.Domain)
-			classified[rec.Domain] = svc
-		}
-		if svc != nil {
-			f.Service = svc.Name
-			f.Category = svc.Category
-		}
-	}
-	f.Region, _ = cdn.RegionOf(rec.Server)
-	return f
+	country, _ = netsim.CountryOf(ds.Prefixes, rec.Client)
+	return meta, false, country
 }
 
 // LocalHour returns the customer-local hour of a timestamp.
@@ -192,15 +141,19 @@ func (ds *Dataset) foldFlows() {
 	ds.SatRTTByBeam = map[int][]float64{}
 	ds.GroundRTT = map[geo.CountryCode][]float64{}
 	ds.GroundRTTByDomainResolver = map[DomainResolverKey][]float64{}
-	secondLevel := map[string]string{} // per distinct domain, not per flow
+	// A log names a few hundred domains: each is run through the
+	// classifier's regular expressions and cut to its second level once.
+	classified := map[string]*services.Service{}
+	secondLevel := map[string]string{}
 	for i := range ds.Flows {
 		f := &ds.Flows[i]
+		meta, hasMeta, country := ds.join(f)
 		v := f.BytesUp + f.BytesDown
 
 		key := CustomerDay{Client: f.Client, Day: DayOf(f.Start)}
 		agg, ok := ds.CustomerDays[key]
 		if !ok {
-			agg = &PerCustomerDay{Country: f.Country,
+			agg = &PerCustomerDay{Country: country,
 				Services:      map[string]bool{},
 				CategoryBytes: map[services.Category]int64{}}
 			ds.CustomerDays[key] = agg
@@ -208,38 +161,45 @@ func (ds *Dataset) foldFlows() {
 		agg.Flows++
 		agg.BytesDown += f.BytesDown
 		agg.BytesUp += f.BytesUp
-		if f.Service != "" {
-			agg.Services[f.Service] = true
-			agg.CategoryBytes[f.Category] += v
+		if f.Domain != "" {
+			svc, ok := classified[f.Domain]
+			if !ok {
+				svc, _ = services.Classify(f.Domain)
+				classified[f.Domain] = svc
+			}
+			if svc != nil {
+				agg.Services[svc.Name] = true
+				agg.CategoryBytes[svc.Category] += v
+			}
 		}
 
-		byProto, ok := ds.Volume[f.Country]
+		byProto, ok := ds.Volume[country]
 		if !ok {
 			byProto = map[tstat.Protocol]int64{}
-			ds.Volume[f.Country] = byProto
+			ds.Volume[country] = byProto
 		}
 		byProto[f.Proto] += v
-		hours, ok := ds.HourlyVolume[f.Country]
+		hours, ok := ds.HourlyVolume[country]
 		if !ok {
 			hours = &[24]int64{}
-			ds.HourlyVolume[f.Country] = hours
+			ds.HourlyVolume[country] = hours
 		}
 		hours[UTCHour(f.Start)] += v
 
 		if f.SatRTT > 0 {
 			rtt := f.SatRTT.Seconds()
-			h := LocalHour(f.Start, f.Country)
-			if f.Country != "" {
-				ds.SatRTT[f.Country] = append(ds.SatRTT[f.Country], rtt)
+			h := LocalHour(f.Start, country)
+			if country != "" {
+				ds.SatRTT[country] = append(ds.SatRTT[country], rtt)
 				switch {
 				case IsNight(h):
-					ds.SatRTTNight[f.Country] = append(ds.SatRTTNight[f.Country], rtt)
+					ds.SatRTTNight[country] = append(ds.SatRTTNight[country], rtt)
 				case IsPeak(h):
-					ds.SatRTTPeak[f.Country] = append(ds.SatRTTPeak[f.Country], rtt)
+					ds.SatRTTPeak[country] = append(ds.SatRTTPeak[country], rtt)
 				}
 			}
-			if f.HasMeta && IsPeak(h) {
-				ds.SatRTTByBeam[f.Meta.Beam] = append(ds.SatRTTByBeam[f.Meta.Beam], rtt)
+			if hasMeta && IsPeak(h) {
+				ds.SatRTTByBeam[meta.Beam] = append(ds.SatRTTByBeam[meta.Beam], rtt)
 			}
 		}
 
@@ -247,20 +207,20 @@ func (ds *Dataset) foldFlows() {
 			continue
 		}
 		ground := f.GroundRTT.Avg.Seconds()
-		if f.Country != "" {
-			xs := ds.GroundRTT[f.Country]
+		if country != "" {
+			xs := ds.GroundRTT[country]
 			for n := min(max(v/(256<<10), 1), 64); n > 0; n-- {
 				xs = append(xs, ground)
 			}
-			ds.GroundRTT[f.Country] = xs
+			ds.GroundRTT[country] = xs
 		}
-		if f.HasMeta && f.Domain != "" {
+		if hasMeta && f.Domain != "" {
 			sld, ok := secondLevel[f.Domain]
 			if !ok {
 				sld = services.SecondLevel(f.Domain)
 				secondLevel[f.Domain] = sld
 			}
-			key := DomainResolverKey{Country: f.Country, Resolver: f.Meta.Resolver, Domain: sld}
+			key := DomainResolverKey{Country: country, Resolver: meta.Resolver, Domain: sld}
 			ds.GroundRTTByDomainResolver[key] = append(ds.GroundRTTByDomainResolver[key], ground)
 		}
 	}
@@ -275,21 +235,22 @@ func (ds *Dataset) ThroughputSamples(minBytes int64) (night, peak, all map[geo.C
 	all = map[geo.CountryCode][]float64{}
 	for i := range ds.Flows {
 		f := &ds.Flows[i]
-		if f.BytesDown < minBytes || f.Country == "" {
+		if f.BytesDown < minBytes {
 			continue
 		}
+		_, _, country := ds.join(f)
 		d := f.Duration().Seconds()
-		if d <= 0 {
+		if country == "" || d <= 0 {
 			continue
 		}
 		bps := float64(f.BytesDown) * 8 / d
-		all[f.Country] = append(all[f.Country], bps)
-		h := LocalHour(f.Start, f.Country)
+		all[country] = append(all[country], bps)
+		h := LocalHour(f.Start, country)
 		switch {
 		case IsNight(h):
-			night[f.Country] = append(night[f.Country], bps)
+			night[country] = append(night[country], bps)
 		case IsPeak(h):
-			peak[f.Country] = append(peak[f.Country], bps)
+			peak[country] = append(peak[country], bps)
 		}
 	}
 	return night, peak, all

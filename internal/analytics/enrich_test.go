@@ -62,16 +62,17 @@ func handOutput() *netsim.Output {
 	return out
 }
 
-// TestNewDatasetParallelismInvariance: the enrichment is the same at any
-// worker count, more workers than flows and no flows included; every
-// Flow points at its own record of the Output, which is left as it was;
-// and the per-chunk memo answers what the classifier would.
-func TestNewDatasetParallelismInvariance(t *testing.T) {
+// TestNewDatasetJoin: the Dataset's flows are the Output's own records,
+// left as they were; a client without metadata joins through its prefix
+// and counts under that country, but under no beam or resolver; the
+// per-domain classifier memo answers what the classifier would; and an
+// Output with no flows folds to no aggregates.
+func TestNewDatasetJoin(t *testing.T) {
 	out := handOutput()
-	domains := []string{"e1.whatsapp.net", "scooper.news", "", "www.google.com", "E1.WhatsApp.net.", "rr1.googlevideo.com"}
-	clients := []netip.Addr{cdClient, esClient,
-		netip.MustParseAddr("77.16.0.9"), // no metadata: country through the prefix join
-		netip.MustParseAddr("9.9.9.9")}   // unknown altogether
+	domains := []string{"e1.whatsapp.net", "scooper.news", "", "www.google.com", "E1.WhatsApp.net.", "rr1.googlevideo.com", "www.netflix.com"}
+	prefixOnly := netip.MustParseAddr("77.16.0.9") // no metadata: country through the prefix join
+	clients := []netip.Addr{cdClient, esClient, prefixOnly,
+		netip.MustParseAddr("9.9.9.9")} // unknown altogether
 	for i := 0; i < 34; i++ {
 		rec := out.Flows[i%3]
 		rec.Client, rec.Domain = clients[i%len(clients)], domains[i%len(domains)]
@@ -80,37 +81,62 @@ func TestNewDatasetParallelismInvariance(t *testing.T) {
 	}
 	before := append([]tstat.FlowRecord(nil), out.Flows...)
 
-	out.Stats.Workers = 1
-	want := NewDataset(out, 1)
-	for i := range want.Flows {
-		f := &want.Flows[i]
-		if f.FlowRecord != &out.Flows[i] {
-			t.Fatalf("flow %d does not point at its record of the Output", i)
-		}
-		svc, _ := services.Classify(f.Domain)
-		if (svc == nil) != (f.Service == "") || (svc != nil && (svc.Name != f.Service || svc.Category != f.Category)) {
-			t.Fatalf("flow %d: %q enriched as %q/%q, the classifier says %+v", i, f.Domain, f.Service, f.Category, svc)
-		}
-	}
-	if got := want.Flows[5].Country; got != "CD" || want.Flows[5].HasMeta {
-		t.Fatalf("prefix join: country %q, HasMeta %v", got, want.Flows[5].HasMeta)
-	}
-	for _, workers := range []int{0, 2, 8, 64} {
-		out.Stats.Workers = workers
-		if got := NewDataset(out, 1); !reflect.DeepEqual(got, want) {
-			t.Errorf("Workers=%d: dataset differs from Workers=1", workers)
-		}
+	ds := NewDataset(out, 1)
+	if len(ds.Flows) != len(out.Flows) || &ds.Flows[0] != &out.Flows[0] {
+		t.Fatal("the Dataset's flows are not the Output's own records")
 	}
 	if !reflect.DeepEqual(out.Flows, before) {
 		t.Error("NewDataset modified the Output's flows")
 	}
 
-	out.Flows = nil
-	for _, workers := range []int{1, 8} {
-		out.Stats.Workers = workers
-		if ds := NewDataset(out, 1); len(ds.Flows) != 0 || len(ds.DNS) != 2 {
-			t.Errorf("Workers=%d, no flows: %d flows, %d DNS", workers, len(ds.Flows), len(ds.DNS))
+	volume := map[geo.CountryCode]int64{}
+	days := map[CustomerDay]*PerCustomerDay{}
+	withResolver := 0
+	for i := range out.Flows {
+		rec := &out.Flows[i]
+		meta, hasMeta := out.Meta[rec.Client]
+		country := meta.Country
+		if rec.Client == prefixOnly {
+			country = "CD"
 		}
+		v := rec.BytesUp + rec.BytesDown
+		volume[country] += v
+		if hasMeta && rec.Domain != "" && rec.GroundRTT.Samples > 0 {
+			withResolver++
+		}
+		key := CustomerDay{Client: rec.Client, Day: DayOf(rec.Start)}
+		agg, ok := days[key]
+		if !ok {
+			agg = &PerCustomerDay{Country: country, Services: map[string]bool{}, CategoryBytes: map[services.Category]int64{}}
+			days[key] = agg
+		}
+		agg.Flows++
+		agg.BytesDown += rec.BytesDown
+		agg.BytesUp += rec.BytesUp
+		if svc, ok := services.Classify(rec.Domain); ok && rec.Domain != "" {
+			agg.Services[svc.Name] = true
+			agg.CategoryBytes[svc.Category] += v
+		}
+	}
+	for country, want := range volume {
+		if got := ds.Volume[country][tstat.ProtoHTTPS]; got != want {
+			t.Errorf("volume of %q: %d, want %d", country, got, want)
+		}
+	}
+	if !reflect.DeepEqual(ds.CustomerDays, days) {
+		t.Error("customer-days differ from the classifier's answer for each flow")
+	}
+	n := 0
+	for _, xs := range ds.GroundRTTByDomainResolver {
+		n += len(xs)
+	}
+	if n != withResolver {
+		t.Errorf("%d ground-RTT samples by domain and resolver, want %d from the flows with metadata", n, withResolver)
+	}
+
+	out.Flows = nil
+	if ds := NewDataset(out, 1); len(ds.Flows) != 0 || len(ds.CustomerDays) != 0 || len(ds.DNS) != 2 {
+		t.Errorf("no flows: %d flows, %d customer-days, %d DNS", len(ds.Flows), len(ds.CustomerDays), len(ds.DNS))
 	}
 }
 
@@ -119,18 +145,15 @@ func TestEnrichment(t *testing.T) {
 	if len(ds.Flows) != 3 {
 		t.Fatalf("%d flows", len(ds.Flows))
 	}
-	f := ds.Flows[0]
-	if f.Country != "CD" || !f.HasMeta || f.Meta.Beam != 1 {
-		t.Fatalf("metadata join failed: %+v", f)
+	cd := ds.CustomerDays[CustomerDay{Client: cdClient}]
+	if cd == nil || cd.Country != "CD" {
+		t.Fatalf("metadata join failed: %+v", cd)
 	}
-	if f.Service != "Whatsapp" || f.Category != services.CategoryChat {
-		t.Fatalf("service classification: %q/%q", f.Service, f.Category)
+	if got := ds.SatRTTByBeam[1]; len(got) != 1 || got[0] != 1.5 {
+		t.Fatalf("beam join: beam 1 samples %v", got)
 	}
-	if f.Region != cdn.RegionEuropeNear {
-		t.Fatalf("region recovery: %q", f.Region)
-	}
-	if ds.Flows[1].Region != cdn.RegionAfrica {
-		t.Fatal("African region not recovered")
+	if !cd.Services["Whatsapp"] || cd.CategoryBytes[services.CategoryChat] != 1000+5<<20 {
+		t.Fatalf("service classification: %v, %v", cd.Services, cd.CategoryBytes)
 	}
 }
 
@@ -229,10 +252,18 @@ func TestGroundRTTSamplesWeighting(t *testing.T) {
 }
 
 func TestThroughputSamples(t *testing.T) {
-	ds := handDataset()
+	out := handOutput()
+	// Two more bulk flows: one whose client only the prefix map knows,
+	// one whose client nothing knows.
+	for _, client := range []string{"77.20.0.9", "9.9.9.9"} {
+		rec := out.Flows[2]
+		rec.Client = netip.MustParseAddr(client)
+		out.Flows = append(out.Flows, rec)
+	}
+	ds := NewDataset(out, 1)
 	_, peak, all := ds.ThroughputSamples(1 << 20)
-	if len(all["CD"]) != 2 || len(all["ES"]) != 1 {
-		t.Fatalf("bulk flows: CD=%d ES=%d", len(all["CD"]), len(all["ES"]))
+	if len(all["CD"]) != 2 || len(all["ES"]) != 2 || len(all) != 2 {
+		t.Fatalf("bulk flows: CD=%d ES=%d, %d countries", len(all["CD"]), len(all["ES"]), len(all))
 	}
 	// 5 MiB over 10s ≈ 4.2 Mb/s.
 	want := float64(5<<20) * 8 / 10

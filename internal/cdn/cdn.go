@@ -96,15 +96,3 @@ func ServerAddr(domain string, region Region, i int) netip.Addr {
 	}
 	return netip.AddrFrom4(base)
 }
-
-// RegionOf recovers the hosting region from a server address, for the
-// analytics stage (the probe only sees addresses). ok is false for
-// addresses outside any modeled region.
-func RegionOf(addr netip.Addr) (Region, bool) {
-	for region, p := range regionPrefix {
-		if p.Contains(addr) {
-			return region, true
-		}
-	}
-	return "", false
-}

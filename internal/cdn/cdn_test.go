@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,18 @@ func TestSampleGroundRTTUnknownRegionFallsBack(t *testing.T) {
 	}
 }
 
+// regionOf recovers the hosting region from a server address: the
+// reference that ServerAddr's region bands round-trip through. ok is
+// false for addresses outside any modeled region.
+func regionOf(addr netip.Addr) (Region, bool) {
+	for region, p := range regionPrefix {
+		if p.Contains(addr) {
+			return region, true
+		}
+	}
+	return "", false
+}
+
 func TestServerAddrDeterminismAndRegion(t *testing.T) {
 	a1 := ServerAddr("www.google.com", RegionPeered, 0)
 	a2 := ServerAddr("www.google.com", RegionPeered, 0)
@@ -62,13 +75,13 @@ func TestServerAddrDeterminismAndRegion(t *testing.T) {
 	if ServerAddr("www.google.com", RegionPeered, 1) == a1 {
 		t.Fatal("different replicas share an address")
 	}
-	reg, ok := RegionOf(a1)
+	reg, ok := regionOf(a1)
 	if !ok || reg != RegionPeered {
-		t.Fatalf("RegionOf(%v) = %v,%v", a1, reg, ok)
+		t.Fatalf("regionOf(%v) = %v,%v", a1, reg, ok)
 	}
 	for region := range bands {
 		addr := ServerAddr("x.example", region, 3)
-		got, ok := RegionOf(addr)
+		got, ok := regionOf(addr)
 		if !ok || got != region {
 			t.Fatalf("round trip for %s failed: got %v", region, got)
 		}
@@ -80,7 +93,7 @@ func TestServerAddrDeterminismAndRegion(t *testing.T) {
 }
 
 func TestRegionOfUnknown(t *testing.T) {
-	if _, ok := RegionOf(ServerAddr("x", Region("bogus"), 0)); !ok {
+	if _, ok := regionOf(ServerAddr("x", Region("bogus"), 0)); !ok {
 		// Bogus regions fall back to Europe's prefix, which is known.
 		t.Fatal("fallback prefix not recognized")
 	}

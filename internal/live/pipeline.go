@@ -72,11 +72,8 @@ type Config struct {
 	// (customer, day, sequence), independent of worker count.
 	TraceSample int
 	// TraceDir, when set (and TraceSample > 0), writes traced flows to a
-	// size-capped rotating JSONL log; TraceFileMaxBytes and
-	// TraceKeepFiles shape rotation (internal/trace defaults).
-	TraceDir          string
-	TraceFileMaxBytes int64
-	TraceKeepFiles    int
+	// size-capped rotating JSONL log (the internal/trace defaults).
+	TraceDir string
 
 	// HistoryDir, when set, appends finalized window summaries to a
 	// crash-tolerant JSONL log and replays it at startup, so restarts

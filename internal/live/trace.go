@@ -39,7 +39,7 @@ func newTracing(cfg Config) (*Tracing, error) {
 	}
 	t := &Tracing{sampleN: uint64(cfg.TraceSample), ring: trace.NewRing(DefaultTraceRing)}
 	if cfg.TraceDir != "" {
-		w, err := trace.NewRotatingWriter(cfg.TraceDir, cfg.TraceFileMaxBytes, cfg.TraceKeepFiles)
+		w, err := trace.NewRotatingWriter(cfg.TraceDir, 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"satwatch/internal/analytics"
 	"satwatch/internal/errant"
 	"satwatch/internal/live"
 )
@@ -42,6 +45,33 @@ func TestReportGolden(t *testing.T) {
 	const want = "f116d6c1398921da29a98ceaef01b80ae52bcbca0980ffa4f5ef1e9c935bc0b6"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != want {
 		t.Errorf("report sha256 %s, want %s; the report:\n%s", got, want, text)
+	}
+}
+
+// TestNewDatasetBytesPerFlow: NewDataset folds the Output's own records
+// and allocates only the aggregates, about 121 bytes a flow; one enriched
+// copy of the flow log (144 bytes a flow) on top of them breaks the
+// budget. A race build reads about 2.6 kB, as the race detector drops
+// sync.Pool puts at random and the classifier's regular expressions then
+// allocate their backtracking state on every match.
+func TestNewDatasetBytesPerFlow(t *testing.T) {
+	out := smallResults(t).Output
+	budget := 160.0
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				budget += 3000
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ds := analytics.NewDataset(out, 1)
+	runtime.ReadMemStats(&after)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(out.Flows))
+	t.Logf("%.1f bytes per flow over %d flows", perFlow, len(ds.Flows))
+	if perFlow > budget {
+		t.Errorf("NewDataset allocates %.1f bytes per flow, budget %.0f", perFlow, budget)
 	}
 }
 

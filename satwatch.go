@@ -36,10 +36,11 @@ import (
 // Pipeline is a configured end-to-end run: generate → probe → analyze.
 type Pipeline struct {
 	cfg netsim.Config
-	// ThroughputMinBytes is the Figure 11 bulk-flow threshold. The paper
-	// uses 10 MB on three months of traffic; scaled runs default to 5 MB.
-	ThroughputMinBytes int64
 }
+
+// fig11MinBytes is the Figure 11 bulk-flow threshold. The paper uses
+// 10 MB on three months of traffic; scaled runs use 5 MiB.
+const fig11MinBytes = 5 << 20
 
 // Option configures a Pipeline.
 type Option func(*Pipeline)
@@ -80,11 +81,6 @@ func WithIntentCacheBytes(n int64) Option {
 // Run to flush the buffered flows.
 func WithTracer(tr *trace.Tracer) Option { return func(p *Pipeline) { p.cfg.Trace = tr } }
 
-// WithThroughputThreshold sets the Figure 11 minimum flow size in bytes.
-func WithThroughputThreshold(b int64) Option {
-	return func(p *Pipeline) { p.ThroughputMinBytes = b }
-}
-
 // Ablations (DESIGN.md A1-A4).
 
 // WithoutPEP removes the PEP processing delays (ablation A1).
@@ -105,7 +101,7 @@ func WithForcedOperatorDNS() Option {
 
 // New builds a pipeline with laptop-scale defaults (400 customers, 2 days).
 func New(opts ...Option) *Pipeline {
-	p := &Pipeline{cfg: netsim.DefaultConfig(), ThroughputMinBytes: 5 << 20}
+	p := &Pipeline{cfg: netsim.DefaultConfig()}
 	for _, o := range opts {
 		o(p)
 	}
@@ -188,7 +184,7 @@ func (p *Pipeline) Analyze(out *netsim.Output, ds *analytics.Dataset) *Results {
 		func() { res.Fig8a = report.BuildFig8a(ds) },
 		func() { res.Fig8b = report.BuildFig8b(ds, out.Beams) },
 		func() { res.Fig10 = report.BuildFig10(ds) },
-		func() { res.Fig11 = report.BuildFig11(ds, p.ThroughputMinBytes) },
+		func() { res.Fig11 = report.BuildFig11(ds, fig11MinBytes) },
 		func() { res.Table3 = report.BuildTable3() },
 		func() { res.Signatures = report.BuildSignatures(ds) },
 	}

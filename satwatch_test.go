@@ -15,7 +15,6 @@ func TestOptionsWiring(t *testing.T) {
 	p := New(
 		WithCustomers(77), WithDays(3), WithSeed(9),
 		WithoutPEP(), WithoutMAC(), WithAfricanGroundStation(), WithForcedOperatorDNS(),
-		WithThroughputThreshold(1<<20),
 	)
 	cfg := p.Config()
 	if cfg.Customers != 77 || cfg.Days != 3 || cfg.Seed != 9 {
@@ -24,9 +23,6 @@ func TestOptionsWiring(t *testing.T) {
 	if !cfg.DisablePEP || !cfg.DisableMAC || !cfg.AfricanGroundStation || !cfg.ForceOperatorDNS {
 		t.Fatal("ablation options not applied")
 	}
-	if p.ThroughputMinBytes != 1<<20 {
-		t.Fatal("throughput threshold not applied")
-	}
 }
 
 func TestDefaults(t *testing.T) {
@@ -34,9 +30,6 @@ func TestDefaults(t *testing.T) {
 	cfg := p.Config()
 	if cfg.Customers != 400 || cfg.Days != 2 {
 		t.Fatalf("defaults: %+v", cfg)
-	}
-	if p.ThroughputMinBytes != 5<<20 {
-		t.Fatal("default throughput threshold")
 	}
 }
 
