@@ -61,27 +61,13 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineNoIntentCache is BenchmarkPipelineEndToEnd with the
-// pass-A→pass-B intent cache disabled, so every customer-day workload is
-// generated twice (the pre-cache pipeline shape). The delta against
-// BenchmarkPipelineEndToEnd isolates the cache's contribution.
-func BenchmarkPipelineNoIntentCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := New(WithCustomers(30), WithDays(1), WithSeed(uint64(i)), WithIntentCacheBytes(-1))
-		res, err := p.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(res.Dataset.Flows)), "flows")
-	}
-}
-
 // BenchmarkPipelineEndToEndTraced is the same pipeline with the flight
 // recorder sampling every flow — the worst-case tracing overhead.
 func BenchmarkPipelineEndToEndTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := trace.New(io.Discard, 1)
-		p := New(WithCustomers(30), WithDays(1), WithSeed(uint64(i)), WithTracer(tr))
+		p := New(WithCustomers(30), WithDays(1), WithSeed(uint64(i)))
+		p.cfg.Trace = tr
 		res, err := p.Run()
 		if err != nil {
 			b.Fatal(err)

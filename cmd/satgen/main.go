@@ -59,7 +59,6 @@ func run() (int, error) {
 	seed := flag.Uint64("seed", 1, "deterministic run seed")
 	constellation := flag.String("constellation", "geo", "constellation backend ("+strings.Join(geo.ConstellationNames(), ", ")+")")
 	parallelism := flag.Int("parallelism", 0, "simulation workers, both passes (0 = GOMAXPROCS); output is identical at any value")
-	intentCacheMB := flag.Int("intent-cache-mb", 0, "pass-A intent cache budget in MiB (0 = 512, negative disables)")
 	faultsArg := flag.String("faults", "", "fault schedule: a JSON file or a preset ("+strings.Join(faults.PresetNames(), ", ")+")")
 	pcapFlows := flag.Int("pcap-flows", 50, "flows of the run sampled into sample.pcap (0 disables)")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump to this file after the run")
@@ -130,8 +129,7 @@ func run() (int, error) {
 	}
 
 	cfg := netsim.Config{Customers: *customers, Days: *days, Seed: *seed,
-		Constellation: *constellation,
-		Parallelism:   *parallelism, IntentCacheBytes: int64(*intentCacheMB) << 20,
+		Constellation: *constellation, Parallelism: *parallelism,
 		Trace: tracer, Faults: sched}
 	sim, err := netsim.RunContext(ctx, cfg)
 	if err != nil {

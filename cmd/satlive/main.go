@@ -36,7 +36,7 @@
 //	        [-faults PRESET|FILE] [-speedup 60] [-workers 4] [-rate 1]
 //	        [-window 10m] [-duration 0] [-control-addr 127.0.0.1:0]
 //	        [-out DIR] [-metrics FILE] [-trace DIR] [-trace-sample N]
-//	        [-history DIR] [-metrics-every 30s]
+//	        [-history DIR]
 //	satlive -soak 30s [-faults stress] [...]
 package main
 
@@ -68,8 +68,6 @@ func run() (int, error) {
 	window := flag.Duration("window", 10*time.Minute, "analytics window length (simulated)")
 	grace := flag.Duration("grace", 10*time.Minute, "late-record grace before a window finalizes (simulated)")
 	duration := flag.Duration("duration", 0, "stop after this wall duration (0 = run until signalled)")
-	stallTimeout := flag.Duration("stall-timeout", 5*time.Second, "watchdog heartbeat deadline per stage")
-	drainTimeout := flag.Duration("drain-timeout", 20*time.Second, "graceful-drain budget before hard abort")
 	controlAddr := flag.String("control-addr", "127.0.0.1:0", "control-plane listen address (\"\" disables)")
 	outDir := flag.String("out", "", "write manifest.json and windows.json here on exit")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump here on exit")
@@ -77,7 +75,6 @@ func run() (int, error) {
 	traceDir := flag.String("trace", "", "write sampled flow span trees as rotating JSONL here")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N flows on the streaming path (0 disables, 1 = all)")
 	historyDir := flag.String("history", "", "persist finalized windows to a JSONL log here and replay it at startup")
-	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "/metrics/history sampling cadence (simulated)")
 	flag.Parse()
 
 	if *traceDir != "" && *traceSample <= 0 {
@@ -102,10 +99,8 @@ func run() (int, error) {
 		Constellation: *constellation, Faults: sched,
 		Speedup: *speedup, Workers: *workers, Rate: *rate,
 		Window: *window, Grace: *grace,
-		StallTimeout: *stallTimeout, DrainTimeout: *drainTimeout,
 		TraceSample: *traceSample, TraceDir: *traceDir,
-		HistoryDir:   *historyDir,
-		MetricsEvery: *metricsEvery,
+		HistoryDir: *historyDir,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -151,18 +146,8 @@ func run() (int, error) {
 	interrupted := ctx.Err() == context.Canceled
 	stop()
 
-	status := "ok"
-	code := 0
-	switch {
-	case interrupted:
-		status = "partial"
-		code = 2
-	case runErr != nil:
-		status = "degraded"
-	}
-	if d, _ := p.Degraded(); d && status == "ok" {
-		status = "degraded"
-	}
+	degraded, _ := p.Degraded()
+	status, code := outcome(interrupted, runErr != nil, degraded)
 	mem := memSampler.Stop()
 	if err := writeOutputs(p, cfg, *outDir, *metricsOut, status, time.Since(start), mem); err != nil {
 		return 0, err
@@ -175,6 +160,26 @@ func run() (int, error) {
 		status, time.Since(start).Round(time.Millisecond), pr.SimSeconds,
 		pr.Intents, pr.FlowRecords, pr.DNSRecords, pr.Windows)
 	return code, nil
+}
+
+// outcome maps how a run ended to its manifest status and exit code. A
+// signal makes the run "partial"; a failed Run (an aborted drain, a
+// history or trace log that did not close) or a degraded pipeline makes
+// it "degraded". A failed Run exits 1 even when a signal started the
+// drain: its outputs may be short of what the status claims.
+func outcome(interrupted, failed, degraded bool) (status string, code int) {
+	switch {
+	case interrupted:
+		status, code = "partial", 2
+	case failed || degraded:
+		status = "degraded"
+	default:
+		status = "ok"
+	}
+	if failed {
+		code = 1
+	}
+	return status, code
 }
 
 // writeOutputs lands the manifest, the finalized analytics windows, and

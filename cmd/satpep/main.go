@@ -1,6 +1,6 @@
 // Command satpep is the load harness for the RFC 3135 split-TCP PEP: it
-// drives N concurrent split-TCP flows with a configurable size/arrival
-// mix through a CPE↔gateway pair over an in-process emulated satellite
+// drives N concurrent split-TCP flows with a configurable size mix
+// through a CPE↔gateway pair over an in-process emulated satellite
 // link, optionally plays a fault schedule (-faults) into the link, and
 // prints a flows/s + p50/p99 summary. The run fails (exit 1) if any flow
 // errors or any tunnel stream is still in a stream table after the
@@ -11,9 +11,9 @@
 // Usage:
 //
 //	satpep [-flows 1000] [-concurrency 0] [-mix 8k:0.6,64k:0.3,256k:0.1]
-//	       [-arrival 0] [-delay 270ms] [-jitter 30ms] [-loss 0.005] [-rate 0]
+//	       [-delay 270ms] [-jitter 30ms] [-loss 0.005] [-rate 0]
 //	       [-faults PRESET|FILE] [-fault-speedup 1000] [-seed 1]
-//	       [-rto 1500ms] [-window 64] [-drain-timeout 30s] [-metrics FILE]
+//	       [-rto 1500ms] [-metrics FILE]
 package main
 
 import (
@@ -35,17 +35,14 @@ func run() (int, error) {
 	flows := flag.Int("flows", 1000, "total flows to run")
 	concurrency := flag.Int("concurrency", 0, "max flows in flight (0 = no cap)")
 	mixArg := flag.String("mix", "8k:0.6,64k:0.3,256k:0.1", "flow-size mix as size:weight pairs")
-	arrival := flag.Float64("arrival", 0, "Poisson flow arrival rate in flows/s (0 = as fast as admitted)")
 	delay := flag.Duration("delay", 270*time.Millisecond, "one-way link delay")
 	jitter := flag.Duration("jitter", 30*time.Millisecond, "link jitter")
 	loss := flag.Float64("loss", 0.005, "link loss probability")
 	rate := flag.Float64("rate", 0, "link serialization rate in bytes/s (0 = unlimited)")
 	faultsArg := flag.String("faults", "", "fault schedule (preset name or JSON file) played into the live link")
 	faultSpeedup := flag.Float64("fault-speedup", 1000, "schedule seconds per wall second")
-	seed := flag.Uint64("seed", 1, "seed for link, mix and arrivals")
+	seed := flag.Uint64("seed", 1, "seed for link and mix")
 	rto := flag.Duration("rto", 1500*time.Millisecond, "initial tunnel RTO")
-	window := flag.Int("window", 64, "per-stream send window in frames")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "post-run wait for empty stream tables")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump here on exit")
 	flag.Parse()
 
@@ -77,13 +74,11 @@ func run() (int, error) {
 		Flows:        *flows,
 		Concurrency:  *concurrency,
 		Mix:          mix,
-		ArrivalRate:  *arrival,
 		Link:         linkemu.Link{Delay: *delay, Jitter: *jitter, Loss: *loss, RateBps: *rate},
-		Tunnel:       tunnel.Config{RTO: *rto, Window: *window, MaxPayload: 1200},
+		Tunnel:       tunnel.Config{RTO: *rto, Window: 64, MaxPayload: 1200},
 		Seed:         *seed,
 		Faults:       sched,
 		FaultSpeedup: *faultSpeedup,
-		DrainTimeout: *drainTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

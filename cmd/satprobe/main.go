@@ -20,7 +20,7 @@
 // Usage:
 //
 //	satprobe -in capture.pcap [-flows flows.tsv] [-dns dns.tsv]
-//	         [-metrics FILE] [-debug-addr :6060] [-debug-linger 0s]
+//	         [-metrics FILE] [-debug-addr :6060]
 package main
 
 import (
@@ -45,7 +45,6 @@ func run() (int, error) {
 	dnsOut := flag.String("dns", "", "write DNS log TSV here")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump here after the replay")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /progress and /debug/pprof on this address")
-	debugLinger := flag.Duration("debug-linger", 0, "keep the debug server up this long after the replay completes")
 	flag.Parse()
 
 	// Metrics are cleared at run start so every dump and debug endpoint
@@ -60,7 +59,7 @@ func run() (int, error) {
 	// Replay progress for the /progress endpoint; the counters are
 	// atomics because the debug server reads them mid-loop.
 	var packets, badPackets atomic.Int64
-	stopDebug, err := obs.ServeDebug(*debugAddr, *debugLinger, func() any {
+	stopDebug, err := obs.ServeDebug(*debugAddr, 0, func() any {
 		return struct {
 			Packets        int64   `json:"packets"`
 			BadPackets     int64   `json:"bad_packets"`

@@ -92,9 +92,6 @@ func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 // NormFloat64 returns a standard normal sample.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
 
-// ExpFloat64 returns a rate-1 exponential sample.
-func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
-
 // Shuffle pseudo-randomizes the order of n elements.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 

@@ -123,7 +123,7 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 			points = []obs.Point{}
 		}
 		encode(w, false, map[string]any{
-			"every_seconds": p.cfg.MetricsEvery.Seconds(),
+			"every_seconds": metricsEvery.Seconds(),
 			"points":        points,
 		})
 	}))

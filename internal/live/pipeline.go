@@ -32,6 +32,16 @@ const (
 	// lookahead is how far ahead of the sim clock the generator may
 	// admit intents (simulated).
 	lookahead = 30 * time.Second
+	// stallTimeout is the watchdog's heartbeat deadline (wall).
+	stallTimeout = 5 * time.Second
+	// drainTimeout bounds the graceful drain (wall).
+	drainTimeout = 20 * time.Second
+	// metricsEvery is the /metrics/history sampling cadence (simulated).
+	metricsEvery = 30 * time.Second
+	// minSampleGap is the least wall time between two samples: each one
+	// snapshots the whole registry, and at 3600x 30 simulated seconds
+	// pass in 8 ms, so the gap holds sampling to ten a second.
+	minSampleGap = 100 * time.Millisecond
 )
 
 // Config parameterizes the daemon.
@@ -62,10 +72,6 @@ type Config struct {
 	// defaults 10 min each).
 	Window, Grace time.Duration
 
-	// StallTimeout is the watchdog's heartbeat deadline (wall; default
-	// 5 s). DrainTimeout bounds the graceful drain (wall; default 20 s).
-	StallTimeout, DrainTimeout time.Duration
-
 	// TraceSample enables live flight-recorder tracing of 1 in N
 	// synthesized flows (0 disables; 1 traces everything). The sampling
 	// key matches batch -trace-sample: a deterministic hash of
@@ -80,10 +86,6 @@ type Config struct {
 	// keep their /analytics history and resume the sim clock past the
 	// last persisted window.
 	HistoryDir string
-
-	// MetricsEvery is the /metrics/history sampling cadence in simulated
-	// time (default 30 s).
-	MetricsEvery time.Duration
 
 	// Logf receives operational log lines; nil discards them. Excluded
 	// from the manifest config dump.
@@ -105,15 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecordDepth <= 0 {
 		c.RecordDepth = 4096
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 5 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 20 * time.Second
-	}
-	if c.MetricsEvery <= 0 {
-		c.MetricsEvery = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -249,7 +242,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.metricsHist = obs.NewHistory(nil, obs.DefaultHistoryKeep)
 
 	p.sup = &supervisor{
-		timeout: cfg.StallTimeout,
+		timeout: stallTimeout,
 		degrade: p.degrade,
 		logf:    cfg.Logf,
 	}
@@ -392,7 +385,7 @@ func (p *Pipeline) QueueDepths() (intents, synth, records int) {
 }
 
 // ErrDrainTimeout reports that the graceful drain did not finish inside
-// Config.DrainTimeout and the pipeline was hard-aborted.
+// drainTimeout and the pipeline was hard-aborted.
 var ErrDrainTimeout = errors.New("live: drain timed out, pipeline aborted")
 
 // Run starts every stage and blocks until ctx is cancelled, then drains:
@@ -407,17 +400,17 @@ func (p *Pipeline) Run(ctx context.Context) error {
 
 	drainCh := make(chan struct{})
 	genR := p.sim.Root().Fork("live-rate")
-	p.sup.addStage("generate", func(sctx context.Context, st *stage) error {
+	p.sup.add("generate", func(sctx context.Context, st *stage) error {
 		return p.generate(sctx, drainCh, genR, st)
 	}, p.intentQ.Close)
-	p.sup.addStage("dispatch", p.dispatch, func() {
+	p.sup.add("dispatch", p.dispatch, func() {
 		for _, q := range p.workerQs {
 			q.Close()
 		}
 	})
 	for i := 0; i < p.cfg.Workers; i++ {
 		i := i
-		p.sup.addStage(fmt.Sprintf("synth-%d", i), func(sctx context.Context, st *stage) error {
+		p.sup.add(fmt.Sprintf("synth-%d", i), func(sctx context.Context, st *stage) error {
 			return p.synth(sctx, i, st)
 		}, func() {
 			if p.workersLeft.Add(-1) == 0 {
@@ -425,9 +418,9 @@ func (p *Pipeline) Run(ctx context.Context) error {
 			}
 		})
 	}
-	p.sup.addStage("analytics", p.analyze, p.analytics.Finalize)
-	p.sup.add("sampler", func(sctx context.Context, beat func()) error {
-		return p.sampleMetrics(sctx, drainCh, beat)
+	p.sup.add("analytics", p.analyze, p.analytics.Finalize)
+	p.sup.add("sampler", func(sctx context.Context, st *stage) error {
+		return p.sampleMetrics(sctx, drainCh, st)
 	}, nil)
 
 	p.sup.start(hardCtx)
@@ -435,14 +428,14 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	<-ctx.Done()
 
 	p.draining.Store(true)
-	p.cfg.Logf("live: draining (timeout %s)", p.cfg.DrainTimeout)
+	p.cfg.Logf("live: draining (timeout %s)", drainTimeout)
 	close(drainCh)
 	done := make(chan struct{})
 	go func() { p.sup.wait(); close(done) }()
 	var err error
 	select {
 	case <-done:
-	case <-time.After(p.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		hardAbort()
 		<-done
 		p.analytics.Finalize()
@@ -463,14 +456,19 @@ func (p *Pipeline) Run(ctx context.Context) error {
 }
 
 // sampleMetrics snapshots the registry into the /metrics/history ring
-// every Config.MetricsEvery simulated seconds. It ticks on a short wall
-// interval so heartbeats stay fresh even at low speedups.
-func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, beat func()) error {
-	tick := time.NewTicker(100 * time.Millisecond)
+// every metricsEvery simulated seconds, but at most once per
+// minSampleGap of wall time. Between samples it parks on one timer.
+func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, st *stage) error {
+	// One timer for the incarnation, stopped until the first wait; it
+	// fired (and was received) before each later Reset.
+	tick := time.NewTimer(time.Hour)
+	tick.Stop()
 	defer tick.Stop()
-	next := p.clock.Now() + p.cfg.MetricsEvery
+	next := p.clock.Now() + metricsEvery
 	for {
-		beat()
+		st.beat()
+		tick.Reset(max(p.clock.WallUntil(next), minSampleGap))
+		st.park()
 		select {
 		case <-drain:
 			return nil
@@ -478,10 +476,10 @@ func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, bea
 			return nil
 		case <-tick.C:
 		}
-		if now := p.clock.Now(); now >= next {
-			p.metricsHist.Sample(now.Seconds())
-			next = now + p.cfg.MetricsEvery
-		}
+		st.unpark()
+		now := p.clock.Now()
+		p.metricsHist.Sample(now.Seconds())
+		next = now + metricsEvery
 	}
 }
 

@@ -20,7 +20,6 @@ func testConfig() Config {
 		Customers: 20, Seed: 7,
 		Speedup: 3600, Workers: 2,
 		Window: 10 * time.Minute, Grace: time.Minute,
-		StallTimeout: 5 * time.Second, DrainTimeout: 30 * time.Second,
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"time"
 )
 
-// stageFn is one stage's body. It must heartbeat via the provided beat
-// function at every loop iteration; a body that waits for input, space
-// or time parks its stage for the wait instead (see addStage and
-// Queue.Push/Pop). Returning nil means clean exit (input drained) — the
-// supervisor lets the stage go. Returning an error (or panicking) gets
-// the stage relaunched.
-type stageFn func(ctx context.Context, beat func()) error
+// stageFn is one stage's body. It must heartbeat via st.beat at every
+// loop iteration, and park st for every wait on input, space or time: it
+// hands st to Queue.Push/Pop, which park it, and brackets its own timer
+// waits with st.park/unpark, so an idle stage sleeps instead of waking to
+// beat. Returning nil means clean exit (input drained) — the supervisor
+// lets the stage go. Returning an error (or panicking) gets the stage
+// relaunched.
+type stageFn func(ctx context.Context, st *stage) error
 
 // stage is the supervised unit: a named goroutine with a heartbeat the
 // watchdog inspects, restarted on panic or watchdog cancel. At any moment
@@ -83,18 +84,10 @@ type supervisor struct {
 	wdDone  chan struct{}  // watchdog exit (it outlives the stages)
 }
 
-func (sup *supervisor) add(name string, fn stageFn, onExit func()) *stage {
-	st := &stage{name: name, fn: fn, onExit: onExit}
-	sup.stages = append(sup.stages, st)
-	return st
-}
-
-// addStage registers a stage whose body holds its own *stage: it beats
-// through it and hands it to every wait (Queue.Push/Pop, pacing), so the
-// stage parks while idle instead of waking to beat.
-func (sup *supervisor) addStage(name string, body func(ctx context.Context, st *stage) error, onExit func()) {
-	var st *stage
-	st = sup.add(name, func(ctx context.Context, _ func()) error { return body(ctx, st) }, onExit)
+// add registers a stage; onExit, when non-nil, runs after its final
+// clean exit.
+func (sup *supervisor) add(name string, fn stageFn, onExit func()) {
+	sup.stages = append(sup.stages, &stage{name: name, fn: fn, onExit: onExit})
 }
 
 // start launches every stage under ctx plus the watchdog. The watchdog
@@ -153,7 +146,7 @@ func (sup *supervisor) invoke(ctx context.Context, st *stage) (err error) {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if err := st.fn(ctx, st.beat); err != nil {
+	if err := st.fn(ctx, st); err != nil {
 		return err
 	}
 	// A nil return under a watchdog-cancelled context is still a restart:

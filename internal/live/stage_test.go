@@ -23,8 +23,8 @@ func TestSupervisorRestartsPanickedStage(t *testing.T) {
 	restartsBefore := mStageRestarts.Value()
 
 	var runs atomic.Int64
-	sup.add("boom", func(ctx context.Context, beat func()) error {
-		beat()
+	sup.add("boom", func(ctx context.Context, st *stage) error {
+		st.beat()
 		if runs.Add(1) == 1 {
 			panic("injected")
 		}
@@ -52,8 +52,8 @@ func TestSupervisorRestartsPanickedStage(t *testing.T) {
 func TestSupervisorErrorReturnRestarts(t *testing.T) {
 	sup, _ := testSupervisor(time.Minute)
 	var runs atomic.Int64
-	sup.add("flaky", func(ctx context.Context, beat func()) error {
-		beat()
+	sup.add("flaky", func(ctx context.Context, st *stage) error {
+		st.beat()
 		if runs.Add(1) < 3 {
 			return errors.New("transient")
 		}
@@ -80,8 +80,8 @@ func TestWatchdogCancelsStalledStage(t *testing.T) {
 
 	var runs atomic.Int64
 	drain := make(chan struct{})
-	sup.add("wedged", func(ctx context.Context, beat func()) error {
-		beat()
+	sup.add("wedged", func(ctx context.Context, st *stage) error {
+		st.beat()
 		if runs.Add(1) == 1 {
 			// Wedge: block on the stage context without beating — the
 			// watchdog must cancel us.
@@ -94,7 +94,7 @@ func TestWatchdogCancelsStalledStage(t *testing.T) {
 			case <-drain:
 				return nil
 			case <-time.After(20 * time.Millisecond):
-				beat()
+				st.beat()
 			}
 		}
 	}, nil)
@@ -128,9 +128,9 @@ func TestSupervisorHardAbortStopsRestarting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 
 	started := make(chan struct{}, 16)
-	sup.add("loop", func(sctx context.Context, beat func()) error {
+	sup.add("loop", func(sctx context.Context, st *stage) error {
 		started <- struct{}{}
-		beat()
+		st.beat()
 		<-sctx.Done()
 		return sctx.Err()
 	}, nil)
@@ -155,7 +155,7 @@ func TestParkedStageIsNotStalled(t *testing.T) {
 	sup, degradations := testSupervisor(timeout)
 	q := NewQueue[int](1, Block, testQueueMetrics(t), nil)
 	var runs atomic.Int64
-	sup.addStage("starved", func(ctx context.Context, st *stage) error {
+	sup.add("starved", func(ctx context.Context, st *stage) error {
 		runs.Add(1)
 		st.beat()
 		if _, ok := q.Pop(ctx, st); ok {

@@ -23,7 +23,7 @@ const DefaultTraceRing = 256
 
 // Tracing is the live flight-recorder state: sampling rate, recent ring
 // and optional rotating disk log. A nil *Tracing disables tracing (all
-// methods are nil-safe; Sampled always reports false).
+// methods are nil-safe; Start always returns nil).
 type Tracing struct {
 	sampleN uint64
 	ring    *trace.Ring
@@ -39,7 +39,7 @@ func newTracing(cfg Config) (*Tracing, error) {
 	}
 	t := &Tracing{sampleN: uint64(cfg.TraceSample), ring: trace.NewRing(DefaultTraceRing)}
 	if cfg.TraceDir != "" {
-		w, err := trace.NewRotatingWriter(cfg.TraceDir, 0, 0)
+		w, err := trace.NewRotatingWriter(cfg.TraceDir)
 		if err != nil {
 			return nil, err
 		}

@@ -138,11 +138,12 @@ func generateDaySafe(dst []workload.FlowIntent, c *workload.Customer, day int, r
 //
 // Customers stripe across workers (ci ≡ w mod workers) — the partition
 // pass B uses, so each returned shard's intent cache feeds that worker's
-// pass-B loop. Each (customer, day) has its own forked random stream, so
-// generation order across workers cannot perturb the workload. A
-// cancelled ctx stops the workers at their next customer and leaves
-// d.loads unset.
-func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wrap bool) []passAShard {
+// pass-B loop; the shards share cacheBytes, and a customer-day the budget
+// no longer covers is left for pass B to regenerate. Each (customer, day)
+// has its own forked random stream, so generation order across workers
+// cannot perturb the workload. A cancelled ctx stops the workers at their
+// next customer and leaves d.loads unset.
+func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wrap bool, cacheBytes int64) []passAShard {
 	hours := cfg.Days * 24
 	beams := geo.Beams()
 	maxBeamID := 0
@@ -152,12 +153,8 @@ func (d *deployment) dimension(ctx context.Context, cfg Config, workers int, wra
 		}
 	}
 
-	budget := cfg.IntentCacheBytes
-	if budget == 0 {
-		budget = defaultIntentCacheBytes
-	}
 	var cacheFree atomic.Int64
-	cacheFree.Store(budget)
+	cacheFree.Store(cacheBytes)
 
 	customers := d.customers
 	shards := make([]passAShard, workers)

@@ -210,7 +210,7 @@ func TestIntentCacheSpillEquivalence(t *testing.T) {
 	if cached.Stats.IntentCacheHits == 0 {
 		t.Fatal("default budget cached nothing on a laptop-scale run")
 	}
-	spilled, err := Run(Config{Customers: 30, Days: 1, Seed: 41, IntentCacheBytes: -1})
+	spilled, err := run(context.Background(), Config{Customers: 30, Days: 1, Seed: 41}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,11 @@ func TestIntentCacheChargesWhatItHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.IntentCacheBytes = budget
-		return dep.dimension(context.Background(), cfg, workers, false)
+		return dep.dimension(context.Background(), cfg, workers, false, budget)
 	}
 	var held int64
 	slots := 0
-	for _, sh := range cache(0, 3) {
+	for _, sh := range cache(intentCacheBytes, 3) {
 		if sh.spills != 0 {
 			t.Fatalf("default budget spilled %d customer-days", sh.spills)
 		}

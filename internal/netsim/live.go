@@ -43,18 +43,17 @@ type LiveSim struct {
 // NewLiveSim builds the live simulator: the deployment dimensioned over
 // one day (the periodic load profile every later day reuses — exactly
 // what a batch run of day 0 dimensions) and the start-up constellation's
-// models. cfg.Days is ignored — a live run has no window — and the intent
-// cache is off: the generator stage produces intents as the clock reaches
-// them.
+// models. cfg.Days is ignored — a live run has no window — and pass A
+// gets no intent-cache budget: the generator stage produces intents as
+// the clock reaches them.
 func NewLiveSim(cfg Config) (*LiveSim, error) {
 	cfg.Days = 1
-	cfg.IntentCacheBytes = -1
 	cfg = cfg.withDefaults()
 	dep, err := newDeployment(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, sh := range dep.dimension(context.Background(), cfg, dep.workers(cfg.Parallelism), true) {
+	for _, sh := range dep.dimension(context.Background(), cfg, dep.workers(cfg.Parallelism), true, 0) {
 		if len(sh.errs) > 0 {
 			return nil, errors.New(sh.errs[0])
 		}

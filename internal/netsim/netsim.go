@@ -106,17 +106,18 @@ const (
 	StatusPartial = "partial"
 )
 
-// defaultIntentCacheBytes bounds the pass-A→pass-B intent cache when the
-// config leaves IntentCacheBytes zero: laptop-scale runs fit entirely and
-// skip the second workload generation, while operator-scale runs degrade
-// gracefully to regeneration once the budget is spent.
-const defaultIntentCacheBytes = 512 << 20
+// intentCacheBytes bounds the pass-A→pass-B intent cache: laptop-scale
+// runs fit entirely and skip the second workload generation, while
+// operator-scale runs degrade gracefully to regeneration once the budget
+// is spent. Intents beyond it are regenerated deterministically in pass
+// B, so the budget trades memory for generation time without affecting
+// output.
+const intentCacheBytes = 512 << 20
 
 // Config parameterizes a simulation run. Zero fields take the effective
 // defaults applied by Run: 400 customers, 2 days (matching
 // DefaultConfig), seed 0, GOMAXPROCS workers, per-field MAC defaults
-// (mac.DefaultParams) and a 512 MiB intent cache; the PEP is always
-// pepmodel.Default.
+// (mac.DefaultParams); the PEP is always pepmodel.Default.
 type Config struct {
 	// Customers is the population size; Days the observation window.
 	Customers int
@@ -129,13 +130,6 @@ type Config struct {
 	// are k-way merged in a canonical total order, so results depend only
 	// on Seed — byte-identical at any worker count.
 	Parallelism int
-
-	// IntentCacheBytes bounds the memory holding pass-A flow intents for
-	// reuse in pass B (0 → 512 MiB; negative disables the cache). Intents
-	// beyond the budget are regenerated deterministically in pass B, so
-	// the budget trades memory for generation time without affecting
-	// output.
-	IntentCacheBytes int64
 
 	// Constellation selects the orbit backend: "geo" (default; the
 	// paper's fixed 550 ms geometry) or "leo" (a seeded low-earth shell
@@ -468,6 +462,12 @@ func Run(cfg Config) (*Output, error) {
 // status "partial"); cancellation during pass A — before any flow exists
 // — fails the run outright.
 func RunContext(ctx context.Context, cfg Config) (*Output, error) {
+	return run(ctx, cfg, intentCacheBytes)
+}
+
+// run is RunContext with the intent cache's byte budget as a parameter
+// (negative caches nothing), so the tests can drive the cache to spill.
+func run(ctx context.Context, cfg Config, cacheBytes int64) (*Output, error) {
 	cfg = cfg.withDefaults()
 	mod, err := newModels(cfg.Constellation, cfg.Seed, cfg.MAC)
 	if err != nil {
@@ -500,7 +500,7 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	// feeds the manifest allocs block.
 	var shards []passAShard
 	allocA := prof.Stage(ctx, prof.StagePassA, func(sctx context.Context) {
-		shards = dep.dimension(sctx, cfg, workers, false)
+		shards = dep.dimension(sctx, cfg, workers, false, cacheBytes)
 	})
 	if err := ctx.Err(); err != nil {
 		// No flow exists yet; there is nothing to salvage.

@@ -71,7 +71,7 @@ func SignalContext() (ctx context.Context, stop context.CancelFunc) {
 
 // ServeDebug runs the -debug-addr server over the Default registry for the
 // length of a CLI run, announcing the bound address on stderr. The
-// returned stop keeps the server up for linger (-debug-linger) before
+// returned stop keeps the server up for linger (satgen -debug-linger) before
 // shutting it down; defer it. An empty addr starts nothing.
 func ServeDebug(addr string, linger time.Duration, progress func() any) (stop func(), err error) {
 	if addr == "" {

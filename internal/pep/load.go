@@ -2,11 +2,11 @@ package pep
 
 // The load harness behind `satpep`: it stands up a full
 // CPE↔gateway pair over an emulated satellite link, drives thousands of
-// concurrent split-TCP flows through it with a configurable size and
-// arrival mix, optionally plays a fault schedule (rain fade, beam
-// outage, gateway switch) into the live link, and verifies that the
-// stream tables drain to zero afterwards — the leak check the tunnel
-// lifecycle fixes are measured against.
+// concurrent split-TCP flows through it with a configurable size mix,
+// optionally plays a fault schedule (rain fade, beam outage, gateway
+// switch) into the live link, and verifies that the stream tables drain
+// to zero afterwards — the leak check the tunnel lifecycle fixes are
+// measured against.
 
 import (
 	"context"
@@ -38,6 +38,9 @@ var (
 	mLoadLeaked = obs.NewGauge("pep_load_leaked_streams",
 		"Tunnel streams still in the CPE+gateway tables after the post-run drain (must be 0).", "")
 )
+
+// drainTimeout bounds the post-run wait for empty stream tables.
+const drainTimeout = 30 * time.Second
 
 // SizeWeight is one entry of the flow-size mix.
 type SizeWeight struct {
@@ -100,14 +103,11 @@ type LoadConfig struct {
 	Concurrency int
 	// Mix is the flow-size distribution; nil means 8k:0.6,64k:0.3,256k:0.1.
 	Mix []SizeWeight
-	// ArrivalRate is the Poisson flow-arrival rate in flows/s; 0 starts
-	// flows as fast as the concurrency cap admits them.
-	ArrivalRate float64
 	// Link shapes both directions of the emulated satellite path.
 	Link linkemu.Link
 	// Tunnel tunes the ARQ on both tunnel endpoints.
 	Tunnel tunnel.Config
-	// Seed drives the link, the mix and the arrival process.
+	// Seed drives the link and the mix.
 	Seed uint64
 	// Faults, when non-nil, is played into the live link: rain fade and
 	// beam outages become extra loss, gateway switches extra delay.
@@ -116,9 +116,6 @@ type LoadConfig struct {
 	// schedule seconds (default 1; a day-long schedule at 1000× plays in
 	// ~86 s).
 	FaultSpeedup float64
-	// DrainTimeout bounds the post-run wait for empty stream tables
-	// (default 30 s).
-	DrainTimeout time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Ctx, when non-nil, stops the run gracefully on cancellation: no new
@@ -139,9 +136,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.FaultSpeedup <= 0 {
 		c.FaultSpeedup = 1
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -252,7 +246,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		peak      atomic.Int64
 	)
 	sem := make(chan struct{}, cfg.Concurrency)
-	arrivals := rnd.Fork("arrivals")
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	mallocs := mem.Mallocs
@@ -262,9 +255,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		if cfg.Ctx.Err() != nil {
 			cfg.Logf("pep/load: interrupted after %d/%d flows, draining", launched, cfg.Flows)
 			break
-		}
-		if cfg.ArrivalRate > 0 {
-			time.Sleep(time.Duration(arrivals.ExpFloat64() / cfg.ArrivalRate * float64(time.Second)))
 		}
 		size := pickSize(mix, rnd.ForkN("size", uint64(i)).Float64())
 		sem <- struct{}{}
@@ -306,8 +296,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	close(stopFaults)
 
 	// Drain: every stream must leave both tables. FINs and their ACKs
-	// still need satellite round trips, so poll up to DrainTimeout.
-	deadline := time.Now().Add(cfg.DrainTimeout)
+	// still need satellite round trips, so poll up to drainTimeout.
+	deadline := time.Now().Add(drainTimeout)
 	for time.Now().Before(deadline) && cpe.ActiveStreams()+gw.ActiveStreams() > 0 {
 		time.Sleep(20 * time.Millisecond)
 	}

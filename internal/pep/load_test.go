@@ -51,13 +51,12 @@ func TestRunLoadDrainsClean(t *testing.T) {
 		flows = 30
 	}
 	rep, err := RunLoad(LoadConfig{
-		Flows:        flows,
-		Concurrency:  40,
-		Mix:          []SizeWeight{{4 << 10, 0.7}, {32 << 10, 0.3}},
-		Link:         loadTestLink(),
-		Tunnel:       loadTestTunnel(),
-		Seed:         7,
-		DrainTimeout: 30 * time.Second,
+		Flows:       flows,
+		Concurrency: 40,
+		Mix:         []SizeWeight{{4 << 10, 0.7}, {32 << 10, 0.3}},
+		Link:        loadTestLink(),
+		Tunnel:      loadTestTunnel(),
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +93,13 @@ func TestRunLoadWithFaults(t *testing.T) {
 		{Kind: faults.GatewaySwitch, Beam: -1, Start: 0, End: 24 * time.Hour, RTTStep: 20 * time.Millisecond},
 	}}
 	rep, err := RunLoad(LoadConfig{
-		Flows:        40,
-		Concurrency:  20,
-		Mix:          []SizeWeight{{4 << 10, 1}},
-		Link:         loadTestLink(),
-		Tunnel:       loadTestTunnel(),
-		Seed:         8,
-		Faults:       sched,
-		DrainTimeout: 30 * time.Second,
+		Flows:       40,
+		Concurrency: 20,
+		Mix:         []SizeWeight{{4 << 10, 1}},
+		Link:        loadTestLink(),
+		Tunnel:      loadTestTunnel(),
+		Seed:        8,
+		Faults:      sched,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -109,19 +109,13 @@ const DefaultTraceMaxBytes = 8 << 20
 // DefaultTraceKeep is how many rotated trace files survive pruning.
 const DefaultTraceKeep = 4
 
-// NewRotatingWriter opens (creating dir if needed) the live trace log.
-// maxBytes <= 0 and keep <= 0 select the defaults.
-func NewRotatingWriter(dir string, maxBytes int64, keep int) (*RotatingWriter, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultTraceMaxBytes
-	}
-	if keep <= 0 {
-		keep = DefaultTraceKeep
-	}
+// NewRotatingWriter opens (creating dir if needed) the live trace log,
+// capped at DefaultTraceMaxBytes a file and DefaultTraceKeep rotations.
+func NewRotatingWriter(dir string) (*RotatingWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: create dir: %w", err)
 	}
-	w := &RotatingWriter{dir: dir, maxBytes: maxBytes, keep: keep}
+	w := &RotatingWriter{dir: dir, maxBytes: DefaultTraceMaxBytes, keep: DefaultTraceKeep}
 	if err := w.open(); err != nil {
 		return nil, err
 	}

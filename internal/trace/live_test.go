@@ -56,11 +56,12 @@ func TestRingRecentNewestFirstAndBounded(t *testing.T) {
 
 func TestRotatingWriterRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny cap forces a rotation every couple of lines; keep 2.
-	w, err := NewRotatingWriter(dir, 300, 2)
+	w, err := NewRotatingWriter(dir)
 	if err != nil {
 		t.Fatalf("NewRotatingWriter: %v", err)
 	}
+	// Tiny cap forces a rotation every couple of lines; keep 2.
+	w.maxBytes, w.keep = 300, 2
 	var rotations int
 	for i := 0; i < 12; i++ {
 		rotated, err := w.Write(liveFlow(1, 0, i, time.Duration(i)*time.Minute))
@@ -167,7 +168,7 @@ func TestStartSampledDeliversToSink(t *testing.T) {
 
 func TestRotatingWriterTolerantOfTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewRotatingWriter(dir, 0, 0) // defaults: one big file
+	w, err := NewRotatingWriter(dir) // defaults: one big file
 	if err != nil {
 		t.Fatalf("NewRotatingWriter: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestRotatingWriterRestartAfterTornTailLosesNoFlow(t *testing.T) {
 	dir := t.TempDir()
 	write := func(from, to int) {
 		t.Helper()
-		w, err := NewRotatingWriter(dir, 0, 0)
+		w, err := NewRotatingWriter(dir)
 		if err != nil {
 			t.Fatalf("NewRotatingWriter: %v", err)
 		}

@@ -84,7 +84,7 @@ func salvageFormats(t *testing.T) []salvageFormat {
 	}
 
 	traceDir := t.TempDir()
-	tw, err := trace.NewRotatingWriter(traceDir, 0, 0)
+	tw, err := trace.NewRotatingWriter(traceDir)
 	if err != nil {
 		t.Fatal(err)
 	}

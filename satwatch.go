@@ -29,7 +29,6 @@ import (
 	"satwatch/internal/netsim"
 	"satwatch/internal/prof"
 	"satwatch/internal/report"
-	"satwatch/internal/trace"
 	"satwatch/internal/tstat"
 )
 
@@ -66,20 +65,6 @@ func WithConstellation(name string) Option {
 // (0 uses GOMAXPROCS). Results depend only on the seed, not on the worker
 // count: outputs are byte-identical at any parallelism.
 func WithParallelism(n int) Option { return func(p *Pipeline) { p.cfg.Parallelism = n } }
-
-// WithIntentCacheBytes bounds the memory the simulator spends keeping
-// pass-A flow intents for reuse in pass B (0 uses the 512 MiB default;
-// negative disables the cache). The budget trades memory for regeneration
-// time and never affects outputs.
-func WithIntentCacheBytes(n int64) Option {
-	return func(p *Pipeline) { p.cfg.IntentCacheBytes = n }
-}
-
-// WithTracer attaches a flow-trace recorder: sampled flows get a
-// per-flow latency-decomposition span tree written as JSONL (see
-// internal/trace). The caller owns the tracer and must Close it after
-// Run to flush the buffered flows.
-func WithTracer(tr *trace.Tracer) Option { return func(p *Pipeline) { p.cfg.Trace = tr } }
 
 // Ablations (DESIGN.md A1-A4).
 

@@ -517,15 +517,21 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 	}
 }
 
-// deploymentFlags are flags that name where a CLI runs or writes, not how
-// it behaves, so no walkthrough needs to set them.
-var deploymentFlags = map[cliFlag]string{}
+// controlFlags are the flags no walkthrough needs to set, each with the
+// /control endpoint it names: the flag is the start-up value of a setting
+// that endpoint changes at run time, so the endpoint is its reader. An
+// entry whose endpoint no non-test code serves fails.
+var controlFlags = map[cliFlag]string{
+	{"satlive", "constellation"}: "/control/scenario",
+	{"satlive", "rate"}:          "/control/rate",
+}
 
 // TestEveryFlagHasAReader fails on a flag of a CLI under cmd/ that no CI
 // step, user document (README, DESIGN, OBSERVABILITY, EXPERIMENTS, AUDIT)
-// or example names. CHANGES and ROADMAP are ledgers and do not count. A
-// flag is matched by name, so one tool's reader covers another tool's
-// flag of the same name.
+// or example sets. CHANGES and ROADMAP are ledgers and do not count. A
+// flag is read only on a line that names both its tool and the flag,
+// with backslash-continued lines joined, so one tool's reader never
+// covers another tool's flag of the same name.
 func TestEveryFlagHasAReader(t *testing.T) {
 	m := loadModule(t)
 	var corpus strings.Builder
@@ -535,6 +541,7 @@ func TestEveryFlagHasAReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		corpus.Write(b)
+		corpus.WriteByte('\n')
 	}
 	err := filepath.WalkDir("examples", func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -542,34 +549,72 @@ func TestEveryFlagHasAReader(t *testing.T) {
 		}
 		b, err := os.ReadFile(path)
 		corpus.Write(b)
+		corpus.WriteByte('\n')
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)(?:^|[^\w-])-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(corpus.String(), -1) {
-		named[m[1]] = true
-	}
 	flags := m.flags()
 	if len(flags) == 0 {
 		t.Fatal("found no flags under cmd/")
 	}
+	tools := map[string]bool{}
+	for _, f := range flags {
+		tools[f.tool] = true
+	}
+	read := map[cliFlag]bool{}
+	flagRe := regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9-]*)`)
+	for _, line := range strings.Split(regexp.MustCompile(`\\[ \t]*\n`).ReplaceAllString(corpus.String(), " "), "\n") {
+		for tool := range tools {
+			if !strings.Contains(line, tool) {
+				continue
+			}
+			for _, f := range flagRe.FindAllStringSubmatch(line, -1) {
+				read[cliFlag{tool, f[1]}] = true
+			}
+		}
+	}
 	defined := map[cliFlag]bool{}
 	for _, f := range flags {
 		defined[f] = true
-		if _, ok := deploymentFlags[f]; !ok && !named[f.name] {
-			t.Errorf("%s -%s is named by no CI step, doc or example: delete it, or show it in use", f.tool, f.name)
+		if _, ok := controlFlags[f]; !ok && !read[f] {
+			t.Errorf("%s -%s is set by no CI step, doc or example line naming %s: delete it, or show it in use", f.tool, f.name, f.tool)
 		}
 	}
-	for f := range deploymentFlags {
+	served := m.stringLiterals()
+	for f, endpoint := range controlFlags {
 		switch {
 		case !defined[f]:
 			t.Errorf("allow-list entry %s -%s names no flag: remove it", f.tool, f.name)
-		case named[f.name]:
+		case read[f]:
 			t.Errorf("allow-list entry %s -%s has a reader now: remove it", f.tool, f.name)
+		case !served[endpoint]:
+			t.Errorf("allow-list entry %s -%s: no non-test code serves %s", f.tool, f.name, endpoint)
 		}
 	}
+}
+
+// stringLiterals returns every string constant the non-test code of the
+// module spells out.
+func (m *module) stringLiterals() map[string]bool {
+	out := map[string]bool{}
+	for _, c := range m.checks {
+		if c.tests || c.bench {
+			continue
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						out[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // docOnlyFlags are the flags a user document may show in a code span
