@@ -6,8 +6,8 @@
 // The observation window (Figure 4's customer-days) is read off the logs
 // too: the days up to the latest record (netsim.Output.Days). -errant also
 // prints the ERRANT emulation profiles. -live-history renders a satlive
-// window-history log instead; it reads neither -from, -errant nor
-// -parallelism, and setting one with it is an error.
+// window-history log instead; it reads neither -from nor -errant, and
+// setting one with it is an error.
 //
 // Corrupt log lines are skipped by default — counted
 // (netsim_rows_skipped_total) and reported, the salvage path for logs out
@@ -18,8 +18,7 @@
 //
 // Usage:
 //
-//	satreport -from DIR [-parallelism 0] [-strict] [-errant]
-//	          [-metrics FILE]
+//	satreport -from DIR [-strict] [-errant] [-metrics FILE]
 //	satreport -live-history PATH [-strict] [-metrics FILE]
 package main
 
@@ -44,7 +43,6 @@ func main() { obs.Main("satreport", run) }
 func run() (int, error) {
 	fromDir := flag.String("from", "", "directory of a run's logs to analyze (satgen -out)")
 	liveHistory := flag.String("live-history", "", "replay a satlive -history window log (file or directory) into report tables instead")
-	parallelism := flag.Int("parallelism", 0, "analysis workers (0 = GOMAXPROCS); output is identical at any value")
 	strict := flag.Bool("strict", false, "fail on the first corrupt log line instead of skipping it")
 	errantOut := flag.Bool("errant", false, "also print ERRANT-style emulation profiles")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics dump to this file after the run")
@@ -54,7 +52,7 @@ func run() (int, error) {
 	obs.Default.Reset()
 
 	if *liveHistory != "" {
-		if err := obs.RejectUnread(flag.CommandLine, "-live-history", "from", "errant", "parallelism"); err != nil {
+		if err := obs.RejectUnread(flag.CommandLine, "-live-history", "from", "errant"); err != nil {
 			return 0, err
 		}
 		return runLiveHistory(*liveHistory, *strict, *metricsOut)
@@ -68,8 +66,7 @@ func run() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p := satwatch.New(satwatch.WithParallelism(*parallelism))
-	res := p.Analyze(out, analytics.NewDataset(out, out.Days()))
+	res := satwatch.New().Analyze(out, analytics.NewDataset(out, out.Days()))
 	fmt.Print(res.RenderAll())
 	fmt.Println(res.Signatures.Render())
 	fmt.Printf("— %d flows, %d DNS transactions, %d customers, %v —\n",

@@ -7,6 +7,7 @@ package satwatch
 // paper-vs-measured comparison in detail.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -497,5 +498,135 @@ func TestFig5MedianFlowsOrdering(t *testing.T) {
 	}
 	if minAF <= maxEU {
 		t.Errorf("African median flows (min %.0f) not above European (max %.0f)", minAF, maxEU)
+	}
+}
+
+// The ablations (DESIGN.md §3, A1–A4) each switch one mechanism off at the
+// configuration EXPERIMENTS.md documents, 60 customers × 1 day, seed 7,
+// and compare a headline reading with the base run's.
+
+// ablations caches one run per variant; "base" is shared.
+var ablations = map[string]*Results{}
+
+func ablationRun(t *testing.T, name string, opts ...Option) *Results {
+	t.Helper()
+	if res, ok := ablations[name]; ok {
+		return res
+	}
+	res, err := New(append([]Option{WithCustomers(60), WithDays(1), WithSeed(7)}, opts...)...).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ablations[name] = res
+	return res
+}
+
+// congoPeakMedian is the A1/A4 reading: Congo's peak-window median
+// satellite RTT (Figure 8a), in seconds.
+func congoPeakMedian(t *testing.T, res *Results) float64 {
+	t.Helper()
+	s := res.Fig8a.Peak["CD"]
+	if s == nil || s.Len() == 0 {
+		t.Fatal("no Congo peak-window RTT samples")
+	}
+	return s.Median()
+}
+
+// TestAblationPEP (A1): without the PEP the congested Congo RTT collapses
+// while the beams carry the same load — the paper's §6.1 diagnosis that
+// PEP saturation, not beam capacity, makes Figure 8b's worst beams.
+func TestAblationPEP(t *testing.T) {
+	base, nopep := ablationRun(t, "base"), ablationRun(t, "nopep", WithoutPEP())
+	with, without := congoPeakMedian(t, base), congoPeakMedian(t, nopep)
+	t.Logf("Congo peak median satellite RTT: %.3f s with the PEP, %.3f s without", with, without)
+	if without >= with/2 {
+		t.Errorf("without the PEP the Congo peak median is %.3f s, not below half of %.3f s", without, with)
+	}
+	if !slices.Equal(base.Output.Beams, nopep.Output.Beams) {
+		t.Error("beam peak utilizations changed with the PEP off")
+	}
+}
+
+// TestAblationMAC (A4): ideal (zero-delay) access takes the MAC's share
+// off the Congo RTT, but less than the PEP's.
+func TestAblationMAC(t *testing.T) {
+	with := congoPeakMedian(t, ablationRun(t, "base"))
+	ideal := congoPeakMedian(t, ablationRun(t, "nomac", WithoutMAC()))
+	nopep := congoPeakMedian(t, ablationRun(t, "nopep", WithoutPEP()))
+	t.Logf("Congo peak median satellite RTT: %.3f s with the MAC, %.3f s with ideal access", with, ideal)
+	if ideal >= with {
+		t.Errorf("ideal access leaves the Congo peak median at %.3f s, not below %.3f s", ideal, with)
+	}
+	if ideal <= nopep {
+		t.Errorf("ideal access (%.3f s) gains more than removing the PEP (%.3f s)", ideal, nopep)
+	}
+}
+
+// africanHairpinPct is the A2 reading: the share of CD/NG/ZA flows with a
+// ground RTT above 250 ms.
+func africanHairpinPct(t *testing.T, res *Results) float64 {
+	t.Helper()
+	over, n := 0, 0
+	for i := range res.Dataset.Flows {
+		f := &res.Dataset.Flows[i]
+		if f.GroundRTT.Samples == 0 {
+			continue
+		}
+		if c := res.Dataset.Meta[f.Client].Country; c == "CD" || c == "NG" || c == "ZA" {
+			n++
+			if f.GroundRTT.Avg.Seconds() > 0.25 {
+				over++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no African flow with a ground RTT")
+	}
+	return 100 * float64(over) / float64(n)
+}
+
+// TestAblationAfricanGroundStation (A2): a second gateway in Africa
+// removes most of the §6.2 hairpin through Italy.
+func TestAblationAfricanGroundStation(t *testing.T) {
+	single := africanHairpinPct(t, ablationRun(t, "base"))
+	local := africanHairpinPct(t, ablationRun(t, "afgw", WithAfricanGroundStation()))
+	t.Logf("African flows above 250 ms ground RTT: %.2f %% with one gateway, %.2f %% with an African one", single, local)
+	if single <= 5 {
+		t.Errorf("only %.2f %% of African flows hairpin with one gateway, want above 5 %%", single)
+	}
+	if local >= single/4 {
+		t.Errorf("an African gateway leaves %.2f %% hairpinning, not below a quarter of %.2f %%", local, single)
+	}
+}
+
+// nigeriaGroundRTTMs is the A3 reading: the mean over Nigeria's
+// (domain, resolver) ground RTTs, in ms.
+func nigeriaGroundRTTMs(t *testing.T, res *Results) float64 {
+	t.Helper()
+	var sum float64
+	n := 0
+	for key, v := range res.Dataset.GroundRTTByDomainResolver {
+		if key.Country != "NG" {
+			continue
+		}
+		for _, x := range v {
+			sum += x
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no Nigerian ground RTT by domain and resolver")
+	}
+	return sum / float64(n) * 1e3
+}
+
+// TestAblationForceOperatorDNS (A3): sending every query to the operator
+// resolver, the paper's §6.4 proposed fix, cuts Nigeria's ground RTT.
+func TestAblationForceOperatorDNS(t *testing.T) {
+	open := nigeriaGroundRTTMs(t, ablationRun(t, "base"))
+	forced := nigeriaGroundRTTMs(t, ablationRun(t, "opdns", WithForcedOperatorDNS()))
+	t.Logf("Nigeria mean ground RTT: %.2f ms on open resolvers, %.2f ms on the operator's", open, forced)
+	if forced >= 0.6*open {
+		t.Errorf("the operator resolver leaves Nigeria at %.2f ms, not below 0.6 × %.2f ms", forced, open)
 	}
 }

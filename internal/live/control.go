@@ -123,7 +123,7 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 			points = []obs.Point{}
 		}
 		encode(w, false, map[string]any{
-			"every_seconds": metricsEvery.Seconds(),
+			"every_seconds": p.historyEvery().Seconds(),
 			"points":        points,
 		})
 	}))

@@ -120,8 +120,8 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatalf("/metrics/history not JSON: %v", err)
 	}
-	if payload.EverySeconds != 30 {
-		t.Errorf("every_seconds = %v, want default 30", payload.EverySeconds)
+	if payload.EverySeconds != 360 {
+		t.Errorf("every_seconds = %v at 3600x, want 360 (one point per 100 ms of wall time)", payload.EverySeconds)
 	}
 	if len(payload.Points) != 2 || payload.Points[0].T != 30 {
 		t.Fatalf("points = %+v", payload.Points)
@@ -132,6 +132,21 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 				t.Errorf("?metrics filter leaked %q", name)
 			}
 		}
+	}
+
+	// At the default speedup the simulated cadence binds.
+	cfg := testConfig()
+	cfg.Speedup = 0
+	slow, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec = do(ControlHandler(slow, obs.Default), http.MethodGet, "/metrics/history")
+	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+		t.Fatalf("/metrics/history not JSON: %v", err)
+	}
+	if payload.EverySeconds != 30 {
+		t.Errorf("every_seconds = %v at the default speedup, want 30", payload.EverySeconds)
 	}
 }
 

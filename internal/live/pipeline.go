@@ -36,7 +36,8 @@ const (
 	stallTimeout = 5 * time.Second
 	// drainTimeout bounds the graceful drain (wall).
 	drainTimeout = 20 * time.Second
-	// metricsEvery is the /metrics/history sampling cadence (simulated).
+	// metricsEvery is the shortest /metrics/history sampling cadence
+	// (simulated; historyEvery).
 	metricsEvery = 30 * time.Second
 	// minSampleGap is the least wall time between two samples: each one
 	// snapshots the whole registry, and at 3600x 30 simulated seconds
@@ -374,16 +375,6 @@ func (p *Pipeline) activeFlowsTotal() int64 {
 	return n
 }
 
-// QueueDepths returns the per-edge buffered totals (soak assertions).
-func (p *Pipeline) QueueDepths() (intents, synth, records int) {
-	intents = p.intentQ.Len()
-	for _, q := range p.workerQs {
-		synth += q.Len()
-	}
-	records = p.recordQ.Len()
-	return
-}
-
 // ErrDrainTimeout reports that the graceful drain did not finish inside
 // drainTimeout and the pipeline was hard-aborted.
 var ErrDrainTimeout = errors.New("live: drain timed out, pipeline aborted")
@@ -455,19 +446,27 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	return err
 }
 
+// historyEvery is the simulated time between two /metrics/history
+// points: metricsEvery, or minSampleGap of wall time when the clock
+// covers more than metricsEvery in it (at 3600x, 360 s).
+func (p *Pipeline) historyEvery() time.Duration {
+	return max(metricsEvery, time.Duration(float64(minSampleGap)*p.cfg.Speedup))
+}
+
 // sampleMetrics snapshots the registry into the /metrics/history ring
-// every metricsEvery simulated seconds, but at most once per
-// minSampleGap of wall time. Between samples it parks on one timer.
+// every historyEvery simulated seconds. Between samples it parks on one
+// timer.
 func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, st *stage) error {
 	// One timer for the incarnation, stopped until the first wait; it
 	// fired (and was received) before each later Reset.
 	tick := time.NewTimer(time.Hour)
 	tick.Stop()
 	defer tick.Stop()
-	next := p.clock.Now() + metricsEvery
+	every := p.historyEvery()
+	next := p.clock.Now() + every
 	for {
 		st.beat()
-		tick.Reset(max(p.clock.WallUntil(next), minSampleGap))
+		tick.Reset(p.clock.WallUntil(next))
 		st.park()
 		select {
 		case <-drain:
@@ -479,7 +478,7 @@ func (p *Pipeline) sampleMetrics(ctx context.Context, drain <-chan struct{}, st 
 		st.unpark()
 		now := p.clock.Now()
 		p.metricsHist.Sample(now.Seconds())
-		next = now + metricsEvery
+		next = now + every
 	}
 }
 

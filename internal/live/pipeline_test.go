@@ -65,9 +65,8 @@ func TestPipelineRunsAndDrainsGracefully(t *testing.T) {
 		t.Error("no analytics windows finalized after drain")
 	}
 	// The drain contract: every queue empty.
-	qi, qs, qr := p.QueueDepths()
-	if qi != 0 || qs != 0 || qr != 0 {
-		t.Errorf("queues not drained: intents=%d synth=%d records=%d", qi, qs, qr)
+	if q := pr.QueueDepths; q.Intents != 0 || q.Synth != 0 || q.Records != 0 {
+		t.Errorf("queues not drained: intents=%d synth=%d records=%d", q.Intents, q.Synth, q.Records)
 	}
 	if d, reason := p.Degraded(); d {
 		t.Errorf("clean run ended degraded: %s", reason)

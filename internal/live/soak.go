@@ -17,16 +17,13 @@ type SoakReport struct {
 	GoroutinesBefore int `json:"goroutines_before"`
 	GoroutinesAfter  int `json:"goroutines_after"`
 
-	// Post-drain queue depths; all must be zero.
-	QueueIntents int `json:"queue_intents"`
-	QueueSynth   int `json:"queue_synth"`
-	QueueRecords int `json:"queue_records"`
-
 	// GC'd heap at the first-quarter sample and at the end; unbounded
 	// growth fails the run.
 	HeapEarlyBytes uint64 `json:"heap_early_bytes"`
 	HeapFinalBytes uint64 `json:"heap_final_bytes"`
 
+	// Progress is the post-drain snapshot; its queue depths must all be
+	// zero.
 	Progress Progress `json:"progress"`
 	DrainErr string   `json:"drain_err,omitempty"`
 
@@ -88,7 +85,6 @@ func Soak(cfg Config, dur time.Duration) (*SoakReport, error) {
 		rep.DrainErr = err.Error()
 	}
 	rep.Progress = p.Progress()
-	rep.QueueIntents, rep.QueueSynth, rep.QueueRecords = p.QueueDepths()
 	rep.HeapFinalBytes = gcHeap()
 
 	// Goroutines unwind asynchronously after drain; poll to settle.
@@ -105,10 +101,9 @@ func Soak(cfg Config, dur time.Duration) (*SoakReport, error) {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
 			"goroutines leaked: %d before, %d after drain", rep.GoroutinesBefore, rep.GoroutinesAfter))
 	}
-	if rep.QueueIntents != 0 || rep.QueueSynth != 0 || rep.QueueRecords != 0 {
+	if q := rep.Progress.QueueDepths; q.Intents != 0 || q.Synth != 0 || q.Records != 0 {
 		rep.Failures = append(rep.Failures, fmt.Sprintf(
-			"queues not drained: intents=%d synth=%d records=%d",
-			rep.QueueIntents, rep.QueueSynth, rep.QueueRecords))
+			"queues not drained: intents=%d synth=%d records=%d", q.Intents, q.Synth, q.Records))
 	}
 	// Bounded-heap check: the post-drain heap may exceed the mid-run
 	// sample only by a generous constant (steady-state caches), never by

@@ -43,8 +43,8 @@ var (
 		"Beam utilization observed at each uplink sample (flow-weighted).", "ratio", obs.RatioBuckets())
 	mCellBuilds = obs.NewCounter("mac_cells_built_total",
 		"Access-delay grid cells built by the slot-level micro-simulation.", "")
-	mCellBuildTime = obs.NewTimer("mac_cell_build_seconds",
-		"Wall time spent building access-delay grid cells (micro-simulation runs).")
+	mCellBuildTime = obs.NewHistogram("mac_cell_build_seconds",
+		"Wall time spent building access-delay grid cells (micro-simulation runs).", "seconds", obs.LatencyBuckets())
 )
 
 // Params are the data-link dimensioning knobs.
@@ -518,9 +518,9 @@ func (m *Model) cellWith(ui, fi int, sc *scratch) *dist.Empirical {
 		if sc == nil {
 			sc = &scratch{}
 		}
-		stop := mCellBuildTime.Start()
+		start := time.Now()
 		ce.e = simulate(m.p, m.utils[ui], m.fers[fi], seed, sc)
-		stop()
+		mCellBuildTime.ObserveDuration(time.Since(start))
 		mCellBuilds.Inc()
 	})
 	m.cells[idx].Store(ce.e)

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
-
-	"satwatch/internal/dist"
 )
 
 // gridDigest is the sha256 over the nine table values of every cell of
@@ -101,31 +99,5 @@ func TestCellBuildAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { simulateAccessDelay(p, 0.98, 1e-3, 1) })
 	if allocs > 200 {
 		t.Fatalf("one cell build allocates %v objects, budget 200", allocs)
-	}
-}
-
-var sinkTable *dist.Empirical
-
-// BenchmarkCellBuild is the heaviest cell of the stock grid, built lazily.
-func BenchmarkCellBuild(b *testing.B) {
-	p := DefaultParams()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkTable = simulateAccessDelay(p, 0.98, 0.12, uint64(i)+1)
-	}
-}
-
-// prebuildSeed outlives one benchmark call (the harness makes several), so
-// no grid is ever answered by the process-wide cache.
-var prebuildSeed uint64 = 0xbe7c4
-
-// BenchmarkPrebuildSerial is a cold process's whole grid on one worker.
-func BenchmarkPrebuildSerial(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := DefaultParams()
-		p.Seed = prebuildSeed
-		prebuildSeed++
-		NewModel(p).Prebuild(1)
 	}
 }

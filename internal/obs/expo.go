@@ -11,9 +11,8 @@ import (
 
 // WritePrometheus serializes the registry in the Prometheus text
 // exposition format (version 0.0.4), metrics sorted by name. Counters and
-// gauges map directly; timers are exposed as summaries (_sum/_count);
-// histograms use cumulative _bucket{le="..."} series plus _sum and
-// _count.
+// gauges map directly; histograms use cumulative _bucket{le="..."} series
+// plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range r.Snapshot() {
@@ -27,10 +26,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case KindGauge:
 			bw.WriteString("# TYPE " + s.Name + " gauge\n")
 			bw.WriteString(s.Name + " " + formatFloat(s.Value) + "\n")
-		case KindTimer:
-			bw.WriteString("# TYPE " + s.Name + " summary\n")
-			bw.WriteString(s.Name + "_sum " + formatFloat(s.Value) + "\n")
-			bw.WriteString(s.Name + "_count " + strconv.FormatInt(s.Count, 10) + "\n")
 		case KindHistogram:
 			bw.WriteString("# TYPE " + s.Name + " histogram\n")
 			var cum int64
@@ -79,7 +74,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	out := map[string]jsonMetric{}
 	for _, s := range r.Snapshot() {
 		jm := jsonMetric{Kind: s.Kind, Help: s.Help, Unit: s.Unit, Value: s.Value}
-		if s.Kind == KindTimer || s.Kind == KindHistogram {
+		if s.Kind == KindHistogram {
 			n := s.Count
 			jm.Count = &n
 		}

@@ -56,11 +56,11 @@ func TestPrometheusInfBucketCumulative(t *testing.T) {
 	}
 }
 
-// A timer that never observed anything still exposes a well-formed
-// summary pair: _sum 0 and _count 0, not NaN and not an absent series.
-func TestPrometheusZeroObservationTimer(t *testing.T) {
+// A histogram that never observed anything still exposes well-formed
+// series: zero buckets, _sum 0 and _count 0, not NaN and not an absent
+// series.
+func TestPrometheusZeroObservationHistogram(t *testing.T) {
 	r := NewRegistry()
-	r.Timer("edge_idle_seconds", "Never fires in this test.")
 	r.Histogram("edge_idle_hist_seconds", "", "seconds", []float64{1})
 
 	var buf bytes.Buffer
@@ -69,8 +69,7 @@ func TestPrometheusZeroObservationTimer(t *testing.T) {
 	}
 	got := buf.String()
 	for _, want := range []string{
-		"edge_idle_seconds_sum 0",
-		"edge_idle_seconds_count 0",
+		"edge_idle_hist_seconds_sum 0",
 		`edge_idle_hist_seconds_bucket{le="1"} 0`,
 		`edge_idle_hist_seconds_bucket{le="+Inf"} 0`,
 		"edge_idle_hist_seconds_count 0",

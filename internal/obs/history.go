@@ -9,9 +9,9 @@ package obs
 import "sync"
 
 // Point is one registry snapshot: counters and gauges flatten to their
-// value; timers and histograms contribute their sum plus a
-// "<name>_count" observation count, so rates are derivable by
-// differencing adjacent points.
+// value; histograms contribute their sum plus a "<name>_count"
+// observation count, so rates are derivable by differencing adjacent
+// points.
 type Point struct {
 	// T is the sample time in simulated seconds since daemon start.
 	T float64 `json:"t"`
@@ -54,7 +54,7 @@ func (h *History) Sample(t float64) {
 	vals := make(map[string]float64, len(snaps)*5/4)
 	for _, s := range snaps {
 		vals[s.Name] = s.Value
-		if s.Kind == KindTimer || s.Kind == KindHistogram {
+		if s.Kind == KindHistogram {
 			vals[s.Name+"_count"] = float64(s.Count)
 		}
 	}

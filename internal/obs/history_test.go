@@ -35,12 +35,12 @@ func TestHistorySamplesAndEvicts(t *testing.T) {
 	}
 }
 
-func TestHistoryFlattensTimersAndFilters(t *testing.T) {
+func TestHistoryFlattensHistogramsAndFilters(t *testing.T) {
 	reg := NewRegistry()
-	tm := reg.Timer("hist_rtt_seconds", "")
+	hg := reg.Histogram("hist_rtt_seconds", "", "seconds", LatencyBuckets())
 	reg.Counter("hist_other_total", "", "x").Inc()
-	tm.Observe(500 * time.Millisecond)
-	tm.Observe(600 * time.Millisecond)
+	hg.ObserveDuration(500 * time.Millisecond)
+	hg.ObserveDuration(600 * time.Millisecond)
 
 	h := NewHistory(reg, 8)
 	h.Sample(1)
@@ -51,10 +51,10 @@ func TestHistoryFlattensTimersAndFilters(t *testing.T) {
 	}
 	v := pts[0].Values
 	if v["hist_rtt_seconds_count"] != 2 {
-		t.Errorf("timer count = %v, want 2", v["hist_rtt_seconds_count"])
+		t.Errorf("histogram count = %v, want 2", v["hist_rtt_seconds_count"])
 	}
 	if sum := v["hist_rtt_seconds"]; sum < 1.05 || sum > 1.15 {
-		t.Errorf("timer sum = %v, want ~1.1", sum)
+		t.Errorf("histogram sum = %v, want ~1.1", sum)
 	}
 
 	// Name filtering trims each point's map; unknown names are ignored.

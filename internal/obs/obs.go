@@ -1,6 +1,5 @@
 // Package obs is the pipeline's observability layer: a dependency-free
-// metrics registry with counters, gauges, timers and fixed-bucket
-// histograms, all goroutine-safe and cheap enough for the pass-B worker
+// metrics registry with counters, gauges and fixed-bucket histograms, all goroutine-safe and cheap enough for the pass-B worker
 // hot paths (one or two atomic operations per observation, no locks).
 //
 // Instrumented packages declare their metrics as package-level vars
@@ -28,11 +27,10 @@ import (
 // Kind discriminates the metric types.
 type Kind string
 
-// The four metric kinds.
+// The three metric kinds.
 const (
 	KindCounter   Kind = "counter"
 	KindGauge     Kind = "gauge"
-	KindTimer     Kind = "timer"
 	KindHistogram Kind = "histogram"
 )
 
@@ -50,16 +48,16 @@ type Snapshot struct {
 	Kind Kind   `json:"kind"`
 	Help string `json:"help,omitempty"`
 	Unit string `json:"unit,omitempty"`
-	// Value is the counter/gauge value, or the timer/histogram sum.
+	// Value is the counter/gauge value, or the histogram sum.
 	Value float64 `json:"value"`
-	// Count is the number of observations (timer and histogram only).
+	// Count is the number of observations (histogram only).
 	Count int64 `json:"count,omitempty"`
 	// Buckets are the histogram's raw per-bucket counts; the final bucket
 	// has UpperBound +Inf.
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Mean returns Value/Count for timers and histograms, 0 when empty.
+// Mean returns Value/Count for a histogram, 0 when empty.
 func (s Snapshot) Mean() float64 {
 	if s.Count == 0 {
 		return 0
@@ -67,7 +65,7 @@ func (s Snapshot) Mean() float64 {
 	return s.Value / float64(s.Count)
 }
 
-// metric is the registry-internal interface all four kinds implement.
+// metric is the registry-internal interface all three kinds implement.
 type metric interface {
 	info() *meta
 	snap() Snapshot
@@ -154,36 +152,6 @@ func (g *Gauge) snap() Snapshot {
 	return Snapshot{Name: g.name, Kind: KindGauge, Help: g.help, Unit: g.unit, Value: g.Value()}
 }
 func (g *Gauge) reset() { g.bits.Store(0) }
-
-// ---------------------------------------------------------------------
-// Timer
-
-// Timer accumulates durations: total seconds and observation count. It is
-// the cheap "how much wall time went here, how often" metric; use a
-// Histogram when the shape of the distribution matters.
-type Timer struct {
-	meta
-	count atomic.Int64
-	nanos atomic.Int64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.count.Add(1)
-	t.nanos.Add(int64(d))
-}
-
-// Start returns a stop function that records the elapsed time when called.
-func (t *Timer) Start() func() {
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-func (t *Timer) snap() Snapshot {
-	return Snapshot{Name: t.name, Kind: KindTimer, Help: t.help, Unit: t.unit,
-		Value: time.Duration(t.nanos.Load()).Seconds(), Count: t.count.Load()}
-}
-func (t *Timer) reset() { t.count.Store(0); t.nanos.Store(0) }
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -322,14 +290,6 @@ func (r *Registry) Gauge(name, help, unit string) *Gauge {
 	})
 }
 
-// Timer registers (or returns) a timer. Timer names end in _seconds by
-// convention.
-func (r *Registry) Timer(name, help string) *Timer {
-	return register(r, name, func() *Timer {
-		return &Timer{meta: meta{name: name, help: help, unit: "seconds", kind: KindTimer}}
-	})
-}
-
 // Histogram registers (or returns) a histogram with the given strictly
 // increasing bucket upper bounds.
 func (r *Registry) Histogram(name, help, unit string, bounds []float64) *Histogram {
@@ -388,9 +348,6 @@ func NewCounter(name, help, unit string) *Counter { return Default.Counter(name,
 
 // NewGauge registers a gauge on the Default registry.
 func NewGauge(name, help, unit string) *Gauge { return Default.Gauge(name, help, unit) }
-
-// NewTimer registers a timer on the Default registry.
-func NewTimer(name, help string) *Timer { return Default.Timer(name, help) }
 
 // NewHistogram registers a histogram on the Default registry.
 func NewHistogram(name, help, unit string, bounds []float64) *Histogram {

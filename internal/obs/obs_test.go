@@ -97,21 +97,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("t_op_seconds", "op latency")
-	tm.Observe(1500 * time.Millisecond)
-	tm.Observe(500 * time.Millisecond)
-	if s := tm.snap(); s.Count != 2 || s.Value != 2 {
-		t.Fatalf("timer = %d obs, %v s total", s.Count, s.Value)
-	}
-	stop := tm.Start()
-	stop()
-	if tm.snap().Count != 3 {
-		t.Fatalf("Start/stop did not record")
-	}
-}
-
 func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("t_x", "", "")
@@ -132,12 +117,9 @@ func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("demo_events_total", "Events processed.", "")
 	g := r.Gauge("demo_queue_depth", "Live queue depth.", "items")
-	tm := r.Timer("demo_merge_seconds", "Merge wall time.")
 	h := r.Histogram("demo_delay_seconds", "Access delay.", "seconds", []float64{0.01, 0.1, 1})
 	c.Add(42)
 	g.Set(7.5)
-	tm.Observe(250 * time.Millisecond)
-	tm.Observe(750 * time.Millisecond)
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(0.05)
@@ -158,10 +140,6 @@ demo_delay_seconds_count 4
 # HELP demo_events_total Events processed.
 # TYPE demo_events_total counter
 demo_events_total 42
-# HELP demo_merge_seconds Merge wall time.
-# TYPE demo_merge_seconds summary
-demo_merge_seconds_sum 1
-demo_merge_seconds_count 2
 # HELP demo_queue_depth Live queue depth.
 # TYPE demo_queue_depth gauge
 demo_queue_depth 7.5

@@ -192,26 +192,26 @@ func TestSpanNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
-// BenchmarkStartDisabled measures the tracing-disabled hot path: a nil
-// Tracer's Start. This is the full cost tracing adds to every flow when
-// -trace is unset and must stay a pointer check (sub-nanosecond, zero
-// allocations).
-func BenchmarkStartDisabled(b *testing.B) {
-	var tr *Tracer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if fl := tr.Start(1, 0, i); fl != nil {
-			b.Fatal("nil tracer produced a flow")
+// TestStartAllocatesNothingWhenNotRecording holds the cost tracing adds
+// to a flow it does not record to a pointer check and a hash: Start on a
+// nil Tracer (no -trace) and on an unsampled flow allocates nothing.
+func TestStartAllocatesNothingWhenNotRecording(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"nil tracer", nil},
+		{"unsampled", New(io.Discard, 1<<30)},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if fl := c.tr.Start(1, 0, i); fl != nil {
+				t.Fatalf("%s: flow %d recorded", c.name, i)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Start allocates %v objects, want 0", c.name, allocs)
 		}
-	}
-}
-
-// BenchmarkStartUnsampled measures the enabled-but-unsampled path (the
-// common case at realistic sample rates): one hash, no allocation.
-func BenchmarkStartUnsampled(b *testing.B) {
-	tr := New(io.Discard, 1<<30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Start(1, 0, i)
 	}
 }

@@ -277,18 +277,26 @@ func TestObserveAllocationBudget(t *testing.T) {
 		for range slabFlows {
 			flow()
 		}
-		const runs = 4 * slabFlows
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			flow()
-		}
-		runtime.ReadMemStats(&after)
-		n := after.Mallocs - before.Mallocs
-		t.Logf("%d %s flows: %d objects", runs, c.name, n)
 		// The flows' First10 fill this many full slabs, and may start one
-		// more.
-		if budget := uint64(runs*min(c.events, 10)/(slabFlows*10) + 1); n > budget {
+		// more. Mallocs counts the whole process, so another goroutine's
+		// allocation can land in a window: the least of three is the
+		// tracker's.
+		const runs = 4 * slabFlows
+		budget := uint64(runs*min(c.events, 10)/(slabFlows*10) + 1)
+		n := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				flow()
+			}
+			runtime.ReadMemStats(&after)
+			if n = min(n, after.Mallocs-before.Mallocs); n <= budget {
+				break
+			}
+		}
+		t.Logf("%d %s flows: %d objects", runs, c.name, n)
+		if n > budget {
 			t.Errorf("%d %s flows allocated %d objects, budget %d (the First10 slabs)", runs, c.name, n, budget)
 		}
 	}

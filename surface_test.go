@@ -742,3 +742,23 @@ func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGoBenchmarks holds the repository to one yardstick: a speed or
+// allocation reading is a row of benchmark/ (BENCHMARK.json) or a test's
+// assertion. A `go test -bench` function beside them prints a number no
+// gate reads.
+func TestNoGoBenchmarks(t *testing.T) {
+	m := loadModule(t)
+	for _, c := range m.checks {
+		for _, f := range c.files {
+			if !c.tests || !m.isTestFile(f.Pos()) {
+				continue
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+					t.Errorf("%s: %s is a go test benchmark: make its reading a benchmark/ row or a test", m.fset.Position(fn.Pos()), fn.Name.Name)
+				}
+			}
+		}
+	}
+}
