@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"satwatch/internal/dnssim"
@@ -85,11 +86,12 @@ func (ds *Dataset) join(rec *tstat.FlowRecord) (meta netsim.CustomerMeta, ok boo
 
 // LocalHour returns the customer-local hour of a timestamp.
 func LocalHour(t time.Duration, country geo.CountryCode) int {
-	c, ok := geo.ByCode(country)
-	tz := 0
-	if ok {
-		tz = c.TZOffset
-	}
+	c, _ := geo.ByCode(country)
+	return localHour(t, c.TZOffset)
+}
+
+// localHour returns the hour of a timestamp tz hours east of UTC.
+func localHour(t time.Duration, tz int) int {
 	h := int(t/time.Hour) + tz
 	return ((h % 24) + 24) % 24
 }
@@ -130,7 +132,12 @@ type PerCustomerDay struct {
 // 250 flows in a day (§4).
 const ActiveFlowThreshold = 250
 
-// foldFlows fills the flow aggregates of the Dataset.
+// foldFlows fills the flow aggregates of the Dataset in one walk over
+// the flows, in log order. Each distinct client is resolved once — its
+// metadata join, country, time-zone offset and the aggregate slots it
+// folds into — and each distinct domain once, to its service and
+// second-level domain, so a flow costs one lookup by client and one by
+// domain. The slots become the Dataset's maps at the end.
 func (ds *Dataset) foldFlows() {
 	ds.CustomerDays = map[CustomerDay]*PerCustomerDay{}
 	ds.Volume = map[geo.CountryCode]map[tstat.Protocol]int64{}
@@ -141,87 +148,274 @@ func (ds *Dataset) foldFlows() {
 	ds.SatRTTByBeam = map[int][]float64{}
 	ds.GroundRTT = map[geo.CountryCode][]float64{}
 	ds.GroundRTTByDomainResolver = map[DomainResolverKey][]float64{}
-	// A log names a few hundred domains: each is run through the
-	// classifier's regular expressions and cut to its second level once.
-	classified := map[string]*services.Service{}
-	secondLevel := map[string]string{}
+	fl := &flowFold{
+		ds:        ds,
+		services:  services.Services(),
+		clients:   map[netip.Addr]*clientSlot{},
+		countries: map[geo.CountryCode]*countrySlot{},
+		beams:     map[int]*[]float64{},
+		cells:     map[countryResolver]*resolverCells{},
+		days:      map[CustomerDay]customerDaySlot{},
+		domains:   map[string]domainSlot{},
+		sldIndex:  map[string]int{},
+	}
 	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		meta, hasMeta, country := ds.join(f)
-		v := f.BytesUp + f.BytesDown
+		fl.add(&ds.Flows[i])
+	}
+	fl.finish()
+}
 
-		key := CustomerDay{Client: f.Client, Day: DayOf(f.Start)}
-		agg, ok := ds.CustomerDays[key]
-		if !ok {
-			agg = &PerCustomerDay{Country: country,
-				Services:      map[string]bool{},
-				CategoryBytes: map[services.Category]int64{}}
-			ds.CustomerDays[key] = agg
-		}
-		agg.Flows++
-		agg.BytesDown += f.BytesDown
-		agg.BytesUp += f.BytesUp
-		if f.Domain != "" {
-			svc, ok := classified[f.Domain]
-			if !ok {
-				svc, _ = services.Classify(f.Domain)
-				classified[f.Domain] = svc
-			}
-			if svc != nil {
-				agg.Services[svc.Name] = true
-				agg.CategoryBytes[svc.Category] += v
-			}
-		}
+// flowFold is the state of one foldFlows walk.
+type flowFold struct {
+	ds       *Dataset
+	services []*services.Service // a domainSlot's svc indexes these
 
-		byProto, ok := ds.Volume[country]
-		if !ok {
-			byProto = map[tstat.Protocol]int64{}
-			ds.Volume[country] = byProto
-		}
-		byProto[f.Proto] += v
-		hours, ok := ds.HourlyVolume[country]
-		if !ok {
-			hours = &[24]int64{}
-			ds.HourlyVolume[country] = hours
-		}
-		hours[UTCHour(f.Start)] += v
+	clients   map[netip.Addr]*clientSlot
+	countries map[geo.CountryCode]*countrySlot
+	beams     map[int]*[]float64
+	cells     map[countryResolver]*resolverCells
+	days      map[CustomerDay]customerDaySlot
+	domains   map[string]domainSlot
+	// slds are the second-level domains seen, numbered in sldIndex.
+	slds     []string
+	sldIndex map[string]int
+}
 
-		if f.SatRTT > 0 {
-			rtt := f.SatRTT.Seconds()
-			h := LocalHour(f.Start, country)
-			if country != "" {
-				ds.SatRTT[country] = append(ds.SatRTT[country], rtt)
-				switch {
-				case IsNight(h):
-					ds.SatRTTNight[country] = append(ds.SatRTTNight[country], rtt)
-				case IsPeak(h):
-					ds.SatRTTPeak[country] = append(ds.SatRTTPeak[country], rtt)
-				}
-			}
-			if hasMeta && IsPeak(h) {
-				ds.SatRTTByBeam[meta.Beam] = append(ds.SatRTTByBeam[meta.Beam], rtt)
-			}
-		}
+// clientSlot is one client resolved: its country's slots and, with
+// metadata, its beam's samples and its (country, resolver) cells.
+type clientSlot struct {
+	country *countrySlot
+	beam    *[]float64
+	cells   *resolverCells
+	// day is the day of cd, the customer-day its last flow folded into
+	// (none while cd.agg is nil).
+	day int
+	cd  customerDaySlot
+}
 
-		if f.GroundRTT.Samples == 0 {
-			continue
+// countrySlot holds one country's flow aggregates (the country "" those
+// of the flows of no known country).
+type countrySlot struct {
+	code  geo.CountryCode
+	tz    int
+	hours *[24]int64 // the Dataset's own HourlyVolume entry
+	// volume is indexed by tstat.Protocol; protos marks the protocols
+	// seen, each an entry of the country's Volume map.
+	volume                   [256]int64
+	protos                   [256]bool
+	sat, night, peak, ground []float64
+}
+
+// customerDaySlot holds a PerCustomerDay and the volume of each service
+// used that day, indexed like flowFold.services. Copies share both.
+type customerDaySlot struct {
+	agg  *PerCustomerDay
+	uses []serviceUse
+}
+
+type serviceUse struct {
+	bytes int64
+	seen  bool
+}
+
+// domainSlot is one domain resolved: svc indexes flowFold.services (-1
+// when no service matches) and sld flowFold.slds (-1 until a flow needs
+// it).
+type domainSlot struct{ svc, sld int }
+
+type countryResolver struct {
+	country  geo.CountryCode
+	resolver dnssim.ResolverID
+}
+
+// resolverCells holds the ground-RTT samples of one (country, resolver)
+// per second-level domain, indexed like flowFold.slds.
+type resolverCells struct {
+	key   countryResolver
+	bySLD [][]float64
+}
+
+// add folds one flow.
+func (fl *flowFold) add(f *tstat.FlowRecord) {
+	c := fl.client(f)
+	cs := c.country
+	v := f.BytesUp + f.BytesDown
+
+	if day := DayOf(f.Start); c.cd.agg == nil || c.day != day {
+		c.day, c.cd = day, fl.customerDay(CustomerDay{Client: f.Client, Day: day}, cs.code)
+	}
+	agg := c.cd.agg
+	agg.Flows++
+	agg.BytesDown += f.BytesDown
+	agg.BytesUp += f.BytesUp
+	var dom domainSlot
+	if f.Domain != "" {
+		dom = fl.domain(f.Domain)
+		if dom.svc >= 0 {
+			u := &c.cd.uses[dom.svc]
+			u.seen = true
+			u.bytes += v
 		}
-		ground := f.GroundRTT.Avg.Seconds()
-		if country != "" {
-			xs := ds.GroundRTT[country]
-			for n := min(max(v/(256<<10), 1), 64); n > 0; n-- {
-				xs = append(xs, ground)
+	}
+
+	cs.volume[f.Proto] += v
+	cs.protos[f.Proto] = true
+	cs.hours[UTCHour(f.Start)] += v
+
+	if f.SatRTT > 0 {
+		rtt := f.SatRTT.Seconds()
+		h := localHour(f.Start, cs.tz)
+		if cs.code != "" {
+			cs.sat = append(cs.sat, rtt)
+			switch {
+			case IsNight(h):
+				cs.night = append(cs.night, rtt)
+			case IsPeak(h):
+				cs.peak = append(cs.peak, rtt)
 			}
-			ds.GroundRTT[country] = xs
 		}
-		if hasMeta && f.Domain != "" {
-			sld, ok := secondLevel[f.Domain]
-			if !ok {
-				sld = services.SecondLevel(f.Domain)
-				secondLevel[f.Domain] = sld
+		if c.beam != nil && IsPeak(h) {
+			*c.beam = append(*c.beam, rtt)
+		}
+	}
+
+	if f.GroundRTT.Samples == 0 {
+		return
+	}
+	ground := f.GroundRTT.Avg.Seconds()
+	if cs.code != "" {
+		for n := min(max(v/(256<<10), 1), 64); n > 0; n-- {
+			cs.ground = append(cs.ground, ground)
+		}
+	}
+	if c.cells != nil && f.Domain != "" {
+		if dom.sld < 0 {
+			dom.sld = fl.secondLevel(f.Domain)
+		}
+		cells := c.cells
+		if dom.sld >= len(cells.bySLD) {
+			cells.bySLD = append(cells.bySLD, make([][]float64, dom.sld+1-len(cells.bySLD))...)
+		}
+		cells.bySLD[dom.sld] = append(cells.bySLD[dom.sld], ground)
+	}
+}
+
+// client returns the slot of f's client, resolving it on its first flow.
+func (fl *flowFold) client(f *tstat.FlowRecord) *clientSlot {
+	if c, ok := fl.clients[f.Client]; ok {
+		return c
+	}
+	meta, hasMeta, country := fl.ds.join(f)
+	cs, ok := fl.countries[country]
+	if !ok {
+		c, _ := geo.ByCode(country)
+		cs = &countrySlot{code: country, tz: c.TZOffset, hours: &[24]int64{}}
+		fl.ds.HourlyVolume[country] = cs.hours
+		fl.countries[country] = cs
+	}
+	c := &clientSlot{country: cs}
+	if hasMeta {
+		if c.beam = fl.beams[meta.Beam]; c.beam == nil {
+			c.beam = new([]float64)
+			fl.beams[meta.Beam] = c.beam
+		}
+		key := countryResolver{country, meta.Resolver}
+		if c.cells = fl.cells[key]; c.cells == nil {
+			c.cells = &resolverCells{key: key}
+			fl.cells[key] = c.cells
+		}
+	}
+	fl.clients[f.Client] = c
+	return c
+}
+
+// customerDay returns the slot of a customer-day, creating it and its
+// Dataset entry on its first flow.
+func (fl *flowFold) customerDay(key CustomerDay, country geo.CountryCode) customerDaySlot {
+	if s, ok := fl.days[key]; ok {
+		return s
+	}
+	agg := &PerCustomerDay{Country: country,
+		Services:      map[string]bool{},
+		CategoryBytes: map[services.Category]int64{}}
+	fl.ds.CustomerDays[key] = agg
+	s := customerDaySlot{agg: agg, uses: make([]serviceUse, len(fl.services))}
+	fl.days[key] = s
+	return s
+}
+
+// domain returns a domain name's slot, resolving its service on its
+// first flow: the classifier's regular expressions run per distinct name.
+func (fl *flowFold) domain(name string) domainSlot {
+	if d, ok := fl.domains[name]; ok {
+		return d
+	}
+	d := domainSlot{svc: -1, sld: -1}
+	if svc, ok := services.Classify(name); ok {
+		d.svc = slices.Index(fl.services, svc)
+	}
+	fl.domains[name] = d
+	return d
+}
+
+// secondLevel cuts a domain name to its second level once, and numbers
+// each second-level domain once.
+func (fl *flowFold) secondLevel(name string) int {
+	sld := services.SecondLevel(name)
+	i, ok := fl.sldIndex[sld]
+	if !ok {
+		i = len(fl.slds)
+		fl.slds = append(fl.slds, sld)
+		fl.sldIndex[sld] = i
+	}
+	d := fl.domains[name]
+	d.sld = i
+	fl.domains[name] = d
+	return i
+}
+
+// finish moves the slots' aggregates into the Dataset's maps. A sample
+// map gets an entry only for a key with samples, as appending to the map
+// in the walk would have made.
+func (fl *flowFold) finish() {
+	ds := fl.ds
+	for code, cs := range fl.countries {
+		byProto := map[tstat.Protocol]int64{}
+		for p, seen := range cs.protos {
+			if seen {
+				byProto[tstat.Protocol(p)] = cs.volume[p]
 			}
-			key := DomainResolverKey{Country: country, Resolver: meta.Resolver, Domain: sld}
-			ds.GroundRTTByDomainResolver[key] = append(ds.GroundRTTByDomainResolver[key], ground)
+		}
+		ds.Volume[code] = byProto
+		for _, s := range []struct {
+			m  map[geo.CountryCode][]float64
+			xs []float64
+		}{{ds.SatRTT, cs.sat}, {ds.SatRTTNight, cs.night}, {ds.SatRTTPeak, cs.peak}, {ds.GroundRTT, cs.ground}} {
+			if len(s.xs) > 0 {
+				s.m[code] = s.xs
+			}
+		}
+	}
+	for beam, xs := range fl.beams {
+		if len(*xs) > 0 {
+			ds.SatRTTByBeam[beam] = *xs
+		}
+	}
+	for _, cells := range fl.cells {
+		for sld, xs := range cells.bySLD {
+			if len(xs) > 0 {
+				key := DomainResolverKey{Country: cells.key.country, Resolver: cells.key.resolver, Domain: fl.slds[sld]}
+				ds.GroundRTTByDomainResolver[key] = xs
+			}
+		}
+	}
+	for _, s := range fl.days {
+		for i, u := range s.uses {
+			if u.seen {
+				svc := fl.services[i]
+				s.agg.Services[svc.Name] = true
+				s.agg.CategoryBytes[svc.Category] += u.bytes
+			}
 		}
 	}
 }

@@ -305,3 +305,144 @@ func TestGroundRTTByDomainResolver(t *testing.T) {
 		t.Fatal("second-level domain aggregation broken")
 	}
 }
+
+// TestFoldFlowsMatchesReference: the resolved-key fold fills every
+// aggregate exactly as foldFlowsReference does, on a simulated day and on
+// a hand-built log out of start order, with clients that have no
+// metadata, clients in no known prefix, empty domains, unclassified
+// domains, flows without RTT samples or bytes, and flows on a second day.
+func TestFoldFlowsMatchesReference(t *testing.T) {
+	sim, err := netsim.Run(netsim.Config{Customers: 20, Days: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := handOutput()
+	clients := []netip.Addr{cdClient, esClient,
+		netip.MustParseAddr("77.16.0.9"), // no metadata: country through the prefix join
+		netip.MustParseAddr("9.9.9.9")}   // in no known prefix
+	domains := []string{"e1.whatsapp.net", "", "scooper.news", "www.google.com", "E1.WhatsApp.net.", "rr1.googlevideo.com", "unclassified.example.co.uk"}
+	for i := 0; i < 97; i++ {
+		rec := hand.Flows[i%3]
+		rec.Client, rec.Domain = clients[i%len(clients)], domains[i%len(domains)]
+		rec.Proto = tstat.Protocol(i % 8)
+		rec.Start = time.Duration(i*7919%(48*60)) * time.Minute     // two days, out of order
+		rec.BytesUp, rec.BytesDown = int64(i%3)*500, int64(i%5)<<18 // some flows carry no bytes
+		if i%4 == 0 {
+			rec.SatRTT = 0
+		}
+		if i%6 == 0 {
+			rec.GroundRTT = tstat.RTTStats{}
+		}
+		hand.Flows = append(hand.Flows, rec)
+	}
+	for name, out := range map[string]*netsim.Output{"20x1 run": sim, "hand-built log": hand} {
+		got := NewDataset(out, 2)
+		want := &Dataset{Flows: out.Flows, DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: 2}
+		foldFlowsReference(want)
+		want.foldDNS()
+		gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+		for i := 0; i < gv.NumField(); i++ {
+			if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+				t.Errorf("%s: Dataset.%s differs from the reference fold", name, gv.Type().Field(i).Name)
+			}
+		}
+	}
+}
+
+// foldFlowsReference is foldFlows as it was before the walk resolved
+// each client and domain once: every flow looks up each of its keys in
+// the Dataset's maps. TestFoldFlowsMatchesReference holds foldFlows to it.
+func foldFlowsReference(ds *Dataset) {
+	ds.CustomerDays = map[CustomerDay]*PerCustomerDay{}
+	ds.Volume = map[geo.CountryCode]map[tstat.Protocol]int64{}
+	ds.HourlyVolume = map[geo.CountryCode]*[24]int64{}
+	ds.SatRTT = map[geo.CountryCode][]float64{}
+	ds.SatRTTNight = map[geo.CountryCode][]float64{}
+	ds.SatRTTPeak = map[geo.CountryCode][]float64{}
+	ds.SatRTTByBeam = map[int][]float64{}
+	ds.GroundRTT = map[geo.CountryCode][]float64{}
+	ds.GroundRTTByDomainResolver = map[DomainResolverKey][]float64{}
+	// A log names a few hundred domains: each is run through the
+	// classifier's regular expressions and cut to its second level once.
+	classified := map[string]*services.Service{}
+	secondLevel := map[string]string{}
+	for i := range ds.Flows {
+		f := &ds.Flows[i]
+		meta, hasMeta, country := ds.join(f)
+		v := f.BytesUp + f.BytesDown
+
+		key := CustomerDay{Client: f.Client, Day: DayOf(f.Start)}
+		agg, ok := ds.CustomerDays[key]
+		if !ok {
+			agg = &PerCustomerDay{Country: country,
+				Services:      map[string]bool{},
+				CategoryBytes: map[services.Category]int64{}}
+			ds.CustomerDays[key] = agg
+		}
+		agg.Flows++
+		agg.BytesDown += f.BytesDown
+		agg.BytesUp += f.BytesUp
+		if f.Domain != "" {
+			svc, ok := classified[f.Domain]
+			if !ok {
+				svc, _ = services.Classify(f.Domain)
+				classified[f.Domain] = svc
+			}
+			if svc != nil {
+				agg.Services[svc.Name] = true
+				agg.CategoryBytes[svc.Category] += v
+			}
+		}
+
+		byProto, ok := ds.Volume[country]
+		if !ok {
+			byProto = map[tstat.Protocol]int64{}
+			ds.Volume[country] = byProto
+		}
+		byProto[f.Proto] += v
+		hours, ok := ds.HourlyVolume[country]
+		if !ok {
+			hours = &[24]int64{}
+			ds.HourlyVolume[country] = hours
+		}
+		hours[UTCHour(f.Start)] += v
+
+		if f.SatRTT > 0 {
+			rtt := f.SatRTT.Seconds()
+			h := LocalHour(f.Start, country)
+			if country != "" {
+				ds.SatRTT[country] = append(ds.SatRTT[country], rtt)
+				switch {
+				case IsNight(h):
+					ds.SatRTTNight[country] = append(ds.SatRTTNight[country], rtt)
+				case IsPeak(h):
+					ds.SatRTTPeak[country] = append(ds.SatRTTPeak[country], rtt)
+				}
+			}
+			if hasMeta && IsPeak(h) {
+				ds.SatRTTByBeam[meta.Beam] = append(ds.SatRTTByBeam[meta.Beam], rtt)
+			}
+		}
+
+		if f.GroundRTT.Samples == 0 {
+			continue
+		}
+		ground := f.GroundRTT.Avg.Seconds()
+		if country != "" {
+			xs := ds.GroundRTT[country]
+			for n := min(max(v/(256<<10), 1), 64); n > 0; n-- {
+				xs = append(xs, ground)
+			}
+			ds.GroundRTT[country] = xs
+		}
+		if hasMeta && f.Domain != "" {
+			sld, ok := secondLevel[f.Domain]
+			if !ok {
+				sld = services.SecondLevel(f.Domain)
+				secondLevel[f.Domain] = sld
+			}
+			key := DomainResolverKey{Country: country, Resolver: meta.Resolver, Domain: sld}
+			ds.GroundRTTByDomainResolver[key] = append(ds.GroundRTTByDomainResolver[key], ground)
+		}
+	}
+}

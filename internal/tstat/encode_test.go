@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -233,4 +234,123 @@ func TestReadDoesNotPinLines(t *testing.T) {
 	runtime.KeepAlive(&db)
 	runtime.KeepAlive(flows)
 	runtime.KeepAlive(dns)
+}
+
+// encodeLogs is a flow log and a DNS log of n rows each; every 997th flow
+// row is over 32 KiB, and so is the first one.
+func encodeLogs(n int) ([]FlowRecord, []DNSRecord) {
+	flows := manyFlows(n, 20)
+	dns := make([]DNSRecord, n)
+	for i := range flows {
+		if i%997 == 0 {
+			flows[i].Domain = strings.Repeat("long.", 7000) + "example"
+		}
+		dns[i] = DNSRecord{Client: flows[i].Client, Resolver: flows[i].Server, Query: flows[i].Domain,
+			Answer: flows[i].Server, T: flows[i].Start, ResponseTime: time.Duration(i) * time.Microsecond}
+	}
+	return flows, dns
+}
+
+// TestWriteRowsParallelMatchesSerial: the encode on p goroutines writes
+// the serial encode's bytes, for logs smaller than a block, of fewer
+// blocks than workers, and of many blocks with rows over 32 KiB among
+// them.
+func TestWriteRowsParallelMatchesSerial(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 300, 5000} {
+		flows, dns := encodeLogs(n)
+		var wantFlows, wantDNS bytes.Buffer
+		if err := writeRowsP(&wantFlows, flowHeader, flows, appendFlowRow, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRowsP(&wantDNS, dnsHeader, dns, appendDNSRow, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{2, 3, 8} {
+			var got bytes.Buffer
+			if err := writeRowsP(&got, flowHeader, flows, appendFlowRow, p); err != nil || !bytes.Equal(got.Bytes(), wantFlows.Bytes()) {
+				t.Errorf("%d flow rows, p=%d: %d bytes (err %v), serial encode wrote %d", n, p, got.Len(), err, wantFlows.Len())
+			}
+			got.Reset()
+			if err := writeRowsP(&got, dnsHeader, dns, appendDNSRow, p); err != nil || !bytes.Equal(got.Bytes(), wantDNS.Bytes()) {
+				t.Errorf("%d DNS rows, p=%d: %d bytes (err %v), serial encode wrote %d", n, p, got.Len(), err, wantDNS.Len())
+			}
+		}
+	}
+}
+
+// failingWriter fails its k-th Write and counts the calls.
+type failingWriter struct {
+	k, calls int
+	err      error
+}
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.calls++; w.calls == w.k {
+		return 0, w.err
+	}
+	return len(b), nil
+}
+
+// TestWriteRowsStopsAtWriteError: a writer that fails its k-th Write gets
+// no further Write, the encode returns exactly that error, and no worker
+// is left running.
+func TestWriteRowsStopsAtWriteError(t *testing.T) {
+	flows, _ := encodeLogs(3000)
+	before := runtime.NumGoroutine()
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, k := range []int{1, 2, 5, 20} {
+			w := &failingWriter{k: k, err: fmt.Errorf("write %d fails", k)}
+			if err := writeRowsP(w, flowHeader, flows, appendFlowRow, p); err != w.err {
+				t.Errorf("p=%d, failing Write %d: got error %v", p, k, err)
+			}
+			if w.calls != k {
+				t.Errorf("p=%d, failing Write %d: %d Writes", p, k, w.calls)
+			}
+		}
+	}
+	// The workers have called Done when writeRowsP returns; give them the
+	// moment they take to exit.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWriteRowsScratchIsFixed: a parallel encode allocates the same per
+// call at 20 k and at 200 k rows — its buffers, channels and workers, not
+// something per block (a 200 k-row call renders about 1 600 blocks).
+// "The same" allows the handful of channel waiters the runtime allocates
+// when a blocked worker finds its P's cache of them empty, which depends
+// on scheduling, not on the log. Each size reads the least of five calls.
+// The collector is off while it counts, as a cycle empties those caches.
+func TestWriteRowsScratchIsFixed(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small := manyFlows(20000, 20)
+	large := make([]FlowRecord, 0, 10*len(small))
+	for i := 0; i < 10; i++ {
+		large = append(large, small...)
+	}
+	cost := func(recs []FlowRecord) (objects, bytes uint64) {
+		writeRowsP(io.Discard, flowHeader, recs, appendFlowRow, 4) // warm up
+		objects, bytes = math.MaxUint64, math.MaxUint64
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			writeRowsP(io.Discard, flowHeader, recs, appendFlowRow, 4)
+			runtime.ReadMemStats(&after)
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects, bytes
+	}
+	so, sb := cost(small)
+	lo, lb := cost(large)
+	if max(so, lo)-min(so, lo) > 8 || max(sb, lb)-min(sb, lb) > 2<<10 {
+		t.Errorf("per call: %d objects, %d bytes at %d rows, but %d objects, %d bytes at %d rows", so, sb, len(small), lo, lb, len(large))
+	}
+	if sb > encodeScratch+encodeScratch/4 {
+		t.Errorf("%d bytes of scratch per call, bound %d", sb, encodeScratch)
+	}
 }

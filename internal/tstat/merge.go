@@ -1,6 +1,11 @@
 package tstat
 
-import "sort"
+import (
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+)
 
 // This file defines the canonical total order over records and the k-way
 // merge the simulator uses to combine its workers' log chunks. The
@@ -128,18 +133,25 @@ func cmpStr(a, b string) int {
 // SortFlows orders flow records in the canonical total order (start time,
 // then endpoints, then every remaining field — see CompareFlows), so logs
 // sorted or merged from any partitioning compare byte-identically.
-func SortFlows(flows []FlowRecord) {
-	sort.Slice(flows, func(i, j int) bool {
-		return CompareFlows(&flows[i], &flows[j]) < 0
-	})
-}
+func SortFlows(flows []FlowRecord) { sort.Sort(flowOrder(flows)) }
 
 // SortDNS orders DNS records in the canonical total order (CompareDNS).
-func SortDNS(dns []DNSRecord) {
-	sort.Slice(dns, func(i, j int) bool {
-		return CompareDNS(&dns[i], &dns[j]) < 0
-	})
-}
+func SortDNS(dns []DNSRecord) { sort.Sort(dnsOrder(dns)) }
+
+// flowOrder and dnsOrder sort in place through typed swaps: sort.Slice
+// swaps through reflection, and slices.SortFunc hands its comparator
+// record copies (each slower by a fifth or more on a 200 k-record log).
+type (
+	flowOrder []FlowRecord
+	dnsOrder  []DNSRecord
+)
+
+func (s flowOrder) Len() int           { return len(s) }
+func (s flowOrder) Less(i, j int) bool { return CompareFlows(&s[i], &s[j]) < 0 }
+func (s flowOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func (s dnsOrder) Len() int            { return len(s) }
+func (s dnsOrder) Less(i, j int) bool  { return CompareDNS(&s[i], &s[j]) < 0 }
+func (s dnsOrder) Swap(i, j int)       { s[i], s[j] = s[j], s[i] }
 
 // runHeap is a binary min-heap over the heads of k sorted runs: idx
 // holds the index of every run not yet drained, ordered by the run's head
@@ -179,28 +191,120 @@ func (h *runHeap[T]) down(i int) {
 	}
 }
 
+// parallelMergeMin is the smallest merge cut into key ranges: below it a
+// goroutine per range costs more than it saves.
+const parallelMergeMin = 1 << 14
+
+// samplesPerRange is how many sampled keys each range's splitter is
+// chosen from.
+const samplesPerRange = 64
+
 // mergeRuns k-way merges sorted runs under cmp, which must be the total
-// order each run was sorted in. A single non-empty run is returned as is.
+// order each run was sorted in, in GOMAXPROCS key ranges at once. A
+// single non-empty run is returned as is.
 func mergeRuns[T any](runs [][]T, cmp func(a, b *T) int) []T {
+	p, total := runtime.GOMAXPROCS(0), 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	if total < parallelMergeMin {
+		p = 1
+	}
+	return mergeRunsP(runs, cmp, p)
+}
+
+// mergeRunsP is mergeRuns cut into at most p key ranges. The splitters
+// are keys sampled from the runs; in every run, a range starts at the
+// first record not below its splitter. Records that compare equal
+// therefore land in one range, where the merge orders them by run index
+// as a serial merge does, and the ranges follow each other in key order.
+// Each range is merged on its own goroutine straight into its slice of
+// the output.
+func mergeRunsP[T any](runs [][]T, cmp func(a, b *T) int, p int) []T {
+	var live [][]T
 	total := 0
-	h := &runHeap[T]{cmp: cmp}
 	for _, r := range runs {
 		if len(r) > 0 {
-			h.idx = append(h.idx, len(h.runs))
-			h.runs = append(h.runs, r)
+			live = append(live, r)
 			total += len(r)
 		}
 	}
-	if len(h.runs) == 1 {
-		return h.runs[0]
+	if len(live) == 1 {
+		return live[0]
+	}
+	out := make([]T, total)
+	if p < 2 || total == 0 {
+		mergeInto(out, live, cmp)
+		return out
+	}
+	splitters := sampleSplitters(live, cmp, p, total)
+	// cuts[i] is where the next range starts in run i.
+	cuts := make([]int, len(live))
+	var wg sync.WaitGroup
+	off := 0
+	for r := 0; r <= len(splitters); r++ {
+		sub := make([][]T, 0, len(live))
+		n := 0
+		for i, run := range live {
+			lo, hi := cuts[i], len(run)
+			if r < len(splitters) {
+				s := splitters[r]
+				hi = lo + sort.Search(hi-lo, func(j int) bool { return cmp(&run[lo+j], s) >= 0 })
+			}
+			if hi > lo {
+				sub = append(sub, run[lo:hi])
+				n += hi - lo
+			}
+			cuts[i] = hi
+		}
+		if n == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(dst []T) {
+			defer wg.Done()
+			mergeInto(dst, sub, cmp)
+		}(out[off : off+n])
+		off += n
+	}
+	wg.Wait()
+	return out
+}
+
+// sampleSplitters returns up to p-1 keys that cut the runs' records into
+// p ranges of about equal size. It takes every stride-th record of the
+// runs laid end to end, sorts the sample and picks its p-quantiles.
+func sampleSplitters[T any](runs [][]T, cmp func(a, b *T) int, p, total int) []*T {
+	stride := max(total/(p*samplesPerRange), 1)
+	sample := make([]*T, 0, total/stride+1)
+	next := stride / 2 // offset of the next sample in the current run
+	for _, run := range runs {
+		for ; next < len(run); next += stride {
+			sample = append(sample, &run[next])
+		}
+		next -= len(run)
+	}
+	slices.SortFunc(sample, cmp)
+	splitters := make([]*T, 0, p-1)
+	for r := 1; r < p; r++ {
+		splitters = append(splitters, sample[r*len(sample)/p])
+	}
+	return splitters
+}
+
+// mergeInto k-way merges the sorted runs into dst, which holds exactly
+// their records.
+func mergeInto[T any](dst []T, runs [][]T, cmp func(a, b *T) int) {
+	h := &runHeap[T]{runs: runs, idx: make([]int, len(runs)), cmp: cmp}
+	for i := range h.idx {
+		h.idx[i] = i
 	}
 	for i := len(h.idx)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	out := make([]T, 0, total)
-	for len(h.idx) > 0 {
+	for j := range dst {
 		i := h.idx[0]
-		out = append(out, h.runs[i][0])
+		dst[j] = h.runs[i][0]
 		if h.runs[i] = h.runs[i][1:]; len(h.runs[i]) == 0 {
 			last := len(h.idx) - 1
 			h.idx[0] = h.idx[last]
@@ -208,7 +312,6 @@ func mergeRuns[T any](runs [][]T, cmp func(a, b *T) int) []T {
 		}
 		h.down(0)
 	}
-	return out
 }
 
 // MergeFlows k-way merges sorted runs of flow records (the simulator

@@ -161,3 +161,98 @@ func TestCompareFlowsIsTotalOrder(t *testing.T) {
 		}
 	}
 }
+
+// keyed is a record whose order looks at key alone, so records that
+// compare equal still say which run and position they came from.
+type keyed struct{ key, run, pos int }
+
+func cmpKeyed(a, b *keyed) int { return cmpInt(int64(a.key), int64(b.key)) }
+
+func cmpKeyedValues(a, b keyed) int { return cmpKeyed(&a, &b) }
+
+// keyedRuns builds one sorted run per size, with keys drawn from
+// [0, keys) and key hot taking about two records in three.
+func keyedRuns(sizes []int, keys, hot int) [][]keyed {
+	state := uint64(0x853c49e6748fea9b)
+	runs := make([][]keyed, len(sizes))
+	for r, n := range sizes {
+		for i := 0; i < n; i++ {
+			state = state*6364136223846793005 + 1442695040888963407
+			k := int(state>>33) % keys
+			if (state>>20)%3 != 0 {
+				k = hot
+			}
+			runs[r] = append(runs[r], keyed{key: k, run: r})
+		}
+		slices.SortFunc(runs[r], cmpKeyedValues)
+		for i := range runs[r] {
+			runs[r][i].pos = i
+		}
+	}
+	return runs
+}
+
+// TestMergeRangesKeepRunOrder: merging by key range on p goroutines
+// gives what one serial merge gives, equal keys ordered by run index and
+// then by position in their run, whatever p: with range boundaries
+// inside a run of equal keys (the hot key holds most samples, so the
+// splitters fall on it), with p above the number of non-empty runs, and
+// with empty runs between full ones.
+func TestMergeRangesKeepRunOrder(t *testing.T) {
+	cases := map[string][]int{
+		"hot key across many runs": {900, 40, 0, 700, 1, 333, 0, 512},
+		"two runs":                 {1500, 1200},
+		"empty runs around two":    {0, 0, 300, 0, 5, 0},
+		"one-record runs":          {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+	}
+	for name, sizes := range cases {
+		runs := keyedRuns(sizes, 40, 17)
+		var want []keyed
+		for _, r := range runs {
+			want = append(want, r...)
+		}
+		slices.SortStableFunc(want, cmpKeyedValues)
+		for _, p := range []int{1, 2, 3, 8} {
+			if got := mergeRunsP(runs, cmpKeyed, p); !slices.Equal(got, want) {
+				t.Errorf("%s, p=%d: merge differs from the stable sort of the runs in order", name, p)
+			}
+		}
+	}
+}
+
+// TestMergeRangesPassOneRunThrough: a single non-empty run comes back as
+// the same slice at any p, and no runs merge to nothing.
+func TestMergeRangesPassOneRunThrough(t *testing.T) {
+	run := keyedRuns([]int{50}, 5, 2)[0]
+	for _, p := range []int{1, 2, 3, 8} {
+		if got := mergeRunsP([][]keyed{nil, run, {}}, cmpKeyed, p); len(got) != len(run) || &got[0] != &run[0] {
+			t.Errorf("p=%d: a single non-empty run was not passed through", p)
+		}
+		if got := mergeRunsP([][]keyed{nil, {}}, cmpKeyed, p); len(got) != 0 {
+			t.Errorf("p=%d: empty runs merged to %d records", p, len(got))
+		}
+	}
+}
+
+// TestMergeFlowRangesMatchGlobalSort is TestMergeFlowsMatchesGlobalSort
+// at each p, for flow and DNS logs alike.
+func TestMergeFlowRangesMatchGlobalSort(t *testing.T) {
+	flows, dns := synthFlows(2000), synthDNS(2000)
+	wantFlows, wantDNS := slices.Clone(flows), slices.Clone(dns)
+	SortFlows(wantFlows)
+	SortDNS(wantDNS)
+	for _, p := range []int{2, 3, 8} {
+		for _, k := range mergeKs {
+			for shape, runs := range mergeShapes(flows, k, SortFlows) {
+				if got := mergeRunsP(runs, CompareFlows, p); !reflect.DeepEqual(got, wantFlows) {
+					t.Fatalf("p=%d: flow merge of %d %s runs differs from global sort", p, k, shape)
+				}
+			}
+			for shape, runs := range mergeShapes(dns, k, SortDNS) {
+				if got := mergeRunsP(runs, CompareDNS, p); !reflect.DeepEqual(got, wantDNS) {
+					t.Fatalf("p=%d: DNS merge of %d %s runs differs from global sort", p, k, shape)
+				}
+			}
+		}
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"io"
 	"math"
 	"net/netip"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"satwatch/internal/obs"
@@ -178,24 +180,97 @@ func TruncateToLog(flows []FlowRecord, dns []DNSRecord) {
 
 const flowHeader = "client\tcport\tserver\tsport\tproto\tdomain\tstart_us\tend_us\tbytes_up\tbytes_down\tpkts_up\tpkts_down\trtt_n\trtt_min_us\trtt_avg_us\trtt_max_us\trtt_std_us\tsat_rtt_us\tfirst10_us"
 
-// rowBufSize is the encoders' one buffer. It is handed to the writer
-// whenever it is half full, which leaves room for the next row: only a
-// row over 32 KiB ever grows it.
+// rowBufSize is the serial encoder's one buffer. It is handed to the
+// writer whenever it is half full, which leaves room for the next row:
+// only a row over 32 KiB ever grows it.
 const rowBufSize = 64 << 10
 
+// encodeScratch is what the buffers of one parallel encode hold in all,
+// whatever the number of workers.
+const encodeScratch = 256 << 10
+
+// parallelEncodeMin is the smallest log encoded on several goroutines.
+const parallelEncodeMin = 1 << 14
+
 // writeRows writes header and one line per record, each rendered by
-// appendRow onto the shared buffer.
+// appendRow, on GOMAXPROCS goroutines once the log is large enough.
 func writeRows[T any](w io.Writer, header string, recs []T, appendRow func([]byte, *T) []byte) error {
-	b := append(append(make([]byte, 0, rowBufSize), header...), '\n')
-	for i := range recs {
-		if b = appendRow(b, &recs[i]); len(b) >= rowBufSize/2 {
-			if _, err := w.Write(b); err != nil {
-				return err
+	p := runtime.GOMAXPROCS(0)
+	if len(recs) < parallelEncodeMin {
+		p = 1
+	}
+	return writeRowsP(w, header, recs, appendRow, p)
+}
+
+// writeRowsP is writeRows on p goroutines. The calling goroutine renders
+// the header and the rows that fill half a buffer; that row count is the
+// block of the rest. Worker k renders blocks k, k+p, k+2p, … into its two
+// buffers in turn, and the calling goroutine hands the blocks to w in
+// block order, so w sees the bytes of a serial encode. On the first
+// failed Write the workers stop, and that error is returned once they
+// have.
+func writeRowsP[T any](w io.Writer, header string, recs []T, appendRow func([]byte, *T) []byte, p int) error {
+	if p < 2 || len(recs) == 0 {
+		b := append(append(make([]byte, 0, rowBufSize), header...), '\n')
+		for i := range recs {
+			if b = appendRow(b, &recs[i]); len(b) >= rowBufSize/2 {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
 			}
-			b = b[:0]
 		}
+		_, err := w.Write(b)
+		return err
+	}
+	bufSize := encodeScratch / (2*p + 1)
+	b := append(append(make([]byte, 0, bufSize), header...), '\n')
+	n := 0
+	for n < len(recs) && (n == 0 || len(b) < bufSize/2) {
+		b = appendRow(b, &recs[n])
+		n++
+	}
+	rest := recs[n:]
+	blocks := (len(rest) + n - 1) / n
+	p = min(p, blocks)
+	type worker struct{ free, full chan []byte }
+	workers := make([]worker, p)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range workers {
+		wk := &workers[k]
+		// Two buffers a worker: it renders into one while the other waits
+		// to be written.
+		wk.free, wk.full = make(chan []byte, 2), make(chan []byte, 2)
+		wk.free <- make([]byte, 0, bufSize)
+		wk.free <- make([]byte, 0, bufSize)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for blk := k; blk < blocks; blk += p {
+				var buf []byte
+				select {
+				case buf = <-wk.free:
+				case <-stop:
+					return
+				}
+				for i := blk * n; i < min((blk+1)*n, len(rest)); i++ {
+					buf = appendRow(buf, &rest[i])
+				}
+				wk.full <- buf
+			}
+		}()
 	}
 	_, err := w.Write(b)
+	for blk := 0; err == nil && blk < blocks; blk++ {
+		wk := &workers[blk%p]
+		buf := <-wk.full
+		if _, err = w.Write(buf); err == nil {
+			wk.free <- buf[:0]
+		}
+	}
+	close(stop)
+	wg.Wait()
 	return err
 }
 
