@@ -3,9 +3,12 @@
 // simulated real time (default 60 sim-seconds per wall second) and folds
 // the resulting records into rolling analytics windows. The stages are
 // connected by bounded queues — the generator edge blocks (backpressure),
-// the worker and analytics edges shed and count — and a per-stage
-// watchdog restarts wedged stages into degraded mode, so the daemon
-// survives overload instead of falling over.
+// the worker and analytics edges shed and count — so the daemon survives
+// overload instead of falling over. It is crash-only: a stage that
+// panics, or that the per-stage watchdog finds wedged, stops the daemon,
+// which writes its manifest with status "failed" and the failure under
+// "errors", and exits 1; restarting it on the same -history directory
+// resumes past the last persisted window.
 //
 // -control-addr serves the control plane: the familiar /metrics,
 // /progress and /debug/pprof plus /healthz, /readyz, /analytics,
@@ -28,7 +31,8 @@
 // control plane and runs for its own length, so -control-addr and
 // -duration with it are an error.
 //
-// Exit codes: 0 ok, 1 error or failed soak, 2 interrupted (partial).
+// Exit codes: 0 ok, 1 error, failed run or failed soak, 2 interrupted
+// (partial).
 //
 // Usage:
 //
@@ -146,10 +150,9 @@ func run() (int, error) {
 	interrupted := ctx.Err() == context.Canceled
 	stop()
 
-	degraded, _ := p.Degraded()
-	status, code := outcome(interrupted, runErr != nil, degraded)
+	status, code := outcome(interrupted, runErr != nil)
 	mem := memSampler.Stop()
-	if err := writeOutputs(p, cfg, *outDir, *metricsOut, status, time.Since(start), mem); err != nil {
+	if err := writeOutputs(p, cfg, *outDir, *metricsOut, status, runErr, time.Since(start), mem); err != nil {
 		return 0, err
 	}
 	if runErr != nil {
@@ -163,16 +166,16 @@ func run() (int, error) {
 }
 
 // outcome maps how a run ended to its manifest status and exit code. A
-// signal makes the run "partial"; a failed Run (an aborted drain, a
-// history or trace log that did not close) or a degraded pipeline makes
-// it "degraded". A failed Run exits 1 even when a signal started the
-// drain: its outputs may be short of what the status claims.
-func outcome(interrupted, failed, degraded bool) (status string, code int) {
+// signal makes the run "partial"; a failed Run (a stage failure, an
+// aborted drain, a history or trace log that did not close) makes it
+// "failed". A failed Run exits 1 even when a signal started the drain:
+// its outputs may be short of what the status claims.
+func outcome(interrupted, failed bool) (status string, code int) {
 	switch {
 	case interrupted:
 		status, code = "partial", 2
-	case failed || degraded:
-		status = "degraded"
+	case failed:
+		status = "failed"
 	default:
 		status = "ok"
 	}
@@ -183,9 +186,10 @@ func outcome(interrupted, failed, degraded bool) (status string, code int) {
 }
 
 // writeOutputs lands the manifest, the finalized analytics windows, and
-// the metrics dump. Everything is written atomically so a kill mid-write
-// never leaves a truncated file at its final name.
-func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status string, wall time.Duration, mem obs.MemInfo) error {
+// the metrics dump; runErr, when non-nil, is the manifest's one error.
+// Everything is written atomically so a kill mid-write never leaves a
+// truncated file at its final name.
+func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status string, runErr error, wall time.Duration, mem obs.MemInfo) error {
 	var outputs []string
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -217,8 +221,8 @@ func writeOutputs(p *live.Pipeline, cfg live.Config, outDir, metricsOut, status 
 	if sched := p.Sim().Faults(); sched != nil {
 		m.Faults = sched
 	}
-	if _, reason := p.Degraded(); reason != "" {
-		m.Errors = append(m.Errors, reason)
+	if runErr != nil {
+		m.Errors = append(m.Errors, runErr.Error())
 	}
 	m.AddTiming("run", wall)
 	m.Mem = &mem

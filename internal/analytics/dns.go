@@ -1,29 +1,45 @@
 package analytics
 
 import (
+	"net/netip"
+
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
 	"satwatch/internal/netsim"
 )
 
-// foldDNS fills the DNS aggregates of the Dataset.
+// foldDNS fills the DNS aggregates of the Dataset in one walk over the
+// DNS log, in log order. Each distinct resolver address is resolved to
+// its resolver once, and each distinct client once to its country's
+// usage row: the prefix join only, as DNS reads no metadata.
 func (ds *Dataset) foldDNS() {
 	ds.ResolverUsage = map[geo.CountryCode]map[dnssim.ResolverID]int{}
 	ds.ResolverResponseTimes = map[dnssim.ResolverID][]float64{}
+	resolvers := map[netip.Addr]dnssim.ResolverID{}
+	// usage maps a client to its country's row; nil for a client in no
+	// known prefix.
+	usage := map[netip.Addr]map[dnssim.ResolverID]int{}
 	for i := range ds.DNS {
 		d := &ds.DNS[i]
-		id := dnssim.ByAddr(d.Resolver).ID
+		id, ok := resolvers[d.Resolver]
+		if !ok {
+			id = dnssim.ByAddr(d.Resolver).ID
+			resolvers[d.Resolver] = id
+		}
 		ds.ResolverResponseTimes[id] = append(ds.ResolverResponseTimes[id], d.ResponseTime.Seconds())
-		country, ok := netsim.CountryOf(ds.Prefixes, d.Client)
+		row, ok := usage[d.Client]
 		if !ok {
-			continue
+			if country, known := netsim.CountryOf(ds.Prefixes, d.Client); known {
+				if row = ds.ResolverUsage[country]; row == nil {
+					row = map[dnssim.ResolverID]int{}
+					ds.ResolverUsage[country] = row
+				}
+			}
+			usage[d.Client] = row
 		}
-		m, ok := ds.ResolverUsage[country]
-		if !ok {
-			m = map[dnssim.ResolverID]int{}
-			ds.ResolverUsage[country] = m
+		if row != nil {
+			row[id]++
 		}
-		m[id]++
 	}
 }
 

@@ -306,11 +306,12 @@ func TestGroundRTTByDomainResolver(t *testing.T) {
 	}
 }
 
-// TestFoldFlowsMatchesReference: the resolved-key fold fills every
-// aggregate exactly as foldFlowsReference does, on a simulated day and on
-// a hand-built log out of start order, with clients that have no
-// metadata, clients in no known prefix, empty domains, unclassified
-// domains, flows without RTT samples or bytes, and flows on a second day.
+// TestFoldFlowsMatchesReference: the resolved-key folds fill every
+// aggregate exactly as foldFlowsReference and foldDNSReference do, on a
+// simulated day and on a hand-built log out of start order, with clients
+// that have no metadata, clients in no known prefix, empty domains,
+// unclassified domains, flows without RTT samples or bytes, flows on a
+// second day, and DNS transactions with "Other" resolvers.
 func TestFoldFlowsMatchesReference(t *testing.T) {
 	sim, err := netsim.Run(netsim.Config{Customers: 20, Days: 1, Seed: 42})
 	if err != nil {
@@ -335,17 +336,48 @@ func TestFoldFlowsMatchesReference(t *testing.T) {
 		}
 		hand.Flows = append(hand.Flows, rec)
 	}
+	resolvers := []netip.Addr{netip.MustParseAddr("8.8.8.8"), netip.MustParseAddr("185.12.64.53"),
+		dnssim.OtherAddr(3), dnssim.OtherAddr(40), netip.MustParseAddr("203.0.113.7")}
+	for i := 0; i < 61; i++ {
+		hand.DNS = append(hand.DNS, tstat.DNSRecord{
+			Client: clients[i%len(clients)], Resolver: resolvers[i%len(resolvers)], Query: domains[i%len(domains)],
+			T: time.Duration(i*7919%(48*60)) * time.Minute, ResponseTime: time.Duration(1+i%9) * time.Millisecond,
+		})
+	}
 	for name, out := range map[string]*netsim.Output{"20x1 run": sim, "hand-built log": hand} {
 		got := NewDataset(out, 2)
 		want := &Dataset{Flows: out.Flows, DNS: out.DNS, Meta: out.Meta, Prefixes: out.CountryPrefixes, Days: 2}
 		foldFlowsReference(want)
-		want.foldDNS()
+		foldDNSReference(want)
 		gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 		for i := 0; i < gv.NumField(); i++ {
 			if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
 				t.Errorf("%s: Dataset.%s differs from the reference fold", name, gv.Type().Field(i).Name)
 			}
 		}
+	}
+}
+
+// foldDNSReference is foldDNS as it was before the walk resolved each
+// client and resolver address once: every record scans the resolver
+// table and ranges over the prefix map.
+func foldDNSReference(ds *Dataset) {
+	ds.ResolverUsage = map[geo.CountryCode]map[dnssim.ResolverID]int{}
+	ds.ResolverResponseTimes = map[dnssim.ResolverID][]float64{}
+	for i := range ds.DNS {
+		d := &ds.DNS[i]
+		id := dnssim.ByAddr(d.Resolver).ID
+		ds.ResolverResponseTimes[id] = append(ds.ResolverResponseTimes[id], d.ResponseTime.Seconds())
+		country, ok := netsim.CountryOf(ds.Prefixes, d.Client)
+		if !ok {
+			continue
+		}
+		m, ok := ds.ResolverUsage[country]
+		if !ok {
+			m = map[dnssim.ResolverID]int{}
+			ds.ResolverUsage[country] = m
+		}
+		m[id]++
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 // WindowSummary is one analytics window: the live counterpart of the
 // batch report's per-dataset aggregates, computed online over a fixed
 // span of simulated time. An open window folds its records in through
-// addFlow and addDNS; finalize sets its RTT mean. In degraded mode the
-// per-country and per-resolver breakdowns are dropped (nil maps) and
-// only the totals are kept — coarse but cheap.
+// addFlow and addDNS; finalize sets its RTT mean.
 type WindowSummary struct {
 	Start time.Duration `json:"start_ns"`
 	End   time.Duration `json:"end_ns"`
@@ -29,11 +27,9 @@ type WindowSummary struct {
 	BytesUp   int64 `json:"bytes_up"`
 	BytesDown int64 `json:"bytes_down"`
 
-	// BytesByCountry maps country code to total volume; nil in degraded
-	// windows.
+	// BytesByCountry maps country code to total volume.
 	BytesByCountry map[string]int64 `json:"bytes_by_country,omitempty"`
-	// DNSByResolver maps resolver ID to query count; nil in degraded
-	// windows.
+	// DNSByResolver maps resolver ID to query count.
 	DNSByResolver map[string]int64 `json:"dns_by_resolver,omitempty"`
 
 	// Satellite-RTT aggregate over the window's flows that completed a
@@ -42,6 +38,9 @@ type WindowSummary struct {
 	RTTMeanMs  float64 `json:"rtt_mean_ms"`
 	RTTMaxMs   float64 `json:"rtt_max_ms"`
 
+	// Degraded marks a window an older daemon folded without its
+	// breakdown maps. Nothing sets it now; it stays so that history logs
+	// holding such windows still read and render as they did.
 	Degraded bool `json:"degraded,omitempty"`
 
 	// rttSum is the exact sum behind RTTMeanMs while the window is open.
@@ -55,10 +54,8 @@ func (w *WindowSummary) addFlow(rec *tstat.FlowRecord, prefixes map[netip.Prefix
 	w.Flows++
 	w.BytesUp += rec.BytesUp
 	w.BytesDown += rec.BytesDown
-	if w.BytesByCountry != nil {
-		if code, ok := netsim.CountryOf(prefixes, rec.Client); ok {
-			w.BytesByCountry[string(code)] += rec.BytesUp + rec.BytesDown
-		}
+	if code, ok := netsim.CountryOf(prefixes, rec.Client); ok {
+		w.BytesByCountry[string(code)] += rec.BytesUp + rec.BytesDown
 	}
 	if rec.SatRTT > 0 {
 		w.RTTSamples++
@@ -70,9 +67,7 @@ func (w *WindowSummary) addFlow(rec *tstat.FlowRecord, prefixes map[netip.Prefix
 // addDNS folds one DNS record into an open window.
 func (w *WindowSummary) addDNS(rec *tstat.DNSRecord) {
 	w.DNS++
-	if w.DNSByResolver != nil {
-		w.DNSByResolver[string(dnssim.ByAddr(rec.Resolver).ID)]++
-	}
+	w.DNSByResolver[string(dnssim.ByAddr(rec.Resolver).ID)]++
 }
 
 // merge adds a finalized window o into w, a total over several windows:
@@ -111,7 +106,6 @@ type Analytics struct {
 	window, grace time.Duration
 	keep          int
 	prefixes      map[netip.Prefix]geo.CountryCode
-	degraded      *atomic.Bool
 
 	mu        sync.Mutex
 	open      map[int64]*WindowSummary
@@ -125,8 +119,9 @@ const keepWindows = 48
 
 // NewAnalytics builds the rolling-window aggregator. window and grace
 // are simulated durations; keep bounds the retained summaries (default
-// keepWindows). degraded may be nil.
-func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Prefix]geo.CountryCode, degraded *atomic.Bool) *Analytics {
+// keepWindows). The last parameter is unused: benchmark/ passes nil to
+// it and is not changed outside a yardstick change (ROADMAP item 4(c)).
+func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Prefix]geo.CountryCode, _ *atomic.Bool) *Analytics {
 	if window <= 0 {
 		window = 10 * time.Minute
 	}
@@ -138,12 +133,10 @@ func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Pref
 	}
 	return &Analytics{
 		window: window, grace: grace, keep: keep,
-		prefixes: prefixes, degraded: degraded,
-		open: map[int64]*WindowSummary{},
+		prefixes: prefixes,
+		open:     map[int64]*WindowSummary{},
 	}
 }
-
-func (a *Analytics) isDegraded() bool { return a.degraded != nil && a.degraded.Load() }
 
 // closesAt is the watermark at which window k finalizes: its end plus
 // the grace period.
@@ -166,11 +159,7 @@ func (a *Analytics) windowAt(t time.Duration) *WindowSummary {
 	w, ok := a.open[k]
 	if !ok {
 		w = &WindowSummary{Start: time.Duration(k) * a.window, End: time.Duration(k+1) * a.window,
-			Degraded: a.isDegraded()}
-		if !w.Degraded {
-			w.BytesByCountry = map[string]int64{}
-			w.DNSByResolver = map[string]int64{}
-		}
+			BytesByCountry: map[string]int64{}, DNSByResolver: map[string]int64{}}
 		a.open[k] = w
 	}
 	return w

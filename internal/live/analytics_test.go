@@ -2,7 +2,6 @@ package live
 
 import (
 	"net/netip"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,12 +10,12 @@ import (
 	"satwatch/internal/tstat"
 )
 
-func testAnalytics(degraded *atomic.Bool) *Analytics {
+func testAnalytics() *Analytics {
 	prefixes := map[netip.Prefix]geo.CountryCode{
 		netip.MustParsePrefix("10.1.0.0/16"): "IT",
 		netip.MustParsePrefix("10.2.0.0/16"): "NG",
 	}
-	return NewAnalytics(10*time.Minute, time.Minute, 8, prefixes, degraded)
+	return NewAnalytics(10*time.Minute, time.Minute, 8, prefixes, nil)
 }
 
 func flowAt(t time.Duration, client string, down int64, rtt time.Duration) tstat.FlowRecord {
@@ -29,7 +28,7 @@ func flowAt(t time.Duration, client string, down int64, rtt time.Duration) tstat
 }
 
 func TestAnalyticsWindowsFinalizeOnWatermark(t *testing.T) {
-	a := testAnalytics(nil)
+	a := testAnalytics()
 	a.AddFlow(flowAt(1*time.Minute, "10.1.0.5", 1000, 550*time.Millisecond))
 	a.AddFlow(flowAt(5*time.Minute, "10.2.0.9", 500, 0))
 	if got := len(a.Recent()); got != 0 {
@@ -62,7 +61,7 @@ func TestAnalyticsWindowsFinalizeOnWatermark(t *testing.T) {
 }
 
 func TestAnalyticsResolverShares(t *testing.T) {
-	a := testAnalytics(nil)
+	a := testAnalytics()
 	res := dnssim.Resolvers()
 	a.AddDNS(tstat.DNSRecord{Resolver: res[0].Addr, T: time.Minute})
 	a.AddDNS(tstat.DNSRecord{Resolver: res[0].Addr, T: 2 * time.Minute})
@@ -81,30 +80,8 @@ func TestAnalyticsResolverShares(t *testing.T) {
 	}
 }
 
-func TestAnalyticsDegradedDropsBreakdowns(t *testing.T) {
-	var degraded atomic.Bool
-	degraded.Store(true)
-	a := testAnalytics(&degraded)
-	a.AddFlow(flowAt(time.Minute, "10.1.0.5", 1000, 0))
-	a.Finalize()
-	recent := a.Recent()
-	if len(recent) != 1 {
-		t.Fatalf("finalized windows = %d, want 1", len(recent))
-	}
-	w := recent[0]
-	if !w.Degraded {
-		t.Error("degraded window not marked")
-	}
-	if w.BytesByCountry != nil || w.DNSByResolver != nil {
-		t.Error("degraded window kept per-country/per-resolver maps")
-	}
-	if w.Flows != 1 || w.BytesDown != 1000 {
-		t.Errorf("degraded window lost totals: %+v", w)
-	}
-}
-
 func TestAnalyticsRingBounded(t *testing.T) {
-	a := testAnalytics(nil)
+	a := testAnalytics()
 	for i := 0; i < 20; i++ {
 		a.AddFlow(flowAt(time.Duration(i)*10*time.Minute+time.Minute, "10.1.0.5", 1, 0))
 	}
@@ -143,7 +120,7 @@ func TestAnalyticsWatermarkGraceBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := testAnalytics(nil)
+			a := testAnalytics()
 			a.AddFlow(flowAt(time.Minute, "10.1.0.5", 100, 0))
 			// Seed the second window only when the probe will still own
 			// the watermark — every AddFlow advances it.
@@ -213,7 +190,7 @@ func TestAnalyticsRingEvictionUnderKeepPressure(t *testing.T) {
 // preloaded history must land in the ring without re-firing the
 // persistence hook, and already-covered windows must not reopen.
 func TestAnalyticsPreloadAdvancesWatermark(t *testing.T) {
-	a := testAnalytics(nil)
+	a := testAnalytics()
 	fired := 0
 	a.OnFinalize(func(WindowSummary) { fired++ })
 	prior := []WindowSummary{
@@ -253,7 +230,7 @@ func TestAnalyticsPreloadAdvancesWatermark(t *testing.T) {
 // re-emit a duplicate summary (which would also duplicate a history-log
 // line a restarted daemon replays).
 func TestAnalyticsLateRecordsDroppedExactlyOnce(t *testing.T) {
-	a := testAnalytics(nil)
+	a := testAnalytics()
 	var finalized []WindowSummary
 	a.OnFinalize(func(s WindowSummary) { finalized = append(finalized, s) })
 

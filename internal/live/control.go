@@ -16,7 +16,7 @@ import (
 // ControlHandler grows the batch tools' -debug-addr surface (/metrics,
 // /progress, /debug/pprof) into the daemon's control plane:
 //
-//   - GET  /healthz            200 while no stage is stalled, else 503
+//   - GET  /healthz            200 while no stage is stalled or failed, else 503
 //   - GET  /readyz             200 while running and not draining
 //   - GET  /analytics          finalized window summaries, oldest first
 //   - GET  /trace/recent       recent traced flows, newest first (?limit=)
@@ -62,14 +62,15 @@ func ControlHandler(p *Pipeline, reg *obs.Registry) http.Handler {
 	}
 
 	mux.HandleFunc("/healthz", readOnly(func(w http.ResponseWriter, _ *http.Request) {
+		if err := p.sup.failure(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		if stalled := p.Stalled(); len(stalled) > 0 {
 			http.Error(w, fmt.Sprintf("stalled stages: %v", stalled), http.StatusServiceUnavailable)
 			return
 		}
-		degraded, reason := p.Degraded()
-		encode(w, false, map[string]any{
-			"status": "ok", "degraded": degraded, "reason": reason,
-		})
+		encode(w, false, map[string]any{"status": "ok"})
 	}))
 
 	mux.HandleFunc("/readyz", readOnly(func(w http.ResponseWriter, _ *http.Request) {

@@ -123,6 +123,11 @@ func TestHistoryReaderTolerance(t *testing.T) {
 		{"truncated tail", line(0) + strings.TrimSuffix(line(1), "}\n"), 1, 1},
 		{"garbage line mid-log", line(0) + "not json at all\n" + line(1), 2, 1},
 		{"garbage only", "{{{{\nxyz\n", 0, 2},
+		// A window a daemon folded in its old degraded mode: flagged, and
+		// without breakdown maps.
+		{"degraded window", line(0) + `{"start_ns":600000000000,"end_ns":1200000000000,"flows":11,"dns":3,` +
+			`"bytes_up":100,"bytes_down":2000,"rtt_samples":4,"rtt_mean_ms":552.5,"rtt_max_ms":750,"degraded":true}` +
+			"\n" + line(2), 3, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,6 +140,17 @@ func TestHistoryReaderTolerance(t *testing.T) {
 			}
 			if len(ws) != tc.wantLines {
 				t.Fatalf("read %d windows, want %d", len(ws), tc.wantLines)
+			}
+			a := testAnalytics()
+			a.Preload(ws)
+			recent, degraded := a.Recent(), 0
+			for _, w := range recent {
+				if w.Degraded {
+					degraded++
+				}
+			}
+			if len(recent) != len(ws) || degraded != strings.Count(tc.content, `"degraded":true`) {
+				t.Fatalf("Preload kept %d windows, %d degraded", len(recent), degraded)
 			}
 		})
 	}

@@ -14,10 +14,6 @@ var (
 		"Flow records emitted by worker trackers into the analytics stage.", "")
 	mActiveFlows = obs.NewGauge("live_active_flows",
 		"In-flight flows across all worker trackers.", "")
-	mDegraded = obs.NewGauge("live_degraded",
-		"1 while the daemon is in degraded mode (stalled/restarted stage or coarse analytics), else 0.", "")
-	mStageRestarts = obs.NewCounter("live_stage_restarts_total",
-		"Stage goroutines relaunched by the supervisor after a panic or watchdog cancel.", "")
 	mWatchdogStalls = obs.NewCounter("live_watchdog_stalls_total",
 		"Heartbeat stalls detected by the per-stage watchdog.", "")
 	mLateRecords = obs.NewCounter("live_analytics_late_records_total",

@@ -3,9 +3,11 @@
 // time. Explicit stages — workload generation, dispatch, synthesis
 // workers, windowed analytics — are connected by bounded queues, each
 // edge with a declared backpressure policy (block upstream vs shed and
-// count). A per-stage watchdog restarts wedged stages into degraded
-// mode, and SIGTERM triggers a graceful drain that flushes trackers and
-// finalizes analytics windows. See DESIGN.md §11.
+// count). The daemon is crash-only: a stage that panics, or that a
+// per-stage watchdog finds wedged, stops the whole pipeline, and a
+// restart on its -history log is the one recovery path. SIGTERM triggers
+// a graceful drain that flushes trackers and finalizes analytics
+// windows. See DESIGN.md §11.
 package live
 
 import (
@@ -125,6 +127,10 @@ type intentItem struct {
 	admitNS int64
 }
 
+// testHookSynthItem (nil outside tests) runs in a synth shard before
+// each intent it synthesizes, so a test can panic one shard mid-run.
+var testHookSynthItem func(shard int)
+
 // recordItem is either a flow or a DNS record on the analytics edge.
 type recordItem struct {
 	flow *tstat.FlowRecord
@@ -159,12 +165,10 @@ type Pipeline struct {
 	// generator skips that day's earlier intents.
 	resumeFrom time.Duration
 
-	rateBits       atomic.Uint64 // math.Float64bits of the multiplier
-	degraded       atomic.Bool
-	degradedReason atomic.Pointer[string]
-	seq            atomic.Uint64
-	ready          atomic.Bool
-	draining       atomic.Bool
+	rateBits atomic.Uint64 // math.Float64bits of the multiplier
+	seq      atomic.Uint64
+	ready    atomic.Bool
+	draining atomic.Bool
 
 	intents     atomic.Int64
 	flowRecs    atomic.Int64
@@ -195,15 +199,15 @@ func New(cfg Config) (*Pipeline, error) {
 		activeFlows: make([]atomic.Int64, cfg.Workers),
 	}
 	p.rateBits.Store(math.Float64bits(cfg.Rate))
-	p.intentQ = NewQueue[intentItem](intentDepth, Block, qmIntents, &p.degraded)
+	p.intentQ = NewQueue[intentItem](intentDepth, Block, qmIntents, nil)
 	p.workerQs = make([]*Queue[intentItem], cfg.Workers)
 	for i := range p.workerQs {
-		p.workerQs[i] = NewQueue[intentItem](cfg.WorkerDepth, Shed, qmSynth, &p.degraded)
+		p.workerQs[i] = NewQueue[intentItem](cfg.WorkerDepth, Shed, qmSynth, nil)
 	}
-	p.recordQ = NewQueue[recordItem](cfg.RecordDepth, Shed, qmRecords, &p.degraded)
+	p.recordQ = NewQueue[recordItem](cfg.RecordDepth, Shed, qmRecords, nil)
 	p.flowFree.New = func() any { return new(tstat.FlowRecord) }
 	p.dnsFree.New = func() any { return new(tstat.DNSRecord) }
-	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, keepWindows, prefixes, &p.degraded)
+	p.analytics = NewAnalytics(cfg.Window, cfg.Grace, keepWindows, prefixes, nil)
 	p.workersLeft.Store(int64(cfg.Workers))
 
 	p.tracing, err = newTracing(cfg)
@@ -242,11 +246,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.clock = NewClock(cfg.Speedup, p.resumeFrom)
 	p.metricsHist = obs.NewHistory(nil, obs.DefaultHistoryKeep)
 
-	p.sup = &supervisor{
-		timeout: stallTimeout,
-		degrade: p.degrade,
-		logf:    cfg.Logf,
-	}
+	p.sup = newSupervisor(stallTimeout)
 	return p, nil
 }
 
@@ -282,27 +282,6 @@ func (p *Pipeline) SetRate(m float64) error {
 	return nil
 }
 
-// Degraded reports whether the daemon is in degraded mode and why.
-func (p *Pipeline) Degraded() (bool, string) {
-	if !p.degraded.Load() {
-		return false, ""
-	}
-	if r := p.degradedReason.Load(); r != nil {
-		return true, *r
-	}
-	return true, "unknown"
-}
-
-// degrade flips the daemon into degraded mode (idempotent; first reason
-// wins).
-func (p *Pipeline) degrade(reason string) {
-	if p.degraded.CompareAndSwap(false, true) {
-		p.degradedReason.Store(&reason)
-		mDegraded.Set(1)
-		p.cfg.Logf("live: entering degraded mode: %s", reason)
-	}
-}
-
 // Ready reports whether the pipeline is running and not draining (for
 // /readyz).
 func (p *Pipeline) Ready() bool { return p.ready.Load() && !p.draining.Load() }
@@ -317,7 +296,9 @@ func (p *Pipeline) Stalled() []string {
 	return p.sup.stalled()
 }
 
-// Progress is the /progress and manifest snapshot.
+// Progress is the /progress and manifest snapshot. Degraded and Reason
+// report that a stage failure stopped the pipeline, and the failure; the
+// names predate crash-only stages and stay because benchmark/ reads them.
 type Progress struct {
 	SimSeconds  float64  `json:"sim_seconds"`
 	Day         int      `json:"day"`
@@ -357,7 +338,9 @@ func (p *Pipeline) Progress() Progress {
 	if sched := p.sim.Faults(); sched != nil {
 		pr.Faults = sched.Name
 	}
-	pr.Degraded, pr.Reason = p.Degraded()
+	if err := p.sup.failure(); err != nil {
+		pr.Degraded, pr.Reason = true, err.Error()
+	}
 	pr.Stalled = p.Stalled()
 	pr.QueueDepths.Intents = p.intentQ.Len()
 	for _, q := range p.workerQs {
@@ -382,10 +365,14 @@ var ErrDrainTimeout = errors.New("live: drain timed out, pipeline aborted")
 // Run starts every stage and blocks until ctx is cancelled, then drains:
 // the generator stops, queues empty downstream, workers flush their
 // trackers, and analytics finalizes every open window. Returns nil on a
-// clean drain, ErrDrainTimeout when the drain had to be aborted.
+// clean drain, ErrDrainTimeout when the drain had to be aborted. A stage
+// failure (a panic, an error return or a stall), before or during the
+// drain, ends the run at once: the other stages are hard-aborted, no
+// open window is finalized, and Run returns the failure, which names the
+// stage, the cause and the stack.
 func (p *Pipeline) Run(ctx context.Context) error {
 	// Stage lifetimes are decoupled from ctx: they must outlive it to
-	// drain. hardCtx is the abort hammer of last resort.
+	// drain. hardCtx is the abort hammer.
 	hardCtx, hardAbort := context.WithCancel(context.Background())
 	defer hardAbort()
 
@@ -416,27 +403,39 @@ func (p *Pipeline) Run(ctx context.Context) error {
 
 	p.sup.start(hardCtx)
 	p.ready.Store(true)
-	<-ctx.Done()
-
-	p.draining.Store(true)
-	p.cfg.Logf("live: draining (timeout %s)", drainTimeout)
-	close(drainCh)
 	done := make(chan struct{})
 	go func() { p.sup.wait(); close(done) }()
+
 	var err error
+	select {
+	case <-p.sup.failed:
+	case <-ctx.Done():
+		p.draining.Store(true)
+		p.cfg.Logf("live: draining (timeout %s)", drainTimeout)
+		close(drainCh)
+		select {
+		case <-done:
+		case <-p.sup.failed:
+		case <-time.After(drainTimeout):
+			hardAbort()
+			<-done
+			p.analytics.Finalize()
+			err = ErrDrainTimeout
+		}
+	}
+	p.ready.Store(false)
+	hardAbort() // unwind what still runs, and reap the watchdog
+	<-p.sup.wdDone
+	// A wedged stage may never return: wait drainTimeout at most.
 	select {
 	case <-done:
 	case <-time.After(drainTimeout):
-		hardAbort()
-		<-done
-		p.analytics.Finalize()
-		err = ErrDrainTimeout
 	}
-	p.ready.Store(false)
-	hardAbort() // reap the watchdog
-	<-p.sup.wdDone
-	// All stages are down: the finalize hook cannot fire again and no
-	// worker holds a trace handle, so the persistence sinks close now.
+	if ferr := p.sup.failure(); ferr != nil {
+		err = ferr
+	}
+	// The stages are down (or one is wedged for good): the persistence
+	// sinks close now, and a late append or trace write fails and counts.
 	if cerr := p.history.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -564,8 +563,7 @@ func (p *Pipeline) dispatch(ctx context.Context, st *stage) error {
 }
 
 // synth is one synthesis shard: a LiveWorker owning a tracker whose
-// records stream onto the analytics queue. Restarts build a fresh
-// worker (in-flight flows of the old incarnation are lost — degraded).
+// records stream onto the analytics queue.
 //
 // Trace handles finish on this goroutine — either inside the tracker's
 // record emission (immediately before the OnFlow callback) or directly
@@ -641,6 +639,9 @@ func (p *Pipeline) synth(ctx context.Context, shard int, st *stage) error {
 			}
 			publishPending()
 			return nil
+		}
+		if testHookSynthItem != nil {
+			testHookSynthItem(shard)
 		}
 		var fl *trace.Flow
 		var synthStart time.Time

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,8 +69,45 @@ func TestPipelineRunsAndDrainsGracefully(t *testing.T) {
 	if q := pr.QueueDepths; q.Intents != 0 || q.Synth != 0 || q.Records != 0 {
 		t.Errorf("queues not drained: intents=%d synth=%d records=%d", q.Intents, q.Synth, q.Records)
 	}
-	if d, reason := p.Degraded(); d {
-		t.Errorf("clean run ended degraded: %s", reason)
+	if pr.Degraded {
+		t.Errorf("clean run ended failed: %s", pr.Reason)
+	}
+}
+
+// TestStagePanicStopsPipeline: a panic in one synth shard mid-run is the
+// pipeline's failure. Run returns it at once, naming the stage and the
+// panic, Progress reports it, and the shard is not relaunched: the hook
+// panics on every intent from its 50th on, so a relaunched shard would
+// fire it again. A relaunch would also keep the daemon serving with the
+// shard's in-flight flows silently gone.
+func TestStagePanicStopsPipeline(t *testing.T) {
+	var seen, fired atomic.Int64
+	testHookSynthItem = func(shard int) {
+		if shard == 1 && seen.Add(1) >= 50 {
+			fired.Add(1)
+			panic("injected synth fault")
+		}
+	}
+	defer func() { testHookSynthItem = nil }()
+
+	p, err := New(testConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	err = p.Run(ctx)
+	if ctx.Err() != nil {
+		t.Errorf("Run returned only when its context ended (%v), not on the panic", ctx.Err())
+	}
+	if err == nil || !strings.Contains(err.Error(), "stage synth-1 failed: panic: injected synth fault") {
+		t.Errorf("Run = %v, want the synth-1 panic", err)
+	}
+	if pr := p.Progress(); !pr.Degraded || !strings.Contains(pr.Reason, "synth-1") || !strings.Contains(pr.Reason, "injected synth fault") {
+		t.Errorf("Progress reports failed=%v reason=%q, want the synth-1 panic", pr.Degraded, pr.Reason)
+	}
+	if n := fired.Load(); n != 1 {
+		t.Errorf("the injected panic fired %d times, want 1: the shard was relaunched", n)
 	}
 }
 

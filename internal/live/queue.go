@@ -41,36 +41,26 @@ type QueueMetrics struct {
 }
 
 // Queue is a bounded, metric-instrumented channel with a declared
-// overflow policy. In degraded mode a Shed queue halves its admission
-// threshold, shedding earlier to shield the slow consumer.
+// overflow policy.
 type Queue[T any] struct {
-	ch       chan T
-	policy   Policy
-	m        QueueMetrics
-	degraded *atomic.Bool // shared pipeline flag; nil → never degraded
-	closed   atomic.Bool
+	ch     chan T
+	policy Policy
+	m      QueueMetrics
+	closed atomic.Bool
 }
 
-// NewQueue builds a queue with the given capacity and policy. degraded
-// may be nil.
-func NewQueue[T any](capacity int, policy Policy, m QueueMetrics, degraded *atomic.Bool) *Queue[T] {
+// NewQueue builds a queue with the given capacity and policy. The last
+// parameter is unused: benchmark/ passes nil to it and is not changed
+// outside a yardstick change (ROADMAP item 4(c)).
+func NewQueue[T any](capacity int, policy Policy, m QueueMetrics, _ *atomic.Bool) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue[T]{ch: make(chan T, capacity), policy: policy, m: m, degraded: degraded}
+	return &Queue[T]{ch: make(chan T, capacity), policy: policy, m: m}
 }
 
 // Len returns the buffered item count.
 func (q *Queue[T]) Len() int { return len(q.ch) }
-
-// limit is the effective admission threshold: full capacity normally,
-// half in degraded mode (Shed queues only).
-func (q *Queue[T]) limit() int {
-	if q.policy == Shed && q.degraded != nil && q.degraded.Load() {
-		return cap(q.ch) / 2
-	}
-	return cap(q.ch)
-}
 
 func (q *Queue[T]) accepted() {
 	q.m.Pushed.Inc()
@@ -86,10 +76,6 @@ func (q *Queue[T]) accepted() {
 // closes an edge only after every producer has exited).
 func (q *Queue[T]) Push(ctx context.Context, v T, st *stage) bool {
 	if q.policy == Shed {
-		if len(q.ch) >= q.limit() {
-			q.m.Shed.Inc()
-			return false
-		}
 		select {
 		case q.ch <- v:
 			q.accepted()

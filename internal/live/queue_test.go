@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,25 +122,6 @@ func TestQueueShedDropsAndCounts(t *testing.T) {
 	}
 	if m.Pushed.Value() != 2 {
 		t.Errorf("pushed counter = %d, want 2", m.Pushed.Value())
-	}
-}
-
-func TestQueueShedHalvesThresholdWhenDegraded(t *testing.T) {
-	var degraded atomic.Bool
-	q := NewQueue[int](4, Shed, testQueueMetrics(t), &degraded)
-	ctx := context.Background()
-
-	q.Push(ctx, 1, nil)
-	q.Push(ctx, 2, nil)
-	degraded.Store(true)
-	// Depth 2 == cap/2: the degraded threshold sheds here even though
-	// two slots remain.
-	if q.Push(ctx, 3, nil) {
-		t.Fatal("degraded Shed queue admitted past half capacity")
-	}
-	degraded.Store(false)
-	if !q.Push(ctx, 3, nil) {
-		t.Fatal("healthy Shed queue refused an item within capacity")
 	}
 }
 

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -13,30 +14,25 @@ import (
 // loop iteration, and park st for every wait on input, space or time: it
 // hands st to Queue.Push/Pop, which park it, and brackets its own timer
 // waits with st.park/unpark, so an idle stage sleeps instead of waking to
-// beat. Returning nil means clean exit (input drained) — the supervisor
-// lets the stage go. Returning an error (or panicking) gets the stage
-// relaunched.
+// beat. Returning nil means clean exit (input drained). Returning an
+// error, or panicking, fails the pipeline.
 type stageFn func(ctx context.Context, st *stage) error
 
 // stage is the supervised unit: a named goroutine with a heartbeat the
-// watchdog inspects, restarted on panic or watchdog cancel. At any moment
-// a running stage is working (beating per item), parked (blocked on a
-// channel and its context, waiting for input, space or time) or wedged
-// (working, but its last beat is older than the stall timeout).
+// watchdog inspects. At any moment a running stage is working (beating
+// per item), parked (blocked on a channel and its context, waiting for
+// input, space or time) or wedged (working, but its last beat is older
+// than the stall timeout).
 type stage struct {
 	name string
 	fn   stageFn
 
-	hb       atomic.Int64 // wall nanos of the last heartbeat
-	parked   atomic.Bool  // waiting on a channel and ctx; watchdog ignores
-	restarts atomic.Int64
-	done     atomic.Bool // clean exit; no restart, watchdog ignores
+	hb     atomic.Int64 // wall nanos of the last heartbeat
+	parked atomic.Bool  // waiting on a channel and ctx; watchdog ignores
+	done   atomic.Bool  // exited; watchdog ignores
 
-	cancelMu sync.Mutex
-	cancel   context.CancelFunc // cancels the current incarnation
-
-	// onExit runs once, after the stage's final clean exit (used to
-	// close downstream queues when a stage group finishes).
+	// onExit runs once, after the stage's clean exit (used to close
+	// downstream queues when a stage group finishes).
 	onExit func()
 }
 
@@ -44,8 +40,8 @@ func (st *stage) beat() { st.hb.Store(time.Now().UnixNano()) }
 
 // park marks the stage as waiting: until unpark, the watchdog does not
 // count the silence against it. A parked stage must block only on
-// channels and its context, so a cancel still unwinds it. Nil-safe, so a
-// queue used outside a supervisor takes a nil stage.
+// channels and its context, so a hard abort still unwinds it. Nil-safe,
+// so a queue used outside a supervisor takes a nil stage.
 func (st *stage) park() {
 	if st != nil {
 		st.parked.Store(true)
@@ -71,28 +67,36 @@ func (st *stage) stale(timeout time.Duration) bool {
 	return time.Since(time.Unix(0, st.hb.Load())) > timeout
 }
 
-// supervisor runs stages, watches their heartbeats, and restarts the
-// ones that panic or stall. A stall or restart flips the pipeline into
-// degraded mode — the daemon keeps running, sheds earlier, and reports
-// the state via /healthz and live_degraded.
+// supervisor runs stages and watches their heartbeats. It is crash-only:
+// a stage that panics, returns an error or stalls past the timeout fails
+// the whole pipeline, and nothing is relaunched. The first failure wins;
+// failed closes when it lands, and the owner then hard-aborts the rest.
 type supervisor struct {
 	stages  []*stage
 	timeout time.Duration
-	degrade func(reason string)
-	logf    func(format string, args ...any)
 	wg      sync.WaitGroup // stage goroutines only
 	wdDone  chan struct{}  // watchdog exit (it outlives the stages)
+
+	failOnce sync.Once
+	failed   chan struct{}
+	err      error // written once, before failed closes
 }
 
-// add registers a stage; onExit, when non-nil, runs after its final
-// clean exit.
+// newSupervisor returns a supervisor whose watchdog finds a working
+// stage wedged after timeout without a beat.
+func newSupervisor(timeout time.Duration) *supervisor {
+	return &supervisor{timeout: timeout, failed: make(chan struct{})}
+}
+
+// add registers a stage; onExit, when non-nil, runs after its clean exit.
 func (sup *supervisor) add(name string, fn stageFn, onExit func()) {
 	sup.stages = append(sup.stages, &stage{name: name, fn: fn, onExit: onExit})
 }
 
 // start launches every stage under ctx plus the watchdog. The watchdog
-// exits only when ctx is cancelled — it must outlive a graceful drain,
-// so wait does not cover it; cancel ctx and receive on wdDone to reap it.
+// exits when ctx is cancelled or after the first stall — it must outlive
+// a graceful drain, so wait does not cover it; cancel ctx and receive on
+// wdDone to reap it.
 func (sup *supervisor) start(ctx context.Context) {
 	for _, st := range sup.stages {
 		st.beat() // arm before launch so a pre-first-iteration probe isn't "stalled"
@@ -107,61 +111,54 @@ func (sup *supervisor) start(ctx context.Context) {
 // separately via wdDone).
 func (sup *supervisor) wait() { sup.wg.Wait() }
 
-// run supervises one stage: invoke, recover panics, restart until the
-// stage exits cleanly or the parent context dies.
-func (sup *supervisor) run(ctx context.Context, st *stage) {
-	defer sup.wg.Done()
-	for {
-		st.unpark() // an incarnation starts out working
-		stageCtx, cancel := context.WithCancel(ctx)
-		st.cancelMu.Lock()
-		st.cancel = cancel
-		st.cancelMu.Unlock()
-		err := sup.invoke(stageCtx, st)
-		cancel()
-		if err == nil {
-			st.done.Store(true)
-			if st.onExit != nil {
-				st.onExit()
-			}
-			return
-		}
-		if ctx.Err() != nil {
-			// Hard abort: don't restart, don't run onExit (the exit was
-			// not clean; the pipeline is tearing down anyway).
-			st.done.Store(true)
-			return
-		}
-		st.restarts.Add(1)
-		mStageRestarts.Inc()
-		sup.degrade(fmt.Sprintf("stage %s restarted: %v", st.name, err))
-		sup.logf("live: stage %s restarting (#%d): %v", st.name, st.restarts.Load(), err)
+// fail records the pipeline's failure; the first one wins.
+func (sup *supervisor) fail(err error) {
+	sup.failOnce.Do(func() {
+		sup.err = err
+		close(sup.failed)
+	})
+}
+
+// failure returns the failure that stopped the pipeline, or nil.
+func (sup *supervisor) failure() error {
+	select {
+	case <-sup.failed:
+		return sup.err
+	default:
+		return nil
 	}
 }
 
-// invoke runs one incarnation of the stage with a panic fence.
+// run runs one stage once. A clean exit runs onExit; an exit under a
+// cancelled ctx is the hard abort and skips it (the exit was not a
+// drain); a panic or error fails the pipeline.
+func (sup *supervisor) run(ctx context.Context, st *stage) {
+	defer sup.wg.Done()
+	err := sup.invoke(ctx, st)
+	st.done.Store(true)
+	switch {
+	case err != nil:
+		sup.fail(fmt.Errorf("live: stage %s failed: %w", st.name, err))
+	case ctx.Err() == nil && st.onExit != nil:
+		st.onExit()
+	}
+}
+
+// invoke runs the stage with a panic fence.
 func (sup *supervisor) invoke(ctx context.Context, st *stage) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if err := st.fn(ctx, st); err != nil {
-		return err
-	}
-	// A nil return under a watchdog-cancelled context is still a restart:
-	// the incarnation was killed, not drained.
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
+	return st.fn(ctx, st)
 }
 
-// watchdog scans heartbeats and cancels stalled incarnations. Every
-// blocking point in a stage is context-aware and parks the stage while it
-// waits, so a stale heartbeat on an unparked stage means it is wedged
-// mid-item; cancelling its context unwinds it and run relaunches it in
-// (now) degraded mode.
+// watchdog scans heartbeats. Every blocking point in a stage is
+// context-aware and parks the stage while it waits, so a stale heartbeat
+// on an unparked stage means it is wedged mid-item. Go cannot stop that
+// goroutine, so the stall fails the pipeline with every goroutine's
+// stack, and the watchdog's work is done.
 func (sup *supervisor) watchdog(ctx context.Context) {
 	defer close(sup.wdDone)
 	interval := sup.timeout / 4
@@ -176,19 +173,12 @@ func (sup *supervisor) watchdog(ctx context.Context) {
 			return
 		case <-tick.C:
 		}
-		for _, st := range sup.stages {
-			if !st.stale(sup.timeout) {
-				continue
-			}
+		if stalled := sup.stalled(); len(stalled) > 0 {
 			mWatchdogStalls.Inc()
-			sup.degrade(fmt.Sprintf("stage %s stalled > %s", st.name, sup.timeout))
-			sup.logf("live: watchdog: stage %s stalled, cancelling incarnation", st.name)
-			st.beat() // arm the next detection window before the cancel lands
-			st.cancelMu.Lock()
-			if st.cancel != nil {
-				st.cancel()
-			}
-			st.cancelMu.Unlock()
+			stacks := make([]byte, 64<<10)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			sup.fail(fmt.Errorf("live: stage %s stalled > %s\n%s", stalled[0], sup.timeout, stacks))
+			return
 		}
 	}
 }

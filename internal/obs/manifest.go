@@ -35,13 +35,15 @@ type Manifest struct {
 	// Config is the full simulation configuration, marshaled as-is.
 	Config any `json:"config,omitempty"`
 	// Status is the run outcome: "ok", "degraded" (completed but dropped
-	// work, see Errors), or "partial" (interrupted before completion). A
-	// missing Status on an old manifest means "ok".
+	// work, see Errors), "partial" (interrupted before completion) or
+	// "failed" (a satlive stage failure stopped the daemon). A missing
+	// Status on an old manifest means "ok".
 	Status string `json:"status,omitempty"`
 	// Faults is the active fault schedule of the run, marshaled as-is;
 	// absent for clear-sky runs.
 	Faults any `json:"faults,omitempty"`
-	// Errors lists what a degraded run dropped, one line each.
+	// Errors lists what a degraded run dropped, one line each, or the
+	// failure of a failed run.
 	Errors []string `json:"errors,omitempty"`
 	// TimingsSeconds maps stage name to wall seconds (e.g. "pass_a",
 	// "pass_b", "analyze").
