@@ -5,8 +5,8 @@
 // left by FEC (package phy).
 //
 // The package runs an honest slot-level discrete-event micro-simulation
-// (package simtime) for a grid of (utilization, frame error rate) operating
-// points and distills each run into an empirical access-delay distribution.
+// for a grid of (utilization, frame error rate) operating points and
+// distills each run into an empirical access-delay distribution.
 // The macro flow simulator then samples those distributions — this is what
 // makes the satellite-segment RTT distributions of Figure 8 emerge from the
 // MAC mechanism rather than from played-back numbers.
@@ -20,6 +20,7 @@
 package mac
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -29,7 +30,6 @@ import (
 
 	"satwatch/internal/dist"
 	"satwatch/internal/obs"
-	"satwatch/internal/simtime"
 	"satwatch/internal/trace"
 )
 
@@ -148,7 +148,10 @@ func (p Params) WithDefaults() Params {
 }
 
 // quantile levels retained from each micro-simulation run.
-var tableLevels = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
+var tableLevels = [...]float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
+
+// nLevels is the number of quantile levels a table keeps.
+const nLevels = len(tableLevels)
 
 // cpe is one terminal's reservation state in the micro-simulation.
 type cpe struct {
@@ -162,7 +165,7 @@ type cpe struct {
 // job is one slot's worth of payload waiting for a TDMA grant.
 type job struct {
 	owner   int32 // index of the CPE it queued at
-	arrived simtime.Stamp
+	arrived time.Duration
 }
 
 // scratch is the working memory of a micro-simulation run that grows with
@@ -172,6 +175,46 @@ type job struct {
 type scratch struct {
 	delays []time.Duration
 	queue  []job // FIFO across CPEs
+}
+
+// event is a pending event of the micro-simulation: the simulated instant
+// it fires at and its issue number, which orders events due at the same
+// instant by when they were scheduled.
+type event struct {
+	at  time.Duration
+	seq uint64
+}
+
+// before orders events by instant, then by issue.
+func (a event) before(b event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// grant is a reservation grant in flight to its owner.
+type grant struct {
+	event
+	owner int32
+}
+
+// The three heads of the micro-simulation's event loop.
+const (
+	fireArrival = iota
+	fireFrame
+	fireGrant
+)
+
+// nextHead picks which head fires next: the earliest of the next arrival,
+// the next frame and, when one is in flight (inFlight), the oldest grant;
+// of heads due at the same instant, the one scheduled first.
+func nextHead(arrival, frame, oldestGrant event, inFlight bool) int {
+	h, e := fireArrival, arrival
+	if frame.before(e) {
+		h, e = fireFrame, frame
+	}
+	if inFlight && oldestGrant.before(e) {
+		h = fireGrant
+	}
+	return h
 }
 
 // simulate runs the slot-level micro-simulation at the given offered
@@ -184,7 +227,15 @@ type scratch struct {
 // the order of RNG draws and of same-instant events is part of its
 // contract: per arrival IntN(NumCPE) then Exponential; per frame,
 // contenders in CPE-index order draw Bool(pTx) then IntN(ReservationSlots),
-// and granted jobs in FIFO order run the Bool(fer) ARQ loop.
+// and granted jobs in FIFO order run the Bool(fer) ARQ loop. Events due at
+// the same instant fire in the order they were scheduled (nextHead).
+//
+// Only three kinds of event are ever pending: the next arrival, the next
+// frame, and the grants in flight, at most one per CPE. Every grant is due
+// HopRTT after the frame that issued it, so grants come due in issue order
+// and a FIFO ring holds them; the loop fires the earliest of the three
+// heads, with no event heap and no callbacks. It stops after frame
+// SimFrames: later events reach no delay sample.
 func simulate(p Params, util, fer float64, seed uint64, sc *scratch) *dist.Empirical {
 	p = p.WithDefaults()
 	if util < 0.01 {
@@ -194,24 +245,13 @@ func simulate(p Params, util, fer float64, seed uint64, sc *scratch) *dist.Empir
 		util = 0.99
 	}
 	r := dist.NewRand(seed)
-	var sched simtime.Scheduler
-
 	cpes := make([]cpe, p.NumCPE)
-	// One pre-bound event per CPE: the reservation grant arriving.
-	grantArrives := make([]simtime.Event, p.NumCPE)
-	for i := range grantArrives {
-		c := &cpes[i]
-		grantArrives[i] = func(simtime.Stamp) {
-			c.grant = false
-			c.reserved = true
-		}
-	}
 
 	// Each "request" is one slot's worth of payload. Poisson arrivals at
 	// aggregate rate util*SlotsPerFrame per frame, spread over the CPEs.
 	perFrame := util * float64(p.SlotsPerFrame)
 	meanInterarrival := float64(p.FrameDuration) / perFrame
-	warmup := simtime.Stamp(p.SimFrames/10) * simtime.Stamp(p.FrameDuration)
+	warmup := time.Duration(p.SimFrames/10) * p.FrameDuration
 
 	queue := sc.queue[:0]
 	delays := sc.delays[:0]
@@ -219,117 +259,129 @@ func simulate(p Params, util, fer float64, seed uint64, sc *scratch) *dist.Empir
 		delays = make([]time.Duration, 0, want)
 	}
 
-	var arrive simtime.Event
-	arrive = func(now simtime.Stamp) {
-		i := r.IntN(len(cpes))
-		c := &cpes[i]
-		if !c.reserved && !c.contending && !c.grant {
-			c.contending = true
-		}
-		c.backlog++
-		queue = append(queue, job{owner: int32(i), arrived: now})
-		sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
-	}
-	sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
+	// The first arrival is scheduled before the first frame.
+	arrival := event{at: time.Duration(r.Exponential(meanInterarrival)), seq: 1}
+	frame := event{at: p.FrameDuration, seq: 2}
+	seq := frame.seq
+	grants := make([]grant, p.NumCPE) // ring of the grants in flight
+	oldest, inFlight := 0, 0
 
 	// Per-frame contention state, reused: who contends, and per reservation
 	// slot how many picked it and who picked it first.
 	contenders := make([]int32, 0, p.NumCPE)
 	slotCount := make([]int32, p.ReservationSlots)
 	slotFirst := make([]int32, p.ReservationSlots)
-	slotTime := simtime.Stamp(p.FrameDuration) / simtime.Stamp(p.SlotsPerFrame)
+	slotTime := p.FrameDuration / time.Duration(p.SlotsPerFrame)
 
-	frameNo := 0
-	var frame simtime.Event
-	frame = func(now simtime.Stamp) {
-		frameNo++
-		if frameNo > p.SimFrames {
-			return
-		}
-		// Stabilized slotted-Aloha: contenders transmit with probability
-		// R/n̂ and pick a random reservation slot; sole occupants win.
-		contenders = contenders[:0]
-		for i := range cpes {
-			if cpes[i].contending {
-				contenders = append(contenders, int32(i))
-			}
-		}
-		if n := len(contenders); n > 0 {
-			pTx := 1.0
-			if n > p.ReservationSlots {
-				pTx = float64(p.ReservationSlots) / float64(n)
-			}
-			clear(slotCount)
-			for _, i := range contenders {
-				if r.Bool(pTx) {
-					s := r.IntN(p.ReservationSlots)
-					if slotCount[s]++; slotCount[s] == 1 {
-						slotFirst[s] = i
-					}
-				}
-			}
-			// Winners in slot order, so the grants' scheduling order is a
-			// function of the draws alone.
-			for s, picked := range slotCount {
-				if picked == 1 {
-					winner := slotFirst[s]
-					cpes[winner].contending = false
-					cpes[winner].grant = true
-					// The grant arrives one control loop later.
-					sched.After(p.HopRTT, grantArrives[winner])
-				}
-				// Collisions retry next frame (contending stays set).
-			}
-		}
-		// TDMA grants: serve up to SlotsPerFrame queued jobs whose owner
-		// holds an active reservation, in FIFO order across CPEs.
-		served := 0
-		rest := queue[:0]
-		for _, j := range queue {
-			c := &cpes[j.owner]
-			if served == p.SlotsPerFrame || !c.reserved {
-				rest = append(rest, j)
-				continue
-			}
-			served++
-			c.backlog--
-			c.holdUntil = frameNo + p.HoldFrames
-			// The transmission errors with probability fer; each ARQ
-			// recovery costs a control loop plus the retx frame.
-			done := now + slotTime
-			for retries := 0; retries < p.MaxARQRetries && r.Bool(fer); retries++ {
-				done += simtime.Stamp(p.HopRTT) + simtime.Stamp(p.FrameDuration)
-			}
-			if j.arrived >= warmup {
-				delays = append(delays, time.Duration(done-j.arrived))
-			}
-		}
-		queue = rest
-		// Close reservations whose hold expired with an empty queue.
-		for i := range cpes {
+	for frameNo := 0; frameNo < p.SimFrames; {
+		switch nextHead(arrival, frame, grants[oldest].event, inFlight > 0) {
+		case fireArrival:
+			now := arrival.at
+			i := r.IntN(len(cpes))
 			c := &cpes[i]
-			if c.reserved && c.backlog == 0 && frameNo > c.holdUntil {
-				c.reserved = false
-			}
-			// A reservation that closed while traffic queued up again
-			// must re-contend (arrival saw reserved=true at queue time).
-			if !c.reserved && !c.grant && !c.contending && c.backlog > 0 {
+			if !c.reserved && !c.contending && !c.grant {
 				c.contending = true
 			}
-		}
-		sched.After(p.FrameDuration, frame)
-	}
-	sched.After(p.FrameDuration, frame)
+			c.backlog++
+			queue = append(queue, job{owner: int32(i), arrived: now})
+			seq++
+			arrival = event{at: now + time.Duration(r.Exponential(meanInterarrival)), seq: seq}
 
-	deadline := simtime.Stamp(p.SimFrames+1) * simtime.Stamp(p.FrameDuration)
-	sched.RunUntil(deadline)
+		case fireGrant:
+			c := &cpes[grants[oldest].owner]
+			c.grant = false
+			c.reserved = true
+			oldest = (oldest + 1) % len(grants)
+			inFlight--
+
+		case fireFrame:
+			now := frame.at
+			frameNo++
+			// Stabilized slotted-Aloha: contenders transmit with probability
+			// R/n̂ and pick a random reservation slot; sole occupants win.
+			contenders = contenders[:0]
+			for i := range cpes {
+				if cpes[i].contending {
+					contenders = append(contenders, int32(i))
+				}
+			}
+			if n := len(contenders); n > 0 {
+				pTx := 1.0
+				if n > p.ReservationSlots {
+					pTx = float64(p.ReservationSlots) / float64(n)
+				}
+				clear(slotCount)
+				for _, i := range contenders {
+					if r.Bool(pTx) {
+						s := r.IntN(p.ReservationSlots)
+						if slotCount[s]++; slotCount[s] == 1 {
+							slotFirst[s] = i
+						}
+					}
+				}
+				// Winners in slot order, so the grants' issue order is a
+				// function of the draws alone.
+				for s, picked := range slotCount {
+					if picked == 1 {
+						winner := slotFirst[s]
+						cpes[winner].contending = false
+						cpes[winner].grant = true
+						// The grant arrives one control loop later.
+						seq++
+						grants[(oldest+inFlight)%len(grants)] = grant{event{at: now + p.HopRTT, seq: seq}, winner}
+						inFlight++
+					}
+					// Collisions retry next frame (contending stays set).
+				}
+			}
+			// TDMA grants: serve up to SlotsPerFrame queued jobs whose owner
+			// holds an active reservation, in FIFO order across CPEs.
+			served := 0
+			rest := queue[:0]
+			for _, j := range queue {
+				c := &cpes[j.owner]
+				if served == p.SlotsPerFrame || !c.reserved {
+					rest = append(rest, j)
+					continue
+				}
+				served++
+				c.backlog--
+				c.holdUntil = frameNo + p.HoldFrames
+				// The transmission errors with probability fer; each ARQ
+				// recovery costs a control loop plus the retx frame.
+				done := now + slotTime
+				for retries := 0; retries < p.MaxARQRetries && r.Bool(fer); retries++ {
+					done += p.HopRTT + p.FrameDuration
+				}
+				if j.arrived >= warmup {
+					delays = append(delays, done-j.arrived)
+				}
+			}
+			queue = rest
+			// Close reservations whose hold expired with an empty queue.
+			for i := range cpes {
+				c := &cpes[i]
+				if c.reserved && c.backlog == 0 && frameNo > c.holdUntil {
+					c.reserved = false
+				}
+				// A reservation that closed while traffic queued up again
+				// must re-contend (arrival saw reserved=true at queue time).
+				if !c.reserved && !c.grant && !c.contending && c.backlog > 0 {
+					c.contending = true
+				}
+			}
+			seq++
+			frame = event{at: now + p.FrameDuration, seq: seq}
+		}
+	}
 
 	sc.queue, sc.delays = queue, delays
 	return distill(delays, p)
 }
 
 // distill reduces raw delay samples to an empirical quantile table,
-// reordering delays as it reads the table's order statistics.
+// reordering delays as it reads the table's order statistics
+// (selectTable).
 func distill(delays []time.Duration, p Params) *dist.Empirical {
 	if len(delays) == 0 {
 		// Pathological (e.g. zero offered load): a flat half-frame.
@@ -337,11 +389,9 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 		e, _ := dist.NewEmpirical([]float64{0.25, 0.75}, []float64{half, half})
 		return e
 	}
-	ranks := tableRanks(len(delays))
-	selectRanks(delays, 0, ranks)
-	values := make([]float64, len(tableLevels))
-	for i, k := range ranks {
-		values[i] = float64(delays[k])
+	var values [nLevels]float64
+	for i, d := range selectTable(delays, tableRanks(len(delays))) {
+		values[i] = float64(d)
 	}
 	// Enforce monotonicity against duplicate quantile collapses.
 	for i := 1; i < len(values); i++ {
@@ -349,7 +399,7 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 			values[i] = values[i-1]
 		}
 	}
-	e, err := dist.NewEmpirical(tableLevels, values)
+	e, err := dist.NewEmpirical(tableLevels[:], values[:])
 	if err != nil {
 		panic("mac: distill produced invalid empirical: " + err.Error())
 	}
@@ -357,12 +407,63 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 }
 
 // tableRanks are the order statistics the table keeps of n sorted samples.
-func tableRanks(n int) []int {
-	ranks := make([]int, len(tableLevels))
+func tableRanks(n int) (ranks [nLevels]int) {
 	for i, q := range tableLevels {
 		ranks[i] = int(q * float64(n-1))
 	}
 	return ranks
+}
+
+// selectBucketBits is log2 of the number of value-range buckets
+// selectTable counts samples into.
+const selectBucketBits = 12
+
+// selectTable returns the values a full sort of v would put at the given
+// ranks (ascending, each inside v), reordering v and allocating nothing.
+// One counting pass over 4 096 equal-width value ranges finds the bucket
+// of each wanted rank; one in-place partition moves those buckets' samples
+// to the front of v, where the wanted ranks sit at known offsets; and
+// selectRanks finishes on that short prefix.
+func selectTable(v []time.Duration, ranks [nLevels]int) (vals [nLevels]time.Duration) {
+	lo, hi := v[0], v[0]
+	for _, x := range v[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	// hi-lo wraps for spans beyond int64 but is exact as a uint64, and so
+	// is every uint64(x-lo).
+	shift := max(bits.Len64(uint64(hi-lo))-selectBucketBits, 0)
+	var count [1 << selectBucketBits]int
+	for _, x := range v {
+		count[uint64(x-lo)>>shift]++
+	}
+	// Mark each wanted rank's bucket and translate the rank to its place
+	// among the marked buckets' samples, which keep their value order.
+	var marked [1 << selectBucketBits / 64]uint64
+	var pos [nLevels]int
+	below, kept := 0, 0 // samples in the buckets before b; of them, marked
+	for b, i := 0, 0; i < nLevels; b++ {
+		n := count[b]
+		if ranks[i] < below+n {
+			marked[b/64] |= 1 << (b % 64)
+			for ; i < nLevels && ranks[i] < below+n; i++ {
+				pos[i] = ranks[i] - below + kept
+			}
+			kept += n
+		}
+		below += n
+	}
+	k := 0
+	for j, x := range v {
+		if b := uint64(x-lo) >> shift; marked[b/64]&(1<<(b%64)) != 0 {
+			v[j], v[k] = v[k], x
+			k++
+		}
+	}
+	selectRanks(v[:k], 0, pos[:])
+	for i, at := range pos {
+		vals[i] = v[at]
+	}
+	return vals
 }
 
 // selectRanks reorders v so that every wanted rank holds the value a full

@@ -3,29 +3,30 @@ package mac
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 	"time"
 )
 
-// checkSelectRanks runs selectRanks on a copy of in and compares it with
+// checkSelectRanks runs selectTable on a copy of in and compares it with
 // the full sort it replaces: same value at every wanted rank, and the
-// output is a permutation of the input.
+// reordered input is a permutation of the input.
 func checkSelectRanks(t *testing.T, in []time.Duration) {
 	t.Helper()
 	sorted := slices.Clone(in)
 	slices.Sort(sorted)
 	got := slices.Clone(in)
 	ranks := tableRanks(len(in))
-	selectRanks(got, 0, ranks)
-	for _, k := range ranks {
-		if got[k] != sorted[k] {
-			t.Fatalf("rank %d of %d: selected %d, sort gives %d", k, len(in), got[k], sorted[k])
+	vals := selectTable(got, ranks)
+	for i, k := range ranks {
+		if vals[i] != sorted[k] {
+			t.Fatalf("rank %d of %d: selected %d, sort gives %d", k, len(in), vals[i], sorted[k])
 		}
 	}
 	slices.Sort(got)
 	if !slices.Equal(got, sorted) {
-		t.Fatalf("selectRanks changed the multiset of %d values", len(in))
+		t.Fatalf("selectTable changed the multiset of %d values", len(in))
 	}
 }
 
@@ -48,6 +49,30 @@ func TestSelectRanksMatchesSort(t *testing.T) {
 		"two values":     ramp(500, func(i int) time.Duration { return time.Duration(i * 7 % 2) }),
 		"scattered":      ramp(5000, func(i int) time.Duration { return time.Duration(i * 7919 % 1009) }),
 		"waves":          ramp(5000, func(i int) time.Duration { return time.Duration(min(i%400, 400-i%400)) }),
+		// hi-lo overflows int64: the bucket index must be taken unsigned.
+		"full int64 span": ramp(3000, func(i int) time.Duration {
+			switch i % 3 {
+			case 0:
+				return math.MinInt64 + time.Duration(i)
+			case 1:
+				return math.MaxInt64 - time.Duration(i)
+			}
+			return time.Duration(i*7919%1009 - 500)
+		}),
+		// Buckets are a power of two wide and hi falls in the top half of
+		// them, so only equal samples share a single bucket.
+		"one bucket": ramp(3000, func(int) time.Duration { return math.MaxInt64 }),
+		// One far outlier makes the buckets wide: all nine ranks share
+		// bucket 0 with all the other samples.
+		"ranks share a bucket": ramp(3000, func(i int) time.Duration {
+			if i == 1500 {
+				return time.Hour
+			}
+			return time.Duration(i * 7919 % 3001)
+		}),
+		"eight":            {8, -1, 6, 5, 4, 3, 2, 1},
+		"two extremes":     {math.MaxInt64, math.MinInt64},
+		"extremes and one": {math.MaxInt64, 0, math.MinInt64},
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) { checkSelectRanks(t, in) })
@@ -64,6 +89,8 @@ func FuzzSelectRanks(f *testing.F) {
 	f.Add(append([]byte{0}, make([]byte, 300)...))
 	f.Add(append([]byte{3}, bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0x80, 0xff, 0xfe, 9}, 40)...))
 	f.Add(append([]byte{1}, bytes.Repeat([]byte{0, 0, 1, 0, 0xff, 0xff, 2, 0}, 60)...))
+	// MinInt64, MaxInt64 and 3, repeated: the full int64 span.
+	f.Add(append([]byte{3}, bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 3, 0, 0, 0, 0, 0, 0, 0}, 20)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

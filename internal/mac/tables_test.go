@@ -101,3 +101,81 @@ func TestCellBuildAllocationBudget(t *testing.T) {
 		t.Fatalf("one cell build allocates %v objects, budget 200", allocs)
 	}
 }
+
+// TestSimulateAllocationsFixed is the event loop's allocation budget: once
+// a scratch has grown to a cell's load, a run allocates only its setup (the
+// RNG, per-CPE state, the grant ring, the contention buffers and the
+// table), the same count at a sparse and at a saturated cell, so nothing
+// is paid per arrival or per event.
+func TestSimulateAllocationsFixed(t *testing.T) {
+	p := fastParams()
+	var sc scratch
+	simulate(p, 0.98, 1e-3, 1, &sc) // grow the scratch to the heaviest load
+	run := func(util float64) float64 {
+		return testing.AllocsPerRun(3, func() { simulate(p, util, 1e-3, 1, &sc) })
+	}
+	sparse, saturated := run(0.05), run(0.98)
+	if sparse != saturated || saturated > 12 {
+		t.Fatalf("a warmed run allocates %v objects at util 0.05 and %v at 0.98, want equal and at most 12",
+			sparse, saturated)
+	}
+}
+
+// TestNextHeadOrder: the earliest head fires whatever its issue number,
+// and the grant head counts only while a grant is in flight.
+func TestNextHeadOrder(t *testing.T) {
+	early, late, later := event{at: 10, seq: 9}, event{at: 20, seq: 1}, event{at: 30, seq: 2}
+	cases := []struct {
+		arrival, frame, grant event
+		inFlight              bool
+		want                  int
+	}{
+		{early, late, later, true, fireArrival},
+		{later, early, late, true, fireFrame},
+		{late, later, early, true, fireGrant},
+		{later, early, event{at: 5, seq: 3}, false, fireFrame},
+		{late, later, early, false, fireArrival},
+	}
+	for _, c := range cases {
+		if got := nextHead(c.arrival, c.frame, c.grant, c.inFlight); got != c.want {
+			t.Errorf("nextHead(%v, %v, %v, %v) = %d, want %d", c.arrival, c.frame, c.grant, c.inFlight, got, c.want)
+		}
+	}
+}
+
+// TestNextHeadTieBreak pins the same-instant order for every pair of
+// heads: the one scheduled first fires first. The goldens hold only part
+// of it. With LEO's 5 ms frames and 10 ms HopRTT every grant falls due on
+// a frame instant, so a grant losing that tie moves the LEO digests; an
+// arrival and a frame due at the same nanosecond never happen to occur in
+// the pinned grids, so only this test holds that pair.
+func TestNextHeadTieBreak(t *testing.T) {
+	names := [...]string{fireArrival: "arrival", fireFrame: "frame", fireGrant: "grant"}
+	for first := range names {
+		for second := range names {
+			if first == second {
+				continue
+			}
+			var heads [len(names)]event
+			for h := range heads {
+				heads[h] = event{at: 20, seq: 1} // the third head, due later
+			}
+			heads[first] = event{at: 10, seq: 5}
+			heads[second] = event{at: 10, seq: 6}
+			if got := nextHead(heads[fireArrival], heads[fireFrame], heads[fireGrant], true); got != first {
+				t.Errorf("%s scheduled before %s, due at the same instant: %s fires first",
+					names[first], names[second], names[got])
+			}
+		}
+	}
+	// All three due together: issue order alone decides.
+	for first := range names {
+		var heads [len(names)]event
+		for h := range heads {
+			heads[h] = event{at: 10, seq: uint64(3 + (h-first+len(names))%len(names))}
+		}
+		if got := nextHead(heads[fireArrival], heads[fireFrame], heads[fireGrant], true); got != first {
+			t.Errorf("three heads due together, %s scheduled first: %s fires first", names[first], names[got])
+		}
+	}
+}
