@@ -49,13 +49,14 @@ type WindowSummary struct {
 	rttMsSum float64
 }
 
-// addFlow folds one flow record into an open window.
-func (w *WindowSummary) addFlow(rec *tstat.FlowRecord, prefixes map[netip.Prefix]geo.CountryCode) {
+// addFlow folds one flow record, whose client is in country (when
+// known), into an open window.
+func (w *WindowSummary) addFlow(rec *tstat.FlowRecord, country clientCountry) {
 	w.Flows++
 	w.BytesUp += rec.BytesUp
 	w.BytesDown += rec.BytesDown
-	if code, ok := netsim.CountryOf(prefixes, rec.Client); ok {
-		w.BytesByCountry[string(code)] += rec.BytesUp + rec.BytesDown
+	if country.known {
+		w.BytesByCountry[string(country.code)] += rec.BytesUp + rec.BytesDown
 	}
 	if rec.SatRTT > 0 {
 		w.RTTSamples++
@@ -107,11 +108,21 @@ type Analytics struct {
 	keep          int
 	prefixes      map[netip.Prefix]geo.CountryCode
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// countries memoizes netsim.CountryOf, a range over the whole prefix
+	// map, per client address: a daemon's records name one address per
+	// customer.
+	countries map[netip.Addr]clientCountry
 	open      map[int64]*WindowSummary
 	watermark time.Duration
 	recent    []WindowSummary // newest last, capped at keep
 	onFinal   func(WindowSummary)
+}
+
+// clientCountry is a client address's country, if a prefix holds it.
+type clientCountry struct {
+	code  geo.CountryCode
+	known bool
 }
 
 // keepWindows is the number of finalized summaries the daemon retains.
@@ -133,8 +144,9 @@ func NewAnalytics(window, grace time.Duration, keep int, prefixes map[netip.Pref
 	}
 	return &Analytics{
 		window: window, grace: grace, keep: keep,
-		prefixes: prefixes,
-		open:     map[int64]*WindowSummary{},
+		prefixes:  prefixes,
+		countries: map[netip.Addr]clientCountry{},
+		open:      map[int64]*WindowSummary{},
 	}
 }
 
@@ -170,9 +182,19 @@ func (a *Analytics) AddFlow(rec tstat.FlowRecord) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if w := a.windowAt(rec.Start); w != nil {
-		w.addFlow(&rec, a.prefixes)
+		w.addFlow(&rec, a.countryOf(rec.Client))
 		a.advance(rec.Start)
 	}
+}
+
+// countryOf is netsim.CountryOf through the memo. Callers hold a.mu.
+func (a *Analytics) countryOf(client netip.Addr) clientCountry {
+	c, ok := a.countries[client]
+	if !ok {
+		c.code, c.known = netsim.CountryOf(a.prefixes, client)
+		a.countries[client] = c
+	}
+	return c
 }
 
 // AddDNS folds one DNS record into its window.

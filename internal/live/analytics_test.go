@@ -1,12 +1,14 @@
 package live
 
 import (
+	"maps"
 	"net/netip"
 	"testing"
 	"time"
 
 	"satwatch/internal/dnssim"
 	"satwatch/internal/geo"
+	"satwatch/internal/netsim"
 	"satwatch/internal/tstat"
 )
 
@@ -57,6 +59,37 @@ func TestAnalyticsWindowsFinalizeOnWatermark(t *testing.T) {
 	}
 	if w.Degraded {
 		t.Error("healthy window marked degraded")
+	}
+}
+
+// TestCountryMemoMatchesCountryOf: the per-client memo answers as
+// netsim.CountryOf does, on first sight and from memory, for clients in
+// either prefix and for addresses no prefix holds, and a window folds
+// volume by that answer.
+func TestCountryMemoMatchesCountryOf(t *testing.T) {
+	a := testAnalytics()
+	clients := []string{"10.1.0.5", "10.2.0.9", "10.3.0.1", "10.1.255.255", "192.0.2.7", "10.2.0.9"}
+	for round := 0; round < 2; round++ {
+		for _, s := range clients {
+			addr := netip.MustParseAddr(s)
+			code, known := netsim.CountryOf(a.prefixes, addr)
+			a.mu.Lock()
+			got := a.countryOf(addr)
+			a.mu.Unlock()
+			if got != (clientCountry{code, known}) {
+				t.Fatalf("round %d: countryOf(%s) = %+v, CountryOf = %q, %v", round, s, got, code, known)
+			}
+		}
+	}
+	if len(a.countries) != 5 {
+		t.Errorf("memo holds %d clients, want the 5 distinct ones", len(a.countries))
+	}
+	for _, s := range clients {
+		a.AddFlow(flowAt(time.Minute, s, 100, 0))
+	}
+	a.Finalize()
+	if got, want := a.Recent()[0].BytesByCountry, map[string]int64{"IT": 220, "NG": 220}; !maps.Equal(got, want) {
+		t.Errorf("per-country volumes = %v, want %v", got, want)
 	}
 }
 

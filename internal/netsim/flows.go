@@ -165,11 +165,12 @@ func (s *synthesizer) classify(domain string, port uint16) shaper.Class {
 // portAlloc hands out a customer's ephemeral source ports.
 type portAlloc struct {
 	next uint16
-	// busy maps issued ports to a conservative busy-until timestamp, so a
-	// wrapped allocator never reissues a port whose previous flow the
-	// probe could still be tracking (which would merge two flows sharing
-	// a server into one 5-tuple).
-	busy map[uint16]time.Duration
+	// busy[p-1024] is issued port p's conservative busy-until timestamp,
+	// zero when the port is free, so a wrapped allocator never reissues a
+	// port whose previous flow the probe could still be tracking (which
+	// would merge two flows sharing a server into one 5-tuple). It is as
+	// long as the highest port held so far: 8 B a port, at most 516 KB.
+	busy []time.Duration
 }
 
 // portReuseGuard must exceed the tracker's largest inactivity window
@@ -186,7 +187,7 @@ func (s *synthesizer) nextPort(custID int, start time.Duration) uint16 {
 	if pa == nil {
 		pa, s.spare = s.spare, nil
 		if pa == nil {
-			pa = &portAlloc{next: 1024, busy: map[uint16]time.Duration{}}
+			pa = &portAlloc{next: 1024}
 		}
 		s.ports[custID] = pa
 	}
@@ -197,11 +198,11 @@ func (s *synthesizer) nextPort(custID int, start time.Duration) uint16 {
 		} else {
 			pa.next++
 		}
-		if until, ok := pa.busy[p]; ok {
-			if until+portReuseGuard > start {
+		if i := int(p - 1024); i < len(pa.busy) && pa.busy[i] != 0 {
+			if pa.busy[i]+portReuseGuard > start {
 				continue
 			}
-			delete(pa.busy, p)
+			pa.busy[i] = 0
 		}
 		return p
 	}
@@ -210,23 +211,32 @@ func (s *synthesizer) nextPort(custID int, start time.Duration) uint16 {
 }
 
 // retirePorts ends a customer's port allocation once no flow of it can
-// still be tracked: its allocator, reset and its map cleared, serves the
-// next customer, so a batch worker keeps one port map alive rather than
+// still be tracked: its allocator, reset and its table emptied, serves the
+// next customer, so a batch worker keeps one port table alive rather than
 // one per customer.
 func (s *synthesizer) retirePorts(custID int) {
 	if pa := s.ports[custID]; pa != nil {
 		delete(s.ports, custID)
 		pa.next = 1024
-		clear(pa.busy)
+		pa.busy = pa.busy[:0]
 		s.spare = pa
 	}
 }
 
 // holdPort records when a flow on port p went quiet, blocking its reuse
-// until the probe must have swept the flow.
+// until the probe must have swept the flow. The table grows with zeros
+// (free) up to p, so what a retired customer left in it is never read.
 func (s *synthesizer) holdPort(custID int, p uint16, end time.Duration) {
-	if pa := s.ports[custID]; pa != nil && end > pa.busy[p] {
-		pa.busy[p] = end
+	pa := s.ports[custID]
+	if pa == nil {
+		return
+	}
+	i := int(p - 1024)
+	for len(pa.busy) <= i {
+		pa.busy = append(pa.busy, 0)
+	}
+	if end > pa.busy[i] {
+		pa.busy[i] = end
 	}
 }
 

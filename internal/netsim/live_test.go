@@ -179,7 +179,7 @@ func TestReusedPortLandsOnFreshFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa := w.syn.ports[fi.Customer.ID]
-	first := pa.busy[1024]
+	first := pa.busy[1024-1024]
 	pa.next = 1024 // wrapped
 	again := fi
 	again.Start = first + portReuseGuard + time.Second
